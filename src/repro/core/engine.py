@@ -40,7 +40,6 @@ from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.snapshot import snapshot_cache as _default_snapshot_cache
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.engine import incremental_engine as _incremental_engine
-from repro.incremental.ingest import apply_graph_ops, validate_ops
 from repro.recovery import ops as _rops
 from repro.recovery.wal import SessionDurability
 from repro.memory.budget import (
@@ -51,7 +50,6 @@ from repro.memory.budget import (
 )
 from repro.parallel.executor import WorkerPool, kernel_dispatcher, resolve_backend
 from repro.parallel.resilience import RetryPolicy, run_with_retry
-from repro.tables.schema import Schema
 from repro.tables.strings import StringPool
 from repro.tables.table import Table
 
@@ -239,17 +237,17 @@ class Ringo:
     def _publish(self, kind: str, obj):
         """Register a fully built object; called only after success."""
         with self._catalog_lock:
-            self._publish_counter += 1
-            name = f"{kind}-{self._publish_counter}"
-            self._catalog[name] = obj
-            self._object_names[id(obj)] = name
-        return obj
+            return self._publish_as(f"{kind}-{self._publish_counter + 1}", obj)
 
     def _publish_as(self, name: str, obj):
-        """Register an object under an explicit catalog name (recovery)."""
+        """Register an object under an explicit catalog name (replay),
+        advancing the publish counter past it."""
         with self._catalog_lock:
             self._catalog[name] = obj
             self._object_names[id(obj)] = name
+            self._publish_counter = max(
+                self._publish_counter, _rops.name_suffix(name)
+            )
         return obj
 
     def _arm_durability(self, directory, resume: bool = False) -> None:
@@ -282,59 +280,50 @@ class Ringo:
             if name is not None and self._catalog.get(name) is obj:
                 return name
         if isinstance(obj, Table):
-            kind, op = "table", "__adopt_table__"
-            payload = _rops.encode_table_payload(obj)
+            op = "__adopt_table__"
         elif isinstance(obj, (DirectedGraph, UndirectedGraph)):
-            kind, op = "graph", "__adopt_graph__"
-            payload = _rops.encode_graph_payload(obj)
+            op = "__adopt_graph__"
         else:
             raise RecoveryError(
                 f"durable operations cannot reference a {type(obj).__name__} "
                 f"input that is not in the session catalog"
             )
-        name = f"{kind}-{self._publish_counter + 1}"
-        self._durability.wal.append(op, {"payload": payload}, (), name)
-        self._publish(kind, obj)
-        return name
+        self._run_op(op, (), {"object": obj})
+        return self._object_names[id(obj)]
 
-    def _prepare_inputs(self, *objs) -> None:
-        """Ensure inputs are catalogued *before* an in-place mutation runs
-        (adoption must snapshot the pre-mutation state)."""
-        if self._durability is not None:
-            for obj in objs:
-                self._require_ref(obj)
+    def _run_op(self, name: str, inputs: tuple, args: dict):
+        """Run one durable operation through its op-table entry.
 
-    def _commit(
-        self,
-        kind: str,
-        op: str,
-        obj,
-        args: "dict | None",
-        inputs: tuple = (),
-        always_publish: bool = False,
-        mutated: bool = False,
-    ):
-        """Log a completed operation to the WAL, then publish its result.
-
-        The WAL append (flushed + fsync'd) happens strictly before the
-        result becomes visible through :meth:`Objects` — the on-disk
+        The single live path for every entry of
+        :data:`repro.recovery.ops.OPS`, in one fixed order: inputs not
+        yet in the catalog are adopted (snapshotted into the WAL)
+        *before* the operator can mutate them; the arguments are
+        encoded against that same pre-state; the operator runs; the
+        record is appended (flushed + fsync'd); and only then does the
+        result become visible through :meth:`Objects` — the on-disk
         record is the commit point, so recovery can reconstruct every
-        object a caller ever observed. Without durability armed this
-        reduces to the legacy behaviour: only ops that always published
-        (loads, Join, ToGraph) publish, everything else passes through.
+        object a caller ever observed. An in-place mutation logs its
+        target as both input and output and publishes nothing new.
+
+        Without durability armed this reduces to the legacy behaviour:
+        only ops that always published (loads, Join, ToGraph) publish,
+        everything else passes through.
         """
+        op = _rops.OPS[name]
         if self._durability is None:
-            if always_publish:
-                self._publish(kind, obj)
-            return obj
+            result = op.run(self, inputs, args)
+            if op.always_publish:
+                self._publish(op.kind, result)
+            return result
         refs = [self._require_ref(value) for value in inputs]
-        if mutated:
-            self._durability.wal.append(op, args or {}, refs, refs[0])
-            return obj
-        name = f"{kind}-{self._publish_counter + 1}"
-        self._durability.wal.append(op, args or {}, refs, name)
-        self._publish(kind, obj)
-        return obj
+        wal_args = op.encode(self, args, inputs)
+        result = op.run(self, inputs, args)
+        if op.mutates_with(args):
+            self._durability.wal.append(name, wal_args, refs, refs[0])
+            return result
+        output = f"{op.kind}-{self._publish_counter + 1}"
+        self._durability.wal.append(name, wal_args, refs, output)
+        return self._publish_as(output, result)
 
     def _snapshot(self, graph):
         """Prewarm the CSR snapshot for a dynamic graph, then pass it on.
@@ -435,22 +424,17 @@ class Ringo:
     def LoadTableTSV(self, schema, path, **kwargs) -> Table:
         """Load a TSV file into a table (paper §4.1 listing, line 1)."""
         start = time.perf_counter()
-        table = tables.load_table_tsv(schema, path, pool=self.pool, **kwargs)
+        if schema is None:
+            # Resolved here so the record names it and replay skips
+            # re-inference.
+            schema = tables.infer_schema_tsv(path, **kwargs)
+        args = {"schema": schema, "path": os.fspath(path), "kwargs": kwargs}
+        table = self._run_op("LoadTableTSV", (), args)
         if obs.enabled():
             obs.observe_rate(
                 "io.tsv.rows", table.num_rows, time.perf_counter() - start
             )
-        args = None
-        if self._durability is not None:
-            # Log the *resulting* schema so replay skips re-inference.
-            args = {
-                "schema": _rops.encode_schema(table.schema),
-                "path": os.fspath(path),
-                "kwargs": _rops.encode_value(kwargs),
-            }
-        return self._commit(
-            "table", "LoadTableTSV", table, args, always_publish=True
-        )
+        return table
 
     def SaveTableTSV(self, table: Table, path, **kwargs) -> int:
         """Write a table as TSV; returns the row count."""
@@ -459,27 +443,12 @@ class Ringo:
     def TableFromColumns(self, data, schema=None) -> Table:
         """Build a table from per-column data (session-pooled)."""
         table = Table.from_columns(data, schema=schema, pool=self.pool)
-        args = None
-        if self._durability is not None:
-            # The input data has no durable provenance; snapshot the
-            # result inline so the WAL is self-contained.
-            args = {"payload": _rops.encode_table_payload(table)}
-        return self._commit("table", "TableFromColumns", table, args)
+        return self._run_op("TableFromColumns", (), {"object": table})
 
     def TableFromHashMap(self, mapping: Mapping, key_col: str, value_col: str) -> Table:
         """Result map → two-column table (paper §4.1 listing, last line)."""
-        table = convert.table_from_hashmap(mapping, key_col, value_col, pool=self.pool)
-        args = None
-        if self._durability is not None:
-            args = {
-                "items": [
-                    [_rops.encode_value(k), _rops.encode_value(v)]
-                    for k, v in mapping.items()
-                ],
-                "key_col": key_col,
-                "value_col": value_col,
-            }
-        return self._commit("table", "TableFromHashMap", table, args)
+        args = {"mapping": mapping, "key_col": key_col, "value_col": value_col}
+        return self._run_op("TableFromHashMap", (), args)
 
     # ------------------------------------------------------------------
     # Relational operations (§2.3)
@@ -487,18 +456,8 @@ class Ringo:
 
     def Select(self, table: Table, predicate, in_place: bool = False) -> Table:
         """Filter rows by predicate string/mask (``'Tag=Java'``)."""
-        args = None
-        if self._durability is not None:
-            # Adopt + encode against the table *before* it mutates.
-            self._prepare_inputs(table)
-            args = {
-                "predicate": _rops.encode_predicate(predicate, table),
-                "in_place": bool(in_place),
-            }
-        result = tables.select(table, predicate, in_place=in_place)
-        return self._commit(
-            "table", "Select", result, args, (table,), mutated=bool(in_place)
-        )
+        args = {"predicate": predicate, "in_place": bool(in_place)}
+        return self._run_op("Select", (table,), args)
 
     @_timed
     def Join(self, left: Table, right: Table, left_col, right_col=None, **kwargs) -> Table:
@@ -515,130 +474,81 @@ class Ringo:
             # A join has no chunked strategy, so a "degrade" budget only
             # records the admission; strict budgets refuse outright.
             self.budget.admit("Join", estimated)
-        joined = tables.join(left, right, left_col, right_col, **kwargs)
-        args = None
-        if self._durability is not None:
-            args = {
-                "left_on": _rops.encode_value(left_col),
-                "right_on": _rops.encode_value(right_col),
-                "kwargs": _rops.encode_value(kwargs),
-            }
-        return self._commit(
-            "table", "Join", joined, args, (left, right), always_publish=True
-        )
+        args = {"left_on": left_col, "right_on": right_col, "kwargs": kwargs}
+        return self._run_op("Join", (left, right), args)
 
     def Project(self, table: Table, columns: Sequence[str]) -> Table:
         """Keep only the named columns."""
-        result = tables.project(table, columns)
-        return self._commit(
-            "table", "Project", result, {"columns": list(columns)}, (table,)
-        )
+        return self._run_op("Project", (table,), {"columns": list(columns)})
 
     def Rename(self, table: Table, mapping: Mapping[str, str]) -> Table:
         """Rename columns (new table, shared data)."""
-        result = tables.rename(table, mapping)
-        return self._commit(
-            "table", "Rename", result, {"mapping": dict(mapping)}, (table,)
-        )
+        return self._run_op("Rename", (table,), {"mapping": dict(mapping)})
 
     def GroupBy(self, table: Table, keys, aggregations=None) -> Table:
         """Group & aggregate."""
-        result = tables.group_by(table, keys, aggregations)
-        args = None
-        if self._durability is not None:
-            args = {
-                "keys": _rops.encode_value(keys),
-                "aggregations": None
-                if aggregations is None
-                else {
-                    out: [spec[0], spec[1]] for out, spec in aggregations.items()
-                },
-            }
-        return self._commit("table", "GroupBy", result, args, (table,))
+        args = {"keys": keys, "aggregations": aggregations}
+        return self._run_op("GroupBy", (table,), args)
 
     def OrderBy(self, table: Table, keys, ascending: bool = True, in_place: bool = False) -> Table:
         """Sort rows."""
-        self._prepare_inputs(table)
-        result = tables.order_by(table, keys, ascending=ascending, in_place=in_place)
         args = {
-            "keys": _rops.encode_value(keys),
-            "ascending": bool(ascending),
-            "in_place": bool(in_place),
+            "keys": keys, "ascending": bool(ascending), "in_place": bool(in_place),
         }
-        return self._commit(
-            "table", "OrderBy", result, args, (table,), mutated=bool(in_place)
-        )
+        return self._run_op("OrderBy", (table,), args)
 
     def Union(self, left: Table, right: Table, distinct: bool = True) -> Table:
         """Set union (UNION ALL with ``distinct=False``)."""
-        result = tables.union(left, right, distinct=distinct)
-        return self._commit(
-            "table", "Union", result, {"distinct": bool(distinct)}, (left, right)
-        )
+        return self._run_op("Union", (left, right), {"distinct": bool(distinct)})
 
     def Intersect(self, left: Table, right: Table) -> Table:
         """Set intersection."""
-        result = tables.intersect(left, right)
-        return self._commit("table", "Intersect", result, None, (left, right))
+        return self._run_op("Intersect", (left, right), {})
 
     def Minus(self, left: Table, right: Table) -> Table:
         """Set difference."""
-        result = tables.minus(left, right)
-        return self._commit("table", "Minus", result, None, (left, right))
+        return self._run_op("Minus", (left, right), {})
 
     def SimJoin(self, left: Table, right: Table, on, threshold: float, **kwargs) -> Table:
         """Similarity join: rows whose key distance is below threshold."""
-        result = tables.sim_join(left, right, on, threshold, **kwargs)
-        args = None
-        if self._durability is not None:
-            args = {
-                "on": _rops.encode_value(on),
-                "threshold": float(threshold),
-                "kwargs": _rops.encode_value(kwargs),
-            }
-        return self._commit("table", "SimJoin", result, args, (left, right))
+        args = {"on": on, "threshold": float(threshold), "kwargs": kwargs}
+        return self._run_op("SimJoin", (left, right), args)
 
     def NextK(self, table: Table, order_col: str, k: int, group_col: str | None = None) -> Table:
         """Temporal predecessor/successor join."""
-        result = tables.next_k(table, order_col, k, group_col=group_col)
         args = {"order_col": order_col, "k": int(k), "group_col": group_col}
-        return self._commit("table", "NextK", result, args, (table,))
+        return self._run_op("NextK", (table,), args)
 
     def Distinct(self, table: Table, columns: Sequence[str] | None = None) -> Table:
         """Unique rows (first occurrence kept)."""
-        result = tables.distinct(table, columns)
         args = {"columns": None if columns is None else list(columns)}
-        return self._commit("table", "Distinct", result, args, (table,))
+        return self._run_op("Distinct", (table,), args)
 
     def Limit(self, table: Table, count: int) -> Table:
         """The first ``count`` rows."""
-        result = tables.limit(table, count)
-        return self._commit("table", "Limit", result, {"count": int(count)}, (table,))
+        return self._run_op("Limit", (table,), {"count": int(count)})
 
     def TopK(self, table: Table, column: str, k: int, ascending: bool = False) -> Table:
         """The ``k`` extreme rows by one column."""
-        result = tables.top_k(table, column, k, ascending=ascending)
         args = {"column": column, "k": int(k), "ascending": bool(ascending)}
-        return self._commit("table", "TopK", result, args, (table,))
+        return self._run_op("TopK", (table,), args)
 
     def ValueCounts(self, table: Table, column: str) -> Table:
         """Distinct values with occurrence counts, descending."""
-        result = tables.value_counts(table, column)
-        return self._commit(
-            "table", "ValueCounts", result, {"column": column}, (table,)
-        )
+        return self._run_op("ValueCounts", (table,), {"column": column})
 
     def WithColumn(self, table: Table, name: str, expression: str, as_int: bool = False) -> Table:
-        """Append a computed column from an arithmetic expression."""
-        result = tables.with_column(table, name, expression, as_int=as_int)
+        """Append a computed column from an arithmetic expression.
+
+        The column is added to ``table`` itself, which is returned.
+        """
         args = {"name": name, "expression": expression, "as_int": bool(as_int)}
-        return self._commit("table", "WithColumn", result, args, (table,))
+        return self._run_op("WithColumn", (table,), args)
 
     def Sample(self, table: Table, count: int, seed: int = 0) -> Table:
         """A uniform random row sample."""
-        result = tables.sample_rows(table, count, seed=seed)
         args = {"count": int(count), "seed": int(seed)}
-        return self._commit("table", "Sample", result, args, (table,))
+        return self._run_op("Sample", (table,), args)
 
     # ------------------------------------------------------------------
     # Conversions (§2.4)
@@ -660,31 +570,14 @@ class Ringo:
         if self.budget is not None:
             estimated = estimate_graph_build_bytes(table.num_rows, directed=directed)
             if self.budget.admit("ToGraph", estimated) == ADMIT_DEGRADE:
-                for name in (src_col, dst_col):
-                    table.schema.require(name)
-                graph = convert.chunked_build(
-                    table.column(src_col), table.column(dst_col), directed=directed
-                )
-                self._record_conversion_rates(table.num_rows, graph, start)
-                return self._commit(
-                    "graph", "ToGraph", graph, args, (table,), always_publish=True
-                )
-        graph = convert.to_graph(
-            table, src_col, dst_col, directed=directed, pool=self.workers
-        )
-        self._record_conversion_rates(table.num_rows, graph, start)
-        return self._commit(
-            "graph", "ToGraph", graph, args, (table,), always_publish=True
-        )
-
-    def _record_conversion_rates(self, rows: int, graph, start: float) -> None:
-        """Fold one ToGraph's throughput into the paper-styled rate
-        metrics (rows/s in, edges/s out) when tracing is armed."""
-        if not obs.enabled():
-            return
-        elapsed = time.perf_counter() - start
-        obs.observe_rate("engine.tograph.rows", rows, elapsed)
-        obs.observe_rate("engine.tograph.edges", graph.num_edges, elapsed)
+                args["chunked"] = True
+        graph = self._run_op("ToGraph", (table,), args)
+        if obs.enabled():
+            # The paper-styled rate metrics: rows/s in, edges/s out.
+            elapsed = time.perf_counter() - start
+            obs.observe_rate("engine.tograph.rows", table.num_rows, elapsed)
+            obs.observe_rate("engine.tograph.edges", graph.num_edges, elapsed)
+        return graph
 
     @_timed
     def ToWeightedNetwork(
@@ -712,15 +605,7 @@ class Ringo:
         Returns the ingest summary (``applied`` / ``skipped`` /
         ``version`` / ``nodes`` / ``edges``).
         """
-        args = None
-        if self._durability is not None:
-            # Adopt the graph *before* it mutates; normalise the ops so
-            # the WAL record replays byte-identically.
-            self._prepare_inputs(graph)
-            args = {"ops": [list(op) for op in validate_ops(ops)]}
-        summary = apply_graph_ops(graph, ops)
-        self._commit("graph", "ApplyOps", graph, args, (graph,), mutated=True)
-        return summary
+        return self._run_op("ApplyOps", (graph,), {"ops": ops})
 
     def apply_ops(self, graph, ops) -> dict:
         """Lowercase alias for :meth:`ApplyOps` (streaming-style surface)."""
@@ -738,9 +623,11 @@ class Ringo:
         Reads the write-ahead log under ``directory`` and applies every
         ``ApplyOps`` record with ``lsn > cursor`` whose target graph
         exists in *this* session's catalog (same name), through
-        :meth:`ApplyOps` — live streaming and crash replay share one
-        ingestion path. Records for unknown objects or other operations
-        are counted under ``skipped`` and passed over.
+        :func:`repro.recovery.ops.apply_record` — live streaming, crash
+        replay and replication followers share one application path. A
+        durable tailer commits each applied record to its own log as
+        well. Records for unknown objects or other operations are
+        counted under ``skipped`` and passed over.
 
         Returns ``{"applied_records", "applied_ops", "skipped",
         "cursor", "error"}``. ``cursor`` is the last LSN fully
@@ -775,9 +662,14 @@ class Ringo:
                     return None
                 with self._catalog_lock:
                     target = self._catalog.get(record.output)
-                if isinstance(target, (DirectedGraph, UndirectedGraph)):
-                    return self.ApplyOps(target, record.args.get("ops") or [])
-                return None
+                if not isinstance(target, (DirectedGraph, UndirectedGraph)):
+                    return None
+                summary = _rops.apply_record(self, record)
+                if self._durability is not None:
+                    self._durability.wal.append(
+                        record.op, record.args, list(record.inputs), record.output
+                    )
+                return summary
 
             try:
                 if retry_policy is None:
@@ -826,23 +718,19 @@ class Ringo:
     def GetEdgeTable(self, graph) -> Table:
         """Graph → edge table (partitioned parallel writer)."""
         start = time.perf_counter()
-        table = convert.to_edge_table(graph, pool=self.workers, string_pool=self.pool)
+        table = self._run_op("GetEdgeTable", (graph,), {})
         if obs.enabled():
             obs.observe_rate(
                 "engine.edge_export.edges", table.num_rows,
                 time.perf_counter() - start,
             )
-        return self._commit("table", "GetEdgeTable", table, None, (graph,))
+        return table
 
     @_timed
     def GetNodeTable(self, graph, include_degrees: bool = False) -> Table:
         """Graph → node table, optionally with degree columns."""
-        table = convert.to_node_table(
-            graph, include_degrees=include_degrees,
-            pool=self.workers, string_pool=self.pool,
-        )
         args = {"include_degrees": bool(include_degrees)}
-        return self._commit("table", "GetNodeTable", table, args, (graph,))
+        return self._run_op("GetNodeTable", (graph,), args)
 
     # ------------------------------------------------------------------
     # Graph analytics (§2.2's algorithm surface, paper-named)
@@ -946,44 +834,40 @@ class Ringo:
 
     def GenRMat(self, scale: int, num_edges: int, seed: int = 0, directed: bool = True):
         """R-MAT synthetic graph."""
-        graph = alg.rmat(scale, num_edges, seed=seed, directed=directed)
         args = {
             "scale": int(scale), "num_edges": int(num_edges),
             "seed": int(seed), "directed": bool(directed),
         }
-        return self._commit("graph", "GenRMat", graph, args)
+        return self._run_op("GenRMat", (), args)
 
     def GenPrefAttach(self, num_nodes: int, edges_per_node: int, seed: int = 0):
         """Barabási–Albert synthetic graph."""
-        graph = alg.barabasi_albert(num_nodes, edges_per_node, seed=seed)
         args = {
             "num_nodes": int(num_nodes),
             "edges_per_node": int(edges_per_node),
             "seed": int(seed),
         }
-        return self._commit("graph", "GenPrefAttach", graph, args)
+        return self._run_op("GenPrefAttach", (), args)
 
     def GenErdosRenyi(self, num_nodes: int, num_edges: int, directed: bool = False, seed: int = 0):
         """G(n, m) synthetic graph."""
-        graph = alg.erdos_renyi_gnm(num_nodes, num_edges, directed=directed, seed=seed)
         args = {
             "num_nodes": int(num_nodes), "num_edges": int(num_edges),
             "directed": bool(directed), "seed": int(seed),
         }
-        return self._commit("graph", "GenErdosRenyi", graph, args)
+        return self._run_op("GenErdosRenyi", (), args)
 
     def GenPlantedPartition(
         self, num_communities: int, community_size: int,
         p_in: float, p_out: float, seed: int = 0,
     ):
         """Planted-partition synthetic graph (community-detection testbed)."""
-        graph = alg.planted_partition(num_communities, community_size, p_in, p_out, seed=seed)
         args = {
             "num_communities": int(num_communities),
             "community_size": int(community_size),
             "p_in": float(p_in), "p_out": float(p_out), "seed": int(seed),
         }
-        return self._commit("graph", "GenPlantedPartition", graph, args)
+        return self._run_op("GenPlantedPartition", (), args)
 
     @_timed
     def GetKatz(self, graph, **kwargs) -> dict[int, float]:
@@ -1119,16 +1003,13 @@ class Ringo:
 
     def GenConfigurationModel(self, degrees, seed: int = 0):
         """Random graph approximating a degree sequence."""
-        degrees = [int(d) for d in degrees]
-        graph = alg.configuration_model(degrees, seed=seed)
-        args = {"degrees": degrees, "seed": int(seed)}
-        return self._commit("graph", "GenConfigurationModel", graph, args)
+        args = {"degrees": [int(d) for d in degrees], "seed": int(seed)}
+        return self._run_op("GenConfigurationModel", (), args)
 
     def Rewire(self, graph, swaps: int | None = None, seed: int = 0):
         """Degree-preserving double-edge-swap null model."""
-        result = alg.rewire(graph, swaps=swaps, seed=seed)
         args = {"swaps": None if swaps is None else int(swaps), "seed": int(seed)}
-        return self._commit("graph", "Rewire", result, args, (graph,))
+        return self._run_op("Rewire", (graph,), args)
 
     def SaveTableBinary(self, table: Table, path) -> None:
         """Snapshot a table to a binary .npz archive."""
@@ -1136,11 +1017,7 @@ class Ringo:
 
     def LoadTableBinary(self, path) -> Table:
         """Load a binary table snapshot (session-pooled)."""
-        table = tables.load_table_npz(path, pool=self.pool)
-        args = {"path": os.fspath(path)}
-        return self._commit(
-            "table", "LoadTableBinary", table, args, always_publish=True
-        )
+        return self._run_op("LoadTableBinary", (), {"path": os.fspath(path)})
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,14 +1,17 @@
 """Op-stream ingestion — folding mutation streams into live graphs.
 
-One code path serves two callers:
+One code path serves every caller: the ``ApplyOps`` entry of the op
+table (:data:`repro.recovery.ops.OPS`) is the only place
+:func:`apply_graph_ops` is called from, so
 
-* **crash replay** — :func:`repro.recovery.ops.replay_record` routes
-  ``ApplyOps`` WAL records here, so a recovered session re-applies the
-  exact op stream the original session committed;
-* **live streaming** — ``Ringo.TailWal`` tails another session's WAL
-  and feeds committed ``ApplyOps`` records through the same function,
+* **live ingest** (``Ringo.ApplyOps``),
+* **crash replay** and **replication followers**
+  (:func:`repro.recovery.ops.apply_record`), and
+* **live streaming** — ``Ringo.TailWal`` tailing another session's WAL,
   keeping a follower graph (and its delta overlay, and its warm
-  incremental analytics) fresh without a rebuild.
+  incremental analytics) fresh without a rebuild —
+
+all re-apply exactly the op stream the original session committed.
 
 Ops are JSON-safe lists — ``["add_node", id]``, ``["del_node", id]``,
 ``["add_edge", src, dst]``, ``["del_edge", src, dst]`` — because they

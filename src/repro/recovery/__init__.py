@@ -1,7 +1,14 @@
 """repro.recovery — crash-consistent session durability.
 
-Three cooperating pieces give an interactive session restart
+Four cooperating pieces give an interactive session restart
 resilience (see ``docs/recovery.md`` for formats and a walkthrough):
+
+* **the op table** (:mod:`repro.recovery.ops`) — :data:`OPS` declares
+  each durable operation once (kind, input arity, the one ``run`` that
+  calls the operator, argument encode/decode hooks, mutates/publish
+  rules); :func:`apply_record` applies a committed record through it.
+  The live session, crash replay, replication followers and
+  ``Ringo.TailWal`` all execute operations through this one table.
 
 * **provenance WAL** (:mod:`repro.recovery.wal`) — every
   catalog-mutating operation appends a CRC32-framed, ``fsync``'d JSONL
@@ -15,8 +22,8 @@ resilience (see ``docs/recovery.md`` for formats and a walkthrough):
 * **replay recovery** (:mod:`repro.recovery.recover`) —
   ``Ringo.recover(dir)`` restores the newest *valid* checkpoint
   (quarantining anything that fails verification, typed
-  :class:`~repro.exceptions.CorruptionError`) and re-executes the WAL
-  through the normal operator dispatch to reconstruct everything else —
+  :class:`~repro.exceptions.CorruptionError`) and re-applies the WAL
+  through :func:`apply_record` to reconstruct everything else —
   the paper's provenance records doubling as a fault-tolerance
   mechanism, as in GraphX's lineage-based recovery.
 
@@ -39,7 +46,7 @@ from repro.recovery.digest import (
     object_digest,
     table_digest,
 )
-from repro.recovery.ops import REPLAY, replay_record
+from repro.recovery.ops import OPS, apply_record
 from repro.recovery.recover import recover_session
 from repro.recovery.wal import (
     SessionDurability,
@@ -51,12 +58,13 @@ from repro.recovery.wal import (
 )
 
 __all__ = [
-    "REPLAY",
+    "OPS",
     "SessionDurability",
     "WAL_FILENAME",
     "WalRecord",
     "WalTail",
     "WriteAheadLog",
+    "apply_record",
     "array_crc",
     "catalog_digest",
     "file_crc",
@@ -67,7 +75,6 @@ __all__ = [
     "quarantine",
     "read_wal",
     "recover_session",
-    "replay_record",
     "table_digest",
     "verify_and_load_object",
     "write_checkpoint",

@@ -1,14 +1,27 @@
-"""Replayable-operation registry: encoding and re-execution of WAL records.
+"""The durable-operation table: each op declared once, run by one code path.
 
-Every durable (catalog-mutating) session operation has one entry here:
-the engine encodes its arguments into JSON-safe form before appending
-the WAL record, and recovery replays the record by dispatching to the
-matching ``_replay_*`` function with the already-resolved input
-objects. Replay calls the same underlying operator implementations the
-engine methods call (``repro.tables``, ``repro.convert``,
-``repro.algorithms``), so a replayed catalog is bit-identical to the
-original — including persistent row ids, which every producing
-operator assigns deterministically, and seeded generator output.
+Every durable (catalog-mutating) session operation has exactly one
+entry in :data:`OPS`. An entry says what the operation *is* — the kind
+of object it yields, how many catalog objects it reads, whether it
+mutates its first input in place, whether it publishes even without
+durability — and holds the single ``run(session, inputs, args)`` that
+calls the underlying operator (``repro.tables``, ``repro.convert``,
+``repro.algorithms``). Optional ``encode``/``decode`` hooks translate
+the few argument shapes that are not already JSON (schemas, predicate
+masks, inline payloads, hashmap items) to and from their WAL form.
+
+Two callers execute entries, and nothing else does:
+
+* the live session (``Ringo._run_op``) — adopt inputs, encode, ``run``,
+  append to the WAL, publish;
+* :func:`apply_record` — decode a committed record and ``run`` it
+  against a session's catalog. Crash recovery, replication followers
+  and ``Ringo.TailWal`` all apply records through it.
+
+Because both go through the same ``run``, a replayed catalog is
+bit-identical to the original — including persistent row ids, which
+every producing operator assigns deterministically, and seeded
+generator output.
 
 Two pseudo-ops carry *inline* state rather than a derivation:
 ``__adopt_table__`` / ``__adopt_graph__`` snapshot an input object that
@@ -18,11 +31,15 @@ passed in from user code), making the log self-contained.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from repro import algorithms as alg
 from repro import convert, tables
 from repro.exceptions import RecoveryError, ReplayError
+from repro.incremental.ingest import apply_graph_ops, validate_ops
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
 
@@ -150,275 +167,256 @@ def decode_graph_payload(payload: dict, pool):
     return graph
 
 
+def name_suffix(name: str) -> int:
+    """The numeric suffix of a catalog name (``table-12`` → 12)."""
+    try:
+        return int(name.rsplit("-", 1)[1])
+    except (IndexError, ValueError):
+        return 0
+
+
 # ----------------------------------------------------------------------
-# Replay dispatch
+# The op table
 # ----------------------------------------------------------------------
 
 
-def _one(inputs, lsn, op):
-    if len(inputs) < 1:
-        raise ReplayError(lsn, op, "record names no input object")
-    return inputs[0]
-
-
-def _two(inputs, lsn, op):
-    if len(inputs) < 2:
-        raise ReplayError(lsn, op, "record names fewer than two input objects")
-    return inputs[0], inputs[1]
-
-
-def _replay_load_table_tsv(session, args, inputs, lsn):
-    """Re-run ``LoadTableTSV`` from its source path."""
-    return tables.load_table_tsv(
-        decode_schema(args["schema"]), args["path"], pool=session.pool,
-        **decode_value(args.get("kwargs") or {}),
-    )
-
-
-def _replay_load_table_npz(session, args, inputs, lsn):
-    """Re-run ``LoadTableBinary`` from its source path."""
-    return tables.load_table_npz(args["path"], pool=session.pool)
-
-
-def _replay_table_from_columns(session, args, inputs, lsn):
-    """Rebuild a ``TableFromColumns`` result from its inline payload."""
-    return decode_table_payload(args["payload"], session.pool)
-
-
-def _replay_table_from_hashmap(session, args, inputs, lsn):
-    """Rebuild a ``TableFromHashMap`` result from its inline items."""
-    mapping = {decode_value(k): decode_value(v) for k, v in args["items"]}
-    return convert.table_from_hashmap(
-        mapping, args["key_col"], args["value_col"], pool=session.pool
-    )
-
-
-def _replay_select(session, args, inputs, lsn):
-    """Re-apply a Select (functional or in-place)."""
-    return tables.select(
-        _one(inputs, lsn, "Select"),
-        decode_predicate(args["predicate"]),
-        in_place=args["in_place"],
-    )
-
-
-def _replay_join(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Join")
-    return tables.join(
-        left, right, args["left_on"], args["right_on"],
-        **decode_value(args.get("kwargs") or {}),
-    )
-
-
-def _replay_project(session, args, inputs, lsn):
-    return tables.project(_one(inputs, lsn, "Project"), args["columns"])
-
-
-def _replay_rename(session, args, inputs, lsn):
-    return tables.rename(_one(inputs, lsn, "Rename"), args["mapping"])
-
-
-def _replay_group_by(session, args, inputs, lsn):
-    aggregations = args["aggregations"]
-    if aggregations is not None:
-        aggregations = {out: tuple(spec) for out, spec in aggregations.items()}
-    return tables.group_by(_one(inputs, lsn, "GroupBy"), args["keys"], aggregations)
-
-
-def _replay_order_by(session, args, inputs, lsn):
-    return tables.order_by(
-        _one(inputs, lsn, "OrderBy"), args["keys"],
-        ascending=args["ascending"], in_place=args["in_place"],
-    )
-
-
-def _replay_union(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Union")
-    return tables.union(left, right, distinct=args["distinct"])
-
-
-def _replay_intersect(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Intersect")
-    return tables.intersect(left, right)
-
-
-def _replay_minus(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "Minus")
-    return tables.minus(left, right)
-
-
-def _replay_sim_join(session, args, inputs, lsn):
-    left, right = _two(inputs, lsn, "SimJoin")
-    return tables.sim_join(
-        left, right, args["on"], args["threshold"],
-        **decode_value(args.get("kwargs") or {}),
-    )
-
-
-def _replay_next_k(session, args, inputs, lsn):
-    return tables.next_k(
-        _one(inputs, lsn, "NextK"), args["order_col"], args["k"],
-        group_col=args["group_col"],
-    )
-
-
-def _replay_distinct(session, args, inputs, lsn):
-    return tables.distinct(_one(inputs, lsn, "Distinct"), args["columns"])
-
-
-def _replay_limit(session, args, inputs, lsn):
-    return tables.limit(_one(inputs, lsn, "Limit"), args["count"])
-
-
-def _replay_top_k(session, args, inputs, lsn):
-    return tables.top_k(
-        _one(inputs, lsn, "TopK"), args["column"], args["k"],
-        ascending=args["ascending"],
-    )
-
-
-def _replay_value_counts(session, args, inputs, lsn):
-    return tables.value_counts(_one(inputs, lsn, "ValueCounts"), args["column"])
-
-
-def _replay_with_column(session, args, inputs, lsn):
-    return tables.with_column(
-        _one(inputs, lsn, "WithColumn"), args["name"], args["expression"],
-        as_int=args["as_int"],
-    )
-
-
-def _replay_sample(session, args, inputs, lsn):
-    return tables.sample_rows(
-        _one(inputs, lsn, "Sample"), args["count"], seed=args["seed"]
-    )
-
-
-def _replay_to_graph(session, args, inputs, lsn):
-    """Rebuild a graph from its source edge table (sort-first path)."""
-    return convert.to_graph(
-        _one(inputs, lsn, "ToGraph"), args["src_col"], args["dst_col"],
-        directed=args["directed"], pool=session.workers,
-    )
-
-
-def _replay_edge_table(session, args, inputs, lsn):
-    return convert.to_edge_table(
-        _one(inputs, lsn, "GetEdgeTable"),
-        pool=session.workers, string_pool=session.pool,
-    )
-
-
-def _replay_node_table(session, args, inputs, lsn):
-    return convert.to_node_table(
-        _one(inputs, lsn, "GetNodeTable"),
-        include_degrees=args["include_degrees"],
-        pool=session.workers, string_pool=session.pool,
-    )
-
-
-def _replay_gen_rmat(session, args, inputs, lsn):
-    return alg.rmat(
-        args["scale"], args["num_edges"], seed=args["seed"],
-        directed=args["directed"],
-    )
-
-
-def _replay_gen_pref_attach(session, args, inputs, lsn):
-    return alg.barabasi_albert(
-        args["num_nodes"], args["edges_per_node"], seed=args["seed"]
-    )
-
-
-def _replay_gen_erdos_renyi(session, args, inputs, lsn):
-    return alg.erdos_renyi_gnm(
-        args["num_nodes"], args["num_edges"],
-        directed=args["directed"], seed=args["seed"],
-    )
-
-
-def _replay_gen_planted_partition(session, args, inputs, lsn):
-    return alg.planted_partition(
-        args["num_communities"], args["community_size"],
-        args["p_in"], args["p_out"], seed=args["seed"],
-    )
-
-
-def _replay_gen_configuration_model(session, args, inputs, lsn):
-    return alg.configuration_model(args["degrees"], seed=args["seed"])
-
-
-def _replay_rewire(session, args, inputs, lsn):
-    return alg.rewire(
-        _one(inputs, lsn, "Rewire"), swaps=args["swaps"], seed=args["seed"]
-    )
-
-
-def _replay_apply_ops(session, args, inputs, lsn):
-    """Re-fold an op stream into the already-reconstructed graph.
-
-    Crash replay and live streaming (``Ringo.TailWal``) share
-    :func:`repro.incremental.ingest.apply_graph_ops`, so a recovered
-    graph's mutation log advances exactly as the original session's did.
+def _encode_plain(session, args, inputs):
+    return encode_value(args)
+
+
+def _decode_plain(session, args):
+    return decode_value(args)
+
+
+@dataclass(frozen=True)
+class Op:
+    """One durable operation.
+
+    ``run(session, inputs, args)`` is the only call site of the
+    underlying operator; ``inputs`` are the resolved catalog objects
+    and ``args`` the operation's arguments as the engine method builds
+    them — by convention the operator's own keyword arguments, so most
+    entries just splat them. ``encode(session, args, inputs)`` turns those
+    into the JSON-safe WAL form — it is called *before* ``run``, so it
+    sees a to-be-mutated input's original state — and
+    ``decode(session, wal_args)`` inverts it.
+
+    ``mutates`` is ``True`` for an operation that always changes
+    ``inputs[0]`` in place, or the name of the boolean argument that
+    decides (``"in_place"``). A mutating call logs its target as both
+    input and output and publishes nothing; ``run``'s return value is
+    then only the caller's result. ``always_publish`` marks the ops
+    that publish to the catalog even in a non-durable session.
     """
-    from repro.incremental.ingest import apply_graph_ops
 
-    graph = _one(inputs, lsn, "ApplyOps")
-    apply_graph_ops(graph, args["ops"])
-    return graph
+    kind: str
+    arity: int
+    run: Callable
+    encode: Callable = _encode_plain
+    decode: Callable = _decode_plain
+    mutates: "bool | str" = False
+    always_publish: bool = False
+
+    def mutates_with(self, args: dict) -> bool:
+        """Whether a call with ``args`` mutates ``inputs[0]`` in place."""
+        if isinstance(self.mutates, str):
+            return bool(args[self.mutates])
+        return self.mutates
 
 
-def _replay_adopt_table(session, args, inputs, lsn):
-    """Rebuild an adopted (externally built) table from its snapshot."""
-    return decode_table_payload(args["payload"], session.pool)
+# An inline op's record *is* its result: ``args["object"]``, snapshotted.
+_INLINE_TABLE = Op(
+    "table", 0, lambda s, i, a: a["object"],
+    encode=lambda s, a, i: {"payload": encode_table_payload(a["object"])},
+    decode=lambda s, a: {"object": decode_table_payload(a["payload"], s.pool)},
+)
 
 
-def _replay_adopt_graph(session, args, inputs, lsn):
-    """Rebuild an adopted (externally built) graph from its snapshot."""
-    return decode_graph_payload(args["payload"], session.workers)
+def _run_to_graph(session, inputs, args):
+    table, src_col, dst_col = inputs[0], args["src_col"], args["dst_col"]
+    if args.get("chunked"):
+        # Only a live build that memory admission degraded; never logged.
+        for name in (src_col, dst_col):
+            table.schema.require(name)
+        return convert.chunked_build(
+            table.column(src_col), table.column(dst_col), directed=args["directed"]
+        )
+    return convert.to_graph(
+        table, src_col, dst_col, directed=args["directed"], pool=session.workers
+    )
 
 
-#: op name → replay function(session, args, resolved_inputs, lsn) → object.
-REPLAY = {
-    "LoadTableTSV": _replay_load_table_tsv,
-    "LoadTableBinary": _replay_load_table_npz,
-    "TableFromColumns": _replay_table_from_columns,
-    "TableFromHashMap": _replay_table_from_hashmap,
-    "Select": _replay_select,
-    "Join": _replay_join,
-    "Project": _replay_project,
-    "Rename": _replay_rename,
-    "GroupBy": _replay_group_by,
-    "OrderBy": _replay_order_by,
-    "Union": _replay_union,
-    "Intersect": _replay_intersect,
-    "Minus": _replay_minus,
-    "SimJoin": _replay_sim_join,
-    "NextK": _replay_next_k,
-    "Distinct": _replay_distinct,
-    "Limit": _replay_limit,
-    "TopK": _replay_top_k,
-    "ValueCounts": _replay_value_counts,
-    "WithColumn": _replay_with_column,
-    "Sample": _replay_sample,
-    "ToGraph": _replay_to_graph,
-    "GetEdgeTable": _replay_edge_table,
-    "GetNodeTable": _replay_node_table,
-    "GenRMat": _replay_gen_rmat,
-    "GenPrefAttach": _replay_gen_pref_attach,
-    "GenErdosRenyi": _replay_gen_erdos_renyi,
-    "GenPlantedPartition": _replay_gen_planted_partition,
-    "GenConfigurationModel": _replay_gen_configuration_model,
-    "Rewire": _replay_rewire,
-    "ApplyOps": _replay_apply_ops,
-    "__adopt_table__": _replay_adopt_table,
-    "__adopt_graph__": _replay_adopt_graph,
+def _encode_group_by(session, args, inputs):
+    encoded = encode_value(args)
+    outputs = list(args["aggregations"] or ())
+    if outputs != sorted(outputs):
+        # Canonical JSON sorts object keys; output columns follow the
+        # caller's order, so that order has to be logged too.
+        encoded["order"] = outputs
+    return encoded
+
+
+def _decode_group_by(session, args):
+    args = decode_value(args)
+    order = args.pop("order", None)
+    if order is not None:
+        args["aggregations"] = {out: args["aggregations"][out] for out in order}
+    return args
+
+
+#: op name → :class:`Op`; one entry per durable operation.
+OPS: "dict[str, Op]" = {
+    "LoadTableTSV": Op(
+        "table", 0,
+        lambda s, i, a: tables.load_table_tsv(
+            a["schema"], a["path"], pool=s.pool, **a["kwargs"]
+        ),
+        # The engine resolves the schema first, so replay skips inference.
+        encode=lambda s, a, i: {
+            "schema": encode_schema(a["schema"]), "path": a["path"],
+            "kwargs": encode_value(a["kwargs"]),
+        },
+        decode=lambda s, a: dict(decode_value(a), schema=decode_schema(a["schema"])),
+        always_publish=True,
+    ),
+    "LoadTableBinary": Op(
+        "table", 0, lambda s, i, a: tables.load_table_npz(pool=s.pool, **a),
+        always_publish=True,
+    ),
+    # Column data has no durable provenance: the built table is logged inline.
+    "TableFromColumns": _INLINE_TABLE,
+    "TableFromHashMap": Op(
+        "table", 0,
+        lambda s, i, a: convert.table_from_hashmap(
+            a["mapping"], a["key_col"], a["value_col"], pool=s.pool
+        ),
+        encode=lambda s, a, i: {
+            "items": [
+                [encode_value(k), encode_value(v)] for k, v in a["mapping"].items()
+            ],
+            "key_col": a["key_col"], "value_col": a["value_col"],
+        },
+        decode=lambda s, a: {
+            "mapping": {decode_value(k): decode_value(v) for k, v in a["items"]},
+            "key_col": a["key_col"], "value_col": a["value_col"],
+        },
+    ),
+    "Select": Op(
+        "table", 1,
+        lambda s, i, a: tables.select(i[0], **a),
+        # Non-string predicates are materialised against the table as it
+        # is before the (possibly in-place) operation runs.
+        encode=lambda s, a, i: dict(
+            a, predicate=encode_predicate(a["predicate"], i[0])
+        ),
+        decode=lambda s, a: dict(a, predicate=decode_predicate(a["predicate"])),
+        mutates="in_place",
+    ),
+    "Join": Op(
+        "table", 2,
+        lambda s, i, a: tables.join(
+            i[0], i[1], a["left_on"], a["right_on"], **a["kwargs"]
+        ),
+        always_publish=True,
+    ),
+    "Project": Op("table", 1, lambda s, i, a: tables.project(i[0], a["columns"])),
+    "Rename": Op("table", 1, lambda s, i, a: tables.rename(i[0], **a)),
+    "GroupBy": Op(
+        "table", 1, lambda s, i, a: tables.group_by(i[0], **a),
+        encode=_encode_group_by, decode=_decode_group_by,
+    ),
+    "OrderBy": Op(
+        "table", 1, lambda s, i, a: tables.order_by(i[0], **a), mutates="in_place"
+    ),
+    "Union": Op("table", 2, lambda s, i, a: tables.union(i[0], i[1], **a)),
+    "Intersect": Op("table", 2, lambda s, i, a: tables.intersect(i[0], i[1])),
+    "Minus": Op("table", 2, lambda s, i, a: tables.minus(i[0], i[1])),
+    "SimJoin": Op(
+        "table", 2,
+        lambda s, i, a: tables.sim_join(
+            i[0], i[1], a["on"], a["threshold"], **a["kwargs"]
+        ),
+    ),
+    "NextK": Op("table", 1, lambda s, i, a: tables.next_k(i[0], **a)),
+    "Distinct": Op("table", 1, lambda s, i, a: tables.distinct(i[0], **a)),
+    "Limit": Op("table", 1, lambda s, i, a: tables.limit(i[0], **a)),
+    "TopK": Op("table", 1, lambda s, i, a: tables.top_k(i[0], **a)),
+    "ValueCounts": Op("table", 1, lambda s, i, a: tables.value_counts(i[0], **a)),
+    # with_column appends to its input and returns it: a mutation.
+    "WithColumn": Op(
+        "table", 1, lambda s, i, a: tables.with_column(i[0], **a), mutates=True
+    ),
+    "Sample": Op("table", 1, lambda s, i, a: tables.sample_rows(i[0], **a)),
+    "ToGraph": Op(
+        "graph", 1, _run_to_graph,
+        encode=lambda s, a, i: {k: v for k, v in a.items() if k != "chunked"},
+        always_publish=True,
+    ),
+    "GetEdgeTable": Op(
+        "table", 1,
+        lambda s, i, a: convert.to_edge_table(
+            i[0], pool=s.workers, string_pool=s.pool
+        ),
+    ),
+    "GetNodeTable": Op(
+        "table", 1,
+        lambda s, i, a: convert.to_node_table(
+            i[0], pool=s.workers, string_pool=s.pool, **a
+        ),
+    ),
+    "GenRMat": Op("graph", 0, lambda s, i, a: alg.rmat(**a)),
+    "GenPrefAttach": Op("graph", 0, lambda s, i, a: alg.barabasi_albert(**a)),
+    "GenErdosRenyi": Op("graph", 0, lambda s, i, a: alg.erdos_renyi_gnm(**a)),
+    "GenPlantedPartition": Op(
+        "graph", 0, lambda s, i, a: alg.planted_partition(**a)
+    ),
+    "GenConfigurationModel": Op(
+        "graph", 0, lambda s, i, a: alg.configuration_model(**a)
+    ),
+    "Rewire": Op("graph", 1, lambda s, i, a: alg.rewire(i[0], **a)),
+    # Live ingest, crash replay, replicas and TailWal all fold op streams
+    # through apply_graph_ops, so every graph's mutation log advances alike.
+    "ApplyOps": Op(
+        "graph", 1, lambda s, i, a: apply_graph_ops(i[0], **a),
+        # Normalised so the record replays byte-identically — and is
+        # plain JSON already, so decoding need not walk the whole batch.
+        encode=lambda s, a, i: {"ops": [list(op) for op in validate_ops(a["ops"])]},
+        decode=lambda s, a: a,
+        mutates=True,
+    ),
+    "__adopt_table__": _INLINE_TABLE,
+    "__adopt_graph__": Op(
+        "graph", 0, lambda s, i, a: a["object"],
+        encode=lambda s, a, i: {"payload": encode_graph_payload(a["object"])},
+        decode=lambda s, a: {"object": decode_graph_payload(a["payload"], s.workers)},
+    ),
 }
 
 
-def replay_record(session, record, resolved_inputs):
-    """Re-execute one WAL record; returns the reconstructed object."""
-    replay = REPLAY.get(record.op)
-    if replay is None:
+def apply_record(session, record):
+    """Apply one committed WAL record to ``session``'s catalog.
+
+    Resolves the record's inputs by catalog name, runs the op-table
+    entry on the decoded arguments, and — unless the record mutated an
+    existing object in place — publishes the result under the recorded
+    name (which also advances the session's publish counter past it).
+    Returns what ``run`` returned. Structural problems (unknown op,
+    missing inputs) raise :class:`~repro.exceptions.ReplayError`;
+    operator failures propagate as themselves.
+    """
+    op = OPS.get(record.op)
+    if op is None:
         raise ReplayError(record.lsn, record.op, "unknown operation in WAL")
-    return replay(session, record.args, resolved_inputs, record.lsn)
+    if len(record.inputs) < op.arity:
+        raise ReplayError(
+            record.lsn, record.op,
+            f"record names {len(record.inputs)} input object(s), needs {op.arity}",
+        )
+    try:
+        inputs = [session._catalog[name] for name in record.inputs]
+    except KeyError as missing:
+        raise ReplayError(record.lsn, record.op, f"input {missing} not in catalog")
+    result = op.run(session, inputs, op.decode(session, record.args))
+    if not record.mutates:
+        session._publish_as(record.output, result)
+    return result

@@ -11,9 +11,9 @@ three stages:
    catalog. A corrupt artifact is quarantined with a typed
    :class:`~repro.exceptions.CorruptionError` — never loaded silently —
    and its object falls through to stage 3.
-3. **Replay** — WAL records are re-executed in LSN order through the
-   same operator implementations the live session used
-   (:mod:`repro.recovery.ops`): records newer than the checkpoint's
+3. **Replay** — WAL records are re-applied in LSN order by
+   :func:`repro.recovery.ops.apply_record`, through the same op-table
+   ``run`` the live session used: records newer than the checkpoint's
    watermark rebuild the suffix; older records rebuild objects the
    checkpoint lost to quarantine (provenance as fault tolerance, the
    GraphX lineage idea). Determinism of the operators — persistent row
@@ -43,14 +43,6 @@ from repro.recovery.wal import WAL_FILENAME, read_wal
 def _count(name: str, amount: int = 1) -> None:
     if _tracing_enabled():
         _metrics_registry().counter(name).inc(amount)
-
-
-def _name_suffix(name: str) -> int:
-    """The numeric suffix of a catalog name (``table-12`` → 12)."""
-    try:
-        return int(name.rsplit("-", 1)[1])
-    except (IndexError, ValueError):
-        return 0
 
 
 def recover_session(
@@ -124,7 +116,7 @@ def _recover_into(
 
     if chosen is not None:
         report["checkpoint"] = chosen.name
-        for name in sorted(manifest["objects"], key=_name_suffix):
+        for name in sorted(manifest["objects"], key=_ops.name_suffix):
             entry = manifest["objects"][name]
             if not entry.get("stored", False):
                 continue  # replay-only object; stage 3 rebuilds it
@@ -170,11 +162,7 @@ def _recover_into(
             )
             continue
         try:
-            resolved = [session._catalog[name] for name in record.inputs]
-        except KeyError as missing:
-            raise ReplayError(record.lsn, record.op, f"input {missing} not in catalog")
-        try:
-            obj = _ops.replay_record(session, record, resolved)
+            _ops.apply_record(session, record)
         except ReplayError:
             raise
         except Exception as error:
@@ -185,15 +173,13 @@ def _recover_into(
                 {"object": record.output, "lsn": record.lsn, "error": str(error)}
             )
             continue
-        if not record.mutates:
-            session._publish_as(record.output, obj)
         report["replayed_ops"] += 1
         _count("recovery.replayed_ops")
 
-    counter = 0 if manifest is None else int(manifest.get("publish_counter", 0))
-    for name in session._catalog:
-        counter = max(counter, _name_suffix(name))
-    session._publish_counter = counter
+    if manifest is not None:
+        session._publish_counter = max(
+            session._publish_counter, int(manifest.get("publish_counter", 0))
+        )
 
     # A quarantined artifact whose object never made it back (no WAL
     # lineage to replay it from) is permanently lost — say so.

@@ -9,8 +9,8 @@ batch of CRC-framed WAL payloads is:
    primary's line) to the replica's own ``wal.jsonl`` and fsync'd, so a
    replica crash recovers exactly like a primary crash would.
 3. **replayed** — the record is re-executed against an in-memory
-   *follower* session through the same operator registry recovery uses
-   (:func:`repro.recovery.ops.replay_record`), keeping the standby's
+   *follower* session by the same :func:`repro.recovery.ops.apply_record`
+   (and op table) crash recovery uses, keeping the standby's
    catalog — and, through ``ApplyOps``, the incremental engine's delta
    snapshots and dynamic algorithm state — warm rather than cold bytes.
 
@@ -72,13 +72,6 @@ from repro.recovery.wal import (
 def _count(name: str, amount: int = 1) -> None:
     if obs.enabled():
         obs.registry().counter(name).inc(amount)
-
-
-def _name_suffix(name: str) -> int:
-    try:
-        return int(name.rsplit("-", 1)[1])
-    except (IndexError, ValueError):
-        return 0
 
 
 def validate_tenant_name(name: str) -> str:
@@ -196,16 +189,8 @@ class ReplicaTenant:
             output=str(payload["output"]),
             epoch=int(payload.get("epoch", 0)),
         )
-        session = self.session
-        assert session is not None
         try:
-            resolved = [session._catalog[name] for name in record.inputs]
-            obj = _ops.replay_record(session, record, resolved)
-            if not record.mutates:
-                session._publish_as(record.output, obj)
-                session._publish_counter = max(
-                    session._publish_counter, _name_suffix(record.output)
-                )
+            _ops.apply_record(self.session, record)
         except Exception as error:
             self.quarantined = (
                 f"replay of shipped LSN {lsn} ({record.op}) failed: "

@@ -157,6 +157,36 @@ def test_wal_tail_fault_stops_with_resumable_cursor(tmp_path):
         assert object_digest(mirror) == object_digest(source)
 
 
+def test_tailed_apply_ops_lands_through_apply_record(tmp_path, monkeypatch):
+    """A tailed record goes through the one shared ``apply_record`` — and a
+    durable tailer commits it to its own log, so it recovers what it applied."""
+    from repro.recovery import ops
+    from repro.recovery.digest import catalog_digest
+
+    state = tmp_path / "stream"
+    producer, source = _producer_session(state)
+    with producer:
+        producer.ApplyOps(source, [["add_edge", 3, 4], ["del_edge", 1, 2]])
+        primary_digest = catalog_digest(producer)
+
+    applied = []
+    real = ops.apply_record
+
+    def counting(session, record):
+        applied.append(record.op)
+        return real(session, record)
+
+    monkeypatch.setattr(ops, "apply_record", counting)
+    follower, _mirror = _follower_session(tmp_path / "follower")
+    with follower:
+        summary = follower.TailWal(state)
+        assert summary["applied_records"] == 1 and summary["applied_ops"] == 2
+        assert applied == ["ApplyOps"]
+        assert catalog_digest(follower) == primary_digest
+    with Ringo.recover(tmp_path / "follower", workers=1) as recovered:
+        assert catalog_digest(recovered) == primary_digest
+
+
 def test_wal_tail_midstream_fault_resumes(tmp_path):
     """A fault firing *between* records leaves a cursor mid-stream."""
     state = tmp_path / "stream"

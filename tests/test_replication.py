@@ -159,6 +159,40 @@ class TestReplicaApplier:
         ).read_bytes()
         applier.close()
 
+    def test_shipped_with_column_lands_through_apply_record(
+        self, tmp_path, monkeypatch
+    ):
+        """An in-place op on an adopted input replays on the follower
+        through the one shared ``apply_record``, to an equal catalog."""
+        from repro.recovery import ops
+        from repro.tables.table import Table
+
+        primary = tmp_path / "p" / "alice"
+        with Ringo(workers=1, durability=primary) as session:
+            foreign = Table.from_columns({"a": [1, 2], "b": [3, 4]}, pool=session.pool)
+            session.WithColumn(foreign, "c", "a + b")
+            session.Limit(foreign, 1)
+            digest = catalog_digest(session)
+            counter = session._publish_counter
+        records, _ = read_wal(primary / WAL_FILENAME)
+        assert [r.op for r in records] == ["__adopt_table__", "WithColumn", "Limit"]
+        assert records[1].mutates
+        applied = []
+        real = ops.apply_record
+
+        def counting(session, record):
+            applied.append(record.op)
+            return real(session, record)
+
+        monkeypatch.setattr(ops, "apply_record", counting)
+        applier = ReplicaApplier(tmp_path / "r")
+        applier.apply_batch("alice", frames=[record_frame(r) for r in records])
+        assert applied == [r.op for r in records]
+        follower = applier.tenant("alice").session
+        assert catalog_digest(follower) == digest
+        assert follower._publish_counter == counter
+        applier.close()
+
     def test_resent_frames_are_idempotent(self, tmp_path):
         records, _ = _primary_records(tmp_path / "p" / "alice")
         applier = ReplicaApplier(tmp_path / "r")
