@@ -2,34 +2,34 @@
 
 SCC is one of the paper's Table 6 single-threaded benchmarks. The
 implementation is Tarjan's algorithm made iterative (recursion-free, so
-million-node graphs don't hit Python's stack limit); WCC is
-level-synchronous BFS over the symmetrised CSR.
+million-node graphs don't hit Python's stack limit); WCC is hash-min
+label propagation with pointer jumping, partitioned over a worker pool.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.bfs import UNREACHED, _frontier_expand
 from repro.algorithms.common import as_csr
 from repro.graphs.csr import CSRGraph
-from repro.parallel.executor import kernel_dispatcher
+from repro.parallel.executor import WorkerPool, serial_pool
+from repro.parallel.partition import split_range
 
 
-def _wcc_min_label_partition(arrays, lo: int, hi: int, labels) -> np.ndarray:
+def _wcc_min_label_partition(csr: CSRGraph, lo: int, hi: int, labels) -> np.ndarray:
     """One hash-min round over the dense node span ``[lo, hi)``.
 
     Each node's new label is the minimum over its own label and the
     labels of its out- and in-neighbours — a gather, so partitions
     write only their own output slice and the result is independent of
-    the partition count (the property the threads-vs-processes digest
-    tests rely on).
+    the partition count.
     """
     width = hi - lo
     new = labels[lo:hi].copy()
-    for direction in ("out", "in"):
-        indptr = arrays[direction + "_indptr"]
-        indices = arrays[direction + "_indices"]
+    for indptr, indices in (
+        (csr.out_indptr, csr.out_indices),
+        (csr.in_indptr, csr.in_indices),
+    ):
         base, stop = int(indptr[lo]), int(indptr[hi])
         if base == stop:
             continue
@@ -39,34 +39,28 @@ def _wcc_min_label_partition(arrays, lo: int, hi: int, labels) -> np.ndarray:
     return new
 
 
-def _wcc_labels_parallel(csr: CSRGraph, pool=None, backend=None) -> np.ndarray:
-    """Hash-min label propagation with pointer jumping, partitioned.
+def wcc_label_array(csr: CSRGraph, pool: WorkerPool | None = None) -> np.ndarray:
+    """Dense WCC labels: hash-min label propagation with pointer jumping.
 
-    Converges each component to its minimum dense node id, then
-    relabels representatives in ascending order — exactly the label
-    assignment of the sequential BFS in :func:`_wcc_labels` (which
-    hands out labels in seed order, i.e. ascending min dense id), so
-    the two paths agree element-for-element.
+    Each round gathers the minimum label over every node's neighbours
+    (one span per worker of ``pool``; inline without one), then hops
+    every label to its own label, which collapses long propagation
+    chains logarithmically. Components converge to their minimum dense
+    node id, relabelled in ascending order — so labels are dense from 0
+    in order of each component's smallest node, whatever the pool width.
     """
     count = csr.num_nodes
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    dispatcher = kernel_dispatcher()
+    pool = pool if pool is not None else serial_pool()
+    spans = split_range(count, pool.workers)
     labels = np.arange(count, dtype=np.int64)
     while True:
         gathered = np.concatenate(
-            dispatcher.run_kernel(
-                csr,
-                _wcc_min_label_partition,
-                arrays=("out_indptr", "out_indices", "in_indptr", "in_indices"),
-                total=count,
-                extra=(labels,),
-                pool=pool,
-                backend=backend,
+            pool.map_chunks(
+                spans, lambda span: _wcc_min_label_partition(csr, *span, labels)
             )
         )
-        # Pointer jumping: hop to the label's own label, which
-        # collapses long propagation chains logarithmically.
         gathered = gathered[gathered]
         if np.array_equal(gathered, labels):
             break
@@ -74,45 +68,19 @@ def _wcc_labels_parallel(csr: CSRGraph, pool=None, backend=None) -> np.ndarray:
     return np.searchsorted(np.unique(labels), labels)
 
 
-def _wcc_labels_dispatch(csr: CSRGraph) -> np.ndarray:
-    """Route WCC to the parallel kernel when the dispatcher picks
-    processes for this snapshot; sequential BFS otherwise (both paths
-    produce identical labels)."""
-    if csr.num_nodes and kernel_dispatcher().decide(csr.num_edges) == "processes":
-        return _wcc_labels_parallel(csr)
-    return _wcc_labels(csr)
-
-
-def weakly_connected_components(graph) -> dict[int, int]:
+def weakly_connected_components(
+    graph, pool: WorkerPool | None = None
+) -> dict[int, int]:
     """Component label per node (labels dense from 0, edges undirected)."""
     if not isinstance(graph, CSRGraph):
         from repro.incremental.algorithms import incremental_wcc
 
-        warm = incremental_wcc(graph)
+        warm = incremental_wcc(graph, pool=pool)
         if warm is not None:
             return warm
     csr = as_csr(graph)
-    labels = _wcc_labels_dispatch(csr)
+    labels = wcc_label_array(csr, pool=pool)
     return dict(zip(csr.node_ids.tolist(), labels.tolist()))
-
-
-def _wcc_labels(csr: CSRGraph) -> np.ndarray:
-    labels = np.full(csr.num_nodes, UNREACHED, dtype=np.int64)
-    next_label = 0
-    for seed in range(csr.num_nodes):
-        if labels[seed] != UNREACHED:
-            continue
-        labels[seed] = next_label
-        frontier = np.array([seed], dtype=np.int64)
-        while len(frontier):
-            out_nbrs = _frontier_expand(csr.out_indptr, csr.out_indices, frontier)
-            in_nbrs = _frontier_expand(csr.in_indptr, csr.in_indices, frontier)
-            merged = np.unique(np.concatenate([out_nbrs, in_nbrs]))
-            fresh = merged[labels[merged] == UNREACHED]
-            labels[fresh] = next_label
-            frontier = fresh
-        next_label += 1
-    return labels
 
 
 def strongly_connected_components(graph) -> dict[int, int]:
@@ -204,7 +172,7 @@ def is_weakly_connected(graph) -> bool:
     csr = as_csr(graph)
     if csr.num_nodes == 0:
         return False
-    labels = _wcc_labels_dispatch(csr)
+    labels = wcc_label_array(csr)
     return int(labels.max()) == 0
 
 

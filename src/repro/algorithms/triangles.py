@@ -5,8 +5,8 @@ implementation is "a straightforward approach, similar to [PATRIC],
 parallelizing the execution with a few OpenMP statements". The same
 structure here: the *forward* node-iterator — each node intersects the
 sorted adjacency of its higher-ordered neighbours — with the per-node
-work distributed over a worker pool using degree-balanced chunks (degree
-skew makes equal-count partitions badly unbalanced).
+work distributed over a worker pool in wedge-capped blocks (degree skew
+makes equal-count partitions badly unbalanced).
 
 Directed input is treated as its undirected projection, matching the
 paper's "undirected triangle counting".
@@ -18,41 +18,64 @@ import numpy as np
 
 from repro.algorithms.common import as_csr, counts_to_dict
 from repro.graphs.csr import CSRGraph
-from repro.parallel.executor import WorkerPool, kernel_dispatcher
+from repro.parallel.executor import WorkerPool, serial_pool
+
+#: Most wedges one triangle block may hold, unless a single node alone
+#: has more. Small blocks dealt round-robin keep the few hub nodes of a
+#: skewed graph from piling onto one worker — the analogue of OpenMP's
+#: ``schedule(dynamic)``. The value was chosen on the ``analytics``
+#: benchmark graph (EXPERIMENTS.md, A7).
+MAX_BLOCK_WEDGES = 1 << 14
 
 
-def _triangle_partition(arrays, lo: int, hi: int) -> np.ndarray:
-    """Forward-algorithm triangle counts for wedges rooted in ``[lo, hi)``.
+def _wedge_blocks(findptr: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Contiguous node spans ``[lo, hi)`` covering every node once.
 
-    Returns a full-length per-node partial (a wedge at ``u`` closes a
-    triangle whose credit lands on ``u``, ``v``, *and* ``w``, which may
-    lie outside the span); the caller sums the partials, so partitions
-    never write shared state. Module-level and array-dict-driven so the
-    process backend can dispatch it by reference over a shared-memory
-    export — the thread backend runs the very same function.
+    Cut greedily from the cumulative wedge count (a node with forward
+    degree ``d`` roots ``d * d`` candidate wedges in the kernel), so each
+    span holds at most ``cap`` wedges unless one node alone exceeds it.
     """
-    findptr = arrays["forward_indptr"]
-    findices = arrays["forward_indices"]
-    edge_keys = arrays["forward_edge_keys"]
-    count = len(findptr) - 1
     fdeg = np.diff(findptr)
+    cumulative = np.cumsum(fdeg * fdeg)
+    blocks = []
+    lo, done = 0, 0
+    while lo < len(fdeg):
+        hi = max(int(np.searchsorted(cumulative, done + cap, side="right")), lo + 1)
+        blocks.append((lo, hi))
+        done = int(cumulative[hi - 1])
+        lo = hi
+    return blocks
+
+
+def _triangle_partition(
+    findptr: np.ndarray,
+    findices: np.ndarray,
+    edge_keys: np.ndarray,
+    lo: int,
+    hi: int,
+    partial: np.ndarray,
+) -> None:
+    """Add the triangle credits of wedges rooted in ``[lo, hi)`` to ``partial``.
+
+    A wedge at ``u`` closes a triangle whose credit lands on ``u``,
+    ``v`` *and* ``w``, which may lie outside the span, so ``partial`` is
+    full-length and owned by one worker; the caller sums the workers'
+    partials, so no two threads ever write the same array.
+    """
+    count = len(findptr) - 1
     base, stop = int(findptr[lo]), int(findptr[hi])
-    partial = np.zeros(count, dtype=np.int64)
     if base == stop:
-        return partial
+        return
     # Wedges at u: for each forward edge (u, v), every w in
     # forward[u]. Triangle (u, v, w) closes iff (v, w) is itself a
     # forward edge (rank u < rank v < rank w by construction).
-    e_src = np.repeat(np.arange(lo, hi, dtype=np.int64), fdeg[lo:hi])
+    fdeg = np.diff(findptr[lo:hi + 1])
+    e_src = np.repeat(np.arange(lo, hi, dtype=np.int64), fdeg)
     e_dst = findices[base:stop]
-    cand_counts = fdeg[e_src]
+    cand_counts = fdeg[e_src - lo]
     total = int(cand_counts.sum())
-    if total == 0:
-        return partial
     starts = np.repeat(findptr[e_src], cand_counts)
-    group_offsets = np.repeat(
-        np.cumsum(cand_counts) - cand_counts, cand_counts
-    )
+    group_offsets = np.repeat(np.cumsum(cand_counts) - cand_counts, cand_counts)
     w = findices[starts + (np.arange(total) - group_offsets)]
     v = np.repeat(e_dst, cand_counts)
     u = np.repeat(e_src, cand_counts)
@@ -60,10 +83,7 @@ def _triangle_partition(arrays, lo: int, hi: int) -> np.ndarray:
     position = np.searchsorted(edge_keys, query)
     position = np.minimum(position, len(edge_keys) - 1)
     closed = edge_keys[position] == query
-    partial += np.bincount(u[closed], minlength=count)
-    partial += np.bincount(v[closed], minlength=count)
-    partial += np.bincount(w[closed], minlength=count)
-    return partial
+    np.add.at(partial, np.concatenate([u[closed], v[closed], w[closed]]), 1)
 
 
 def _undirected_csr(graph) -> CSRGraph:
@@ -97,36 +117,37 @@ def triangle_counts(graph, pool: WorkerPool | None = None) -> dict[int, int]:
     return counts_to_dict(sym, counts)
 
 
-def triangle_count_array(
-    sym: CSRGraph,
-    pool: WorkerPool | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
+def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.ndarray:
     """Per-node triangle counts over a symmetrised, loop-free CSR.
 
     Forward algorithm with degree-rank ordering: every node keeps only
     its higher-ranked neighbours, so each triangle is closed exactly once
     (at its lowest-ranked vertex) and hub work collapses from O(d^2) to
     the O(m^1.5) bound — the "straightforward approach, similar to
-    PATRIC" the paper cites. The partitioned wedge-closure kernel
-    :func:`_triangle_partition` runs through the kernel dispatcher:
-    thread workers share the snapshot's cached forward adjacency
-    in-process, process workers map its shared-memory export, and the
-    per-partition integer partials sum identically either way.
+    PATRIC" the paper cites. The nodes are cut into wedge-capped blocks
+    (:data:`MAX_BLOCK_WEDGES`) dealt round-robin to the workers of
+    ``pool`` (inline without one); each worker accumulates one partial
+    over the snapshot's cached forward adjacency, and the integer
+    partials sum to the same counts for any pool width.
     """
     count = sym.num_nodes
-    totals = np.zeros(count, dtype=np.int64)
     if count == 0:
-        return totals
-    partials = kernel_dispatcher().run_kernel(
-        sym,
-        _triangle_partition,
-        arrays=("forward_indptr", "forward_indices", "forward_edge_keys"),
-        total=count,
-        pool=pool,
-        backend=backend,
-    )
-    for partial in partials:
+        return np.zeros(0, dtype=np.int64)
+    findptr, findices = sym.forward_adjacency()
+    edge_keys = sym.forward_edge_keys()
+    blocks = _wedge_blocks(findptr, MAX_BLOCK_WEDGES)
+    pool = pool if pool is not None else serial_pool()
+    width = min(pool.workers, len(blocks))
+
+    def worker(spans) -> np.ndarray:
+        partial = np.zeros(count, dtype=np.int64)
+        for lo, hi in spans:
+            _triangle_partition(findptr, findices, edge_keys, lo, hi, partial)
+        return partial
+
+    partials = pool.map_chunks([blocks[i::width] for i in range(width)], worker)
+    totals = partials[0]
+    for partial in partials[1:]:
         totals += partial
     return totals
 
@@ -144,10 +165,12 @@ def total_triangles(graph, pool: WorkerPool | None = None) -> int:
     return int(counts.sum()) // 3
 
 
-def clustering_coefficients(graph) -> dict[int, float]:
+def clustering_coefficients(
+    graph, pool: WorkerPool | None = None
+) -> dict[int, float]:
     """Local clustering coefficient per node (0 for degree < 2)."""
     sym = _undirected_csr(graph)
-    counts = triangle_count_array(sym)
+    counts = triangle_count_array(sym, pool=pool)
     degrees = sym.out_degrees().astype(np.float64)
     possible = degrees * (degrees - 1) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,18 +178,18 @@ def clustering_coefficients(graph) -> dict[int, float]:
     return dict(zip(sym.node_ids.tolist(), local.tolist()))
 
 
-def average_clustering(graph) -> float:
+def average_clustering(graph, pool: WorkerPool | None = None) -> float:
     """Mean local clustering coefficient (0.0 for the empty graph)."""
-    coefficients = clustering_coefficients(graph)
+    coefficients = clustering_coefficients(graph, pool=pool)
     if not coefficients:
         return 0.0
     return sum(coefficients.values()) / len(coefficients)
 
 
-def global_clustering(graph) -> float:
+def global_clustering(graph, pool: WorkerPool | None = None) -> float:
     """Transitivity: ``3 * triangles / wedges`` (0.0 if no wedges)."""
     sym = _undirected_csr(graph)
-    counts = triangle_count_array(sym)
+    counts = triangle_count_array(sym, pool=pool)
     degrees = sym.out_degrees().astype(np.float64)
     wedges = float((degrees * (degrees - 1) / 2.0).sum())
     if wedges == 0:

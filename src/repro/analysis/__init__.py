@@ -6,7 +6,7 @@ structured parallelism):
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` +
   :mod:`repro.analysis.flow_rules` — ringo-lint, an AST lint framework
-  with single-module rules R001–R007 and interprocedural flow rules
+  with single-module rules R001–R006 and interprocedural flow rules
   R008–R012 (powered by the :mod:`repro.analysis.callgraph` project
   call graph and the :mod:`repro.analysis.flow` per-function CFG),
   per-line ``# ringo-lint: disable=RXXX`` suppressions, and a

@@ -1,6 +1,6 @@
 """Project-wide call graph with module-level name resolution.
 
-The single-module rules (R001–R007) see one AST at a time, so a bug
+The single-module rules (R001–R006) see one AST at a time, so a bug
 that spans a call boundary — a blocking call two frames below an
 ``async def``, a lock acquired by a helper while the caller holds
 another — is invisible to them. This module builds the interprocedural
@@ -13,7 +13,7 @@ substrate the flow rules (R008–R012) stand on:
   expressions to types using constructor assignments
   (``self.executor = ThreadPoolExecutor(...)``), annotations
   (``manager: "SessionManager | None"``), and return annotations
-  (``def shm_registry() -> ShmRegistry``), so method calls through
+  (``def snapshot_cache() -> SnapshotCache``), so method calls through
   ``self`` and attribute chains resolve;
 * **honesty** — every call site lands in exactly one of three buckets:
   resolved-internal (a function in the project), resolved-external

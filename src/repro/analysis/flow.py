@@ -1,8 +1,7 @@
 """Per-function control-flow graphs with exceptional-edge path queries.
 
 The resource-lifecycle conventions this project depends on — a lock
-released on every path, an shm lease paired with a release, a WAL
-append followed by a catalog publish, a checkpoint temp directory
+released on every path, a WAL append followed by a catalog publish, a checkpoint temp directory
 either committed or removed — are all statements about *paths*, not
 about lines. This module builds the CFG those rules query:
 

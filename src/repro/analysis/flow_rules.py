@@ -4,7 +4,7 @@ Every rule here subclasses :class:`repro.analysis.lint.FlowRule`: it
 sees the whole :class:`~repro.analysis.lint.Project` at once — the
 call graph (:mod:`repro.analysis.callgraph`) for reachability and type
 questions, and per-function CFGs (:mod:`repro.analysis.flow`) for
-all-paths questions. The single-module rules R001–R007 live in
+all-paths questions. The single-module rules R001–R006 live in
 :mod:`repro.analysis.rules`.
 
 Honesty notes shared by all five rules:
@@ -166,7 +166,6 @@ _BLOCKING_EXTERNAL = frozenset(
         "pathlib.Path.write_text",
         "pathlib.Path.write_bytes",
         "concurrent.futures.ThreadPoolExecutor.shutdown",
-        "concurrent.futures.ProcessPoolExecutor.shutdown",
         "concurrent.futures.Future.result",
         "threading.Thread.join",
         "threading.Event.wait",
@@ -186,7 +185,7 @@ _BLOCKING_ACQUIRE = frozenset(
 
 #: Kernel-dispatch entry points: each runs a full parallel kernel to
 #: completion on the calling thread (WorkerPool fan-out included).
-_DISPATCH_ATTRS = frozenset({"run_kernel", "map_range", "map_chunks", "run_tasks"})
+_DISPATCH_ATTRS = frozenset({"map_range", "map_chunks", "run_tasks"})
 
 _MAX_CHAIN_DEPTH = 12
 
@@ -564,16 +563,13 @@ _TMP_CLEANUP_CALLS = frozenset(
 @register
 class ResourceLifecycleRule(FlowRule):
     """R010: acquired resources must be settled on **every** CFG path.
-    Three project resources are tracked. (1) ``ShmRegistry.lease``
-    bumps a refcount; a path that escapes without ``release`` pins a
-    /dev/shm segment until process exit — including exceptional paths,
-    so the release belongs in a ``finally``. (2) A WAL ``append`` that
+    Two project resources are tracked. (1) A WAL ``append`` that
     commits a *fresh* catalog name (an f-string name, the commit-point
     protocol) must be followed by ``_publish``/``_publish_as`` on every
     normal path, or recovery replays an object no caller could ever
     have observed; exceptional paths are exempt (replay re-derives),
     as is the mutate-in-place form that re-logs an existing ref.
-    (3) A checkpoint temp directory (``mkdir`` on a ``tmp``-named
+    (2) A checkpoint temp directory (``mkdir`` on a ``tmp``-named
     path, or one derived from it) must reach ``os.replace`` (the
     atomic commit) or be removed on every path including exceptional
     ones — anything else litters the state root with torn snapshots.
@@ -583,8 +579,8 @@ class ResourceLifecycleRule(FlowRule):
     code = "R010"
     name = "resource-lifecycle"
     description = (
-        "shm lease / fresh WAL append / checkpoint temp dir must be "
-        "released, published, or cleaned up on every CFG path"
+        "fresh WAL append / checkpoint temp dir must be published or "
+        "cleaned up on every CFG path"
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -600,10 +596,7 @@ class ResourceLifecycleRule(FlowRule):
         for stmt in _function_statements(fn.node):
             for call in _stmt_calls(stmt):
                 terminal = _call_terminal(call)
-                if terminal == "lease" and not _in_with_header(stmt, call):
-                    cfg = cfg or build_cfg(fn.node)
-                    yield from self._check_lease(graph_project, fn, cfg, stmt, call)
-                elif terminal == "append" and self._is_wal_append(graph, fn, call):
+                if terminal == "append" and self._is_wal_append(graph, fn, call):
                     cfg = cfg or build_cfg(fn.node)
                     yield from self._check_wal_append(
                         graph_project, fn, cfg, stmt, call
@@ -614,38 +607,7 @@ class ResourceLifecycleRule(FlowRule):
                         graph_project, fn, cfg, stmt, call, seen_tmp_roots
                     )
 
-    # -- (1) shm leases ------------------------------------------------
-
-    def _check_lease(
-        self,
-        project: Project,
-        fn: FunctionInfo,
-        cfg: CFG,
-        stmt: ast.AST,
-        call: ast.Call,
-    ) -> Iterator[Finding]:
-        def settles(node) -> bool:
-            return any(
-                _call_terminal(c) == "release" for c in _stmt_calls(node.stmt)
-            ) if node.stmt is not None else False
-
-        escape = cfg.find_escape(stmt, settles, include_exceptional=True)
-        if escape is not None:
-            how = (
-                "an exception path"
-                if escape.kind == "raise-exit"
-                else "a normal path"
-            )
-            yield self.project_finding(
-                project,
-                fn.path,
-                call,
-                f"'{_function_display(fn.qualname)}' leases an shm export "
-                f"but {how} escapes without release() — the segment leaks "
-                "until process exit; pair in try/finally",
-            )
-
-    # -- (2) WAL append / publish -------------------------------------
+    # -- (1) WAL append / publish -------------------------------------
 
     def _is_wal_append(
         self, graph: CallGraph, fn: FunctionInfo, call: ast.Call
@@ -709,7 +671,7 @@ class ResourceLifecycleRule(FlowRule):
             return bool(defs) and len(values) == len(defs)
         return False
 
-    # -- (3) checkpoint temp dirs -------------------------------------
+    # -- (2) checkpoint temp dirs -------------------------------------
 
     def _check_tmp_dir(
         self,
@@ -787,16 +749,6 @@ def _function_statements(
     for node in _own_subnodes(fn):
         if isinstance(node, ast.stmt):
             yield node
-
-
-def _in_with_header(stmt: ast.AST, call: ast.Call) -> bool:
-    if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return False
-    return any(
-        call is sub or call in ast.walk(item.context_expr)
-        for item in stmt.items
-        for sub in [item.context_expr]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ module is the enforcement framework:
 
 * **rules** — each check is a :class:`LintRule` with a stable ``RXXX``
   code, registered in :data:`RULES` (see :mod:`repro.analysis.rules`
-  for the single-module rules R001–R007 and
+  for the single-module rules R001–R006 and
   :mod:`repro.analysis.flow_rules` for the interprocedural rules
   R008–R012, which subclass :class:`FlowRule` and see the whole
   :class:`Project` — call graph and CFGs included — at once);
@@ -278,7 +278,7 @@ class FlowRule(LintRule):
 
 
 #: The rule registry: code -> rule instance. Populated by
-#: :func:`register` (repro.analysis.rules registers R001–R007 and
+#: :func:`register` (repro.analysis.rules registers R001–R006 and
 #: repro.analysis.flow_rules registers R008–R012 on import).
 RULES: dict[str, LintRule] = {}
 

@@ -1,4 +1,4 @@
-"""The project-specific lint rules, R001–R007.
+"""The project-specific lint rules, R001–R006.
 
 Each rule encodes one convention the engine's correctness depends on
 (see ``docs/static-analysis.md`` for the full catalog with examples):
@@ -10,7 +10,6 @@ R003  ``fault_point`` site string not registered in ``faults.KNOWN_SITES``
 R004  manual ``Lock.acquire()`` without a ``with`` / ``try…finally`` release
 R005  Python-level ``for`` loop over numpy arrays in ``algorithms/`` (advisory)
 R006  pool kernel closure writing shared state without a lock/AtomicCounter
-R007  dispatched kernel is a lambda/nested def/bound method (unpicklable)
 ====  ==================================================================
 """
 
@@ -564,79 +563,3 @@ class SharedKernelStateRule(LintRule):
                     if isinstance(sub, ast.Name):
                         bound.add(sub.id)
         return bound
-
-# ----------------------------------------------------------------------
-# R007 — dispatched kernels must be module-level (picklable by reference)
-# ----------------------------------------------------------------------
-
-_DISPATCH_METHODS = {"run_kernel": 1}
-
-
-@register
-class DispatchableKernelRule(LintRule):
-    """R007: a kernel at a dispatch site must be a module-level function.
-
-    The kernel dispatcher may route a call to the process backend, which
-    pickles the kernel *by reference* into worker processes. A lambda or
-    a nested ``def`` has no importable reference and fails at dispatch
-    time; a bound method (``self.kernel``) drags its whole instance —
-    a :class:`Ringo` session with its locks and pools — through pickle.
-    Hoist the kernel to module level with signature
-    ``fn(arrays, lo, hi, *extra)`` and pass state via ``extra``.
-    """
-
-    code = "R007"
-    name = "dispatchable-kernel"
-    description = (
-        "kernel at a dispatch site is a lambda/nested def/bound method "
-        "the process backend cannot pickle by reference"
-    )
-
-    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        for scope in ast.walk(unit.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            local_defs = {
-                stmt.name
-                for stmt in ast.walk(scope)
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt is not scope
-            }
-            for node in ast.walk(scope):
-                method = _call_attr(node)
-                if method not in _DISPATCH_METHODS:
-                    continue
-                kernel = self._kernel_expr(node, method)
-                if kernel is None:
-                    continue
-                problem = self._unpicklable_shape(kernel, local_defs)
-                if problem:
-                    yield self.finding(
-                        unit,
-                        node,
-                        f"kernel passed to .{method}() is {problem}; the "
-                        f"process backend pickles kernels by reference — "
-                        f"hoist it to a module-level "
-                        f"fn(arrays, lo, hi, *extra) and pass state via "
-                        f"extra=",
-                    )
-
-    @staticmethod
-    def _kernel_expr(call: ast.Call, method: str) -> "ast.expr | None":
-        index = _DISPATCH_METHODS[method]
-        if len(call.args) > index:
-            return call.args[index]
-        for keyword in call.keywords:
-            if keyword.arg == "fn":
-                return keyword.value
-        return None
-
-    @staticmethod
-    def _unpicklable_shape(kernel: ast.expr, local_defs: set[str]) -> str:
-        if isinstance(kernel, ast.Lambda):
-            return "a lambda"
-        if isinstance(kernel, ast.Name) and kernel.id in local_defs:
-            return f"the nested function {kernel.id!r}"
-        if _is_self_attr(kernel):
-            return f"the bound method self.{kernel.attr}"
-        return ""

@@ -48,7 +48,7 @@ from repro.memory.budget import (
     estimate_graph_build_bytes,
     estimate_join_bytes,
 )
-from repro.parallel.executor import WorkerPool, kernel_dispatcher, resolve_backend
+from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy, run_with_retry
 from repro.tables.strings import StringPool
 from repro.tables.table import Table
@@ -93,15 +93,6 @@ class Ringo:
     picks between failing fast (``"raise"``) and degrading to chunked
     execution (``"degrade"``). ``retry_policy`` arms the worker pool's
     transparent retries of :class:`~repro.exceptions.TransientError`.
-
-    ``backend`` selects how partitioned kernels execute: ``"threads"``
-    (the GIL-releasing numpy path), ``"processes"`` (true multi-core
-    over zero-copy shared-memory snapshot exports), or ``"auto"`` (an
-    adaptive edge-count crossover decides per call). The default
-    ``None`` defers to the ``REPRO_BACKEND`` environment variable,
-    falling back to ``"auto"``. Dispatcher state — backend decisions,
-    crossover model, process-pool and shared-memory counters — is
-    reported under ``health()["parallel"]``.
 
     Objects built by the session are published to its catalog only after
     a build fully succeeds, so a mid-build failure never leaves a
@@ -155,7 +146,6 @@ class Ringo:
         memory_budget: "MemoryBudget | int | None" = None,
         on_budget_exceeded: str = "raise",
         retry_policy: RetryPolicy | None = None,
-        backend: "str | None" = None,
         snapshot_cache: bool = True,
         snapshot_cache_bytes: "int | None" = None,
         race_check: "bool | str | None" = None,
@@ -165,17 +155,6 @@ class Ringo:
     ) -> None:
         self.pool = StringPool()
         self.workers = WorkerPool(workers, retry_policy=retry_policy)
-        # The kernel dispatcher (process backend + adaptive crossover)
-        # is process-wide like the snapshot cache; the session pins its
-        # policy — an explicit backend= beats REPRO_BACKEND beats auto —
-        # and shares the worker width and retry policy with the thread
-        # pool so the two backends degrade into each other coherently.
-        self._dispatcher = kernel_dispatcher()
-        self._dispatcher.configure(
-            backend=resolve_backend(backend),
-            process_workers=workers,
-            retry_policy=retry_policy,
-        )
         self.budget = MemoryBudget.coerce(memory_budget, on_exceed=on_budget_exceeded)
         self.registry: FunctionRegistry = build_default_registry()
         # Catalog state is guarded so health()/Objects() polled from a
@@ -764,7 +743,7 @@ class Ringo:
     def GetClusteringCoefficients(self, graph) -> dict[int, float]:
         """Local clustering coefficient per node."""
         self._snapshot(graph)
-        return alg.clustering_coefficients(graph)
+        return alg.clustering_coefficients(graph, pool=self.workers)
 
     @_timed
     def GetKCore(self, graph, k: int):
@@ -800,7 +779,7 @@ class Ringo:
     def GetWcc(self, graph) -> dict[int, int]:
         """Weakly connected component labels."""
         self._snapshot(graph)
-        return alg.weakly_connected_components(graph)
+        return alg.weakly_connected_components(graph, pool=self.workers)
 
     @_timed
     def GetDegreeCentrality(self, graph, mode: str = "total") -> dict[int, float]:
@@ -1055,9 +1034,8 @@ class Ringo:
     def health(self) -> dict:
         """One structured snapshot of the session's resilience state.
 
-        Reports worker downgrades/retries/timeouts, the kernel
-        dispatcher's backend decisions and process-pool/shared-memory
-        state (under ``"parallel"``), memory-budget
+        Reports worker downgrades/retries/timeouts, the count of kernel
+        dispatches to the worker pool (under ``"parallel"``), memory-budget
         admissions and denials, the published-object count, the snapshot
         cache's hit/miss/invalidation/byte counters, the per-call timing
         totals, the correctness-tooling counters (race detector and
@@ -1075,7 +1053,12 @@ class Ringo:
             object_names = list(self._catalog)
         report = {
             "workers": self.workers_info(),
-            "parallel": self._dispatcher.snapshot(),
+            # benchmarks/e2e/wl_analytics.py reads exactly this shape;
+            # kernels only run on the session's thread pool, so
+            # "processes" is always 0.
+            "parallel": {
+                "decisions": {"threads": self.workers.stats.calls, "processes": 0}
+            },
             "memory_budget": None if self.budget is None else self.budget.snapshot(),
             "snapshot_cache": self._snapshot_cache.stats(),
             "incremental": _incremental_engine().stats(),

@@ -81,17 +81,6 @@ class WorkerTimeoutError(ExecutionError):
         )
 
 
-class WorkerCrashedError(ExecutionError):
-    """A process-pool worker died mid-kernel (signal, OOM kill, hard exit).
-
-    Raised parent-side when the process backend's executor reports a
-    broken pool; the kernel dispatcher treats it as a cue to rebuild the
-    pool and re-run the call on the thread backend. Single string
-    argument by design: instances cross process boundaries and must
-    survive a pickle round-trip.
-    """
-
-
 class TransientError(ExecutionError):
     """A retryable failure — a :class:`RetryPolicy` may re-attempt it."""
 

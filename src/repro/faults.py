@@ -46,25 +46,6 @@ Durability sites (:mod:`repro.recovery`):
                                 must catch it at recovery time)
 ==============================  ============================================
 
-Multi-core sites (:mod:`repro.parallel.shm` / :mod:`repro.parallel.procpool`
-— the process-pool kernel backend):
-
-=============================  ==============================================
-``parallel.shm.export``        before a snapshot's arrays are written into
-                               shared-memory segments (a fired fault aborts
-                               the export cleanly; the dispatcher degrades
-                               that call to the thread backend)
-``parallel.proc.dispatch``     per process-backend dispatch, parent side,
-                               before any partition is submitted (fires as a
-                               transient error; the dispatcher re-runs the
-                               call on threads)
-``parallel.proc.worker_crash`` per process-backend dispatch — but instead of
-                               raising, a firing SIGKILLs one live worker
-                               process so tests exercise the real
-                               broken-pool recovery path (rebuild + thread
-                               fallback + eventual degradation)
-=============================  ==============================================
-
 Service sites (:mod:`repro.service` — the multi-tenant session server):
 
 =====================  =====================================================
@@ -136,9 +117,6 @@ KNOWN_SITES = (
     "convert.sort_first",
     "join.materialize",
     "snapshot.build",
-    "parallel.shm.export",
-    "parallel.proc.dispatch",
-    "parallel.proc.worker_crash",
     "recovery.wal.append",
     "recovery.wal.torn_write",
     "recovery.checkpoint.write",

@@ -382,8 +382,7 @@ class CSRGraph:
         The binary-search side of the triangle kernel's wedge-closure
         test. ``forward_indices`` are id-sorted within each node's
         slice, so the key array is globally ascending. Cached like the
-        other derived arrays (and exported once per snapshot by the
-        process backend instead of being rebuilt per dispatch).
+        other derived arrays.
         """
         if self._forward_edge_keys is None:
             findptr, findices = self.forward_adjacency()

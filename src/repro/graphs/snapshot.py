@@ -32,7 +32,6 @@ algorithm modules share snapshots without code changes at call sites.
 
 from __future__ import annotations
 
-import sys
 import threading
 import weakref
 
@@ -57,21 +56,6 @@ def _count(name: str) -> None:
     untraced hot path pays a single module-global check."""
     if _tracing_enabled():
         _metrics_registry().counter(name).inc()
-
-
-def _drop_shm_export(csr) -> None:
-    """Tell the shared-memory registry a snapshot left the cache.
-
-    Process-backend exports are keyed by the snapshot identity this
-    cache stamps, so every eviction path (stale replacement, over-budget
-    drop, graph collection, invalidate, clear) must invalidate them too
-    — an export must never outlive the snapshot it was cut from. Looked
-    up via ``sys.modules`` so sessions that never touch the process
-    backend pay nothing and pull in no extra imports.
-    """
-    shm = sys.modules.get("repro.parallel.shm")
-    if shm is not None and csr is not None:
-        shm.notify_snapshot_dropped(csr)
 
 
 class _Entry:
@@ -193,14 +177,7 @@ class SnapshotCache:
                     # The retained snapshot is stale; drop it too.
                     del self._entries[key]
                     self._cached_bytes -= replaced
-                    _drop_shm_export(entry.csr)
                 return csr
-            if entry is not None and entry.csr is not csr:
-                # Stale snapshot replaced in place: its exports go with it.
-                _drop_shm_export(entry.csr)
-            # Stamp the cache identity so process-backend shared-memory
-            # exports share this cache's invalidation (see repro.parallel.shm).
-            csr._snapshot_key = (key, version)
             ref = weakref.ref(graph, self._make_cleanup(key))
             self._entries[key] = _Entry(ref, version, csr, nbytes)
             self._cached_bytes += nbytes - replaced
@@ -251,10 +228,8 @@ class SnapshotCache:
                 return None
             if delta.empty():
                 # The run cancelled out (e.g. add then delete): restamp
-                # the existing arrays under the new version. The shm
-                # export is keyed by the old stamp, so drop it first.
+                # the existing arrays under the new version.
                 merged = entry.csr
-                _drop_shm_export(merged)
             else:
                 merged = apply_delta(entry.csr, delta, graph.is_directed)
                 self._verify_refresh(merged, graph)
@@ -315,8 +290,6 @@ class SnapshotCache:
                     _obs_event(
                         "snapshot.evict", reason="collected", bytes=entry.nbytes
                     )
-            if entry is not None:
-                _drop_shm_export(entry.csr)
 
         return cleanup
 
@@ -346,13 +319,11 @@ class SnapshotCache:
             if entry is None:
                 return False
             self._cached_bytes -= entry.nbytes
-        _drop_shm_export(entry.csr)
         return True
 
     def clear(self, reset_stats: bool = False) -> None:
         """Drop every cached snapshot (optionally zero the counters)."""
         with self._lock:
-            dropped = [entry.csr for entry in self._entries.values()]
             self._entries.clear()
             self._cached_bytes = 0
             if reset_stats:
@@ -362,8 +333,6 @@ class SnapshotCache:
                 self._rejected = 0
                 self._collected = 0
                 self._conversions = 0
-        for csr in dropped:
-            _drop_shm_export(csr)
 
     def __len__(self) -> int:
         with self._lock:

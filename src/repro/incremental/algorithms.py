@@ -162,9 +162,9 @@ def _neighbor_pairs(
 def _canonical_labels(roots: np.ndarray) -> np.ndarray:
     """Relabel union-find roots to the batch WCC labelling.
 
-    Batch BFS hands out labels in seed order — ascending minimum dense
-    node id per component — which equals ranking components by the
-    first dense position their root appears at.
+    The batch kernel labels components in ascending order of their
+    minimum dense node id, which equals ranking components by the first
+    dense position their root appears at.
     """
     unique_roots, first_seen, inverse = np.unique(
         roots, return_index=True, return_inverse=True
@@ -269,17 +269,18 @@ def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
     return _canonical_labels(roots)
 
 
-def incremental_wcc(graph) -> "dict[int, int] | None":
+def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
     """Delta-advanced WCC labels, or ``None`` when not applicable.
 
     Exact: labels equal :func:`repro.algorithms.components.weakly_connected_components`
-    on the same graph, element for element.
+    on the same graph, element for element. ``pool`` only matters on the
+    seeding (batch) pass, as for triangles.
     """
     engine = incremental_engine()
     if not engine.enabled or not _is_dynamic(graph):
         return None
     from repro.algorithms.common import as_csr
-    from repro.algorithms.components import _wcc_labels_dispatch
+    from repro.algorithms.components import wcc_label_array
 
     version = graph.version
     csr = as_csr(graph)
@@ -296,7 +297,7 @@ def incremental_wcc(graph) -> "dict[int, int] | None":
             labels = _advance_wcc(csr, prev_ids, prev_labels, window[0])
     mode = "warm"
     if labels is None:
-        labels = _wcc_labels_dispatch(csr)
+        labels = wcc_label_array(csr, pool=pool)
         mode = "seed"
     state.wcc = (version, csr.node_ids, labels)
     engine.record_algo("wcc", mode)

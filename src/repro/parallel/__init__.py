@@ -1,17 +1,15 @@
 """Parallel-execution substrate mirroring Ringo's OpenMP layer (paper §2.5).
 
-Ringo parallelises critical loops with OpenMP over an 80-hyperthread
-machine and relies on two concurrent containers: an open-addressing hash
-table with linear probing and a vector supporting atomic-claim insertion.
-This package rebuilds those pieces for Python:
+Ringo parallelises critical loops with OpenMP threads inside one
+big-memory process and relies on two concurrent containers: an
+open-addressing hash table with linear probing and a vector supporting
+atomic-claim insertion. This package rebuilds those pieces for Python:
 
-* :class:`WorkerPool` — runs a kernel over range partitions either serially
-  or on a thread pool (threads help when the kernel releases the GIL, i.e.
-  when it is numpy-bound, exactly the bulk work OpenMP covers in the paper).
-* :class:`ProcessPool` + :class:`KernelDispatcher` — the true multi-core
-  path: long-lived worker processes mapping zero-copy shared-memory CSR
-  exports (:mod:`repro.parallel.shm`), chosen over threads by an adaptive
-  edge-count crossover (``Ringo(backend=...)`` / ``REPRO_BACKEND``).
+* :class:`WorkerPool` — the session's thread pool: runs a kernel over
+  range partitions or pre-cut blocks, inline with one worker. Threads
+  help when the kernel releases the GIL, i.e. when it is numpy-bound,
+  exactly the bulk work OpenMP covers in the paper. The triangle and
+  WCC kernels run on it; PageRank's full-vector scatter needs no pool.
 * :func:`split_range` / :func:`split_indices` — contention-free range
   partitioning, the way Ringo assigns graph partitions to worker threads.
 * :class:`LinearProbingHashTable` — open addressing + linear probing
@@ -24,38 +22,24 @@ from repro.parallel.atomics import AtomicCounter
 from repro.parallel.concurrent_hash import LinearProbingHashTable
 from repro.parallel.concurrent_vector import ConcurrentVector
 from repro.parallel.executor import (
-    AdaptiveCrossover,
-    KernelDispatcher,
     WorkerPool,
     effective_worker_count,
-    kernel_dispatcher,
     machine_cpu_count,
-    resolve_backend,
 )
 from repro.parallel.partition import balanced_chunks, split_indices, split_range
-from repro.parallel.procpool import ProcessPool
 from repro.parallel.resilience import PoolStats, RetryPolicy, run_with_retry
-from repro.parallel.shm import ShmRegistry, leaked_segments, shm_registry
 
 __all__ = [
-    "AdaptiveCrossover",
     "AtomicCounter",
     "ConcurrentVector",
-    "KernelDispatcher",
     "LinearProbingHashTable",
     "PoolStats",
-    "ProcessPool",
     "RetryPolicy",
-    "ShmRegistry",
     "WorkerPool",
     "balanced_chunks",
     "effective_worker_count",
-    "kernel_dispatcher",
-    "leaked_segments",
     "machine_cpu_count",
-    "resolve_backend",
     "run_with_retry",
-    "shm_registry",
     "split_indices",
     "split_range",
 ]

@@ -23,7 +23,6 @@ RULE_FIXTURES = {
         FIXTURES / "algorithms" / "r005_ok.py",
     ),
     "R006": (FIXTURES / "r006_bad.py", FIXTURES / "r006_ok.py"),
-    "R007": (FIXTURES / "r007_bad.py", FIXTURES / "r007_ok.py"),
     "R008": (FIXTURES / "r008_bad.py", FIXTURES / "r008_ok.py"),
     "R009": (FIXTURES / "r009_bad.py", FIXTURES / "r009_ok.py"),
     "R010": (FIXTURES / "r010_bad.py", FIXTURES / "r010_ok.py"),
@@ -146,7 +145,7 @@ class TestRuleSelection:
     def test_all_rules_registered(self):
         codes = [rule.code for rule in lint.active_rules()]
         assert codes == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007",
+            "R001", "R002", "R003", "R004", "R005", "R006",
             "R008", "R009", "R010", "R011", "R012",
         ]
 

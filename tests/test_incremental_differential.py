@@ -5,7 +5,7 @@ along a random mutation trace, the delta-maintained answers equal (WCC,
 triangles) or ε-match (PageRank) a from-scratch batch run on an
 identical copy of the graph. 50 seeded traces (25 seeds × directed and
 undirected), each checked at several checkpoints, plus multigraph and
-multi-process coverage.
+multi-worker session coverage.
 
 PageRank's ε bound (``pagerank_epsilon``) is only valid when **both**
 runs terminate on the tolerance criterion rather than the iteration
@@ -203,15 +203,11 @@ def test_multigraph_mirror_differential():
             )
 
 
-def test_process_backend_trace(tmp_path):
-    """ApplyOps + analytics through a live session on the process backend.
-
-    Runs under both fork and spawn start methods in the multicore-smoke
-    CI job via ``REPRO_MP_CONTEXT``.
-    """
+def test_multi_worker_session_trace(tmp_path):
+    """ApplyOps + analytics through a live session on a two-worker pool."""
     from repro.core.engine import Ringo
 
-    with Ringo(workers=2, backend="processes") as session:
+    with Ringo(workers=2) as session:
         table = session.TableFromColumns(
             {"a": [1, 2, 3, 4, 1], "b": [2, 3, 4, 1, 3]}
         )
