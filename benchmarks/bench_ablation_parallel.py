@@ -1,10 +1,11 @@
 """Ablation A3 — the parallel substrate (paper §2.5).
 
 Ringo's performance rests on OpenMP parallel loops over 80 hyperthreads.
-The Python analogue is the :class:`WorkerPool`; this bench runs the
-parallelised operations (sort-first conversion, triangle counting,
-edge-table export) at several worker counts, recording wall-clock and
-verifying result equivalence across pool sizes.
+The Python analogue is the :class:`WorkerPool`; this bench runs triangle
+counting, the numpy-bound kernel it parallelises, at several worker
+counts, recording wall-clock and verifying the count is identical for
+every pool size. The conversions are one serial numpy gather each and
+have no pool to vary (EXPERIMENTS.md, A3).
 
 On a single-core host the curve is flat — the recorded table then
 documents pool overhead rather than speedup, and the equivalence
@@ -15,33 +16,11 @@ import pytest
 
 from benchmarks.util import record, reset
 from repro.algorithms.triangles import total_triangles
-from repro.convert.graph_to_table import to_edge_table
-from repro.convert.table_to_graph import sort_first_directed
 from repro.parallel.executor import WorkerPool
-from repro.workflows.datasets import LJ_SCALED, edge_arrays
 
 WORKER_COUNTS = (1, 2, 4)
 
 _reference: dict[str, object] = {}
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_a3_parallel_conversion(benchmark, workers):
-    sources, targets = edge_arrays(LJ_SCALED)
-
-    def run():
-        with WorkerPool(workers) as pool:
-            return sort_first_directed(sources, targets, pool=pool)
-
-    graph = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    elapsed = benchmark.stats.stats.mean
-    if workers == 1:
-        reset("ablation_a3", "A3: worker-pool scaling (lj-scaled)")
-        record("ablation_a3", f"{'Operation':<22} {'workers':>8} {'seconds':>9}")
-        _reference["conversion_edges"] = graph.num_edges
-    record("ablation_a3", f"{'sort-first build':<22} {workers:>8} {elapsed:>9.3f}")
-    assert graph.num_edges == _reference["conversion_edges"]
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -54,21 +33,8 @@ def test_a3_parallel_triangles(benchmark, workers, lj_graph):
 
     elapsed = benchmark.stats.stats.mean
     if workers == 1:
+        reset("ablation_a3", "A3: worker-pool scaling (lj-scaled)")
+        record("ablation_a3", f"{'Operation':<22} {'workers':>8} {'seconds':>9}")
         _reference["triangles"] = count
     record("ablation_a3", f"{'triangle counting':<22} {workers:>8} {elapsed:>9.3f}")
     assert count == _reference["triangles"]
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_a3_parallel_edge_table(benchmark, workers, lj_graph):
-    def run():
-        with WorkerPool(workers) as pool:
-            return to_edge_table(lj_graph, pool=pool)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    elapsed = benchmark.stats.stats.mean
-    if workers == 1:
-        _reference["edge_rows"] = table.num_rows
-    record("ablation_a3", f"{'graph -> edge table':<22} {workers:>8} {elapsed:>9.3f}")
-    assert table.num_rows == _reference["edge_rows"]

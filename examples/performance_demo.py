@@ -34,13 +34,13 @@ def run_dataset(ringo: Ringo, spec: DatasetSpec) -> None:
           f"{format_bytes(object_size_bytes(table))} in memory")
 
     with Stopwatch() as sw:
-        graph = to_graph(table, "SrcId", "DstId", pool=ringo.workers)
+        graph = to_graph(table, "SrcId", "DstId")
     rate = table.num_rows / max(sw.elapsed, 1e-9) / 1e6
     print(f"table -> graph:  {format_duration(sw.elapsed):>8}  "
           f"({rate:.1f}M rows/s); graph {format_bytes(object_size_bytes(graph))}")
 
     with Stopwatch() as sw:
-        edge_table = to_edge_table(graph, pool=ringo.workers, string_pool=ringo.pool)
+        edge_table = to_edge_table(graph, string_pool=ringo.pool)
     rate = graph.num_edges / max(sw.elapsed, 1e-9) / 1e6
     print(f"graph -> table:  {format_duration(sw.elapsed):>8}  ({rate:.1f}M edges/s)")
 

@@ -69,20 +69,18 @@ def instrument_namespace(namespace: dict, names: "list[str]") -> None:
             namespace[name] = instrument_entry_point(obj)
 
 
-def as_csr(
-    graph: "DirectedGraph | UndirectedGraph | CSRGraph", pool=None
-) -> CSRGraph:
+def as_csr(graph: "DirectedGraph | UndirectedGraph | CSRGraph") -> CSRGraph:
     """Snapshot ``graph`` to CSR (no-op if it already is one).
 
     Dynamic graphs go through the process-wide versioned snapshot cache
     (:mod:`repro.graphs.snapshot`): back-to-back algorithm calls on an
     unchanged graph reuse one conversion, and any mutation rebuilds it
-    automatically. ``pool`` parallelises the build on a cache miss.
+    automatically.
     """
     if isinstance(graph, CSRGraph):
         return graph
     if isinstance(graph, (DirectedGraph, UndirectedGraph)):
-        return csr_snapshot(graph, pool=pool)
+        return csr_snapshot(graph)
     raise AlgorithmError(f"expected a graph, got {type(graph).__name__}")
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.exceptions import ConversionError
 from repro.graphs.undirected import UndirectedGraph
-from repro.parallel.executor import WorkerPool
 from repro.tables.schema import ColumnType
 from repro.tables.table import Table
 
@@ -72,7 +71,6 @@ def co_occurrence_graph(
     group_col: str,
     actor_col: str,
     max_group_size: int | None = None,
-    pool: WorkerPool | None = None,
 ) -> UndirectedGraph:
     """Undirected graph linking actors that share a group.
 
@@ -91,4 +89,4 @@ def co_occurrence_graph(
     left, right = co_occurrence_pairs(
         table.column(group_col), table.column(actor_col), max_group_size
     )
-    return graph_from_edge_arrays(left, right, directed=False, pool=pool)
+    return graph_from_edge_arrays(left, right, directed=False)

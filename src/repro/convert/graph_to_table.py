@@ -3,9 +3,10 @@
 "This conversion can be easily performed in parallel by partitioning the
 graph's nodes or edges among worker threads, pre-allocating the output
 table, and assigning a corresponding partition in the output table to
-each thread." The writers below do exactly that: per-node output offsets
-come from a degree prefix sum, the output arrays are allocated once, and
-each worker fills a disjoint slice.
+each thread." Here the whole export is one serial numpy gather: the
+graph's :meth:`edge_arrays` concatenates every adjacency vector once and
+repeats each node id by its degree, so there is no per-node loop left
+to partition among threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
-from repro.parallel.executor import WorkerPool, serial_pool
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.strings import StringPool
 from repro.tables.table import Table
@@ -30,7 +30,6 @@ DEGREE_COLUMN = "Deg"
 
 def to_edge_table(
     graph: "DirectedGraph | UndirectedGraph",
-    pool: WorkerPool | None = None,
     string_pool: StringPool | None = None,
 ) -> Table:
     """Edge table (``SrcId``, ``DstId``) from a graph.
@@ -42,51 +41,9 @@ def to_edge_table(
     >>> to_edge_table(g).column("SrcId").tolist()
     [1]
     """
-    pool = pool if pool is not None else serial_pool()
-    nodes = list(graph.nodes())
-    if graph.is_directed:
-        degrees = np.fromiter(
-            (graph.out_degree(node) for node in nodes), dtype=np.int64, count=len(nodes)
-        )
-    else:
-        # Each node emits its neighbours >= itself, so every undirected
-        # edge (and each self-loop) appears exactly once.
-        degrees = np.fromiter(
-            (
-                len(graph.neighbors(node))
-                - int(np.searchsorted(graph.neighbors(node), node))
-                for node in nodes
-            ),
-            dtype=np.int64,
-            count=len(nodes),
-        )
-    offsets = np.concatenate(([0], np.cumsum(degrees)))
-    total = int(offsets[-1])
-    sources = np.empty(total, dtype=np.int64)
-    targets = np.empty(total, dtype=np.int64)
-
-    if graph.is_directed:
-
-        def fill_partition(lo: int, hi: int) -> None:
-            for index in range(lo, hi):
-                node = nodes[index]
-                start, stop = offsets[index], offsets[index + 1]
-                sources[start:stop] = node
-                targets[start:stop] = graph.out_neighbors(node)
-
-    else:
-
-        def fill_partition(lo: int, hi: int) -> None:
-            for index in range(lo, hi):
-                node = nodes[index]
-                start, stop = offsets[index], offsets[index + 1]
-                nbrs = graph.neighbors(node)
-                upper = nbrs[int(np.searchsorted(nbrs, node)):]
-                sources[start:stop] = node
-                targets[start:stop] = upper
-
-    with trace("convert.to_edge_table", nodes=len(nodes), edges=total):
-        pool.map_range(len(nodes), fill_partition)
+    with trace("convert.to_edge_table", nodes=graph.num_nodes) as span:
+        sources, targets = graph.edge_arrays()
+        span.set_tag("edges", len(sources))
     schema = Schema([(SRC_COLUMN, ColumnType.INT), (DST_COLUMN, ColumnType.INT)])
     return Table(
         schema, {SRC_COLUMN: sources, DST_COLUMN: targets}, pool=string_pool
@@ -96,50 +53,25 @@ def to_edge_table(
 def to_node_table(
     graph: "DirectedGraph | UndirectedGraph",
     include_degrees: bool = False,
-    pool: WorkerPool | None = None,
     string_pool: StringPool | None = None,
 ) -> Table:
     """Node table (``NodeId`` and optionally degree columns) from a graph."""
-    pool = pool if pool is not None else serial_pool()
     with trace("convert.to_node_table", degrees=include_degrees) as span:
-        return _to_node_table(graph, include_degrees, pool, string_pool, span)
-
-
-def _to_node_table(
-    graph: "DirectedGraph | UndirectedGraph",
-    include_degrees: bool,
-    pool: WorkerPool,
-    string_pool: "StringPool | None",
-    span,
-) -> Table:
-    nodes = list(graph.nodes())
-    span.set_tag("nodes", len(nodes))
-    node_array = np.asarray(nodes, dtype=np.int64)
-    columns: dict[str, np.ndarray] = {NODE_COLUMN: node_array}
-    schema_cols = [(NODE_COLUMN, ColumnType.INT)]
-    if include_degrees:
-        if graph.is_directed:
-            in_deg = np.empty(len(nodes), dtype=np.int64)
-            out_deg = np.empty(len(nodes), dtype=np.int64)
-
-            def fill_partition(lo: int, hi: int) -> None:
-                for index in range(lo, hi):
-                    in_deg[index] = graph.in_degree(nodes[index])
-                    out_deg[index] = graph.out_degree(nodes[index])
-
-            pool.map_range(len(nodes), fill_partition)
-            schema_cols.append((IN_DEGREE_COLUMN, ColumnType.INT))
-            schema_cols.append((OUT_DEGREE_COLUMN, ColumnType.INT))
-            columns[IN_DEGREE_COLUMN] = in_deg
-            columns[OUT_DEGREE_COLUMN] = out_deg
-        else:
-            deg = np.empty(len(nodes), dtype=np.int64)
-
-            def fill_partition(lo: int, hi: int) -> None:
-                for index in range(lo, hi):
-                    deg[index] = graph.degree(nodes[index])
-
-            pool.map_range(len(nodes), fill_partition)
-            schema_cols.append((DEGREE_COLUMN, ColumnType.INT))
-            columns[DEGREE_COLUMN] = deg
-    return Table(Schema(schema_cols), columns, pool=string_pool)
+        nodes = graph.node_array()
+        span.set_tag("nodes", len(nodes))
+        columns: dict[str, np.ndarray] = {NODE_COLUMN: nodes}
+        if include_degrees:
+            if graph.is_directed:
+                degree_of = {
+                    IN_DEGREE_COLUMN: graph.in_degree,
+                    OUT_DEGREE_COLUMN: graph.out_degree,
+                }
+            else:
+                degree_of = {DEGREE_COLUMN: graph.degree}
+            node_list = nodes.tolist()
+            for name, degree in degree_of.items():
+                columns[name] = np.fromiter(
+                    map(degree, node_list), dtype=np.int64, count=len(node_list)
+                )
+        schema = Schema([(name, ColumnType.INT) for name in columns])
+        return Table(schema, columns, pool=string_pool)

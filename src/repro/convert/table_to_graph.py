@@ -15,9 +15,10 @@ The three phases map here as:
    neighbour count, so "there is no need to estimate the size of the
    hash table or neighbor vectors in advance".
 3. **copy** — per-node adjacency vectors are sliced out of the sorted
-   arrays and installed into the node hash table. Partitions of the node
-   range are independent, so a worker pool copies them "with no
-   contention among the threads".
+   arrays and installed into the node hash table. The paper splits this
+   loop over threads; here it stays one serial loop, because creating a
+   per-node Python object holds the GIL and a thread pool measured no
+   faster than one worker (EXPERIMENTS.md, A3).
 
 Two alternative builders are kept as the baselines the paper says it
 experimented against (benchmark A1): per-edge dynamic insertion, and
@@ -33,7 +34,6 @@ from repro.faults import fault_point
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
-from repro.parallel.executor import WorkerPool, serial_pool
 from repro.tables.schema import ColumnType
 from repro.tables.table import Table
 
@@ -67,15 +67,10 @@ def _dedup_sorted_pairs(primary: np.ndarray, secondary: np.ndarray) -> np.ndarra
     return keep
 
 
-def sort_first_directed(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    pool: WorkerPool | None = None,
-) -> DirectedGraph:
+def sort_first_directed(sources: np.ndarray, targets: np.ndarray) -> DirectedGraph:
     """Build a :class:`DirectedGraph` with the paper's sort-first algorithm."""
     sources, targets = _as_edge_arrays(sources, targets)
     fault_point("convert.sort_first")
-    pool = pool if pool is not None else serial_pool()
     graph = DirectedGraph()
     if len(sources) == 0:
         return graph
@@ -108,35 +103,24 @@ def sort_first_directed(
             in_lo = np.searchsorted(in_dst, node_ids, side="left")
             in_hi = np.searchsorted(in_dst, node_ids, side="right")
 
-        # Phase 3: copy neighbour vectors into the node hash table. Node
-        # ranges are disjoint, so partitions write without contention.
-        node_list = node_ids.tolist()
-
-        def copy_partition(lo: int, hi: int) -> None:
-            for index in range(lo, hi):
+        # Phase 3: copy neighbour vectors into the node hash table.
+        with trace("convert.copy", nodes=len(node_ids)):
+            for index, node in enumerate(node_ids.tolist()):
                 graph._set_adjacency(
-                    node_list[index],
+                    node,
                     in_src[in_lo[index]:in_hi[index]],
                     out_dst[out_lo[index]:out_hi[index]],
                 )
-
-        with trace("convert.copy", nodes=len(node_ids)):
-            pool.map_range(len(node_ids), copy_partition)
         graph._set_edge_count(len(out_src))
         span.set_tag("nodes", len(node_ids))
         span.set_tag("edges", len(out_src))
     return graph
 
 
-def sort_first_undirected(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    pool: WorkerPool | None = None,
-) -> UndirectedGraph:
+def sort_first_undirected(sources: np.ndarray, targets: np.ndarray) -> UndirectedGraph:
     """Sort-first build of an :class:`UndirectedGraph` (edges symmetrised)."""
     sources, targets = _as_edge_arrays(sources, targets)
     fault_point("convert.sort_first")
-    pool = pool if pool is not None else serial_pool()
     graph = UndirectedGraph()
     if len(sources) == 0:
         return graph
@@ -156,14 +140,10 @@ def sort_first_undirected(
             node_ids = np.unique(sym_src)
             lo = np.searchsorted(sym_src, node_ids, side="left")
             hi = np.searchsorted(sym_src, node_ids, side="right")
-        node_list = node_ids.tolist()
-
-        def copy_partition(start: int, stop: int) -> None:
-            for index in range(start, stop):
-                graph._set_adjacency(node_list[index], sym_dst[lo[index]:hi[index]])
 
         with trace("convert.copy", nodes=len(node_ids)):
-            pool.map_range(len(node_ids), copy_partition)
+            for index, node in enumerate(node_ids.tolist()):
+                graph._set_adjacency(node, sym_dst[lo[index]:hi[index]])
         # Each non-loop edge appears twice in the symmetrised pairs.
         loop_count = int(np.sum(sym_src == sym_dst))
         graph._set_edge_count((len(sym_src) - loop_count) // 2 + loop_count)
@@ -173,23 +153,16 @@ def sort_first_undirected(
 
 
 def graph_from_edge_arrays(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    directed: bool = True,
-    pool: WorkerPool | None = None,
+    sources: np.ndarray, targets: np.ndarray, directed: bool = True
 ) -> "DirectedGraph | UndirectedGraph":
     """Canonical bulk construction entry point (sort-first)."""
     if directed:
-        return sort_first_directed(sources, targets, pool=pool)
-    return sort_first_undirected(sources, targets, pool=pool)
+        return sort_first_directed(sources, targets)
+    return sort_first_undirected(sources, targets)
 
 
 def to_graph(
-    table: Table,
-    src_col: str,
-    dst_col: str,
-    directed: bool = True,
-    pool: WorkerPool | None = None,
+    table: Table, src_col: str, dst_col: str, directed: bool = True
 ) -> "DirectedGraph | UndirectedGraph":
     """The paper's ``ringo.ToGraph(T, SrcCol, DstCol)``.
 
@@ -209,7 +182,7 @@ def to_graph(
                 f"{table.schema[name].value}"
             )
     return graph_from_edge_arrays(
-        table.column(src_col), table.column(dst_col), directed=directed, pool=pool
+        table.column(src_col), table.column(dst_col), directed=directed
     )
 
 

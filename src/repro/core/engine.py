@@ -36,7 +36,6 @@ from repro.core.registry import FunctionRegistry, build_default_registry
 from repro.exceptions import RecoveryError
 from repro.faults import fault_point
 from repro.graphs.directed import DirectedGraph
-from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.snapshot import snapshot_cache as _default_snapshot_cache
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.engine import incremental_engine as _incremental_engine
@@ -303,22 +302,6 @@ class Ringo:
         output = f"{op.kind}-{self._publish_counter + 1}"
         self._durability.wal.append(name, wal_args, refs, output)
         return self._publish_as(output, result)
-
-    def _snapshot(self, graph):
-        """Prewarm the CSR snapshot for a dynamic graph, then pass it on.
-
-        Called at the top of the CSR-bound analytics methods so the
-        conversion (on a cold cache) runs through the session's worker
-        pool; the algorithm's own ``as_csr`` then hits the cache. The
-        *original* graph is returned so Network/weight semantics are
-        preserved downstream. A no-op for CSR inputs or when the cache
-        is disabled (prewarming would double the conversion work).
-        """
-        if self._snapshot_cache.enabled and isinstance(
-            graph, (DirectedGraph, UndirectedGraph)
-        ):
-            csr_snapshot(graph, pool=self.workers)
-        return graph
 
     def _record_timing(self, name: str, seconds: float) -> None:
         """Fold one call's wall-clock time into the per-method counters."""
@@ -690,12 +673,11 @@ class Ringo:
     @_timed
     def GetKTruss(self, graph, k: int):
         """The k-truss subgraph (edges with >= k-2 triangle supports)."""
-        self._snapshot(graph)
         return alg.k_truss(graph, k)
 
     @_timed
     def GetEdgeTable(self, graph) -> Table:
-        """Graph → edge table (partitioned parallel writer)."""
+        """Graph → edge table (one gather of the adjacency vectors)."""
         start = time.perf_counter()
         table = self._run_op("GetEdgeTable", (graph,), {})
         if obs.enabled():
@@ -718,97 +700,81 @@ class Ringo:
     @_timed
     def GetPageRank(self, graph, **kwargs) -> dict[int, float]:
         """PageRank scores (the demo's expert-ranking step)."""
-        self._snapshot(graph)
         return alg.pagerank(graph, **kwargs)
 
     @_timed
     def GetHits(self, graph, **kwargs) -> tuple[dict[int, float], dict[int, float]]:
         """HITS ``(hubs, authorities)``."""
-        self._snapshot(graph)
         return alg.hits(graph, **kwargs)
 
     @_timed
     def GetTriangles(self, graph) -> int:
         """Total distinct triangles (Table 3's second benchmark)."""
-        self._snapshot(graph)
         return alg.total_triangles(graph, pool=self.workers)
 
     @_timed
     def GetTriangleCounts(self, graph) -> dict[int, int]:
         """Per-node triangle participation counts."""
-        self._snapshot(graph)
         return alg.triangle_counts(graph, pool=self.workers)
 
     @_timed
     def GetClusteringCoefficients(self, graph) -> dict[int, float]:
         """Local clustering coefficient per node."""
-        self._snapshot(graph)
         return alg.clustering_coefficients(graph, pool=self.workers)
 
     @_timed
     def GetKCore(self, graph, k: int):
         """The k-core subgraph (Table 6 benchmarks ``k=3``)."""
-        self._snapshot(graph)
         return alg.k_core(graph, k)
 
     @_timed
     def GetCoreNumbers(self, graph) -> dict[int, int]:
         """Core number per node."""
-        self._snapshot(graph)
         return alg.core_numbers(graph)
 
     @_timed
     def GetSssp(self, graph, source: int, weight=None) -> dict[int, float]:
         """Single-source shortest paths (Table 6's SSSP)."""
-        self._snapshot(graph)
         return alg.dijkstra(graph, source, weight=weight)
 
     @_timed
     def GetBfsLevels(self, graph, source: int, direction: str = "out") -> dict[int, int]:
         """BFS hop distances from a source."""
-        self._snapshot(graph)
         return alg.bfs_levels(graph, source, direction=direction)
 
     @_timed
     def GetScc(self, graph) -> dict[int, int]:
         """Strongly connected component labels (Table 6's SCC)."""
-        self._snapshot(graph)
         return alg.strongly_connected_components(graph)
 
     @_timed
     def GetWcc(self, graph) -> dict[int, int]:
         """Weakly connected component labels."""
-        self._snapshot(graph)
         return alg.weakly_connected_components(graph, pool=self.workers)
 
     @_timed
     def GetDegreeCentrality(self, graph, mode: str = "total") -> dict[int, float]:
         """Degree centrality."""
-        self._snapshot(graph)
         return alg.degree_centrality(graph, mode)
 
     @_timed
     def GetCommunities(self, graph, **kwargs) -> dict[int, int]:
         """Label-propagation communities."""
-        self._snapshot(graph)
         return alg.label_propagation(graph, **kwargs)
 
     @_timed
     def GetDiameter(self, graph, **kwargs) -> int:
         """(Sampled) diameter."""
-        self._snapshot(graph)
         return alg.diameter(graph, **kwargs)
 
     @_timed
     def GetEffectiveDiameter(self, graph, **kwargs) -> float:
         """(Sampled) 90th-percentile effective diameter."""
-        self._snapshot(graph)
         return alg.effective_diameter(graph, **kwargs)
 
     @_timed
     def GetDegreeDistribution(self, graph, mode: str = "total") -> Table:
         """Degree histogram as a session table."""
-        self._snapshot(graph)
         return alg.degree_distribution(graph, mode)
 
     def GenRMat(self, scale: int, num_edges: int, seed: int = 0, directed: bool = True):
@@ -851,37 +817,31 @@ class Ringo:
     @_timed
     def GetKatz(self, graph, **kwargs) -> dict[int, float]:
         """Katz centrality."""
-        self._snapshot(graph)
         return alg.katz_centrality(graph, **kwargs)
 
     @_timed
     def GetTriadCensus(self, graph) -> dict[str, int]:
         """The 16-class directed triad census."""
-        self._snapshot(graph)
         return alg.triad_census(graph)
 
     @_timed
     def GetArticulationPoints(self, graph) -> set[int]:
         """Cut vertices of the undirected projection."""
-        self._snapshot(graph)
         return alg.articulation_points(graph)
 
     @_timed
     def GetBridges(self, graph) -> set[tuple[int, int]]:
         """Cut edges of the undirected projection."""
-        self._snapshot(graph)
         return alg.bridges(graph)
 
     @_timed
     def GetColoring(self, graph, strategy: str = "degree") -> dict[int, int]:
         """Greedy proper node colouring."""
-        self._snapshot(graph)
         return alg.greedy_coloring(graph, strategy)
 
     @_timed
     def IsBipartite(self, graph) -> bool:
         """Whether the undirected projection is 2-colourable."""
-        self._snapshot(graph)
         return alg.is_bipartite(graph)
 
     @_timed
@@ -889,13 +849,11 @@ class Ringo:
         """Top-k predicted links by a similarity index (Jaccard default)."""
         if scorer is None:
             scorer = alg.jaccard_coefficient
-        self._snapshot(graph)
         return alg.top_predicted_links(graph, scorer=scorer, k=k)
 
     @_timed
     def GetWeightedPageRank(self, network, weight_attr: str, **kwargs) -> dict[int, float]:
         """PageRank with rank spread proportional to edge weights."""
-        self._snapshot(network)
         return alg.pagerank_weighted(network, weight_attr, **kwargs)
 
     def GetEgonet(self, graph, center: int, radius: int = 1, direction: str = "both"):
@@ -919,19 +877,16 @@ class Ringo:
     @_timed
     def GetMaxFlow(self, graph, source: int, sink: int, capacity=None) -> float:
         """Maximum s-t flow (Dinic)."""
-        self._snapshot(graph)
         return alg.max_flow(graph, source, sink, capacity=capacity)
 
     @_timed
     def GetMinCut(self, graph, source: int, sink: int, capacity=None) -> tuple[set[int], set[int]]:
         """Minimum s-t cut node partition."""
-        self._snapshot(graph)
         return alg.min_cut_partition(graph, source, sink, capacity=capacity)
 
     @_timed
     def GetMatching(self, graph) -> dict[int, int]:
         """Maximum bipartite matching (Hopcroft-Karp)."""
-        self._snapshot(graph)
         return alg.hopcroft_karp(graph)
 
     @_timed
@@ -941,8 +896,7 @@ class Ringo:
     ):
         """Link actors sharing a group value (§4.1's alternative build)."""
         return convert.co_occurrence_graph(
-            table, group_col, actor_col,
-            max_group_size=max_group_size, pool=self.workers,
+            table, group_col, actor_col, max_group_size=max_group_size
         )
 
     def GetSnapshots(
@@ -959,25 +913,21 @@ class Ringo:
     @_timed
     def FindCycle(self, graph) -> "list[int] | None":
         """One directed cycle (closed node list), or None."""
-        self._snapshot(graph)
         return alg.find_cycle(graph)
 
     @_timed
     def GetGirth(self, graph) -> "int | None":
         """Shortest cycle length of the undirected projection."""
-        self._snapshot(graph)
         return alg.girth(graph)
 
     @_timed
     def GetSpectralBisection(self, graph, seed: int = 0) -> tuple[set[int], set[int]]:
         """Two-way partition by the Fiedler vector's sign."""
-        self._snapshot(graph)
         return alg.spectral_bisection(graph, seed=seed)
 
     @_timed
     def GetAlgebraicConnectivity(self, graph, seed: int = 0) -> float:
         """Second-smallest Laplacian eigenvalue."""
-        self._snapshot(graph)
         return alg.algebraic_connectivity(graph, seed=seed)
 
     def GenConfigurationModel(self, degrees, seed: int = 0):

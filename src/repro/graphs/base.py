@@ -48,6 +48,22 @@ def sorted_contains(array: np.ndarray, value: int) -> bool:
     return bool(position < len(array) and array[position] == value)
 
 
+def gather_adjacency(
+    vectors: "list[np.ndarray]",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(degrees, indptr, concatenated)`` of a list of adjacency vectors.
+
+    The one bulk read of the node hash table that every graph→CSR and
+    graph→table conversion shares: one ``len`` per vector, a prefix sum,
+    and a single ``np.concatenate`` copying each vector once.
+    """
+    degrees = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    if not vectors:
+        return degrees, indptr, np.empty(0, dtype=np.int64)
+    return degrees, indptr, np.concatenate(vectors)
+
+
 def readonly(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (callers must not mutate adjacency)."""
     view = array.view()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.graphs.base import readonly
+from repro.graphs.base import gather_adjacency, readonly
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 
@@ -102,99 +102,31 @@ class CSRGraph:
         return cls(node_ids, out_indptr, out_indices, in_indptr, in_indices)
 
     @classmethod
-    def from_graph(
-        cls, graph: "DirectedGraph | UndirectedGraph", pool=None
-    ) -> "CSRGraph":
+    def from_graph(cls, graph: "DirectedGraph | UndirectedGraph") -> "CSRGraph":
         """Snapshot a dynamic graph (undirected edges become symmetric).
 
         One build path for all inputs — isolated nodes are included from
         the start, so no mismatch-detect-and-rebuild ever happens. The
-        dynamic adjacency vectors are already sorted, which lets the
-        build skip the edge-list lexsort entirely and run the paper's
-        sort-first phases directly: **count** (per-node degrees off the
-        adjacency vectors) then **copy** (densify each node's vectors
-        into its CSR slice). Both phases partition the node range into
-        disjoint spans, so a :class:`~repro.parallel.executor.WorkerPool`
-        (``pool=``) runs them with no write contention.
+        dynamic adjacency vectors are already sorted, so the build skips
+        the edge-list lexsort: it gathers the vectors in node-id order
+        (degrees, row pointers and one concatenate) and densifies them
+        with one ``searchsorted`` per direction. Each row stays sorted
+        because both the vectors and ``node_ids`` are.
         """
-        from repro.parallel.executor import serial_pool
-
-        if pool is None:
-            pool = serial_pool()
         node_ids = np.sort(graph.node_array())
+        rows = [graph._nodes[node] for node in node_ids.tolist()]
         if graph.is_directed:
-            return cls._from_directed_records(graph, node_ids, pool)
-        return cls._from_undirected_records(graph, node_ids, pool)
-
-    @classmethod
-    def _from_directed_records(
-        cls, graph: "DirectedGraph", node_ids: np.ndarray, pool
-    ) -> "CSRGraph":
-        records = graph._nodes
-        id_list = node_ids.tolist()
-        count = len(id_list)
-        out_deg = np.zeros(count, dtype=np.int64)
-        in_deg = np.zeros(count, dtype=np.int64)
-
-        def count_partition(lo: int, hi: int) -> None:
-            for index in range(lo, hi):
-                record = records[id_list[index]]
-                out_deg[index] = len(record.out_nbrs)
-                in_deg[index] = len(record.in_nbrs)
-
-        if count:
-            pool.map_range(count, count_partition)
-        out_indptr = np.concatenate(([0], np.cumsum(out_deg)))
-        in_indptr = np.concatenate(([0], np.cumsum(in_deg)))
-        out_indices = np.empty(int(out_indptr[-1]), dtype=np.int64)
-        in_indices = np.empty(int(in_indptr[-1]), dtype=np.int64)
-
-        def copy_partition(lo: int, hi: int) -> None:
-            # Adjacency vectors are sorted by original id and node_ids is
-            # sorted, so the densified slices stay sorted per row.
-            for index in range(lo, hi):
-                record = records[id_list[index]]
-                if len(record.out_nbrs):
-                    out_indices[out_indptr[index]:out_indptr[index + 1]] = (
-                        np.searchsorted(node_ids, record.out_nbrs)
-                    )
-                if len(record.in_nbrs):
-                    in_indices[in_indptr[index]:in_indptr[index + 1]] = (
-                        np.searchsorted(node_ids, record.in_nbrs)
-                    )
-
-        if count:
-            pool.map_range(count, copy_partition)
-        return cls(node_ids, out_indptr, out_indices, in_indptr, in_indices)
-
-    @classmethod
-    def _from_undirected_records(
-        cls, graph: "UndirectedGraph", node_ids: np.ndarray, pool
-    ) -> "CSRGraph":
-        vectors = graph._nodes
-        id_list = node_ids.tolist()
-        count = len(id_list)
-        degrees = np.zeros(count, dtype=np.int64)
-
-        def count_partition(lo: int, hi: int) -> None:
-            for index in range(lo, hi):
-                degrees[index] = len(vectors[id_list[index]])
-
-        if count:
-            pool.map_range(count, count_partition)
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-
-        def copy_partition(lo: int, hi: int) -> None:
-            for index in range(lo, hi):
-                nbrs = vectors[id_list[index]]
-                if len(nbrs):
-                    indices[indptr[index]:indptr[index + 1]] = (
-                        np.searchsorted(node_ids, nbrs)
-                    )
-
-        if count:
-            pool.map_range(count, copy_partition)
+            _, out_indptr, out_dst = gather_adjacency([r.out_nbrs for r in rows])
+            _, in_indptr, in_src = gather_adjacency([r.in_nbrs for r in rows])
+            return cls(
+                node_ids,
+                out_indptr,
+                np.searchsorted(node_ids, out_dst),
+                in_indptr,
+                np.searchsorted(node_ids, in_src),
+            )
+        _, indptr, nbrs = gather_adjacency(rows)
+        indices = np.searchsorted(node_ids, nbrs)
         # Undirected adjacency is symmetric: out- and in-CSR share the
         # same physical arrays (the snapshot is immutable).
         return cls(node_ids, indptr, indices, indptr, indices)

@@ -16,6 +16,7 @@ from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graphs.base import (
     EMPTY_ADJACENCY,
     GraphBase,
+    gather_adjacency,
     readonly,
     sorted_contains,
     sorted_insert,
@@ -104,19 +105,13 @@ class DirectedGraph(GraphBase):
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as parallel ``(src, dst)`` int64 arrays.
 
-        Bulk export used by graph→table conversion and CSR snapshots;
-        edges come out grouped by source node.
+        Bulk export used by graph→table conversion, serialization and
+        checkpoints; edges come out grouped by source node.
         """
-        sources = np.empty(self._num_edges, dtype=np.int64)
-        targets = np.empty(self._num_edges, dtype=np.int64)
-        cursor = 0
-        for node_id, record in self._nodes.items():
-            count = len(record.out_nbrs)
-            if count:
-                sources[cursor:cursor + count] = node_id
-                targets[cursor:cursor + count] = record.out_nbrs
-                cursor += count
-        return sources, targets
+        degrees, _, targets = gather_adjacency(
+            [record.out_nbrs for record in self._nodes.values()]
+        )
+        return np.repeat(self.node_array(), degrees), targets
 
     # ------------------------------------------------------------------
     # Mutation — the "dynamic graph" requirement of §2.2

@@ -108,15 +108,12 @@ class SnapshotCache:
     # Lookup
     # ------------------------------------------------------------------
 
-    def get(
-        self, graph: "DirectedGraph | UndirectedGraph", pool=None
-    ) -> CSRGraph:
+    def get(self, graph: "DirectedGraph | UndirectedGraph") -> CSRGraph:
         """The CSR snapshot for ``graph`` at its current version.
 
         A hit costs one dict probe and one integer compare. On a miss
-        (or a stale version) the snapshot is rebuilt — in parallel when
-        ``pool`` is a multi-worker :class:`~repro.parallel.executor.WorkerPool`
-        — and retained if it passes byte admission.
+        (or a stale version) the snapshot is rebuilt and retained if it
+        passes byte admission.
         """
         if not isinstance(graph, (DirectedGraph, UndirectedGraph)):
             raise RingoError(
@@ -147,7 +144,7 @@ class SnapshotCache:
             csr = self._refresh_from_delta(graph, stale_entry, version)
             refreshed = csr is not None
         if csr is None:
-            csr = self._build(graph, pool)
+            csr = self._build(graph)
             # Under RINGO_SANITIZE=1 every conversion is invariant-checked
             # before it is served or cached; passing the pre-build version
             # also proves the graph did not mutate mid-conversion (the
@@ -266,7 +263,7 @@ class SnapshotCache:
                 f"merged edge count {merged.num_edges} != expected {expected}"
             )
 
-    def _build(self, graph, pool) -> CSRGraph:
+    def _build(self, graph) -> CSRGraph:
         with _obs_trace(
             "snapshot.build", graph=type(graph).__name__, version=graph.version
         ) as span:
@@ -274,7 +271,7 @@ class SnapshotCache:
             with self._lock:
                 self._conversions += 1
             _count("snapshot.builds_total")
-            csr = CSRGraph.from_graph(graph, pool=pool)
+            csr = CSRGraph.from_graph(graph)
             span.set_tag("nodes", csr.num_nodes)
             span.set_tag("edges", csr.num_edges)
             return csr
@@ -376,6 +373,10 @@ def csr_snapshot(
 ) -> CSRGraph:
     """Cached CSR snapshot of a dynamic graph via the process-wide cache.
 
+    ``pool`` is accepted and ignored: the build is one serial numpy
+    gather. The keyword stays only because the repo benchmark
+    (``benchmarks/e2e/wl_analytics.py``) still passes it.
+
     >>> from repro.graphs.directed import DirectedGraph
     >>> g = DirectedGraph(); _ = g.add_edge(1, 2)
     >>> csr_snapshot(g) is csr_snapshot(g)
@@ -384,4 +385,4 @@ def csr_snapshot(
     >>> csr_snapshot(g).num_edges
     2
     """
-    return _DEFAULT_CACHE.get(graph, pool=pool)
+    return _DEFAULT_CACHE.get(graph)

@@ -16,6 +16,7 @@ from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graphs.base import (
     EMPTY_ADJACENCY,
     GraphBase,
+    gather_adjacency,
     readonly,
     sorted_contains,
     sorted_insert,
@@ -74,17 +75,10 @@ class UndirectedGraph(GraphBase):
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges once each as parallel ``(u, v)`` arrays with u <= v."""
-        sources = np.empty(self._num_edges, dtype=np.int64)
-        targets = np.empty(self._num_edges, dtype=np.int64)
-        cursor = 0
-        for node_id, nbrs in self._nodes.items():
-            upper = nbrs[int(np.searchsorted(nbrs, node_id)):]
-            count = len(upper)
-            if count:
-                sources[cursor:cursor + count] = node_id
-                targets[cursor:cursor + count] = upper
-                cursor += count
-        return sources, targets
+        degrees, _, targets = gather_adjacency(list(self._nodes.values()))
+        sources = np.repeat(self.node_array(), degrees)
+        upper = targets >= sources
+        return sources[upper], targets[upper]
 
     def add_node(self, node_id: int) -> bool:
         """Add a node; returns False if it already existed."""

@@ -5,8 +5,8 @@ the nested call tree and renders it with per-node call counts, total
 (inclusive) and self (exclusive) wall time — the "where did that
 ToGraph actually go?" view the interactive session answers with::
 
-    engine.ToGraph                       calls 1  total 0.532s  self 0.012s
-      convert.sort_first                 calls 1  total 0.498s  self 0.101s
+    engine.GetTriangles                  calls 1  total 0.532s  self 0.012s
+      alg.total_triangles                calls 1  total 0.498s  self 0.101s
         pool.kernel                      calls 4  total 0.397s  self 0.397s
 
 Sibling spans with the same name under the same parent are aggregated
@@ -35,8 +35,8 @@ def build_tree(records: Iterable[dict]) -> _Node:
 
     A span whose parent is unknown (evicted from the ring buffer, or
     genuinely top-level) becomes a root child. Aggregation is by the
-    *path* of names, so ``pool.kernel`` under ``ToGraph`` and under
-    ``GetPageRank`` stay separate lines.
+    *path* of names, so ``pool.kernel`` under ``GetTriangles`` and under
+    ``GetWcc`` stay separate lines.
     """
     records = list(records)
     by_id = {record["span_id"]: record for record in records}

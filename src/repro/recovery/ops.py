@@ -154,13 +154,12 @@ def encode_graph_payload(graph) -> dict:
     }
 
 
-def decode_graph_payload(payload: dict, pool):
+def decode_graph_payload(payload: dict):
     """Rebuild a graph from an inline snapshot, isolated nodes included."""
     graph = convert.graph_from_edge_arrays(
         np.asarray(payload["sources"], dtype=np.int64),
         np.asarray(payload["targets"], dtype=np.int64),
         directed=payload["directed"],
-        pool=pool,
     )
     for node_id in payload["nodes"]:
         graph.add_node(int(node_id))
@@ -241,9 +240,7 @@ def _run_to_graph(session, inputs, args):
         return convert.chunked_build(
             table.column(src_col), table.column(dst_col), directed=args["directed"]
         )
-    return convert.to_graph(
-        table, src_col, dst_col, directed=args["directed"], pool=session.workers
-    )
+    return convert.to_graph(table, src_col, dst_col, directed=args["directed"])
 
 
 def _encode_group_by(session, args, inputs):
@@ -353,16 +350,11 @@ OPS: "dict[str, Op]" = {
         always_publish=True,
     ),
     "GetEdgeTable": Op(
-        "table", 1,
-        lambda s, i, a: convert.to_edge_table(
-            i[0], pool=s.workers, string_pool=s.pool
-        ),
+        "table", 1, lambda s, i, a: convert.to_edge_table(i[0], string_pool=s.pool)
     ),
     "GetNodeTable": Op(
         "table", 1,
-        lambda s, i, a: convert.to_node_table(
-            i[0], pool=s.workers, string_pool=s.pool, **a
-        ),
+        lambda s, i, a: convert.to_node_table(i[0], string_pool=s.pool, **a),
     ),
     "GenRMat": Op("graph", 0, lambda s, i, a: alg.rmat(**a)),
     "GenPrefAttach": Op("graph", 0, lambda s, i, a: alg.barabasi_albert(**a)),
@@ -388,7 +380,7 @@ OPS: "dict[str, Op]" = {
     "__adopt_graph__": Op(
         "graph", 0, lambda s, i, a: a["object"],
         encode=lambda s, a, i: {"payload": encode_graph_payload(a["object"])},
-        decode=lambda s, a: {"object": decode_graph_payload(a["payload"], s.workers)},
+        decode=lambda s, a: {"object": decode_graph_payload(a["payload"])},
     ),
 }
 

@@ -16,7 +16,6 @@ from repro.convert.table_to_graph import (
     to_graph,
 )
 from repro.exceptions import ConversionError
-from repro.parallel.executor import WorkerPool
 from repro.tables.table import Table
 
 EDGES = st.lists(
@@ -59,13 +58,6 @@ class TestSortFirstDirected:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConversionError):
             sort_first_directed(np.array([1]), np.array([1, 2]))
-
-    def test_parallel_pool_gives_same_graph(self):
-        edge_list = [(i % 17, (i * 7) % 13) for i in range(500)]
-        serial = sort_first_directed(*arrays(edge_list))
-        with WorkerPool(4) as pool:
-            parallel = sort_first_directed(*arrays(edge_list), pool=pool)
-        assert sorted(serial.edges()) == sorted(parallel.edges())
 
     @settings(max_examples=50, deadline=None)
     @given(EDGES)
@@ -147,15 +139,6 @@ class TestGraphToTable:
         table = to_edge_table(graph)
         rebuilt = to_graph(table, "SrcId", "DstId")
         assert sorted(rebuilt.edges()) == sorted(graph.edges())
-
-    def test_edge_table_parallel_matches_serial(self):
-        edge_list = [(i % 23, (i * 5) % 19) for i in range(400)]
-        graph = graph_from_edge_arrays(*arrays(edge_list))
-        serial = to_edge_table(graph)
-        with WorkerPool(4) as pool:
-            parallel = to_edge_table(graph, pool=pool)
-        key = lambda t: sorted(zip(t.column("SrcId").tolist(), t.column("DstId").tolist()))
-        assert key(serial) == key(parallel)
 
     def test_undirected_edge_table_lists_once(self):
         graph = sort_first_undirected(*arrays([(1, 2), (2, 3), (3, 3)]))

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.algorithms.triangles import MAX_BLOCK_WEDGES, _wedge_blocks, total_triangles
 from repro.core.engine import Ringo
 from repro.exceptions import (
     GraphError,
@@ -28,6 +29,7 @@ from repro.exceptions import (
     WorkerTimeoutError,
 )
 from repro.faults import FaultPlan, fault_point, inject_faults
+from repro.graphs.csr import CSRGraph
 from repro.graphs.serialize import load_edge_list, load_graph, save_graph
 from repro.parallel.concurrent_hash import LinearProbingHashTable
 from repro.parallel.executor import WorkerPool
@@ -170,6 +172,20 @@ class TestNanAndExtremes:
 EDGE_COLUMNS = {"a": [1, 2, 3, 1, 4, 5], "b": [2, 3, 1, 3, 5, 4]}
 
 
+def _two_block_triangle_graph(ringo):
+    """An R-MAT graph whose triangle count spans two wedge blocks, so a
+    two-worker session dispatches it as two pool partitions."""
+    graph = ringo.GenRMat(9, 4000, seed=3, directed=False)
+    sym = CSRGraph.from_graph(graph).undirected_projection()
+    assert len(_wedge_blocks(sym.forward_adjacency()[0], MAX_BLOCK_WEDGES)) >= 2
+    return graph
+
+
+def _serial_triangles(graph):
+    """Inline count over a fresh snapshot (no pool, no cached state)."""
+    return total_triangles(CSRGraph.from_graph(graph))
+
+
 class TestFaultRegistry:
     def test_unarmed_site_is_noop(self):
         fault_point("io.tsv.parse_row")  # no plan active: must not raise
@@ -287,14 +303,6 @@ class TestMidConversionFailure:
             assert graph.num_edges == 6
             assert ringo.Objects() == ["graph-1"]
 
-    def test_mid_kernel_fault_under_threads_leaves_no_partial_graph(self):
-        with Ringo(workers=4) as ringo:
-            table = ringo.TableFromColumns(EDGE_COLUMNS)
-            with inject_faults({"parallel.kernel": 1.0}):
-                with pytest.raises(RingoError):
-                    ringo.ToGraph(table, "a", "b")
-            assert ringo.health()["objects"]["published"] == 0
-
     def test_join_fault_publishes_nothing(self):
         with Ringo(workers=1) as ringo:
             table = ringo.TableFromColumns({"k": [1, 2], "v": [3.0, 4.0]})
@@ -339,30 +347,29 @@ class TestRetrySemantics:
             run_with_retry(broken, RetryPolicy(max_attempts=5, base_delay=0.0))
         assert len(attempts) == 1
 
-    def test_toGraph_retries_then_succeeds_and_health_reports_it(self):
+    def test_triangles_retry_then_succeed(self):
         # Seed 17 makes the parallel.kernel stream fire on its first draw
         # and at most twice in the first six, so with two partitions and
-        # max_attempts=3 the build must succeed under any interleaving.
+        # max_attempts=3 the count must succeed under any interleaving.
         policy = RetryPolicy(max_attempts=3, base_delay=0.001)
         with Ringo(workers=2, retry_policy=policy) as ringo:
-            table = ringo.TableFromColumns(EDGE_COLUMNS)
+            graph = _two_block_triangle_graph(ringo)
             with inject_faults({"parallel.kernel": 0.3}, seed=17) as plan:
-                graph = ringo.ToGraph(table, "a", "b")
-            assert graph.num_edges == 6
+                count = ringo.GetTriangles(graph)
+            assert count == _serial_triangles(graph)
             assert plan.triggered["parallel.kernel"] >= 1
-            health = ringo.health()
-            assert health["workers"]["retries"] >= 1
-            assert health["objects"]["published"] == 1
+            assert ringo.health()["workers"]["retries"] >= 1
 
     def test_retry_exhaustion_surfaces_as_typed_error(self):
         policy = RetryPolicy(max_attempts=3, base_delay=0.0)
         with Ringo(workers=2, retry_policy=policy) as ringo:
-            table = ringo.TableFromColumns(EDGE_COLUMNS)
+            graph = _two_block_triangle_graph(ringo)
             with inject_faults({"parallel.kernel": 1.0}):
                 with pytest.raises(RetryExhaustedError):
-                    ringo.ToGraph(table, "a", "b")
+                    ringo.GetTriangles(graph)
             assert ringo.health()["workers"]["retries"] >= 2
-            assert ringo.health()["objects"]["published"] == 0
+            # Nothing half-counted was kept: disarmed, the answer is exact.
+            assert ringo.GetTriangles(graph) == _serial_triangles(graph)
 
 
 class TestDeadlines:

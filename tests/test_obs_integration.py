@@ -32,7 +32,11 @@ def no_global_tracer():
 
 
 def _traced_pipeline(ringo, tmp_path):
-    """The acceptance pipeline: TSV load → ToGraph → PageRank."""
+    """The acceptance pipeline: TSV load → ToGraph → PageRank → WCC.
+
+    WCC is the step that dispatches on the session's worker pool; the
+    conversions and PageRank are serial numpy.
+    """
     data = generate_stackoverflow(
         StackOverflowConfig(num_users=60, num_questions=200, seed=7)
     )
@@ -45,6 +49,7 @@ def _traced_pipeline(ringo, tmp_path):
     graph = ringo.ToGraph(qa, "UserId-1", "UserId-2")
     ranks = ringo.GetPageRank(graph)
     assert ranks
+    assert ringo.GetWcc(graph)
     return graph
 
 
@@ -93,9 +98,8 @@ class TestAcceptancePipeline:
             parent = by_id.get(kernel["parent_id"])
             assert parent is not None, "pool.kernel must not be a root span"
             assert parent["name"] in (
-                "convert.copy",
-                "convert.to_edge_table",
-                "snapshot.build",
+                "engine.GetWcc",
+                "alg.weakly_connected_components",
             )
 
     def test_metric_counters_are_monotone_across_calls(

@@ -242,8 +242,17 @@ def test_engine_snapshot_cache_budget(fresh_cache):
     with Ringo(workers=1, snapshot_cache_bytes=8) as ringo:
         table = ringo.TableFromColumns({"a": [1, 2], "b": [2, 3]})
         graph = ringo.ToGraph(table, "a", "b")
-        first = ringo.GetPageRank(graph)
-        second = ringo.GetPageRank(graph)
-        assert first == second
+
+        def conversions():
+            return ringo.health()["snapshot_cache"]["conversions"]
+
+        # A rejected snapshot is rebuilt on every call, but exactly once
+        # per call: nothing converts ahead of the algorithm's own lookup.
+        results = []
+        for call in (ringo.GetPageRank, ringo.GetPageRank, ringo.GetColoring):
+            before = conversions()
+            results.append(call(graph))
+            assert conversions() == before + 1
+        assert results[0] == results[1]
         stats = ringo.health()["snapshot_cache"]
         assert stats["rejected"] >= 2 and stats["bytes"] == 0
