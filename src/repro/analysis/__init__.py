@@ -14,11 +14,12 @@ structured parallelism):
   ``repro lint``.
 * :mod:`repro.analysis.races` — an Eraser-style lockset race detector
   shadowing the concurrent containers and worker-pool dispatch, armed
-  via ``Ringo(race_check=True)`` / ``RINGO_RACE_CHECK=1``.
+  process-wide via ``races.enable()`` or the ``race_check()`` context
+  manager; a detector reports its own counters via ``stats()``.
 * :mod:`repro.analysis.sanitize` — a CSR snapshot sanitizer validating
   structural invariants after every conversion under ``RINGO_SANITIZE=1``.
 
-Race and sanitizer counters surface in ``Ringo.health()["analysis"]``.
+Sanitizer counters surface in ``Ringo.health()["analysis"]``.
 """
 
 from repro.analysis.callgraph import CallGraph, build_callgraph

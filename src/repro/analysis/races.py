@@ -27,9 +27,10 @@ reads of the hash table are deliberately not reported, and a race whose
 interleaving never occurs during the run is invisible — lockset analysis
 finds *locking-discipline* violations, not all schedules.
 
-Enable with ``Ringo(race_check=True)``, ``RINGO_RACE_CHECK=1``, or the
-:func:`race_check` context manager; wrap ad-hoc shared objects with
-:func:`monitor` and guard them with :class:`TrackedLock`.
+Enable process-wide with :func:`enable` (the test suite does so when
+``RINGO_RACE_CHECK=1``) or scoped with the :func:`race_check` context
+manager; wrap ad-hoc shared objects in :class:`Monitored` and guard
+them with :class:`TrackedLock`.
 """
 
 from __future__ import annotations

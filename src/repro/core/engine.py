@@ -30,7 +30,6 @@ from typing import Mapping, Sequence
 
 from repro import algorithms as alg
 from repro import convert, obs, tables
-from repro.analysis import races as _races
 from repro.analysis import sanitize as _sanitize
 from repro.core.registry import FunctionRegistry, build_default_registry
 from repro.exceptions import RecoveryError
@@ -97,20 +96,15 @@ class Ringo:
     a build fully succeeds, so a mid-build failure never leaves a
     partial table or graph visible through :meth:`Objects`.
 
-    ``snapshot_cache`` toggles the (process-wide) versioned CSR snapshot
-    cache the bulk analytics run through, and ``snapshot_cache_bytes``
-    caps how many bytes of snapshots it may retain (``None`` =
-    unlimited); back-to-back analytics on an unchanged graph then share
-    one conversion, verifiable via ``health()["snapshot_cache"]`` and
-    the per-call timers in ``call_timings()``.
-
-    ``race_check`` arms the Eraser-style lockset race detector
-    (:mod:`repro.analysis.races`) over the concurrent containers and
-    pool kernels: ``True`` raises :class:`~repro.exceptions.RaceDetected`
-    at the racing access, ``"record"`` logs races and keeps running, and
-    the default ``None`` defers to the ``RINGO_RACE_CHECK`` environment
-    variable. Race and snapshot-sanitizer counters are reported under
-    ``health()["analysis"]``.
+    The constructor configures this session only. Process-wide layers
+    are configured through their own modules, never by a session: the
+    versioned CSR snapshot cache via
+    ``repro.graphs.snapshot.snapshot_cache().configure(...)``, delta
+    maintenance via ``repro.incremental.incremental_engine().configure(...)``,
+    and the lockset race detector via ``repro.analysis.races.enable()``
+    or ``race_check()``. Back-to-back analytics on an unchanged graph
+    share one conversion, verifiable via ``health()["snapshot_cache"]``
+    and the per-call timers in ``call_timings()``.
 
     ``trace`` arms the observability layer (:mod:`repro.obs`): ``True``
     installs the process-wide tracer with its in-memory recorder, a
@@ -120,8 +114,7 @@ class Ringo:
     the recorded span tree.
 
     ``durability`` arms crash-consistent durability
-    (:mod:`repro.recovery`): pass a directory (or set the
-    ``RINGO_DURABILITY`` environment variable) and every
+    (:mod:`repro.recovery`): pass a directory and every
     catalog-mutating operation appends a CRC32-framed, fsync'd
     write-ahead-log record *before* its result is published.
     :meth:`checkpoint` snapshots the catalog atomically with per-array
@@ -145,12 +138,8 @@ class Ringo:
         memory_budget: "MemoryBudget | int | None" = None,
         on_budget_exceeded: str = "raise",
         retry_policy: RetryPolicy | None = None,
-        snapshot_cache: bool = True,
-        snapshot_cache_bytes: "int | None" = None,
-        race_check: "bool | str | None" = None,
         trace: "bool | str | None" = None,
         durability: "str | os.PathLike[str] | None" = None,
-        incremental: "bool | None" = None,
     ) -> None:
         self.pool = StringPool()
         self.workers = WorkerPool(workers, retry_policy=retry_policy)
@@ -167,34 +156,14 @@ class Ringo:
         self._object_names: dict[int, str] = {}
         self._durability: "SessionDurability | None" = None
         self._recovery_report: "dict | None" = None
-        if durability is None:
-            durability = os.environ.get("RINGO_DURABILITY") or None
         if durability:
             self._arm_durability(durability, resume=False)
-        # The snapshot cache is process-wide (the paper's model is one
-        # interactive session per process); the session configures it.
+        # The snapshot cache is process-wide; the session only reports it.
         self._snapshot_cache = _default_snapshot_cache()
-        self._snapshot_cache.configure(
-            enabled=snapshot_cache, max_bytes=snapshot_cache_bytes
-        )
-        # Incremental (delta) maintenance is process-wide like the
-        # snapshot cache; None leaves the RINGO_INCREMENTAL policy
-        # untouched, an explicit bool pins it for the process.
-        if incremental is not None:
-            _incremental_engine().configure(enabled=incremental)
         self._timings: dict[str, dict] = {}
         self._timings_lock = threading.Lock()
-        # Race detection is process-wide like the snapshot cache; the
-        # session only *owns* (and tears down) a detector it installed.
-        if race_check is None and _races.env_enabled():
-            race_check = True
-        self._owned_detector: "_races.RaceDetector | None" = None
-        if race_check:
-            self._owned_detector = _races.enable(
-                raise_on_race=race_check != "record"
-            )
-        # Tracing follows the same protocol: process-wide, owned (and
-        # torn down) only by the session that actually installed it.
+        # Tracing is process-wide; the session owns (and tears down)
+        # only a tracer it actually installed.
         self._owned_tracer: "obs.Tracer | None" = None
         if trace is None and not obs.enabled():
             self._owned_tracer = obs.enable_from_env()
@@ -362,13 +331,10 @@ class Ringo:
         return recover_session(cls, directory, strict=strict, **session_kwargs)
 
     def close(self) -> None:
-        """Shut down the worker pool (and any race detector or tracer
-        this session armed)."""
+        """Shut down the worker pool (and any tracer this session armed)."""
         self.workers.close()
         if self._durability is not None:
             self._durability.close()
-        if self._owned_detector is not None and _races.current() is self._owned_detector:
-            _races.disable()
         if self._owned_tracer is not None and obs.current_tracer() is self._owned_tracer:
             obs.disable()
 
@@ -569,10 +535,6 @@ class Ringo:
         """
         return self._run_op("ApplyOps", (graph,), {"ops": ops})
 
-    def apply_ops(self, graph, ops) -> dict:
-        """Lowercase alias for :meth:`ApplyOps` (streaming-style surface)."""
-        return self.ApplyOps(graph, ops)
-
     @_timed
     def TailWal(
         self,
@@ -660,15 +622,6 @@ class Ringo:
             "cursor": position,
             "error": error,
         }
-
-    def tail_wal(
-        self,
-        directory,
-        cursor: int = 0,
-        retry_policy: "RetryPolicy | None" = None,
-    ) -> dict:
-        """Lowercase alias for :meth:`TailWal` (streaming-style surface)."""
-        return self.TailWal(directory, cursor=cursor, retry_policy=retry_policy)
 
     @_timed
     def GetKTruss(self, graph, k: int):
@@ -988,8 +941,8 @@ class Ringo:
         dispatches to the worker pool (under ``"parallel"``), memory-budget
         admissions and denials, the published-object count, the snapshot
         cache's hit/miss/invalidation/byte counters, the per-call timing
-        totals, the correctness-tooling counters (race detector and
-        snapshot sanitizer under ``"analysis"``), and the observability
+        totals, the snapshot sanitizer's counters under ``"analysis"``,
+        and the observability
         layer's span/metric state under ``"obs"`` — the session-level
         view an operator (or a test) checks after a fault or when
         validating conversion reuse.
@@ -997,7 +950,6 @@ class Ringo:
         The returned structure is a deep copy: callers may mutate it
         freely without reaching back into live engine state.
         """
-        detector = _races.current()
         # One consistent view of the catalog, not a racing iteration.
         with self._catalog_lock:
             object_names = list(self._catalog)
@@ -1012,10 +964,7 @@ class Ringo:
             "memory_budget": None if self.budget is None else self.budget.snapshot(),
             "snapshot_cache": self._snapshot_cache.stats(),
             "incremental": _incremental_engine().stats(),
-            "analysis": {
-                "race_detector": None if detector is None else detector.stats(),
-                "sanitizer": _sanitize.stats(),
-            },
+            "analysis": {"sanitizer": _sanitize.stats()},
             "obs": self._obs_report(),
             "recovery": self._recovery_report_section(),
             "timings": self.call_timings(),
@@ -1025,7 +974,7 @@ class Ringo:
             },
         }
         # Sub-providers mostly hand back fresh dicts already, but some
-        # nest lists (race labels, object names) or may evolve to share
+        # nest lists (object names) or may evolve to share
         # state; one deep copy here makes the no-live-references
         # contract unconditional.
         return copy.deepcopy(report)

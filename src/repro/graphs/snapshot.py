@@ -26,8 +26,8 @@ when the graph had not changed. The cache memoises snapshots on
 The process-wide default cache is what
 :func:`repro.algorithms.common.as_csr` consults, which is how all ~20
 algorithm modules share snapshots without code changes at call sites.
-``Ringo(snapshot_cache=...)`` toggles and budgets it, and
-``Ringo.health()`` reports its counters.
+``snapshot_cache().configure(enabled=..., max_bytes=...)`` toggles and
+budgets it for the process, and ``Ringo.health()`` reports its counters.
 """
 
 from __future__ import annotations

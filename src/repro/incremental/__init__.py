@@ -12,12 +12,12 @@ that gap with three cooperating layers:
   produced (bitwise) at O(delta + E/word) numpy cost instead of the
   per-node Python conversion loop;
 * :mod:`repro.incremental.engine` — the process-wide policy object:
-  enablement (``RINGO_INCREMENTAL``), the compaction threshold, the
-  ``incremental.*`` counters surfaced in ``Ringo.health()``, and the
-  per-graph warm algorithm states behind dynamic PageRank / WCC /
-  triangle counting;
-* :mod:`repro.incremental.ingest` — the ``Ringo.apply_ops()`` /
-  ``tail_wal()`` ingestion path that folds recovery's LSN-ordered op
+  enablement (``incremental_engine().configure(enabled=...)``), the
+  compaction threshold, the ``incremental.*`` counters surfaced in
+  ``Ringo.health()``, and the per-graph warm algorithm states behind
+  dynamic PageRank / WCC / triangle counting;
+* :mod:`repro.incremental.ingest` — the ``Ringo.ApplyOps()`` /
+  ``TailWal()`` ingestion path that folds recovery's LSN-ordered op
   stream into live graphs, making crash replay and streaming ingestion
   the same code path.
 

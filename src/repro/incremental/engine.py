@@ -3,8 +3,9 @@
 One :class:`IncrementalEngine` per process, mirroring the snapshot
 cache's deployment model (one interactive session per process). It owns:
 
-* **enablement** — on by default, disabled with ``RINGO_INCREMENTAL=0``
-  or ``Ringo(incremental=False)``;
+* **enablement** — on by default, toggled with
+  ``incremental_engine().configure(enabled=...)`` and restored by
+  ``reset()``;
 * **compaction policy** — a delta run longer than
   ``max(min_compact_ops, compact_fraction * base_edges)`` is cheaper to
   rebuild than to merge, so the cache compacts (full-rebuilds) instead;
@@ -25,13 +26,10 @@ stays at the bottom of the import graph.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
 from repro.incremental.delta import EdgeDelta, MutationLog, consolidate
-
-_ENV_VAR = "RINGO_INCREMENTAL"
 
 #: PageRank stops when the L1 step change drops below ``tolerance``;
 #: the standard power-iteration bound then caps the distance to the
@@ -48,11 +46,6 @@ def pagerank_epsilon(damping: float, tolerance: float) -> float:
     1.133
     """
     return PAGERANK_EPSILON_FACTOR * damping / (1.0 - damping) * tolerance
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get(_ENV_VAR, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
 
 
 _DEFAULT_COMPACT_FRACTION = 0.1
@@ -100,7 +93,7 @@ class IncrementalEngine:
         min_compact_ops: int = _DEFAULT_MIN_COMPACT_OPS,
     ) -> None:
         self._lock = threading.Lock()
-        self._forced: "bool | None" = None
+        self.enabled = True
         self.compact_fraction = float(compact_fraction)
         self.min_compact_ops = int(min_compact_ops)
         self._states: dict[int, _GraphState] = {}
@@ -115,14 +108,6 @@ class IncrementalEngine:
     # Configuration
     # ------------------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        """Whether delta maintenance is active (override beats env)."""
-        forced = self._forced
-        if forced is not None:
-            return forced
-        return _env_enabled()
-
     def configure(
         self,
         enabled: "bool | None" = None,
@@ -132,7 +117,7 @@ class IncrementalEngine:
         """Adjust the toggle and compaction policy in place."""
         with self._lock:
             if enabled is not None:
-                self._forced = bool(enabled)
+                self.enabled = bool(enabled)
             if compact_fraction is not None:
                 self.compact_fraction = float(compact_fraction)
             if min_compact_ops is not None:
@@ -141,7 +126,7 @@ class IncrementalEngine:
     def reset(self) -> None:
         """Drop warm states and counters, return every knob to defaults."""
         with self._lock:
-            self._forced = None
+            self.enabled = True
             self.compact_fraction = _DEFAULT_COMPACT_FRACTION
             self.min_compact_ops = _DEFAULT_MIN_COMPACT_OPS
             self._states.clear()

@@ -12,15 +12,18 @@ atomic-claim insertion. This package rebuilds those pieces for Python:
   WCC kernels run on it; PageRank's full-vector scatter needs no pool.
 * :func:`split_range` / :func:`split_indices` — contention-free range
   partitioning, the way Ringo assigns graph partitions to worker threads.
-* :class:`LinearProbingHashTable` — open addressing + linear probing
-  (paper's choice, after Lang et al.).
-* :class:`ConcurrentVector` — append via an atomically claimed cell index.
-* :class:`AtomicCounter` — the atomic fetch-and-add primitive both rely on.
+
+The §2.5 concurrent containers live in their own submodules, which the
+package does not import (no kernel uses them):
+
+* :mod:`repro.parallel.concurrent_hash` — ``LinearProbingHashTable``,
+  open addressing + linear probing (paper's choice, after Lang et al.).
+* :mod:`repro.parallel.concurrent_vector` — ``ConcurrentVector``, append
+  via an atomically claimed cell index.
+* :mod:`repro.parallel.atomics` — ``AtomicCounter``, the atomic
+  fetch-and-add primitive both rely on.
 """
 
-from repro.parallel.atomics import AtomicCounter
-from repro.parallel.concurrent_hash import LinearProbingHashTable
-from repro.parallel.concurrent_vector import ConcurrentVector
 from repro.parallel.executor import (
     WorkerPool,
     effective_worker_count,
@@ -30,9 +33,6 @@ from repro.parallel.partition import balanced_chunks, split_indices, split_range
 from repro.parallel.resilience import PoolStats, RetryPolicy, run_with_retry
 
 __all__ = [
-    "AtomicCounter",
-    "ConcurrentVector",
-    "LinearProbingHashTable",
     "PoolStats",
     "RetryPolicy",
     "WorkerPool",

@@ -27,8 +27,8 @@ resilience (see ``docs/recovery.md`` for formats and a walkthrough):
   the paper's provenance records doubling as a fault-tolerance
   mechanism, as in GraphX's lineage-based recovery.
 
-Arm durability with ``Ringo(durability="state/")`` or the
-``RINGO_DURABILITY`` environment variable.
+Arm durability per session with ``Ringo(durability="state/")``;
+resume one with ``Ringo.recover("state/")``.
 """
 
 from repro.recovery.checkpoint import (

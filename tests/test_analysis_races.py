@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import hooks
 from repro.analysis.races import (
     Monitored,
-    RaceDetector,
     TrackedLock,
     race_check,
 )
@@ -216,32 +215,6 @@ class TestEngineWiring:
         with Ringo(workers=1):
             assert races.current() is None
 
-    def test_race_check_flag_installs_and_removes(self):
-        with Ringo(workers=1, race_check=True) as ringo:
-            detector = races.current()
-            assert isinstance(detector, RaceDetector)
-            assert detector.raise_on_race
-            health = ringo.health()
-            assert health["analysis"]["race_detector"]["races"] == 0
-        assert races.current() is None
-
-    def test_record_mode_surfaces_in_health(self):
-        with Ringo(workers=1, race_check="record") as ringo:
-            detector = races.current()
-            assert not detector.raise_on_race
-            shared = Monitored({}, label="session")
-            run_in_thread(lambda: shared.__setitem__("a", 1))
-            shared["a"] = 2
-            health = ringo.health()
-            assert health["analysis"]["race_detector"]["races"] == 1
-        assert races.current() is None
-
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv("RINGO_RACE_CHECK", "1")
-        with Ringo(workers=1):
-            assert races.current() is not None
-        assert races.current() is None
-
     def test_session_does_not_disown_foreign_detector(self):
         detector = races.enable()
         try:
@@ -250,10 +223,6 @@ class TestEngineWiring:
             assert races.current() is detector
         finally:
             races.disable()
-
-    def test_health_reports_none_without_detector(self):
-        with Ringo(workers=1) as ringo:
-            assert ringo.health()["analysis"]["race_detector"] is None
 
 
 class TestHooksOverheadPath:

@@ -144,10 +144,8 @@ def test_every_session_method_exercised(ringo, graph, tmp_path):
         edges = producer.TableFromColumns({"a": [1, 2], "b": [2, 3]})
         src = producer.ToGraph(edges, "a", "b")
         exercised["ApplyOps"] = producer.ApplyOps(src, [["add_edge", 3, 4]])
-        exercised["apply_ops"] = producer.apply_ops(src, [["add_edge", 4, 5]])
     with Ringo(workers=1) as follower:
         exercised["TailWal"] = follower.TailWal(stream)
-        exercised["tail_wal"] = follower.tail_wal(stream)
 
     # Every public engine method must have been exercised above.
     public = {

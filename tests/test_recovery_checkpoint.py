@@ -98,6 +98,16 @@ class TestWriteAndRestore:
             manifest = session.checkpoint(tmp_path / "snap")
         assert manifest["objects"] == {}
 
+    def test_recover_ignores_durability_environment(self, state, tmp_path, monkeypatch):
+        with Ringo(workers=1, durability=state) as session:
+            build(session)
+            reference = catalog_digest(session)
+        monkeypatch.setenv("RINGO_DURABILITY", str(tmp_path / "elsewhere"))
+        with Ringo.recover(state, workers=1) as recovered:
+            assert catalog_digest(recovered) == reference
+        with Ringo.recover(state, workers=1, arm=False) as follower:
+            assert follower._durability is None
+
 
 class TestQuarantine:
     def test_bit_flipped_artifact_is_quarantined_and_rebuilt(self, state):

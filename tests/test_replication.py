@@ -421,7 +421,7 @@ class TestTailWalRetry:
                 stalled = follower.TailWal(state, retry_policy=policy)
             assert stalled["error"] is not None
             assert "RetryExhaustedError" in stalled["error"]
-            resumed = follower.tail_wal(state, cursor=stalled["cursor"])
+            resumed = follower.TailWal(state, cursor=stalled["cursor"])
             assert resumed["error"] is None
             assert object_digest(mirror) == source_digest
 

@@ -229,7 +229,8 @@ def test_engine_reports_cache_stats_and_timings(fresh_cache):
 
 
 def test_engine_snapshot_cache_toggle(fresh_cache):
-    with Ringo(workers=1, snapshot_cache=False) as ringo:
+    fresh_cache.configure(enabled=False)
+    with Ringo(workers=1) as ringo:
         table = ringo.TableFromColumns({"a": [1, 2], "b": [2, 3]})
         graph = ringo.ToGraph(table, "a", "b")
         ringo.GetPageRank(graph)
@@ -239,7 +240,8 @@ def test_engine_snapshot_cache_toggle(fresh_cache):
 
 
 def test_engine_snapshot_cache_budget(fresh_cache):
-    with Ringo(workers=1, snapshot_cache_bytes=8) as ringo:
+    fresh_cache.configure(max_bytes=8)
+    with Ringo(workers=1) as ringo:
         table = ringo.TableFromColumns({"a": [1, 2], "b": [2, 3]})
         graph = ringo.ToGraph(table, "a", "b")
 
@@ -256,3 +258,10 @@ def test_engine_snapshot_cache_budget(fresh_cache):
         assert results[0] == results[1]
         stats = ringo.health()["snapshot_cache"]
         assert stats["rejected"] >= 2 and stats["bytes"] == 0
+
+
+def test_session_leaves_process_cache_settings_alone(fresh_cache):
+    fresh_cache.configure(enabled=False, max_bytes=8)
+    Ringo(workers=1).close()
+    stats = fresh_cache.stats()
+    assert stats["enabled"] is False and stats["max_bytes"] == 8
