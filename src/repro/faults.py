@@ -20,7 +20,8 @@ that makes fault-injection tests reproducible.
 Known sites (wired at the call points):
 
 ====================  ====================================================
-``io.tsv.parse_row``  per data row inside :func:`load_table_tsv`
+``io.tsv.parse_row``  per data row of :func:`load_table_tsv`'s rows path,
+                      which an armed plan selects
 ``io.npz.load``       before reading a binary table snapshot
 ``parallel.kernel``   per threaded kernel dispatch in :class:`WorkerPool`
 ``hash.insert``       per mutation of :class:`LinearProbingHashTable`

@@ -63,7 +63,7 @@ def load_table_npz(
     fault_point("io.npz.load")
     current = None
     try:
-        with trace("io.load_npz", path=str(path)), np.load(path) as archive:
+        with trace("io.load_npz", file=str(path)), np.load(path) as archive:
             version = int(archive["version"])
             if version != _FORMAT_VERSION:
                 raise SchemaError(f"unsupported table format version {version}")

@@ -117,6 +117,26 @@ class TestAcceptancePipeline:
             assert totals == sorted(totals)
             assert totals[0] > 0
 
+    def test_tsv_load_says_which_path_it_took_and_why(self, no_global_tracer, tmp_path):
+        clean, commented = tmp_path / "clean.tsv", tmp_path / "commented.tsv"
+        clean.write_text("1\t2\n2\t3\n")
+        commented.write_text("# edges\n1\t2\n")
+        schema = [("a", "int"), ("b", "int")]
+        with Ringo(workers=1, trace=True) as ringo:
+            before = ringo.health()["obs"]["metrics"].get("io.tsv.row_path", {"value": 0})
+            ringo.LoadTableTSV(schema, clean)
+            ringo.LoadTableTSV(schema, commented)
+            after = ringo.health()["obs"]["metrics"]["io.tsv.row_path"]
+            loads = [
+                r["tags"] for r in obs.current_tracer().ring_records()
+                if r["name"] == "io.load_tsv"
+            ]
+        assert after["value"] == before["value"] + 1
+        assert [(t["file"], t["path"], t.get("reason")) for t in loads] == [
+            (str(clean), "bulk", None),
+            (str(commented), "rows", "comment_or_blank"),
+        ]
+
 
 class TestTracerOwnership:
     def test_session_owns_tracer_it_enabled(self, no_global_tracer):

@@ -87,32 +87,77 @@ class TestSaveAndRoundTrip:
         assert loaded.column("score").tolist() == [0.1, -2.5]
         assert loaded.values("tag") == ["a b", "c"]
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.integers(-(10**9), 10**9),
-                st.floats(allow_nan=False, allow_infinity=False, width=32),
                 st.text(
-                    alphabet=st.characters(
-                        blacklist_characters="\t\n\r#", blacklist_categories=("Cs",)
+                    alphabet=st.one_of(
+                        st.sampled_from("#\t\n\r"),
+                        st.characters(blacklist_categories=("Cs",)),
                     ),
-                    min_size=1,
                     max_size=8,
                 ),
+                st.integers(-(10**9), 10**9),
+                st.floats(allow_nan=False, allow_infinity=False, width=32),
             ),
             max_size=25,
         )
     )
     def test_roundtrip_arbitrary_rows(self, rows):
-        table = Table.from_rows(SCHEMA, rows)
+        """Any table either loads back exactly or refuses to save."""
+        schema = [("tag", "string"), ("id", "int"), ("score", "float")]
+        table = Table.from_rows(schema, rows)
+        unreadable = any(
+            tag.startswith("#") or any(c in tag for c in "\t\n\r") for tag, _, _ in rows
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.tsv"
+            if unreadable:
+                with pytest.raises(SchemaError, match="column 'tag', row"):
+                    save_table_tsv(table, path)
+                assert not path.exists()
+                return
             save_table_tsv(table, path)
-            loaded = load_table_tsv(SCHEMA, path)
-        assert loaded.num_rows == len(rows)
-        assert loaded.column("id").tolist() == [r[0] for r in rows]
-        assert loaded.column("score").tolist() == pytest.approx(
-            [float(r[1]) for r in rows]
-        )
-        assert loaded.values("tag") == [r[2] for r in rows]
+            loaded = load_table_tsv(schema, path)
+        assert loaded.values("tag") == [r[0] for r in rows]
+        assert loaded.column("id").tolist() == [r[1] for r in rows]
+        assert loaded.column("score").tolist() == [float(r[2]) for r in rows]
+
+
+class TestSaveRefusesWhatWouldNotLoadBack:
+    def test_row_starting_with_comment_marker(self, tmp_path):
+        table = Table.from_columns({"tag": ["go", "#java"], "n": [1, 2]})
+        with pytest.raises(SchemaError, match="column 'tag', row 1: .*'#'"):
+            save_table_tsv(table, tmp_path / "out.tsv")
+
+    def test_all_empty_row_would_be_a_blank_line(self, tmp_path):
+        table = Table.from_columns({"tag": ["a", "", "b"]})
+        with pytest.raises(SchemaError, match="column 'tag', row 1: .*empty"):
+            save_table_tsv(table, tmp_path / "out.tsv")
+
+    def test_empty_cells_beside_others_round_trip(self, tmp_path):
+        table = Table.from_columns({"a": ["", "x"], "b": ["", ""]})
+        path = tmp_path / "out.tsv"
+        save_table_tsv(table, path)
+        loaded = load_table_tsv([("a", "string"), ("b", "string")], path)
+        assert loaded.values("a") == ["", "x"]
+
+    @pytest.mark.parametrize("cell", ["a\tb", "a\nb", "a\rb"])
+    def test_cell_holding_separator_or_line_break(self, tmp_path, cell):
+        table = Table.from_columns({"n": [1, 2], "tag": ["ok", cell]})
+        path = tmp_path / "out.tsv"
+        with pytest.raises(SchemaError, match="column 'tag', row 1"):
+            save_table_tsv(table, path)
+        assert not path.exists()
+
+    def test_header_starting_with_comment_marker(self, tmp_path):
+        table = Table.from_columns({"#id": [1]})
+        save_table_tsv(table, tmp_path / "plain.tsv")  # no header: fine
+        with pytest.raises(SchemaError, match="header"):
+            save_table_tsv(table, tmp_path / "out.tsv", write_header=True)
+
+    def test_custom_separator_inside_a_float(self, tmp_path):
+        table = Table.from_columns({"x": [0.5]})
+        with pytest.raises(SchemaError, match="column 'x', row 0"):
+            save_table_tsv(table, tmp_path / "out.tsv", sep=".")
