@@ -30,7 +30,6 @@ from repro.exceptions import (
     FencedError,
     MemoryBudgetError,
     PoolClosedError,
-    RaceDetected,
     RecoveryError,
     ReplayError,
     ReplicaLagError,
@@ -63,7 +62,6 @@ __all__ = [
     "MemoryBudget",
     "MemoryBudgetError",
     "PoolClosedError",
-    "RaceDetected",
     "RecoveryError",
     "ReplayError",
     "ReplicaLagError",

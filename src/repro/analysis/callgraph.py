@@ -1,6 +1,6 @@
 """Project-wide call graph with module-level name resolution.
 
-The single-module rules (R001–R006) see one AST at a time, so a bug
+The single-module rules (R001–R004, R006) see one AST at a time, so a bug
 that spans a call boundary — a blocking call two frames below an
 ``async def``, a lock acquired by a helper while the caller holds
 another — is invisible to them. This module builds the interprocedural

@@ -1,34 +1,20 @@
 """The ``python -m repro.analysis`` / ``repro lint`` entry point.
 
-Exit codes: 0 — no gating findings (advisory, suppressed, and baselined
-findings are reported but accepted); 1 — at least one unsuppressed,
-unbaselined error finding, or (under ``--strict-baseline``) a stale
-baseline entry; 2 — usage error.
-
-Report formats: ``text`` (default), ``json``, and ``sarif`` (SARIF
-2.1.0, for code-scanning upload). ``--list-rules`` prints the rule
-catalog; with ``--format markdown`` it emits the table embedded in
-``docs/static-analysis.md`` (see the docs-sync test).
+Exit codes: 0 — no unsuppressed finding; 1 — at least one unsuppressed
+finding; 2 — usage error. ``--list-rules`` prints the rule catalog as
+the markdown table embedded in ``docs/static-analysis.md`` (see the
+docs-sync test).
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import re
 import sys
 
 from repro.analysis import lint
 from repro.exceptions import AnalysisError
-
-DEFAULT_BASELINE = ".ringo-lint-baseline"
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,29 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (default: all registered)",
     )
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline file of accepted findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--no-advisory", action="store_true",
-        help="hide advisory findings from the report",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif", "markdown"), default="text",
-        help="report format (markdown is only valid with --list-rules)",
-    )
-    parser.add_argument(
-        "--strict-baseline", action="store_true",
-        help="also fail (exit 1) when the baseline holds stale entries "
-             "that match no current finding",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
+        help="print the rule catalog as a markdown table and exit",
     )
     return parser
 
@@ -77,196 +42,43 @@ def rule_summary(rule) -> str:
     """One-line summary of a rule, taken from its class docstring.
 
     The first paragraph is collapsed to a single line and the leading
-    ``RXXX:`` / ``RXXX (advisory):`` prefix is stripped (the code gets
-    its own column). Falls back to ``rule.description``.
+    ``RXXX:`` prefix is stripped (the code gets its own column). Falls
+    back to ``rule.description``.
     """
     doc = inspect.getdoc(type(rule)) or ""
     paragraph = doc.split("\n\n", 1)[0]
     summary = " ".join(paragraph.split())
-    summary = re.sub(r"^R\d+\s*(\(advisory\))?\s*:\s*", "", summary)
+    summary = re.sub(r"^R\d+\s*:\s*", "", summary)
     sentence_end = summary.find(". ")
     if sentence_end != -1:
         summary = summary[: sentence_end + 1]
     return summary or rule.description
 
 
-def _list_rules(fmt: str) -> int:
-    rules = lint.active_rules()
-    if fmt == "markdown":
-        print("| Code | Severity | Rule | Summary |")
-        print("| --- | --- | --- | --- |")
-        for rule in rules:
-            print(
-                f"| {rule.code} | {rule.severity} | `{rule.name}` "
-                f"| {rule_summary(rule)} |"
-            )
-    else:
-        for rule in rules:
-            print(f"{rule.code}  [{rule.severity:<8}]  {rule.name}: {rule.description}")
+def _list_rules() -> int:
+    print("| Code | Rule | Summary |")
+    print("| --- | --- | --- |")
+    for rule in lint.active_rules():
+        print(f"| {rule.code} | `{rule.name}` | {rule_summary(rule)} |")
     return 0
 
 
-def _report_text(findings, show_advisory: bool) -> None:
-    shown = 0
+def _report(findings) -> None:
     for finding in findings:
-        if finding.severity == lint.SEVERITY_ADVISORY and not show_advisory:
-            continue
-        suffix = ""
-        if finding.suppressed:
-            suffix = "  [suppressed]"
-        elif finding.baselined:
-            suffix = "  [baselined]"
+        suffix = "  [suppressed]" if finding.suppressed else ""
         print(finding.format() + suffix)
-        shown += 1
     gating = lint.gating_findings(findings)
-    advisory = sum(
-        1
-        for f in findings
-        if f.severity == lint.SEVERITY_ADVISORY
-        and not f.suppressed
-        and not f.baselined
-    )
-    suppressed = sum(1 for f in findings if f.suppressed)
-    baselined = sum(1 for f in findings if f.baselined and not f.suppressed)
     print(
-        f"ringo-lint: {len(gating)} gating finding(s), {advisory} advisory, "
-        f"{suppressed} suppressed, {baselined} baselined"
+        f"ringo-lint: {len(gating)} finding(s), "
+        f"{len(findings) - len(gating)} suppressed"
     )
-
-
-def _report_json(findings) -> None:
-    payload = [
-        {
-            "code": f.code,
-            "message": f.message,
-            "path": f.path,
-            "line": f.line,
-            "col": f.col,
-            "symbol": f.symbol,
-            "severity": f.severity,
-            "suppressed": f.suppressed,
-            "baselined": f.baselined,
-        }
-        for f in findings
-    ]
-    json.dump({"findings": payload}, sys.stdout, indent=2)
-    print()
-
-
-_SYNTHETIC_RULES = {
-    lint.CODE_PARSE_ERROR: (
-        "parse-error",
-        "the file does not parse; no rule ran over it",
-        lint.SEVERITY_ERROR,
-    ),
-    lint.CODE_UNUSED_SUPPRESSION: (
-        "unused-suppression",
-        "a 'ringo-lint: disable=' comment suppresses no finding",
-        lint.SEVERITY_ADVISORY,
-    ),
-}
-
-
-def sarif_report(findings) -> dict:
-    """The findings as a SARIF 2.1.0 ``log`` dict (exposed for testing).
-
-    Suppressed and baselined findings are included with a populated
-    ``suppressions`` array so code-scanning UIs show them as resolved
-    rather than dropping them from history.
-    """
-    descriptors = []
-    for rule in lint.active_rules():
-        descriptors.append(
-            {
-                "id": rule.code,
-                "name": rule.name,
-                "shortDescription": {"text": rule.description},
-                "fullDescription": {"text": rule_summary(rule)},
-                "defaultConfiguration": {
-                    "level": "error"
-                    if rule.severity == lint.SEVERITY_ERROR
-                    else "note",
-                },
-            }
-        )
-    for code, (name, text, severity) in sorted(_SYNTHETIC_RULES.items()):
-        descriptors.append(
-            {
-                "id": code,
-                "name": name,
-                "shortDescription": {"text": text},
-                "defaultConfiguration": {
-                    "level": "error" if severity == lint.SEVERITY_ERROR else "note",
-                },
-            }
-        )
-    results = []
-    for f in findings:
-        suppressions = []
-        if f.suppressed:
-            suppressions.append(
-                {"kind": "inSource", "justification": "ringo-lint: disable comment"}
-            )
-        if f.baselined:
-            suppressions.append(
-                {"kind": "external", "justification": "baseline entry"}
-            )
-        results.append(
-            {
-                "ruleId": f.code,
-                "level": "error" if f.severity == lint.SEVERITY_ERROR else "note",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": max(f.line, 1),
-                                "startColumn": f.col + 1,
-                            },
-                        },
-                        "logicalLocations": (
-                            [{"fullyQualifiedName": f.symbol}] if f.symbol else []
-                        ),
-                    }
-                ],
-                "suppressions": suppressions,
-            }
-        )
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "ringo-lint",
-                        "rules": descriptors,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def _report_sarif(findings) -> None:
-    json.dump(sarif_report(findings), sys.stdout, indent=2)
-    print()
 
 
 def main(argv: "list[str] | None" = None) -> int:
     """Run the linter; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list_rules:
-        return _list_rules(args.format)
-    if args.format == "markdown":
-        print(
-            "repro.analysis: error: --format markdown requires --list-rules",
-            file=sys.stderr,
-        )
-        return 2
+        return _list_rules()
     codes = (
         [code.strip() for code in args.rules.split(",") if code.strip()]
         if args.rules
@@ -274,31 +86,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     try:
         findings = lint.lint_paths(args.paths, codes)
-        if args.write_baseline:
-            count = lint.write_baseline(args.baseline, findings)
-            print(f"ringo-lint: wrote {count} finding(s) to {args.baseline}")
-            return 0
-        baseline = lint.load_baseline(args.baseline)
-        lint.apply_baseline(findings, baseline)
     except (AnalysisError, OSError) as error:
         print(f"repro.analysis: error: {error}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        _report_json(findings)
-    elif args.format == "sarif":
-        _report_sarif(findings)
-    else:
-        _report_text(findings, show_advisory=not args.no_advisory)
-    failed = bool(lint.gating_findings(findings))
-    if args.strict_baseline:
-        stale = lint.stale_baseline_keys(findings, baseline)
-        for key in stale:
-            print(
-                f"ringo-lint: stale baseline entry (no matching finding): {key}",
-                file=sys.stderr,
-            )
-        failed = failed or bool(stale)
-    return 1 if failed else 0
+    _report(findings)
+    return 1 if lint.gating_findings(findings) else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Every rule here subclasses :class:`repro.analysis.lint.FlowRule`: it
 sees the whole :class:`~repro.analysis.lint.Project` at once — the
 call graph (:mod:`repro.analysis.callgraph`) for reachability and type
 questions, and per-function CFGs (:mod:`repro.analysis.flow`) for
-all-paths questions. The single-module rules R001–R006 live in
+all-paths questions. The single-module rules R001–R004, R006 live in
 :mod:`repro.analysis.rules`.
 
 Honesty notes shared by all five rules:
@@ -34,7 +34,6 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.flow import CFG, build_cfg
 from repro.analysis.lint import (
-    SEVERITY_ADVISORY,
     Finding,
     FlowRule,
     Project,
@@ -55,12 +54,6 @@ _LOCK_TYPE_NAMES = frozenset(
         "threading.BoundedSemaphore",
     }
 )
-
-
-def _is_lock_type(name: "str | None") -> bool:
-    if name is None:
-        return False
-    return name in _LOCK_TYPE_NAMES or name.rsplit(".", 1)[-1] == "TrackedLock"
 
 
 def _terminal(name: str) -> str:
@@ -253,7 +246,7 @@ class AsyncBlockingRule(FlowRule):
             if isinstance(node, ast.With):
                 for item in node.items:
                     ref = graph.expr_type(fn.qualname, item.context_expr)
-                    if ref is not None and _is_lock_type(ref.name):
+                    if ref is not None and ref.name in _LOCK_TYPE_NAMES:
                         yield self.project_finding(
                             project,
                             fn.path,
@@ -274,12 +267,6 @@ class AsyncBlockingRule(FlowRule):
                 return site.callee
             if in_async_body and site.callee in _BLOCKING_ACQUIRE:
                 return site.callee
-        if (
-            in_async_body
-            and site.callee is not None
-            and site.callee.endswith(".TrackedLock.acquire")
-        ):
-            return site.callee
         return None
 
     def _chain_for_site(
@@ -341,22 +328,22 @@ class LockOrderRule(FlowRule):
     """R009: the static lock-order graph must be acyclic. Locks are
     identified structurally (``Class.attr`` for instance locks,
     ``module.NAME`` for globals) over ``threading.Lock``/``RLock``/
-    ``TrackedLock``; an edge A→B is recorded when B is acquired —
-    directly or via any transitively called helper — inside a ``with
-    A:`` region. A cycle means two threads can each hold one lock of
-    the cycle while waiting for another: a deadlock that hits only
-    under load, which is why it must be caught statically (the runtime
-    Eraser-style detector in ``races.py`` only sees schedules that
-    actually interleave). Re-acquiring the same non-reentrant lock is
-    reported as a self-cycle; ``RLock`` self-cycles are reentrant and
-    accepted. Identity is per-class, not per-instance: two instances'
-    locks share a name, which can over-report (never under-report) on
-    deliberately instance-partitioned designs — suppress with a
-    justifying comment in that case."""
+    ``Condition``/``Semaphore``; an edge A→B is recorded when B is
+    acquired — directly or via any transitively called helper — inside
+    a ``with A:`` region. A cycle means two threads can each hold one
+    lock of the cycle while waiting for another: a deadlock that hits
+    only under load, which is why it must be caught statically (a test
+    only sees schedules that actually interleave). Re-acquiring the
+    same non-reentrant lock is reported as a self-cycle; ``RLock``
+    self-cycles are reentrant and accepted. Identity is per-class, not
+    per-instance: two instances' locks share a name, which can
+    over-report (never under-report) on deliberately
+    instance-partitioned designs — suppress with a justifying comment
+    in that case."""
 
     code = "R009"
     name = "lock-order"
-    description = "lock-order graph over threading/Tracked locks must be acyclic"
+    description = "lock-order graph over threading locks must be acyclic"
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         graph = project.callgraph
@@ -378,7 +365,7 @@ class LockOrderRule(FlowRule):
     ) -> "str | None":
         """Stable identity for a lock expression, or None if not a lock."""
         ref = graph.expr_type(fn.qualname, expr)
-        if ref is None or not _is_lock_type(ref.name):
+        if ref is None or ref.name not in _LOCK_TYPE_NAMES:
             return None
         identity: "str | None" = None
         if (
@@ -776,10 +763,9 @@ class ExceptionContractRule(FlowRule):
     bound exception *eats a retryable fault*: the retry policy upstream
     never sees it, so injected faults and transient contention turn
     into silent wrong answers. Bare ``except:`` without a re-raise is
-    always an error (it also eats ``KeyboardInterrupt``). A broad
-    silent ``pass`` handler over non-transient code is an advisory
-    nudge. Exempt: handlers whose protected block is pure best-effort
-    teardown (every statement a ``close``/``shutdown``/…-style call).
+    always an error (it also eats ``KeyboardInterrupt``). Exempt:
+    handlers whose protected block is pure best-effort teardown (every
+    statement a ``close``/``shutdown``/…-style call).
     The rule also audits the exception inventory itself: a class
     defined in an ``exceptions`` module that is never raised,
     instantiated, caught, subclassed, or referenced anywhere in the
@@ -836,25 +822,6 @@ class ExceptionContractRule(FlowRule):
                         f"'except {broad[0]}' swallows a TransientError path "
                         "— the retry policy upstream never sees the fault; "
                         "re-raise TransientError or narrow the catch",
-                    )
-                elif (
-                    silent
-                    and not cleanup
-                    and len(handler.body) == 1
-                    and isinstance(handler.body[0], ast.Pass)
-                ):
-                    yield Finding(
-                        code=self.code,
-                        message=(
-                            f"silent 'except {broad[0]}: pass' hides every "
-                            "failure in the block; consider narrowing or "
-                            "recording the error"
-                        ),
-                        path=fn.path,
-                        line=handler.lineno,
-                        col=handler.col_offset,
-                        symbol=_function_display(fn.qualname),
-                        severity=SEVERITY_ADVISORY,
                     )
 
     def _region_raises_transient(

@@ -10,24 +10,21 @@ module is the enforcement framework:
 
 * **rules** — each check is a :class:`LintRule` with a stable ``RXXX``
   code, registered in :data:`RULES` (see :mod:`repro.analysis.rules`
-  for the single-module rules R001–R006 and
+  for the single-module rules R001–R004, R006 and
   :mod:`repro.analysis.flow_rules` for the interprocedural rules
   R008–R012, which subclass :class:`FlowRule` and see the whole
   :class:`Project` — call graph and CFGs included — at once);
 * **suppressions** — a ``# ringo-lint: disable=RXXX`` comment on (or
   immediately above) a line silences matching findings there, so a
-  deliberate exception is visible and justified in the source. A
-  suppression that silences nothing is itself reported (advisory
-  ``W001``) so the inventory cannot rot;
-* **baseline** — a checked-in file of known findings lets the lint gate
-  fail only on *new* violations while legacy ones are burned down. The
-  shipped baseline is empty and CI keeps it that way
-  (:func:`stale_baseline_keys` reports entries no finding matches);
+  deliberate exception is visible and justified in the source. This is
+  the only way to accept a finding. A suppression that silences
+  nothing is itself reported (``W001``) so the inventory cannot rot;
 * **parse failures** — an unparseable file is reported as a synthetic
-  ``E000`` error finding at the parse-error location instead of
-  crashing the whole run.
+  ``E000`` finding at the parse-error location instead of crashing the
+  whole run.
 
-Run it as ``python -m repro.analysis src/`` or ``repro lint src/``.
+Every unsuppressed finding fails the gate. Run it as
+``python -m repro.analysis src/`` or ``repro lint src/``.
 """
 
 from __future__ import annotations
@@ -42,9 +39,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import AnalysisError
 
-SEVERITY_ERROR = "error"
-SEVERITY_ADVISORY = "advisory"
-
 #: Synthetic finding codes emitted by the framework itself (not rules).
 CODE_PARSE_ERROR = "E000"
 CODE_UNUSED_SUPPRESSION = "W001"
@@ -54,7 +48,7 @@ _DISABLE_RE = re.compile(r"ringo-lint:\s*disable=([A-Za-z0-9_,\s]+|all)")
 
 @dataclass
 class Finding:
-    """One lint violation: where, what, and how severe."""
+    """One lint violation: where and what."""
 
     code: str
     message: str
@@ -62,24 +56,11 @@ class Finding:
     line: int
     col: int = 0
     symbol: str = "<module>"
-    severity: str = SEVERITY_ERROR
     suppressed: bool = False
-    baselined: bool = False
-
-    @property
-    def key(self) -> str:
-        """Line-number-free identity used for baseline matching.
-
-        Keyed on ``(code, path, enclosing symbol)`` so a baselined
-        finding survives unrelated edits that shift line numbers, while
-        a new violation in a different function is still caught.
-        """
-        return f"{self.code}|{Path(self.path).as_posix()}|{self.symbol}"
 
     def format(self) -> str:
         """Render as a one-line ``path:line: code message`` report."""
-        tag = "" if self.severity == SEVERITY_ERROR else " (advisory)"
-        return f"{self.path}:{self.line}:{self.col}: {self.code}{tag} {self.message}"
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
 class ModuleUnit:
@@ -193,11 +174,10 @@ def _scope_spans(tree: ast.Module) -> list[tuple[int, int, str]]:
 
 
 class LintRule:
-    """Base class for one check: a code, a severity, and ``check()``."""
+    """Base class for one check: a code, a name, and ``check()``."""
 
     code = "R000"
     name = "unnamed"
-    severity = SEVERITY_ERROR
     description = ""
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
@@ -215,7 +195,6 @@ class LintRule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             symbol=unit.qualname_at(node),
-            severity=self.severity,
         )
 
 
@@ -273,12 +252,11 @@ class FlowRule(LintRule):
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             symbol=unit.qualname_at(node) if unit is not None else "<module>",
-            severity=self.severity,
         )
 
 
 #: The rule registry: code -> rule instance. Populated by
-#: :func:`register` (repro.analysis.rules registers R001–R006 and
+#: :func:`register` (repro.analysis.rules registers R001–R004, R006 and
 #: repro.analysis.flow_rules registers R008–R012 on import).
 RULES: dict[str, LintRule] = {}
 
@@ -351,7 +329,6 @@ def _run_rules(
                         path=unit.path,
                         line=line,
                         symbol=unit.qualname_at(_line_anchor(line)),
-                        severity=SEVERITY_ADVISORY,
                     )
                 )
     findings.sort(key=lambda f: (f.path, f.line, f.code))
@@ -421,73 +398,6 @@ def lint_paths(
     return findings
 
 
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-BASELINE_HEADER = (
-    "# ringo-lint baseline — one `CODE|path|symbol` key per known finding.\n"
-    "# New findings not listed here fail `python -m repro.analysis`.\n"
-    "# Regenerate with: python -m repro.analysis --write-baseline <paths>\n"
-)
-
-
-def load_baseline(path: "str | Path") -> set[str]:
-    """Read a baseline file into a set of finding keys (empty if absent)."""
-    baseline_path = Path(path)
-    if not baseline_path.exists():
-        return set()
-    keys: set[str] = set()
-    for line in baseline_path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            keys.add(line)
-    return keys
-
-
-def write_baseline(path: "str | Path", findings: Iterable[Finding]) -> int:
-    """Write the error-severity findings as the new baseline; returns count."""
-    keys = sorted(
-        {
-            f.key
-            for f in findings
-            if f.severity == SEVERITY_ERROR and not f.suppressed
-        }
-    )
-    Path(path).write_text(
-        BASELINE_HEADER + "".join(key + "\n" for key in keys), encoding="utf-8"
-    )
-    return len(keys)
-
-
-def apply_baseline(findings: Iterable[Finding], baseline: set[str]) -> None:
-    """Mark findings whose keys appear in ``baseline`` as baselined."""
-    for finding in findings:
-        if finding.key in baseline:
-            finding.baselined = True
-
-
-def stale_baseline_keys(
-    findings: Iterable[Finding], baseline: set[str]
-) -> list[str]:
-    """Baseline entries matching no current finding (sorted).
-
-    A stale key means the violation it grandfathered was fixed — the
-    entry should be deleted so the baseline reflects reality. The CI
-    gate runs with ``--strict-baseline`` to enforce exactly that.
-    """
-    live = {finding.key for finding in findings}
-    return sorted(key for key in baseline if key not in live)
-
-
 def gating_findings(findings: Iterable[Finding]) -> list[Finding]:
-    """The findings that should fail the lint gate.
-
-    Advisory findings inform but never gate; suppressed and baselined
-    findings are accounted for but accepted.
-    """
-    return [
-        f
-        for f in findings
-        if f.severity == SEVERITY_ERROR and not f.suppressed and not f.baselined
-    ]
+    """The findings that fail the lint gate: every unsuppressed one."""
+    return [f for f in findings if not f.suppressed]

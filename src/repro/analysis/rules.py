@@ -1,4 +1,4 @@
-"""The project-specific lint rules, R001–R006.
+"""The single-module lint rules, R001–R004 and R006.
 
 Each rule encodes one convention the engine's correctness depends on
 (see ``docs/static-analysis.md`` for the full catalog with examples):
@@ -8,7 +8,6 @@ R001  adjacency-mutating graph method missing ``_bump_version()``
 R002  direct ``CSRGraph.from_graph`` call outside the snapshot cache
 R003  ``fault_point`` site string not registered in ``faults.KNOWN_SITES``
 R004  manual ``Lock.acquire()`` without a ``with`` / ``try…finally`` release
-R005  Python-level ``for`` loop over numpy arrays in ``algorithms/`` (advisory)
 R006  pool kernel closure writing shared state without a lock/AtomicCounter
 ====  ==================================================================
 """
@@ -22,7 +21,6 @@ from repro.analysis.lint import (
     Finding,
     LintRule,
     ModuleUnit,
-    SEVERITY_ADVISORY,
     register,
 )
 
@@ -313,72 +311,6 @@ class LockDisciplineRule(LintRule):
             for stmt in try_node.finalbody
             for node in ast.walk(stmt)
         )
-
-
-# ----------------------------------------------------------------------
-# R005 — no Python-level loops over numpy arrays in hot paths (advisory)
-# ----------------------------------------------------------------------
-
-_NUMPY_MODULES = {"np", "numpy"}
-
-
-def _is_numpy_call(node: ast.AST) -> bool:
-    """Whether ``node`` is a ``np.<...>(...)`` call (possibly dotted)."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    while isinstance(func, ast.Attribute):
-        func = func.value
-    return isinstance(func, ast.Name) and func.id in _NUMPY_MODULES
-
-
-@register
-class NumpyLoopRule(LintRule):
-    """R005 (advisory): Python ``for`` over a numpy array in ``algorithms/``.
-
-    Iterating an ndarray element-by-element boxes every value and runs
-    ~100x slower than a vectorised kernel or an explicit ``.tolist()``
-    materialisation (the project's accepted escape hatch for genuinely
-    scalar loops). Advisory because some control-flow-heavy algorithms
-    legitimately iterate; the finding is a nudge, not a gate.
-    """
-
-    code = "R005"
-    name = "numpy-python-loop"
-    severity = SEVERITY_ADVISORY
-    description = "Python-level for loop over a numpy array in algorithms/"
-
-    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        if "algorithms" not in unit.parts[:-1]:
-            return
-        for scope in ast.walk(unit.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            array_names = self._numpy_bound_names(scope)
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.For):
-                    continue
-                iterable = node.iter
-                if _is_numpy_call(iterable) or (
-                    isinstance(iterable, ast.Name) and iterable.id in array_names
-                ):
-                    yield self.finding(
-                        unit,
-                        node,
-                        "Python-level for loop over a numpy array; "
-                        "vectorise the kernel or iterate `.tolist()` "
-                        "explicitly if the loop is genuinely scalar",
-                    )
-
-    @staticmethod
-    def _numpy_bound_names(scope: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Assign) and _is_numpy_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
 
 
 # ----------------------------------------------------------------------

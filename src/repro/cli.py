@@ -150,22 +150,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import main as lint_main
 
-    forwarded = list(args.paths)
-    if args.baseline is not None:
-        forwarded += ["--baseline", args.baseline]
-    if args.rules is not None:
-        forwarded += ["--rules", args.rules]
-    if args.write_baseline:
-        forwarded.append("--write-baseline")
-    if args.no_advisory:
-        forwarded.append("--no-advisory")
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.format is not None:
-        forwarded += ["--format", args.format]
-    if args.strict_baseline:
-        forwarded.append("--strict-baseline")
-    return lint_main(forwarded)
+    return lint_main(args.args)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -322,19 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(func=_cmd_report)
 
+    # The lint subparser declares no option of its own (no "-" prefix,
+    # no -h), so every argument, flags included, reaches the lint CLI.
     lint = sub.add_parser(
-        "lint", help="run ringo-lint (project rules R001-R012) over source paths"
+        "lint", help="run ringo-lint (project rules R001-R012) over source paths",
+        add_help=False, prefix_chars="+",
     )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument("--baseline", default=None)
-    lint.add_argument("--rules", default=None)
-    lint.add_argument("--write-baseline", action="store_true")
-    lint.add_argument("--no-advisory", action="store_true")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument(
-        "--format", default=None, choices=("text", "json", "sarif", "markdown")
-    )
-    lint.add_argument("--strict-baseline", action="store_true")
+    lint.add_argument("args", nargs=argparse.REMAINDER)
     lint.set_defaults(func=_cmd_lint)
 
     trace = sub.add_parser(

@@ -99,10 +99,9 @@ class Ringo:
     The constructor configures this session only. Process-wide layers
     are configured through their own modules, never by a session: the
     versioned CSR snapshot cache via
-    ``repro.graphs.snapshot.snapshot_cache().configure(...)``, delta
-    maintenance via ``repro.incremental.incremental_engine().configure(...)``,
-    and the lockset race detector via ``repro.analysis.races.enable()``
-    or ``race_check()``. Back-to-back analytics on an unchanged graph
+    ``repro.graphs.snapshot.snapshot_cache().configure(...)`` and delta
+    maintenance via ``repro.incremental.incremental_engine().configure(...)``.
+    Back-to-back analytics on an unchanged graph
     share one conversion, verifiable via ``health()["snapshot_cache"]``
     and the per-call timers in ``call_timings()``.
 

@@ -123,36 +123,10 @@ class AnalysisError(RingoError):
     """The static-analysis / runtime-checking subsystem found a problem.
 
     Base class for the correctness tooling in :mod:`repro.analysis`:
-    lint-framework failures, detected data races, and snapshot-sanitizer
-    violations all derive from it, so a session embedding the checkers
-    can catch one type.
+    lint-framework failures and snapshot-sanitizer violations both
+    derive from it, so a session embedding the checkers can catch one
+    type.
     """
-
-
-class RaceDetected(AnalysisError):
-    """The lockset race detector observed an unsynchronized shared access.
-
-    Carries both conflicting access stacks so the report pinpoints the
-    two code paths that touched the object without a common lock.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        first_thread: str,
-        second_thread: str,
-        first_stack: str = "",
-        second_stack: str = "",
-    ):
-        self.label = label
-        self.first_thread = first_thread
-        self.second_thread = second_thread
-        self.first_stack = first_stack
-        self.second_stack = second_stack
-        super().__init__(
-            f"race on {label}: written by {first_thread} and {second_thread} "
-            f"with no common lock held"
-        )
 
 
 class SanitizerError(AnalysisError):

@@ -20,9 +20,8 @@ variable (``1`` for the in-memory recorder, a path for a JSON-lines
 file), and the ``repro trace <script>`` CLI command.
 
 This package imports nothing from the rest of ``repro`` — it sits at
-the bottom of the import graph (like :mod:`repro.faults` and
-:mod:`repro.analysis.hooks`) so every layer can instrument itself
-without cycles.
+the bottom of the import graph (like :mod:`repro.faults`) so every
+layer can instrument itself without cycles.
 """
 
 from repro.obs.metrics import (

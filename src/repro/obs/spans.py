@@ -11,8 +11,7 @@ the package instruments itself with::
         ...                       # nested trace() calls become children
         span.set_tag("edges", m)  # tags may be added mid-span
 
-Design rules, shared with :mod:`repro.faults` and
-:mod:`repro.analysis.hooks`:
+Design rules, shared with :mod:`repro.faults`:
 
 * **one module global** — ``_TRACER`` is ``None`` unless tracing is
   armed, so a disabled ``trace()`` costs a call, a load, and a compare
@@ -343,7 +342,7 @@ def enable(sinks=None) -> Tracer:
     """Install a process-wide tracer (idempotent: reuses an armed one).
 
     Returns the tracer now in charge — callers that installed it own its
-    teardown (:func:`disable`), mirroring the race-detector protocol.
+    teardown (:func:`disable`).
     """
     global _TRACER
     with _TRACER_LOCK:

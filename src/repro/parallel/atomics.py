@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.analysis.hooks import container_access
-
 
 class AtomicCounter:
     """A thread-safe counter supporting fetch-and-add.
@@ -35,7 +33,6 @@ class AtomicCounter:
         vector uses to claim insertion slots.
         """
         with self._lock:
-            container_access(self, "AtomicCounter.fetch_add", True, (self._lock,))
             before = self._value
             self._value += amount
             return before
@@ -49,5 +46,4 @@ class AtomicCounter:
     def reset(self, value: int = 0) -> None:
         """Set the counter back to ``value``."""
         with self._lock:
-            container_access(self, "AtomicCounter.reset", True, (self._lock,))
             self._value = value

@@ -18,7 +18,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.hooks import container_access
 from repro.faults import fault_point
 from repro.util.validation import check_positive
 
@@ -84,7 +83,6 @@ class LinearProbingHashTable:
         fault_point("hash.insert")
         self._check_key(key)
         with self._mutate_lock:
-            container_access(self, "LinearProbingHashTable", True, (self._mutate_lock,))
             self._grow_if_needed(1)
             self._insert_unlocked(int(key), int(value))
 
@@ -98,7 +96,6 @@ class LinearProbingHashTable:
         fault_point("hash.insert")
         self._check_key(key)
         with self._mutate_lock:
-            container_access(self, "LinearProbingHashTable", True, (self._mutate_lock,))
             self._grow_if_needed(1)
             slot = self._probe(int(key))
             if self._keys[slot] == key:
@@ -139,7 +136,6 @@ class LinearProbingHashTable:
             raise ValueError("keys must be non-negative")
         fault_point("hash.insert")
         with self._mutate_lock:
-            container_access(self, "LinearProbingHashTable", True, (self._mutate_lock,))
             self._grow_if_needed(len(keys))
             for key, value in zip(keys.tolist(), values.tolist()):
                 self._insert_unlocked(key, value)

@@ -13,7 +13,6 @@ import threading
 
 import numpy as np
 
-from repro.analysis.hooks import container_access
 from repro.faults import fault_point
 from repro.parallel.atomics import AtomicCounter
 from repro.util.validation import check_positive
@@ -46,9 +45,7 @@ class ConcurrentVector:
         fault_point("vector.append")
         # The claim counter is the synchronisation device: fetch-and-add
         # hands each writer a disjoint cell, the paper's atomic-increment
-        # protocol. Report it as the access's guard so the lockset
-        # detector models that protocol instead of flagging it.
-        container_access(self, "ConcurrentVector", True, (self._claims,))
+        # protocol.
         index = self._claims.fetch_add(1)
         self._ensure_capacity(index + 1)
         # A concurrent grow may snapshot the backing array between our claim
@@ -73,7 +70,6 @@ class ConcurrentVector:
         if count == 0:
             start = self._claims.value
             return start, start
-        container_access(self, "ConcurrentVector", True, (self._claims,))
         start = self._claims.fetch_add(count)
         self._ensure_capacity(start + count)
         while True:

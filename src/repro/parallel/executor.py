@@ -32,7 +32,6 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
-from repro.analysis.hooks import kernel_dispatch
 from repro.exceptions import PoolClosedError, RingoError, WorkerTimeoutError
 from repro.faults import fault_point
 from repro.obs.metrics import registry as _metrics_registry
@@ -251,7 +250,6 @@ class WorkerPool:
                 self.stats.record_timeout(cancelled=0)
                 raise WorkerTimeoutError(timeout, pending=len(tasks) - index, cancelled=0)
             with trace("pool.kernel", partition=index, inline=True):
-                kernel_dispatch()
                 if policy is None:
                     results.append(task())
                 else:
@@ -276,7 +274,6 @@ class WorkerPool:
         def dispatch(task: Callable[[], R], index: int) -> R:
             def attempt() -> R:
                 fault_point("parallel.kernel")
-                kernel_dispatch()
                 return task()
 
             with trace("pool.kernel", _parent=parent, partition=index):

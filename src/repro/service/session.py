@@ -190,7 +190,7 @@ class TenantSession:
                 try:
                     await self._orphan
                 # Its outcome was already reported as a deadline error;
-                # rethrowing would double-fault.  # ringo-lint: disable=R011
+                # rethrowing would double-fault.
                 except Exception:
                     pass
                 self._orphan = None

@@ -1,30 +1,14 @@
-"""Session-wide test wiring for the analysis/observability env toggles.
+"""Session-wide test wiring for the observability env toggle.
 
-``RINGO_RACE_CHECK=1 pytest tests/test_parallel_containers.py`` arms
-the lockset race detector for the whole run, turning the parallel
-suites into a race-discipline smoke (CI's ``lint-analysis`` job does
-exactly this). ``RINGO_TRACE=1 pytest`` likewise arms the repro.obs
-tracer for the whole run, so the entire suite doubles as an
-instrumentation soak (CI's ``obs-smoke`` job). ``RINGO_SANITIZE``
-needs no wiring here — the snapshot cache consults it directly on
-every conversion.
+``RINGO_TRACE=1 pytest`` arms the repro.obs tracer for the whole run,
+so the entire suite doubles as an instrumentation soak (CI's
+``obs-smoke`` job). ``RINGO_SANITIZE`` needs no wiring here — the
+snapshot cache consults it directly on every conversion.
 """
 
 import pytest
 
 from repro import obs
-from repro.analysis import races
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _race_detector_from_env():
-    if not races.env_enabled():
-        yield
-        return
-    detector = races.enable(raise_on_race=True)
-    yield
-    if races.current() is detector:
-        races.disable()
 
 
 @pytest.fixture(scope="session", autouse=True)

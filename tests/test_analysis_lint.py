@@ -1,6 +1,11 @@
-"""ringo-lint: rule fixtures, suppressions, baselines, and CLI exit codes."""
+"""ringo-lint: rule fixtures, mutations of the real source, suppressions,
+and CLI exit codes."""
 
-import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,24 +17,109 @@ from repro.exceptions import AnalysisError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
 
 RULE_FIXTURES = {
     "R001": (FIXTURES / "r001_bad.py", FIXTURES / "r001_ok.py"),
     "R002": (FIXTURES / "r002_bad.py", FIXTURES / "r002_ok.py"),
     "R003": (FIXTURES / "r003_bad.py", FIXTURES / "r003_ok.py"),
     "R004": (FIXTURES / "r004_bad.py", FIXTURES / "r004_ok.py"),
-    "R005": (
-        FIXTURES / "algorithms" / "r005_bad.py",
-        FIXTURES / "algorithms" / "r005_ok.py",
-    ),
     "R006": (FIXTURES / "r006_bad.py", FIXTURES / "r006_ok.py"),
     "R008": (FIXTURES / "r008_bad.py", FIXTURES / "r008_ok.py"),
     "R009": (FIXTURES / "r009_bad.py", FIXTURES / "r009_ok.py"),
     "R010": (FIXTURES / "r010_bad.py", FIXTURES / "r010_ok.py"),
     "R011": (FIXTURES / "r011_bad.py", FIXTURES / "r011_ok.py"),
     # R012 spans a registry module plus a consumer, so its fixture is a
-    # directory (precedent: R005 lives under algorithms/).
+    # directory.
     "R012": (FIXTURES / "r012_bad", FIXTURES / "r012_ok"),
+}
+
+
+def _fault_site_files():
+    """The modules R012 needs: the registry plus every site reference."""
+    pattern = re.compile(r'(fault_point|\.check)\(\s*"')
+    return sorted(
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro").rglob("*.py")
+        if path.name == "faults.py" or pattern.search(path.read_text(encoding="utf-8"))
+    )
+
+
+# rule -> (files linted, file mutated, exact text, replacement). Each is
+# a one-line mutation of the current source that the rule must catch,
+# linted over the smallest set of files in which it still fires (flow
+# rules need the modules their call chain runs through). This table is
+# the record of how every rule can fire.
+RULE_MUTATIONS = {
+    "R001": (
+        ["repro/graphs/directed.py"],
+        "repro/graphs/directed.py",
+        "        self._num_edges += 1\n"
+        "        self._bump_version()\n"
+        '        self._record_delta("add_edge", src, dst)\n',
+        "        self._num_edges += 1\n"
+        '        self._record_delta("add_edge", src, dst)\n',
+    ),
+    "R002": (
+        ["repro/algorithms/common.py"],
+        "repro/algorithms/common.py",
+        "        return csr_snapshot(graph)\n",
+        "        return CSRGraph.from_graph(graph)\n",
+    ),
+    "R003": (
+        ["repro/tables/io_npz.py"],
+        "repro/tables/io_npz.py",
+        'fault_point("io.npz.load")',
+        'fault_point("io.npz.lod")',
+    ),
+    "R004": (
+        ["repro/service/session.py"],
+        "repro/service/session.py",
+        "acquire(),  # ringo-lint: disable=R004\n",
+        "acquire(),\n",
+    ),
+    "R006": (
+        ["repro/algorithms/triangles.py"],
+        "repro/algorithms/triangles.py",
+        "        partial = np.zeros(count, dtype=np.int64)\n",
+        "        partial = np.zeros(count, dtype=np.int64)\n"
+        "        edge_keys[0] += 1\n",
+    ),
+    "R008": (
+        ["repro/service/server.py"],
+        "repro/service/server.py",
+        "    async def drain(self) -> dict:\n",
+        "    async def drain(self) -> dict:\n"
+        "        threading.Event().wait(0.5)\n",
+    ),
+    "R009": (
+        ["repro/core/engine.py"],
+        "repro/core/engine.py",
+        "self._catalog_lock = threading.RLock()",
+        "self._catalog_lock = threading.Lock()",
+    ),
+    "R010": (
+        ["repro/core/engine.py", "repro/recovery/wal.py"],
+        "repro/core/engine.py",
+        "        return self._publish_as(output, result)\n",
+        "        return result\n",
+    ),
+    "R011": (
+        [
+            "repro/recovery/recover.py",
+            "repro/recovery/checkpoint.py",
+            "repro/tables/io_npz.py",
+        ],
+        "repro/recovery/recover.py",
+        "            session.close()\n            raise\n",
+        "            session.close()\n            pass\n",
+    ),
+    "R012": (
+        _fault_site_files(),
+        "repro/tables/io_npz.py",
+        '    fault_point("io.npz.load")\n',
+        "",
+    ),
 }
 
 
@@ -46,24 +136,37 @@ class TestRuleFixtures:
         _, ok = RULE_FIXTURES[code]
         assert lint.lint_paths([str(ok)]) == []
 
-    def test_r005_is_advisory_and_never_gates(self):
-        bad, _ = RULE_FIXTURES["R005"]
-        findings = lint.lint_paths([str(bad)])
-        assert findings[0].severity == lint.SEVERITY_ADVISORY
-        assert lint.gating_findings(findings) == []
-
-    def test_r005_only_applies_under_algorithms(self, tmp_path):
-        source = RULE_FIXTURES["R005"][0].read_text(encoding="utf-8")
-        elsewhere = tmp_path / "r005_elsewhere.py"
-        elsewhere.write_text(source, encoding="utf-8")
-        assert lint.lint_paths([str(elsewhere)]) == []
-
     def test_finding_carries_location_and_symbol(self):
         bad, _ = RULE_FIXTURES["R001"]
         finding = lint.lint_paths([str(bad)])[0]
         assert finding.line > 0
         assert finding.symbol == "ForgetfulGraph.add_edge"
         assert "ForgetfulGraph.add_edge" in finding.message
+
+
+class TestRulesFire:
+    """Every rule catches a one-line mutation of the real source."""
+
+    def test_every_rule_has_a_mutation(self):
+        assert sorted(RULE_MUTATIONS) == [rule.code for rule in lint.active_rules()]
+
+    @pytest.mark.parametrize("code", sorted(RULE_MUTATIONS))
+    def test_one_line_mutation_fires(self, code, tmp_path):
+        files, target, old, new = RULE_MUTATIONS[code]
+        # Keep the src/ layout: flow rules name modules by their path.
+        root = tmp_path / "src"
+        for rel in files:
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(SRC / rel, root / rel)
+        paths = [str(root / rel) for rel in files]
+        unmutated = lint.lint_paths(paths, [code])
+        assert lint.gating_findings(unmutated) == []
+
+        source = (root / target).read_text(encoding="utf-8")
+        assert source.count(old) == 1, f"{code}: mutation target drifted"
+        (root / target).write_text(source.replace(old, new), encoding="utf-8")
+        findings = lint.gating_findings(lint.lint_paths(paths, [code]))
+        assert [f.code for f in findings] == [code]
 
 
 class TestSuppression:
@@ -95,42 +198,11 @@ class TestSuppression:
         source = self.SOURCE.replace("disable=R002", "disable=R001")
         findings = lint.lint_source(source, "x.py")
         assert not findings[0].suppressed
-        assert len(lint.gating_findings(findings)) == 1
+        assert len(lint.gating_findings(findings)) == 2  # R002 + unused R001
 
     def test_disable_all(self):
         source = self.SOURCE.replace("disable=R002", "disable=all")
         assert lint.lint_source(source, "x.py")[0].suppressed
-
-
-class TestBaseline:
-    def test_round_trip_accepts_known_findings(self, tmp_path):
-        bad, _ = RULE_FIXTURES["R002"]
-        findings = lint.lint_paths([str(bad)])
-        baseline_path = tmp_path / "baseline"
-        assert lint.write_baseline(baseline_path, findings) == 1
-        fresh = lint.lint_paths([str(bad)])
-        lint.apply_baseline(fresh, lint.load_baseline(baseline_path))
-        assert fresh[0].baselined
-        assert lint.gating_findings(fresh) == []
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert lint.load_baseline(tmp_path / "nope") == set()
-
-    def test_baseline_keys_are_line_number_free(self):
-        bad, _ = RULE_FIXTURES["R002"]
-        finding = lint.lint_paths([str(bad)])[0]
-        assert finding.key == f"R002|{bad.as_posix()}|eager_pagerank_input"
-
-    def test_shipped_baseline_is_empty(self):
-        shipped = lint.load_baseline(REPO_ROOT / ".ringo-lint-baseline")
-        assert shipped == set()
-
-    def test_src_tree_is_clean_against_shipped_baseline(self):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")])
-        lint.apply_baseline(
-            findings, lint.load_baseline(REPO_ROOT / ".ringo-lint-baseline")
-        )
-        assert lint.gating_findings(findings) == []
 
 
 class TestRuleSelection:
@@ -145,61 +217,36 @@ class TestRuleSelection:
     def test_all_rules_registered(self):
         codes = [rule.code for rule in lint.active_rules()]
         assert codes == [
-            "R001", "R002", "R003", "R004", "R005", "R006",
+            "R001", "R002", "R003", "R004", "R006",
             "R008", "R009", "R010", "R011", "R012",
         ]
 
 
 class TestCli:
-    def test_bad_fixture_exits_one(self, tmp_path, capsys):
+    def test_bad_fixture_exits_one(self, capsys):
         bad, _ = RULE_FIXTURES["R004"]
-        code = analysis_cli.main([str(bad), "--baseline", str(tmp_path / "b")])
-        assert code == 1
+        assert analysis_cli.main([str(bad)]) == 1
         assert "R004" in capsys.readouterr().out
 
-    def test_ok_fixture_exits_zero(self, tmp_path, capsys):
+    def test_ok_fixture_exits_zero(self, capsys):
         _, ok = RULE_FIXTURES["R004"]
-        assert analysis_cli.main([str(ok), "--baseline", str(tmp_path / "b")]) == 0
+        assert analysis_cli.main([str(ok)]) == 0
 
     def test_bad_path_exits_two(self, tmp_path, capsys):
         assert analysis_cli.main([str(tmp_path / "missing.txt")]) == 2
-
-    def test_json_format(self, tmp_path, capsys):
-        bad, _ = RULE_FIXTURES["R006"]
-        code = analysis_cli.main(
-            [str(bad), "--format", "json", "--baseline", str(tmp_path / "b")]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["code"] == "R006"
 
     def test_list_rules(self, capsys):
         assert analysis_cli.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "R001" in out and "R006" in out and "R012" in out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        bad, _ = RULE_FIXTURES["R001"]
-        baseline = tmp_path / "baseline"
-        assert (
-            analysis_cli.main([str(bad), "--baseline", str(baseline), "--write-baseline"])
-            == 0
-        )
-        assert analysis_cli.main([str(bad), "--baseline", str(baseline)]) == 0
-
-    def test_repro_lint_subcommand(self, tmp_path, capsys):
-        bad, _ = RULE_FIXTURES["R002"]
-        _, ok = RULE_FIXTURES["R002"]
-        assert (
-            repro_main(["lint", str(bad), "--baseline", str(tmp_path / "b")]) == 1
-        )
-        assert (
-            repro_main(["lint", str(ok), "--baseline", str(tmp_path / "b")]) == 0
-        )
-
-    def test_markdown_requires_list_rules(self, tmp_path, capsys):
-        assert analysis_cli.main([str(tmp_path), "--format", "markdown"]) == 2
-        assert "requires --list-rules" in capsys.readouterr().err
+    def test_repro_lint_subcommand(self, capsys):
+        bad, ok = RULE_FIXTURES["R002"]
+        assert repro_main(["lint", str(bad)]) == 1
+        assert repro_main(["lint", str(ok)]) == 0
+        assert repro_main(["lint", "--rules", "R001", str(bad)]) == 0
+        assert repro_main(["lint", "--list-rules"]) == 0
+        assert "R012" in capsys.readouterr().out
 
 
 class TestParseError:
@@ -211,7 +258,6 @@ class TestParseError:
         findings = lint.lint_paths([str(broken)])
         assert [f.code for f in findings] == [lint.CODE_PARSE_ERROR]
         finding = findings[0]
-        assert finding.severity == lint.SEVERITY_ERROR
         assert finding.line >= 1
         assert "does not parse" in finding.message
         assert lint.gating_findings(findings) == [finding]
@@ -231,10 +277,9 @@ class TestUnusedSuppression:
         findings = lint.lint_source(self.DEAD, "x.py")
         assert [f.code for f in findings] == [lint.CODE_UNUSED_SUPPRESSION]
         finding = findings[0]
-        assert finding.severity == lint.SEVERITY_ADVISORY
         assert "R004" in finding.message
         assert finding.line == 2
-        assert lint.gating_findings(findings) == []
+        assert lint.gating_findings(findings) == [finding]
 
     def test_used_suppression_not_reported(self):
         findings = lint.lint_source(TestSuppression.SOURCE, "x.py")
@@ -244,76 +289,21 @@ class TestUnusedSuppression:
         assert lint.lint_source(self.DEAD, "x.py", ["R004"]) == []
 
 
-class TestSarif:
-    def test_sarif_document_shape(self, tmp_path, capsys):
-        bad, _ = RULE_FIXTURES["R004"]
-        code = analysis_cli.main(
-            [str(bad), "--format", "sarif", "--baseline", str(tmp_path / "b")]
-        )
-        assert code == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "ringo-lint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        for expected in ("R001", "R008", "R012", "E000", "W001"):
-            assert expected in rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "R004"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("r004_bad.py")
-        assert location["region"]["startLine"] > 0
-        assert result["suppressions"] == []
-
-    def test_advisory_maps_to_note_and_suppressions_marked(self):
-        findings = lint.lint_source(TestSuppression.SOURCE, "x.py")
-        log = analysis_cli.sarif_report(findings)
-        result = log["runs"][0]["results"][0]
-        assert result["suppressions"][0]["kind"] == "inSource"
-        advisory = lint.lint_source(TestUnusedSuppression.DEAD, "x.py")
-        log = analysis_cli.sarif_report(advisory)
-        assert log["runs"][0]["results"][0]["level"] == "note"
-
-
-class TestStrictBaseline:
-    def test_stale_entry_fails_strict(self, tmp_path, capsys):
-        _, ok = RULE_FIXTURES["R004"]
-        baseline = tmp_path / "baseline"
-        baseline.write_text("R004|gone.py|gone\n", encoding="utf-8")
-        assert analysis_cli.main([str(ok), "--baseline", str(baseline)]) == 0
-        assert (
-            analysis_cli.main(
-                [str(ok), "--baseline", str(baseline), "--strict-baseline"]
-            )
-            == 1
-        )
-        assert "stale baseline" in capsys.readouterr().err
-
-    def test_live_entries_pass_strict(self, tmp_path, capsys):
-        bad, _ = RULE_FIXTURES["R004"]
-        baseline = tmp_path / "baseline"
-        findings = lint.lint_paths([str(bad)])
-        lint.write_baseline(baseline, findings)
-        assert (
-            analysis_cli.main(
-                [str(bad), "--baseline", str(baseline), "--strict-baseline"]
-            )
-            == 0
-        )
-
-    def test_stale_keys_helper(self):
-        _, ok = RULE_FIXTURES["R004"]
-        findings = lint.lint_paths([str(ok)])
-        stale = lint.stale_baseline_keys(findings, {"R001|a.py|f", "R002|b.py|g"})
-        assert stale == ["R001|a.py|f", "R002|b.py|g"]
-
-
 class TestDocsTable:
     def test_docs_table_matches_generator(self, capsys):
-        assert analysis_cli.main(["--list-rules", "--format", "markdown"]) == 0
+        assert analysis_cli.main(["--list-rules"]) == 0
         generated = capsys.readouterr().out.strip()
         doc = (REPO_ROOT / "docs" / "static-analysis.md").read_text(encoding="utf-8")
         begin = doc.index("<!-- rules:begin -->") + len("<!-- rules:begin -->")
         end = doc.index("<!-- rules:end -->")
         assert doc[begin:end].strip() == generated
+
+
+def test_import_repro_does_not_load_the_lint_engine():
+    engine = ("repro.analysis.callgraph", "repro.analysis.flow", "repro.analysis.lint")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print(sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert not [name for name in engine if repr(name) in loaded]

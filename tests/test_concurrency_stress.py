@@ -1,14 +1,14 @@
 """Concurrency stress: conversions and pool kernels under every layer.
 
-Every hardening layer armed at once — seeded fault injection firing
-inside worker kernels, the lockset race detector set to raise, and the
-snapshot sanitizer forced on. The sort-first conversion and the cached
-CSR build are serial numpy; the triangle and WCC kernels then run on a
-four-worker pool, where injected faults are absorbed by the pool's
+Both hardening layers armed at once — seeded fault injection firing
+inside worker kernels and the snapshot sanitizer forced on. The
+sort-first conversion and the cached CSR build are serial numpy; the
+triangle and WCC kernels then run on a four-worker pool, where
+injected faults are absorbed by the pool's
 retry policy (``max_triggers`` bounds each seed's faults below the
 attempt budget, so the test is deterministic, not probabilistic).
 Across 50 seeds every result must equal the serial answer and no
-``RaceDetected``/``SanitizerError`` may surface.
+``SanitizerError`` may surface.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 
 from repro.algorithms.components import wcc_label_array
 from repro.algorithms.triangles import triangle_count_array
-from repro.analysis import races, sanitize
+from repro.analysis import sanitize
 from repro.convert.table_to_graph import sort_first_directed, sort_first_undirected
 from repro.faults import inject_faults
 from repro.graphs.snapshot import SnapshotCache
@@ -32,17 +32,11 @@ _NODES, _EDGES = 120, 3000
 
 @pytest.fixture
 def hardened():
-    """Race detector (raising) + sanitizer (forced on) for one test."""
-    detector = races.current()
-    owned = detector is None
-    if owned:
-        detector = races.enable(raise_on_race=True)
+    """Sanitizer (forced on) for one test; no violation may be counted."""
     sanitize.enable()
-    yield detector
+    yield
     assert sanitize.stats()["violations"] == 0
     sanitize.reset()
-    if owned and races.current() is detector:
-        races.disable()
 
 
 def _pool_kernels(csr, pool):
