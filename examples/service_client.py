@@ -76,7 +76,7 @@ def main() -> None:
         # Pipeline a slow request with a 1 ms probe queued behind it:
         # the probe cannot start in time, so the service answers it
         # with a typed expiry within a tick instead of running it late.
-        slow = alice.send("GetBfsLevels", graph={"$ref": "graph-2"}, root=0)
+        slow = alice.send("GetBfsLevels", graph={"$ref": "graph-2"}, source=0)
         probe = alice.send("digest", deadline_ms=1)
         envelope = alice.wait(probe)
         kind = envelope["error"]["type"] if not envelope["ok"] else "ok"

@@ -14,11 +14,14 @@ The three phases map here as:
 2. **count** — run boundaries via ``searchsorted`` give each node's
    neighbour count, so "there is no need to estimate the size of the
    hash table or neighbor vectors in advance".
-3. **copy** — per-node adjacency vectors are sliced out of the sorted
-   arrays and installed into the node hash table. The paper splits this
-   loop over threads; here it stays one serial loop, because creating a
-   per-node Python object holds the GIL and a thread pool measured no
-   faster than one worker (EXPERIMENTS.md, A3).
+3. **copy** — the paper copies each node's neighbour vector into the
+   graph hash table. Here the sorted neighbour columns are densified
+   with one ``searchsorted`` over the node ids, and the graph adopts
+   ``node_ids``, the run boundaries as ``indptr`` and the dense columns
+   as a frozen CSR (:class:`~repro.graphs.base.CSRBacking`). No per-node
+   record is made: reads answer from the CSR, the snapshot cache wraps
+   it without a copy, and the hash table is built only if the graph is
+   mutated (EXPERIMENTS.md, A3).
 
 Two alternative builders are kept as the baselines the paper says it
 experimented against (benchmark A1): per-edge dynamic insertion, and
@@ -31,6 +34,7 @@ import numpy as np
 
 from repro.exceptions import ConversionError
 from repro.faults import fault_point
+from repro.graphs.base import CSRBacking, readonly
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
@@ -52,6 +56,23 @@ def _as_edge_arrays(sources, targets) -> tuple[np.ndarray, np.ndarray]:
     return sources, targets
 
 
+def _as_node_array(nodes) -> np.ndarray:
+    """Extra node ids for a build (isolated nodes), validated."""
+    if nodes is None:
+        return np.empty(0, dtype=np.int64)
+    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+    if nodes.ndim != 1:
+        raise ConversionError("node array must be one-dimensional")
+    if len(nodes) and nodes.min() < 0:
+        raise ConversionError("node ids must be non-negative")
+    return nodes
+
+
+def _row_starts(keys: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
+    """CSR row pointer of sorted ``keys`` over sorted ``node_ids``."""
+    return np.append(np.searchsorted(keys, node_ids), len(keys))
+
+
 def _dedup_sorted_pairs(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
     """Keep-mask removing consecutive duplicate (primary, secondary) pairs.
 
@@ -67,12 +88,18 @@ def _dedup_sorted_pairs(primary: np.ndarray, secondary: np.ndarray) -> np.ndarra
     return keep
 
 
-def sort_first_directed(sources: np.ndarray, targets: np.ndarray) -> DirectedGraph:
-    """Build a :class:`DirectedGraph` with the paper's sort-first algorithm."""
+def sort_first_directed(
+    sources: np.ndarray, targets: np.ndarray, nodes=None
+) -> DirectedGraph:
+    """Build a :class:`DirectedGraph` with the paper's sort-first algorithm.
+
+    ``nodes`` adds ids that need not appear in any edge (isolated nodes).
+    """
     sources, targets = _as_edge_arrays(sources, targets)
+    nodes = _as_node_array(nodes)
     fault_point("convert.sort_first")
     graph = DirectedGraph()
-    if len(sources) == 0:
+    if len(sources) == 0 and len(nodes) == 0:
         return graph
 
     with trace("convert.sort_first", rows=len(sources), directed=True) as span:
@@ -97,32 +124,35 @@ def sort_first_directed(sources: np.ndarray, targets: np.ndarray) -> DirectedGra
         # Phase 2: neighbour counts from run boundaries — exact sizes
         # known up front, no growth estimation needed.
         with trace("convert.count"):
-            node_ids = np.unique(np.concatenate([out_src, out_dst]))
-            out_lo = np.searchsorted(out_src, node_ids, side="left")
-            out_hi = np.searchsorted(out_src, node_ids, side="right")
-            in_lo = np.searchsorted(in_dst, node_ids, side="left")
-            in_hi = np.searchsorted(in_dst, node_ids, side="right")
+            node_ids = np.unique(np.concatenate([out_src, out_dst, nodes]))
+            out_indptr = _row_starts(out_src, node_ids)
+            in_indptr = _row_starts(in_dst, node_ids)
 
-        # Phase 3: copy neighbour vectors into the node hash table.
+        # Phase 3: densify the sorted neighbour columns; with the node
+        # ids and the run boundaries they are the graph's CSR.
         with trace("convert.copy", nodes=len(node_ids)):
-            for index, node in enumerate(node_ids.tolist()):
-                graph._set_adjacency(
-                    node,
-                    in_src[in_lo[index]:in_hi[index]],
-                    out_dst[out_lo[index]:out_hi[index]],
-                )
-        graph._set_edge_count(len(out_src))
+            backing = CSRBacking(
+                readonly(node_ids),
+                readonly(out_indptr),
+                readonly(np.searchsorted(node_ids, out_dst)),
+                readonly(in_indptr),
+                readonly(np.searchsorted(node_ids, in_src)),
+            )
+        graph._install_csr(backing, len(out_src))
         span.set_tag("nodes", len(node_ids))
         span.set_tag("edges", len(out_src))
     return graph
 
 
-def sort_first_undirected(sources: np.ndarray, targets: np.ndarray) -> UndirectedGraph:
+def sort_first_undirected(
+    sources: np.ndarray, targets: np.ndarray, nodes=None
+) -> UndirectedGraph:
     """Sort-first build of an :class:`UndirectedGraph` (edges symmetrised)."""
     sources, targets = _as_edge_arrays(sources, targets)
+    nodes = _as_node_array(nodes)
     fault_point("convert.sort_first")
     graph = UndirectedGraph()
-    if len(sources) == 0:
+    if len(sources) == 0 and len(nodes) == 0:
         return graph
     with trace("convert.sort_first", rows=len(sources), directed=False) as span:
         with trace("convert.sort"):
@@ -137,28 +167,34 @@ def sort_first_undirected(sources: np.ndarray, targets: np.ndarray) -> Undirecte
             sym_dst = sym_dst[keep]
 
         with trace("convert.count"):
-            node_ids = np.unique(sym_src)
-            lo = np.searchsorted(sym_src, node_ids, side="left")
-            hi = np.searchsorted(sym_src, node_ids, side="right")
+            node_ids = np.unique(np.concatenate([sym_src, nodes]))
+            indptr = _row_starts(sym_src, node_ids)
 
         with trace("convert.copy", nodes=len(node_ids)):
-            for index, node in enumerate(node_ids.tolist()):
-                graph._set_adjacency(node, sym_dst[lo[index]:hi[index]])
+            # The symmetric adjacency is its own transpose: both
+            # orientations share the two arrays, as in a snapshot.
+            indptr = readonly(indptr)
+            indices = readonly(np.searchsorted(node_ids, sym_dst))
+            backing = CSRBacking(readonly(node_ids), indptr, indices, indptr, indices)
         # Each non-loop edge appears twice in the symmetrised pairs.
         loop_count = int(np.sum(sym_src == sym_dst))
-        graph._set_edge_count((len(sym_src) - loop_count) // 2 + loop_count)
+        graph._install_csr(backing, (len(sym_src) - loop_count) // 2 + loop_count)
         span.set_tag("nodes", len(node_ids))
         span.set_tag("edges", graph.num_edges)
     return graph
 
 
 def graph_from_edge_arrays(
-    sources: np.ndarray, targets: np.ndarray, directed: bool = True
+    sources: np.ndarray, targets: np.ndarray, directed: bool = True, nodes=None
 ) -> "DirectedGraph | UndirectedGraph":
-    """Canonical bulk construction entry point (sort-first)."""
+    """Canonical bulk construction entry point (sort-first).
+
+    ``nodes`` lists ids to include even without edges, so a restore
+    keeps its isolated nodes without mutating the new graph.
+    """
     if directed:
-        return sort_first_directed(sources, targets)
-    return sort_first_undirected(sources, targets)
+        return sort_first_directed(sources, targets, nodes)
+    return sort_first_undirected(sources, targets, nodes)
 
 
 def to_graph(

@@ -6,15 +6,23 @@ nodes." The Python dict plays the node hash table; adjacency vectors are
 sorted numpy int64 arrays, so membership is a binary search and edge
 deletion is linear in the node degree — the trade-off against CSR the
 paper describes (and the A2 ablation measures).
+
+The paper chose the hash table *for dynamism*, and only a mutation needs
+it. A graph built in bulk (the sort-first converter, restores) is born
+holding a frozen CSR instead: a :class:`CSRBacking` of read-only arrays
+that every read answers from and that the snapshot cache wraps without
+copying. The first mutation that changes structure materialises the
+hash table from it once and drops it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.exceptions import NodeNotFoundError
+from repro.obs.spans import trace
 
 EMPTY_ADJACENCY = np.empty(0, dtype=np.int64)
 
@@ -71,11 +79,65 @@ def readonly(array: np.ndarray) -> np.ndarray:
     return view
 
 
+class CSRBacking(NamedTuple):
+    """The frozen CSR a bulk-built graph answers its reads from.
+
+    ``node_ids`` is sorted ascending and doubles as the graph's node
+    order; the indices are dense positions into it and every row is
+    sorted. All five arrays are read-only, so graphs, copies and CSR
+    snapshots can share them. An undirected backing stores its one
+    symmetric orientation as both ``out`` and ``in``.
+    """
+
+    node_ids: np.ndarray
+    out_indptr: np.ndarray
+    out_indices: np.ndarray
+    in_indptr: np.ndarray
+    in_indices: np.ndarray
+
+    def index(self, node_id) -> int:
+        """Dense index of ``node_id``, or -1 when it is not a node."""
+        ids = self.node_ids
+        try:
+            position = int(np.searchsorted(ids, node_id))
+        except (TypeError, ValueError, OverflowError):
+            return -1  # not an id at all, as a dict lookup would say
+        if position < len(ids) and ids[position] == node_id:
+            return position
+        return -1
+
+    def out_row(self, index: int) -> np.ndarray:
+        """Dense out-neighbours of the node at ``index`` (a view)."""
+        return self.out_indices[self.out_indptr[index]:self.out_indptr[index + 1]]
+
+    def in_row(self, index: int) -> np.ndarray:
+        """Dense in-neighbours of the node at ``index`` (a view)."""
+        return self.in_indices[self.in_indptr[index]:self.in_indptr[index + 1]]
+
+    def has_arc(self, src: int, dst: int) -> bool:
+        """Whether the out-row of ``src`` holds ``dst`` (original ids)."""
+        row = self.index(src)
+        col = self.index(dst)
+        return row >= 0 and col >= 0 and sorted_contains(self.out_row(row), col)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every out-arc as fresh ``(src, dst)`` arrays of original ids."""
+        ids = self.node_ids
+        return np.repeat(ids, np.diff(self.out_indptr)), ids[self.out_indices]
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the distinct arrays (undirected ones share two)."""
+        distinct = {id(array): array.nbytes for array in self}
+        return sum(distinct.values())
+
+
 class GraphBase:
     """Behaviour shared by the directed and undirected graph classes.
 
     Subclasses supply ``_nodes`` (the node hash table) and the edge
     bookkeeping; this base provides the derived queries algorithms use.
+    While ``_csr`` holds a :class:`CSRBacking`, ``_nodes`` is ``None``
+    and every read goes to the backing instead.
 
     Every structural mutation bumps :attr:`version`, a cheap monotonic
     counter. Snapshot consumers (the CSR cache in
@@ -84,7 +146,8 @@ class GraphBase:
     add/delete automatically invalidates stale snapshots.
     """
 
-    _nodes: dict
+    _nodes: "dict | None"
+    _csr: "CSRBacking | None" = None
     _version: int = 0
     # Attached by the snapshot cache when incremental maintenance is on
     # (see repro.incremental.delta.MutationLog); None costs one attribute
@@ -124,33 +187,93 @@ class GraphBase:
         if log is not None:
             log.poison(reason)
 
+    # ------------------------------------------------------------------
+    # The CSR backing
+    # ------------------------------------------------------------------
+
+    def _install_csr(self, backing: CSRBacking, num_edges: int) -> None:
+        """Adopt a frozen CSR as the whole graph — bulk construction only.
+
+        The caller guarantees sorted unique ``node_ids``, sorted rows
+        and read-only arrays. One version bump, like any other bulk
+        install, and a log attached to the old state cannot replay it.
+        """
+        self._csr = backing
+        self._nodes = None
+        self._num_edges = num_edges
+        self._bump_version()
+        self._poison_delta("bulk CSR install")
+
+    def _materialise(self, op: str) -> None:
+        """Build the node hash table from the backing, then drop it.
+
+        Called by the first mutator that will change structure (``op``
+        names it). The graph's structure does not change here, so the
+        version does not move: the cached snapshot and a mutation log
+        anchored at this version both stay valid.
+        """
+        backing = self._csr
+        with trace("graph.materialise", nodes=len(backing.node_ids), op=op):
+            self._nodes = self._records_from(backing)
+            self._csr = None
+
+    def _records_from(self, backing: CSRBacking) -> dict:
+        """The node hash table equivalent to ``backing`` (subclass hook)."""
+        raise NotImplementedError
+
+    def _dense_index(self, backing: CSRBacking, node_id) -> int:
+        """Dense index of ``node_id`` in ``backing``; raises if absent."""
+        index = backing.index(node_id)
+        if index < 0:
+            raise NodeNotFoundError(node_id)
+        return index
+
+    # ------------------------------------------------------------------
+    # Node queries
+    # ------------------------------------------------------------------
+
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self.num_nodes
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return self.has_node(node_id)
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes."""
+        backing = self._csr
+        if backing is not None:
+            return len(backing.node_ids)
         return len(self._nodes)
 
     def has_node(self, node_id: int) -> bool:
         """Whether ``node_id`` is present."""
+        backing = self._csr
+        if backing is not None:
+            return backing.index(node_id) >= 0
         return node_id in self._nodes
 
     def nodes(self) -> Iterator[int]:
-        """Iterate node ids (hash-table order: insertion order in CPython)."""
+        """Iterate node ids: insertion order, or ascending when CSR-backed."""
+        backing = self._csr
+        if backing is not None:
+            return iter(backing.node_ids.tolist())
         return iter(self._nodes)
 
     def node_array(self) -> np.ndarray:
-        """All node ids as an int64 array."""
+        """All node ids as a fresh int64 array, in :meth:`nodes` order."""
+        backing = self._csr
+        if backing is not None:
+            return backing.node_ids.copy()
         return np.fromiter(self._nodes.keys(), dtype=np.int64, count=len(self._nodes))
 
     def _require_node(self, node_id: int) -> None:
-        if node_id not in self._nodes:
+        if not self.has_node(node_id):
             raise NodeNotFoundError(node_id)
 
     def max_node_id(self) -> int:
         """Largest node id, or -1 for an empty graph."""
+        backing = self._csr
+        if backing is not None:
+            return int(backing.node_ids[-1]) if len(backing.node_ids) else -1
         return max(self._nodes, default=-1)

@@ -1,11 +1,17 @@
 """Compressed Sparse Row snapshot — the representation Ringo decided
-*against* for its dynamic graphs (paper §2.2), kept here for two reasons:
+*against* for its dynamic graphs (paper §2.2), used here for three
+reasons:
 
 * the A2 ablation benchmark measures the design trade-off the paper
-  describes (CSR traversal speed vs prohibitive update cost), and
+  describes (CSR traversal speed vs prohibitive update cost);
 * the bulk analytics kernels (PageRank, triangles) run fastest over a
   CSR snapshot, mirroring how Ringo's C++ loops stream over contiguous
-  adjacency data.
+  adjacency data; and
+* it is also the bulk representation: a graph the sort-first converter
+  builds is born holding these five arrays
+  (:class:`~repro.graphs.base.CSRBacking`), and its snapshot wraps them
+  without a copy. The node hash table is built only when something
+  first mutates the graph.
 
 A :class:`CSRGraph` is immutable. Node ids are densified to ``0..n-1``;
 ``node_ids[dense]`` recovers the original id and :meth:`dense_of` maps
@@ -105,14 +111,20 @@ class CSRGraph:
     def from_graph(cls, graph: "DirectedGraph | UndirectedGraph") -> "CSRGraph":
         """Snapshot a dynamic graph (undirected edges become symmetric).
 
-        One build path for all inputs — isolated nodes are included from
-        the start, so no mismatch-detect-and-rebuild ever happens. The
+        A CSR-backed graph is wrapped: a new snapshot over the backing's
+        five read-only arrays, O(1), with its derived arrays still to be
+        computed. Otherwise one build path for all inputs — isolated
+        nodes are included from the start, so no
+        mismatch-detect-and-rebuild ever happens. The
         dynamic adjacency vectors are already sorted, so the build skips
         the edge-list lexsort: it gathers the vectors in node-id order
         (degrees, row pointers and one concatenate) and densifies them
         with one ``searchsorted`` per direction. Each row stays sorted
         because both the vectors and ``node_ids`` are.
         """
+        backing = graph._csr
+        if backing is not None:
+            return cls(*backing)
         node_ids = np.sort(graph.node_array())
         rows = [graph._nodes[node] for node in node_ids.tolist()]
         if graph.is_directed:

@@ -4,6 +4,10 @@
 each node contains two sorted adjacency vectors providing its
 in-neighbors and out-neighbors." Simple directed graph semantics (SNAP's
 ``TNGraph``): at most one edge per ordered pair, self-loops allowed.
+
+A bulk-built graph holds both orientations as a frozen CSR instead
+(:class:`~repro.graphs.base.CSRBacking`) and builds the hash table on
+its first structural mutation; see :mod:`repro.graphs.base`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graphs.base import (
     EMPTY_ADJACENCY,
+    CSRBacking,
     GraphBase,
     gather_adjacency,
     readonly,
@@ -29,9 +34,12 @@ class _NodeRecord:
 
     __slots__ = ("in_nbrs", "out_nbrs")
 
-    def __init__(self) -> None:
-        self.in_nbrs = EMPTY_ADJACENCY
-        self.out_nbrs = EMPTY_ADJACENCY
+    def __init__(
+        self, in_nbrs: np.ndarray = EMPTY_ADJACENCY,
+        out_nbrs: np.ndarray = EMPTY_ADJACENCY,
+    ) -> None:
+        self.in_nbrs = in_nbrs
+        self.out_nbrs = out_nbrs
 
 
 class DirectedGraph(GraphBase):
@@ -67,37 +75,56 @@ class DirectedGraph(GraphBase):
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether the directed edge ``src -> dst`` exists."""
+        backing = self._csr
+        if backing is not None:
+            return backing.has_arc(src, dst)
         record = self._nodes.get(src)
         return record is not None and sorted_contains(record.out_nbrs, dst)
 
     def out_neighbors(self, node_id: int) -> np.ndarray:
-        """Sorted out-neighbour ids of ``node_id`` (read-only view)."""
+        """Sorted out-neighbour ids of ``node_id`` (read-only)."""
+        backing = self._csr
+        if backing is not None:
+            row = backing.out_row(self._dense_index(backing, node_id))
+            return readonly(backing.node_ids[row])
         self._require_node(node_id)
         return readonly(self._nodes[node_id].out_nbrs)
 
     def in_neighbors(self, node_id: int) -> np.ndarray:
-        """Sorted in-neighbour ids of ``node_id`` (read-only view)."""
+        """Sorted in-neighbour ids of ``node_id`` (read-only)."""
+        backing = self._csr
+        if backing is not None:
+            row = backing.in_row(self._dense_index(backing, node_id))
+            return readonly(backing.node_ids[row])
         self._require_node(node_id)
         return readonly(self._nodes[node_id].in_nbrs)
 
     def out_degree(self, node_id: int) -> int:
         """Out-degree of ``node_id``."""
+        backing = self._csr
+        if backing is not None:
+            return len(backing.out_row(self._dense_index(backing, node_id)))
         self._require_node(node_id)
         return len(self._nodes[node_id].out_nbrs)
 
     def in_degree(self, node_id: int) -> int:
         """In-degree of ``node_id``."""
+        backing = self._csr
+        if backing is not None:
+            return len(backing.in_row(self._dense_index(backing, node_id)))
         self._require_node(node_id)
         return len(self._nodes[node_id].in_nbrs)
 
     def degree(self, node_id: int) -> int:
         """Total degree (in + out)."""
-        self._require_node(node_id)
-        record = self._nodes[node_id]
-        return len(record.in_nbrs) + len(record.out_nbrs)
+        return self.in_degree(node_id) + self.out_degree(node_id)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate directed edges as ``(src, dst)`` pairs."""
+        if self._csr is not None:
+            sources, targets = self.edge_arrays()
+            yield from zip(sources.tolist(), targets.tolist())
+            return
         for node_id, record in self._nodes.items():
             for dst in record.out_nbrs.tolist():
                 yield node_id, dst
@@ -108,6 +135,9 @@ class DirectedGraph(GraphBase):
         Bulk export used by graph→table conversion, serialization and
         checkpoints; edges come out grouped by source node.
         """
+        backing = self._csr
+        if backing is not None:
+            return backing.edge_arrays()
         degrees, _, targets = gather_adjacency(
             [record.out_nbrs for record in self._nodes.values()]
         )
@@ -122,7 +152,11 @@ class DirectedGraph(GraphBase):
         node_id = int(node_id)
         if node_id < 0:
             raise GraphError(f"node ids must be non-negative, got {node_id}")
-        if node_id in self._nodes:
+        if self._csr is not None:
+            if self._csr.index(node_id) >= 0:
+                return False
+            self._materialise("add_node")
+        elif node_id in self._nodes:
             return False
         self._nodes[node_id] = _NodeRecord()
         self._bump_version()
@@ -137,6 +171,10 @@ class DirectedGraph(GraphBase):
         """
         src = int(src)
         dst = int(dst)
+        if self._csr is not None:
+            if self._csr.has_arc(src, dst):
+                return False
+            self._materialise("add_edge")
         self.add_node(src)
         self.add_node(dst)
         src_record = self._nodes[src]
@@ -153,6 +191,10 @@ class DirectedGraph(GraphBase):
 
     def del_edge(self, src: int, dst: int) -> None:
         """Delete the edge ``src -> dst``; raises if absent. O(degree)."""
+        if self._csr is not None:
+            if not self._csr.has_arc(src, dst):
+                raise EdgeNotFoundError(src, dst)
+            self._materialise("del_edge")
         record = self._nodes.get(src)
         if record is None:
             raise EdgeNotFoundError(src, dst)
@@ -169,6 +211,8 @@ class DirectedGraph(GraphBase):
     def del_node(self, node_id: int) -> None:
         """Delete a node and every incident edge; raises if absent."""
         self._require_node(node_id)
+        if self._csr is not None:
+            self._materialise("del_node")
         record = self._nodes[node_id]
         # Captured before deletion; the delta log needs every incident
         # edge as an explicit delete record (stamped with the single
@@ -220,6 +264,21 @@ class DirectedGraph(GraphBase):
         self._bump_version()
         self._poison_delta("bulk edge-count install")
 
+    def _records_from(self, backing: CSRBacking) -> dict:
+        """One record per node, its vectors views of two gathered arrays."""
+        ids = backing.node_ids
+        in_src = ids[backing.in_indices]
+        out_dst = ids[backing.out_indices]
+        in_ptr = backing.in_indptr.tolist()
+        out_ptr = backing.out_indptr.tolist()
+        return {
+            node: _NodeRecord(
+                in_src[in_ptr[index]:in_ptr[index + 1]],
+                out_dst[out_ptr[index]:out_ptr[index + 1]],
+            )
+            for index, node in enumerate(ids.tolist())
+        }
+
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -227,6 +286,13 @@ class DirectedGraph(GraphBase):
     def reverse(self) -> "DirectedGraph":
         """New graph with every edge direction flipped (vectors swap)."""
         result = DirectedGraph()
+        backing = self._csr
+        if backing is not None:
+            ids, out_ptr, out_idx, in_ptr, in_idx = backing
+            result._install_csr(
+                CSRBacking(ids, in_ptr, in_idx, out_ptr, out_idx), self._num_edges
+            )
+            return result
         for node_id, record in self._nodes.items():
             result._set_adjacency(node_id, record.out_nbrs.copy(), record.in_nbrs.copy())
         result._set_edge_count(self._num_edges)
@@ -237,15 +303,19 @@ class DirectedGraph(GraphBase):
         from repro.graphs.undirected import UndirectedGraph
 
         result = UndirectedGraph()
-        for node_id in self._nodes:
+        for node_id in self.nodes():
             result.add_node(node_id)
         for src, dst in self.edges():
             result.add_edge(src, dst)
         return result
 
     def copy(self) -> "DirectedGraph":
-        """Deep copy."""
+        """Deep copy (a CSR-backed graph shares its read-only arrays)."""
         result = DirectedGraph()
+        backing = self._csr
+        if backing is not None:
+            result._install_csr(backing, self._num_edges)
+            return result
         for node_id, record in self._nodes.items():
             result._set_adjacency(node_id, record.in_nbrs.copy(), record.out_nbrs.copy())
         result._set_edge_count(self._num_edges)
@@ -258,8 +328,12 @@ class DirectedGraph(GraphBase):
         """Bytes held by adjacency vectors plus hash-table overhead.
 
         Table 2's "In-memory Graph Size" accounting: adjacency array bytes
-        plus ~100 bytes per node for the dict slot and record object.
+        plus ~100 bytes per node for the dict slot and record object. A
+        CSR-backed graph holds only its five arrays.
         """
+        backing = self._csr
+        if backing is not None:
+            return backing.memory_bytes()
         total = 0
         for record in self._nodes.values():
             total += record.in_nbrs.nbytes + record.out_nbrs.nbytes

@@ -37,13 +37,13 @@ class Network(DirectedGraph):
 
     def set_node_attr(self, node_id: int, name: str, value: object) -> None:
         """Set attribute ``name`` on a node."""
-        if node_id not in self._nodes:
+        if not self.has_node(node_id):
             raise NodeNotFoundError(node_id)
         self._node_attrs.setdefault(name, {})[node_id] = value
 
     def node_attr(self, node_id: int, name: str, default: object = None) -> object:
         """Read attribute ``name`` from a node (``default`` if unset)."""
-        if node_id not in self._nodes:
+        if not self.has_node(node_id):
             raise NodeNotFoundError(node_id)
         return self._node_attrs.get(name, {}).get(node_id, default)
 
@@ -51,7 +51,7 @@ class Network(DirectedGraph):
         """Bulk-set a node attribute from a mapping (e.g. PageRank output)."""
         store = self._node_attrs.setdefault(name, {})
         for node_id, value in values.items():
-            if node_id not in self._nodes:
+            if not self.has_node(node_id):
                 raise NodeNotFoundError(node_id)
             store[node_id] = value
 

@@ -3,10 +3,11 @@ so reloading a big graph skips text parsing).
 
 Graphs serialise to ``.npz`` archives holding the node id array and the
 edge arrays; loading rebuilds adjacency with the bulk (sort-first style)
-path rather than per-edge inserts. Format version 2 adds a CRC32 digest
-per persisted array (``crc_nodes``/``crc_sources``/``crc_targets``) so
-silent on-disk corruption is caught at load time; version-1 archives
-(no digests) still load.
+path rather than per-edge inserts, isolated nodes included, so a loaded
+graph is CSR-backed until it is first mutated. Format version 2 adds a
+CRC32 digest per persisted array (``crc_nodes``/``crc_sources``/
+``crc_targets``) so silent on-disk corruption is caught at load time;
+version-1 archives (no digests) still load.
 """
 
 from __future__ import annotations
@@ -91,10 +92,7 @@ def load_graph(
         )
     from repro.convert.table_to_graph import graph_from_edge_arrays
 
-    graph = graph_from_edge_arrays(sources, targets, directed=directed)
-    for node_id in nodes.tolist():
-        graph.add_node(node_id)
-    return graph
+    return graph_from_edge_arrays(sources, targets, directed=directed, nodes=nodes)
 
 
 def save_edge_list(

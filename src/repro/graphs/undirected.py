@@ -4,6 +4,10 @@ Same hash-table-of-nodes design as :class:`DirectedGraph`, with one
 sorted adjacency vector per node. Used by the triangle-counting and
 clustering-coefficient algorithms, which the paper runs on the
 undirected projections of its datasets.
+
+A bulk-built graph holds its symmetric adjacency as a frozen CSR instead
+(:class:`~repro.graphs.base.CSRBacking`, both orientations the same two
+arrays) and builds the hash table on its first structural mutation.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graphs.base import (
     EMPTY_ADJACENCY,
+    CSRBacking,
     GraphBase,
     gather_adjacency,
     readonly,
@@ -53,21 +58,35 @@ class UndirectedGraph(GraphBase):
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
+        backing = self._csr
+        if backing is not None:
+            return backing.has_arc(u, v)
         nbrs = self._nodes.get(u)
         return nbrs is not None and sorted_contains(nbrs, v)
 
     def neighbors(self, node_id: int) -> np.ndarray:
-        """Sorted neighbour ids (read-only view)."""
+        """Sorted neighbour ids (read-only)."""
+        backing = self._csr
+        if backing is not None:
+            row = backing.out_row(self._dense_index(backing, node_id))
+            return readonly(backing.node_ids[row])
         self._require_node(node_id)
         return readonly(self._nodes[node_id])
 
     def degree(self, node_id: int) -> int:
         """Degree of ``node_id`` (a self-loop contributes one)."""
+        backing = self._csr
+        if backing is not None:
+            return len(backing.out_row(self._dense_index(backing, node_id)))
         self._require_node(node_id)
         return len(self._nodes[node_id])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges once each, as ``(min, max)`` pairs."""
+        if self._csr is not None:
+            sources, targets = self.edge_arrays()
+            yield from zip(sources.tolist(), targets.tolist())
+            return
         for node_id, nbrs in self._nodes.items():
             start = int(np.searchsorted(nbrs, node_id))
             for nbr in nbrs[start:].tolist():
@@ -75,8 +94,12 @@ class UndirectedGraph(GraphBase):
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges once each as parallel ``(u, v)`` arrays with u <= v."""
-        degrees, _, targets = gather_adjacency(list(self._nodes.values()))
-        sources = np.repeat(self.node_array(), degrees)
+        backing = self._csr
+        if backing is not None:
+            sources, targets = backing.edge_arrays()
+        else:
+            degrees, _, targets = gather_adjacency(list(self._nodes.values()))
+            sources = np.repeat(self.node_array(), degrees)
         upper = targets >= sources
         return sources[upper], targets[upper]
 
@@ -85,7 +108,11 @@ class UndirectedGraph(GraphBase):
         node_id = int(node_id)
         if node_id < 0:
             raise GraphError(f"node ids must be non-negative, got {node_id}")
-        if node_id in self._nodes:
+        if self._csr is not None:
+            if self._csr.index(node_id) >= 0:
+                return False
+            self._materialise("add_node")
+        elif node_id in self._nodes:
             return False
         self._nodes[node_id] = EMPTY_ADJACENCY
         self._bump_version()
@@ -99,6 +126,10 @@ class UndirectedGraph(GraphBase):
         """
         u = int(u)
         v = int(v)
+        if self._csr is not None:
+            if self._csr.has_arc(u, v):
+                return False
+            self._materialise("add_edge")
         self.add_node(u)
         self.add_node(v)
         nbrs, inserted = sorted_insert(self._nodes[u], v)
@@ -114,6 +145,10 @@ class UndirectedGraph(GraphBase):
 
     def del_edge(self, u: int, v: int) -> None:
         """Delete the edge ``{u, v}``; raises if absent."""
+        if self._csr is not None:
+            if not self._csr.has_arc(u, v):
+                raise EdgeNotFoundError(u, v)
+            self._materialise("del_edge")
         nbrs = self._nodes.get(u)
         if nbrs is None:
             raise EdgeNotFoundError(u, v)
@@ -130,6 +165,8 @@ class UndirectedGraph(GraphBase):
     def del_node(self, node_id: int) -> None:
         """Delete a node and its incident edges; raises if absent."""
         self._require_node(node_id)
+        if self._csr is not None:
+            self._materialise("del_node")
         nbrs = self._nodes[node_id]
         # Captured before deletion: the delta log records each incident
         # edge as an explicit delete stamped with the post-bump version.
@@ -157,9 +194,23 @@ class UndirectedGraph(GraphBase):
         self._bump_version()
         self._poison_delta("bulk edge-count install")
 
+    def _records_from(self, backing: CSRBacking) -> dict:
+        """One vector per node, each a view of one gathered array."""
+        ids = backing.node_ids
+        nbrs = ids[backing.out_indices]
+        ptr = backing.out_indptr.tolist()
+        return {
+            node: nbrs[ptr[index]:ptr[index + 1]]
+            for index, node in enumerate(ids.tolist())
+        }
+
     def copy(self) -> "UndirectedGraph":
-        """Deep copy."""
+        """Deep copy (a CSR-backed graph shares its read-only arrays)."""
         result = UndirectedGraph()
+        backing = self._csr
+        if backing is not None:
+            result._install_csr(backing, self._num_edges)
+            return result
         for node_id, nbrs in self._nodes.items():
             result._set_adjacency(node_id, nbrs.copy())
         result._set_edge_count(self._num_edges)
@@ -170,5 +221,8 @@ class UndirectedGraph(GraphBase):
 
     def memory_bytes(self) -> int:
         """Bytes held by adjacency vectors plus hash-table overhead."""
+        backing = self._csr
+        if backing is not None:
+            return backing.memory_bytes()
         total = sum(nbrs.nbytes for nbrs in self._nodes.values())
         return total + 100 * len(self._nodes)

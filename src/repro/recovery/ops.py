@@ -156,14 +156,12 @@ def encode_graph_payload(graph) -> dict:
 
 def decode_graph_payload(payload: dict):
     """Rebuild a graph from an inline snapshot, isolated nodes included."""
-    graph = convert.graph_from_edge_arrays(
+    return convert.graph_from_edge_arrays(
         np.asarray(payload["sources"], dtype=np.int64),
         np.asarray(payload["targets"], dtype=np.int64),
         directed=payload["directed"],
+        nodes=np.asarray(payload["nodes"], dtype=np.int64),
     )
-    for node_id in payload["nodes"]:
-        graph.add_node(int(node_id))
-    return graph
 
 
 def name_suffix(name: str) -> int:

@@ -88,6 +88,49 @@ class TestInvariants:
         with pytest.raises(SanitizerError, match="node-ids-sorted"):
             sanitize.sanitize_csr(csr)
 
+    def test_indptr_length(self):
+        csr = corrupt(lambda c: setattr(c, "_out_indptr", c._out_indptr[:-1]))
+        with pytest.raises(SanitizerError, match="out.indptr-length"):
+            sanitize.sanitize_csr(csr)
+
+    def test_degree_sum(self):
+        # Out-degrees are [2, 1, 1]; a cached vector summing to 5 != nnz.
+        csr = corrupt(lambda c: setattr(c, "_out_degrees", np.array([2, 1, 2])))
+        with pytest.raises(SanitizerError, match="out.degree-sum"):
+            sanitize.sanitize_csr(csr)
+
+    def test_degree_indptr(self):
+        # Same sum as the row widths, different rows.
+        csr = corrupt(lambda c: setattr(c, "_out_degrees", np.array([1, 2, 1])))
+        with pytest.raises(SanitizerError, match="out.degree-indptr"):
+            sanitize.sanitize_csr(csr)
+
+    def test_node_ids_length(self):
+        # The sanitizer reads any snapshot-shaped object; one whose node
+        # count disagrees with its id array must not pass.
+        class Miscounted(CSRGraph):
+            num_nodes = property(lambda self: len(self._node_ids) + 1)
+
+        valid = valid_csr()
+        csr = Miscounted(
+            valid.node_ids, valid.out_indptr, valid.out_indices,
+            valid.in_indptr, valid.in_indices,
+        )
+        with pytest.raises(SanitizerError, match="node-ids-length"):
+            sanitize.sanitize_csr(csr)
+
+    def test_orientation_nnz(self):
+        # Each orientation is well formed on its own, but the in-side
+        # holds three edges to the out-side's four.
+        valid = valid_csr()
+        fewer = CSRGraph.from_edges([0, 0, 1], [1, 2, 2])
+        csr = CSRGraph(
+            valid.node_ids, valid.out_indptr, valid.out_indices,
+            fewer.in_indptr, fewer.in_indices,
+        )
+        with pytest.raises(SanitizerError, match="orientation-nnz"):
+            sanitize.sanitize_csr(csr)
+
     def test_version_coherence(self):
         graph = build_directed([(0, 1), (1, 2)])
         frozen = graph.version
