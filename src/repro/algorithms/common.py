@@ -91,7 +91,7 @@ def scores_to_dict(csr: CSRGraph, values: np.ndarray) -> dict[int, float]:
 
 def counts_to_dict(csr: CSRGraph, values: np.ndarray) -> dict[int, int]:
     """Integer-valued variant of :func:`scores_to_dict`."""
-    return dict(zip(csr.node_ids.tolist(), (int(v) for v in values)))
+    return dict(zip(csr.node_ids.tolist(), values.tolist()))
 
 
 def require_nodes(csr: CSRGraph, context: str) -> None:

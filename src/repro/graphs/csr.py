@@ -272,20 +272,32 @@ class CSRGraph:
     def undirected_projection(self) -> "CSRGraph":
         """Symmetrised, loop-free CSR over the same node ids (cached).
 
-        The shared input of the triangle/clustering/community family;
-        one symmetrisation now serves every such call on this snapshot.
+        The shared input of the triangle/clustering/community family and
+        of the k-core peel; one symmetrisation serves every such call on
+        this snapshot. Each non-loop edge contributes the keys ``u*n + v``
+        and ``v*n + u`` (like :meth:`out_edge_keys`, this assumes ``n**2``
+        fits in int64); one sort and a neighbour-inequality mask
+        deduplicate them, so ``divmod`` gives rows grouped by source and
+        sorted within, and one ``bincount`` gives the row pointer. (Not
+        plain ``np.unique``: on numpy 2.x it takes a hashing path, ~40x
+        slower than the sort for these keys.) The edge set is symmetric,
+        so the out- and in-CSR share the same arrays, as in
+        :meth:`from_graph` for an undirected graph.
         """
         if self._undirected is None:
+            count = self.num_nodes
             src = self.edge_sources()
             dst = self._out_indices
             keep = src != dst
             src, dst = src[keep], dst[keep]
-            sym_src = np.concatenate([src, dst])
-            sym_dst = np.concatenate([dst, src])
-            pairs = np.unique(np.stack([sym_src, sym_dst], axis=1), axis=0)
-            projection = CSRGraph._from_dense_edges(
-                self._node_ids, pairs[:, 0], pairs[:, 1]
+            keys = np.sort(np.concatenate([src * count + dst, dst * count + src]))
+            first = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            rows, indices = np.divmod(keys[first], count)
+            indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(rows, minlength=count)))
             )
+            projection = CSRGraph(self._node_ids, indptr, indices, indptr, indices)
             # The projection is its own fixed point: chained calls
             # (e.g. girth after triangles) hit the same object.
             projection._undirected = projection

@@ -138,10 +138,12 @@ class DirectedGraph(GraphBase):
         backing = self._csr
         if backing is not None:
             return backing.edge_arrays()
-        degrees, _, targets = gather_adjacency(
-            [record.out_nbrs for record in self._nodes.values()]
-        )
-        return np.repeat(self.node_array(), degrees), targets
+        # One read of the node table, so a node added by a concurrent
+        # writer cannot give the ids and the rows different lengths.
+        items = list(self._nodes.items())
+        degrees, _, targets = gather_adjacency([record.out_nbrs for _, record in items])
+        ids = np.fromiter((node for node, _ in items), dtype=np.int64, count=len(items))
+        return np.repeat(ids, degrees), targets
 
     # ------------------------------------------------------------------
     # Mutation — the "dynamic graph" requirement of §2.2

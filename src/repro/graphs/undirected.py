@@ -98,8 +98,11 @@ class UndirectedGraph(GraphBase):
         if backing is not None:
             sources, targets = backing.edge_arrays()
         else:
-            degrees, _, targets = gather_adjacency(list(self._nodes.values()))
-            sources = np.repeat(self.node_array(), degrees)
+            # One read of the node table, as in DirectedGraph.edge_arrays.
+            items = list(self._nodes.items())
+            degrees, _, targets = gather_adjacency([nbrs for _, nbrs in items])
+            ids = np.fromiter((node for node, _ in items), dtype=np.int64, count=len(items))
+            sources = np.repeat(ids, degrees)
         upper = targets >= sources
         return sources[upper], targets[upper]
 
