@@ -32,11 +32,12 @@ def _wedge_blocks(findptr: np.ndarray, cap: int) -> list[tuple[int, int]]:
     """Contiguous node spans ``[lo, hi)`` covering every node once.
 
     Cut greedily from the cumulative wedge count (a node with forward
-    degree ``d`` roots ``d * d`` candidate wedges in the kernel), so each
-    span holds at most ``cap`` wedges unless one node alone exceeds it.
+    degree ``d`` roots ``d * (d - 1) / 2`` candidate wedges in the
+    kernel), so each span holds at most ``cap`` wedges unless one node
+    alone exceeds it.
     """
     fdeg = np.diff(findptr)
-    cumulative = np.cumsum(fdeg * fdeg)
+    cumulative = np.cumsum(fdeg * (fdeg - 1) // 2)
     blocks = []
     lo, done = 0, 0
     while lo < len(fdeg):
@@ -55,35 +56,36 @@ def _triangle_partition(
     hi: int,
     partial: np.ndarray,
 ) -> None:
-    """Add the triangle credits of wedges rooted in ``[lo, hi)`` to ``partial``.
+    """Add the triangle credits of wedges rooted in ranks ``[lo, hi)`` to ``partial``.
 
     A wedge at ``u`` closes a triangle whose credit lands on ``u``,
-    ``v`` *and* ``w``, which may lie outside the span, so ``partial`` is
-    full-length and owned by one worker; the caller sums the workers'
-    partials, so no two threads ever write the same array.
+    ``v`` *and* ``w``, which may lie outside the span (always at rank
+    ``lo`` or above), so ``partial`` is full-length and owned by one
+    worker; the caller sums the workers' partials, so no two threads
+    ever write the same array.
     """
     count = len(findptr) - 1
     base, stop = int(findptr[lo]), int(findptr[hi])
-    if base == stop:
-        return
-    # Wedges at u: for each forward edge (u, v), every w in
-    # forward[u]. Triangle (u, v, w) closes iff (v, w) is itself a
-    # forward edge (rank u < rank v < rank w by construction).
+    # Wedges at u: for each forward edge (u, v), every w after v in
+    # forward[u]. Rows are rank-sorted, so u < v < w, and triangle
+    # (u, v, w) closes iff (v, w) is itself a forward edge.
     fdeg = np.diff(findptr[lo:hi + 1])
     e_src = np.repeat(np.arange(lo, hi, dtype=np.int64), fdeg)
-    e_dst = findices[base:stop]
-    cand_counts = fdeg[e_src - lo]
+    after = np.arange(base + 1, stop + 1, dtype=np.int64)
+    cand_counts = findptr[e_src + 1] - after
     total = int(cand_counts.sum())
-    starts = np.repeat(findptr[e_src], cand_counts)
+    if total == 0:
+        return
     group_offsets = np.repeat(np.cumsum(cand_counts) - cand_counts, cand_counts)
-    w = findices[starts + (np.arange(total) - group_offsets)]
-    v = np.repeat(e_dst, cand_counts)
-    u = np.repeat(e_src, cand_counts)
+    w = findices[np.repeat(after, cand_counts) + (np.arange(total) - group_offsets)]
+    v = np.repeat(findices[base:stop], cand_counts)
     query = v * count + w
     position = np.searchsorted(edge_keys, query)
     position = np.minimum(position, len(edge_keys) - 1)
     closed = edge_keys[position] == query
-    np.add.at(partial, np.concatenate([u[closed], v[closed], w[closed]]), 1)
+    u = np.repeat(e_src, cand_counts)
+    credits = np.bincount(np.concatenate([u[closed], v[closed], w[closed]]) - lo)
+    partial[lo:lo + len(credits)] += credits
 
 
 def _undirected_csr(graph) -> CSRGraph:
@@ -113,8 +115,7 @@ def triangle_counts(graph, pool: WorkerPool | None = None) -> dict[int, int]:
         if warm is not None:
             return warm
     sym = _undirected_csr(graph)
-    counts = triangle_count_array(sym, pool=pool)
-    return counts_to_dict(sym, counts)
+    return counts_to_dict(sym, sym.triangle_counts(pool))
 
 
 def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.ndarray:
@@ -124,11 +125,15 @@ def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.nd
     its higher-ranked neighbours, so each triangle is closed exactly once
     (at its lowest-ranked vertex) and hub work collapses from O(d^2) to
     the O(m^1.5) bound — the "straightforward approach, similar to
-    PATRIC" the paper cites. The nodes are cut into wedge-capped blocks
-    (:data:`MAX_BLOCK_WEDGES`) dealt round-robin to the workers of
-    ``pool`` (inline without one); each worker accumulates one partial
-    over the snapshot's cached forward adjacency, and the integer
-    partials sum to the same counts for any pool width.
+    PATRIC" the paper cites. The nodes are cut, in rank order, into
+    wedge-capped blocks (:data:`MAX_BLOCK_WEDGES`) dealt round-robin to
+    the workers of ``pool`` (inline without one); each worker accumulates
+    one partial over the snapshot's cached forward adjacency, and the
+    integer partials sum to the same counts for any pool width. The
+    rank-space totals are permuted back to dense order.
+
+    This is the uncached kernel; :meth:`CSRGraph.triangle_counts` keeps
+    its answer for the snapshot.
     """
     count = sym.num_nodes
     if count == 0:
@@ -149,7 +154,7 @@ def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.nd
     totals = partials[0]
     for partial in partials[1:]:
         totals += partial
-    return totals
+    return totals[sym.degree_rank()]
 
 
 def total_triangles(graph, pool: WorkerPool | None = None) -> int:
@@ -160,9 +165,7 @@ def total_triangles(graph, pool: WorkerPool | None = None) -> int:
         warm = incremental_triangle_counts(graph, pool=pool)
         if warm is not None:
             return sum(warm.values()) // 3
-    sym = _undirected_csr(graph)
-    counts = triangle_count_array(sym, pool=pool)
-    return int(counts.sum()) // 3
+    return int(_undirected_csr(graph).triangle_counts(pool).sum()) // 3
 
 
 def clustering_coefficients(
@@ -170,7 +173,7 @@ def clustering_coefficients(
 ) -> dict[int, float]:
     """Local clustering coefficient per node (0 for degree < 2)."""
     sym = _undirected_csr(graph)
-    counts = triangle_count_array(sym, pool=pool)
+    counts = sym.triangle_counts(pool)
     degrees = sym.out_degrees().astype(np.float64)
     possible = degrees * (degrees - 1) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,7 +192,7 @@ def average_clustering(graph, pool: WorkerPool | None = None) -> float:
 def global_clustering(graph, pool: WorkerPool | None = None) -> float:
     """Transitivity: ``3 * triangles / wedges`` (0.0 if no wedges)."""
     sym = _undirected_csr(graph)
-    counts = triangle_count_array(sym, pool=pool)
+    counts = sym.triangle_counts(pool)
     degrees = sym.out_degrees().astype(np.float64)
     wedges = float((degrees * (degrees - 1) / 2.0).sum())
     if wedges == 0:

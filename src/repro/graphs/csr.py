@@ -59,8 +59,14 @@ class CSRGraph:
         self._edge_sources: np.ndarray | None = None
         self._num_self_loops: int | None = None
         self._undirected: "CSRGraph | None" = None
+        # A projection answers its own undirected_projection() by this
+        # flag, not by pointing at itself: a self-reference would make
+        # every dropped projection wait for a gen-2 GC pass to be freed.
+        self._is_projection = False
+        self._degree_rank: "np.ndarray | None" = None
         self._forward: "tuple[np.ndarray, np.ndarray] | None" = None
         self._forward_edge_keys: "np.ndarray | None" = None
+        self._triangle_counts: "np.ndarray | None" = None
         self._out_edge_keys: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
@@ -282,8 +288,12 @@ class CSRGraph:
         plain ``np.unique``: on numpy 2.x it takes a hashing path, ~40x
         slower than the sort for these keys.) The edge set is symmetric,
         so the out- and in-CSR share the same arrays, as in
-        :meth:`from_graph` for an undirected graph.
+        :meth:`from_graph` for an undirected graph. A projection is its
+        own projection, so chained calls (e.g. girth after triangles)
+        share one object.
         """
+        if self._is_projection:
+            return self
         if self._undirected is None:
             count = self.num_nodes
             src = self.edge_sources()
@@ -298,59 +308,88 @@ class CSRGraph:
                 ([0], np.cumsum(np.bincount(rows, minlength=count)))
             )
             projection = CSRGraph(self._node_ids, indptr, indices, indptr, indices)
-            # The projection is its own fixed point: chained calls
-            # (e.g. girth after triangles) hit the same object.
-            projection._undirected = projection
+            projection._is_projection = True
             self._undirected = projection
         return self._undirected
 
-    def forward_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Degree-ranked forward adjacency ``(indptr, indices)`` (cached).
+    def degree_rank(self) -> np.ndarray:
+        """Each dense node's position in ascending ``(degree, id)`` order.
 
-        Each node keeps only its neighbours of strictly higher
-        ``(degree, id)`` rank — the orientation that lets the triangle
-        kernel close every triangle exactly once at its lowest-ranked
-        vertex while hub work collapses to the O(m^1.5) bound. Indices
-        stay sorted by dense id inside each node's slice. Like the other
-        derived arrays this is computed once per snapshot; warm triangle
-        and clustering calls skip the rebuild entirely.
+        The orientation of :meth:`forward_adjacency`, whose rows and
+        columns are these ranks. Cached and read-only.
+
+        >>> sym = CSRGraph.from_edges([0, 1, 2, 2], [1, 2, 0, 3]).undirected_projection()
+        >>> sym.degree_rank().tolist()
+        [1, 2, 3, 0]
+        """
+        if self._degree_rank is None:
+            count = self.num_nodes
+            rank = np.empty(count, dtype=np.int64)
+            rank[np.lexsort((np.arange(count), self.out_degrees()))] = np.arange(count)
+            rank.flags.writeable = False
+            self._degree_rank = rank
+        return self._degree_rank
+
+    def forward_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rank-ordered forward adjacency ``(indptr, indices)`` (cached).
+
+        Nodes are relabelled by :meth:`degree_rank`, and row ``r`` holds
+        the ranks of its neighbours above ``r``, ascending — the
+        orientation that lets the triangle kernel close every triangle
+        exactly once at its lowest-ranked vertex while hub work collapses
+        to the O(m^1.5) bound. Because each row is rank-sorted, a forward
+        edge needs only the row entries after it as wedge partners. One
+        sort of the ``r*n + s`` keys builds it (see
+        :meth:`forward_edge_keys`). Like the other derived arrays this is
+        computed once per snapshot.
         """
         if self._forward is None:
             count = self.num_nodes
-            degrees = self.out_degrees()
-            rank = np.empty(count, dtype=np.int64)
-            rank[np.lexsort((np.arange(count), degrees))] = np.arange(count)
-            src = self.edge_sources()
-            dst = self._out_indices
-            keep = rank[dst] > rank[src]
-            fsrc, fdst = src[keep], dst[keep]
-            fdeg = np.bincount(fsrc, minlength=count)
-            findptr = np.concatenate(([0], np.cumsum(fdeg)))
-            findptr.flags.writeable = False
-            findices = np.ascontiguousarray(fdst)
-            findices.flags.writeable = False
+            rank = self.degree_rank()
+            src = rank[self.edge_sources()]
+            dst = rank[self._out_indices]
+            keep = dst > src
+            keys = np.sort(src[keep] * count + dst[keep])
+            rows, findices = np.divmod(keys, count)
+            findptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(rows, minlength=count)))
+            )
+            for array in (keys, findptr, findices):
+                array.flags.writeable = False
+            self._forward_edge_keys = keys
             self._forward = (findptr, findices)
         return self._forward
 
     def forward_edge_keys(self) -> np.ndarray:
-        """Each forward edge ``(u, v)`` as the sortable key ``u*n + v``.
+        """Each forward edge ``(r, s)`` as the sortable key ``r*n + s``.
 
         The binary-search side of the triangle kernel's wedge-closure
-        test. ``forward_indices`` are id-sorted within each node's
-        slice, so the key array is globally ascending. Cached like the
-        other derived arrays.
+        test, in the rank labels of :meth:`forward_adjacency`; globally
+        ascending. Built with the forward adjacency and cached with it.
         """
-        if self._forward_edge_keys is None:
-            findptr, findices = self.forward_adjacency()
-            count = self.num_nodes
-            keys = (
-                np.repeat(np.arange(count, dtype=np.int64), np.diff(findptr))
-                * count
-                + findices
-            )
-            keys.flags.writeable = False
-            self._forward_edge_keys = keys
+        self.forward_adjacency()
         return self._forward_edge_keys
+
+    def triangle_counts(self, pool=None) -> np.ndarray:
+        """Triangles through each dense node of the projection (cached).
+
+        Filled by the first caller, on the undirected projection —
+        :func:`~repro.algorithms.triangles.triangle_count_array` run over
+        ``pool`` (inline without one), whose answer does not depend on
+        the pool — and shared by every later triangle and clustering
+        call on this snapshot. Read-only.
+
+        >>> CSRGraph.from_edges([0, 1, 2, 2], [1, 2, 0, 3]).triangle_counts().tolist()
+        [1, 1, 1, 0]
+        """
+        sym = self.undirected_projection()
+        if sym._triangle_counts is None:
+            from repro.algorithms.triangles import triangle_count_array
+
+            counts = triangle_count_array(sym, pool=pool)
+            counts.flags.writeable = False
+            sym._triangle_counts = counts
+        return sym._triangle_counts
 
     def out_edge_keys(self) -> np.ndarray:
         """Each out edge ``(src, dst)`` as the sortable key ``src*n + dst``.

@@ -397,7 +397,6 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
     if not engine.enabled or not _is_dynamic(graph):
         return None
     from repro.algorithms.common import as_csr, counts_to_dict
-    from repro.algorithms.triangles import triangle_count_array
 
     version = graph.version
     sym = as_csr(graph).undirected_projection()
@@ -428,7 +427,7 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
                     counts[position] += amount
     mode = "warm"
     if counts is None:
-        counts = triangle_count_array(sym, pool=pool)
+        counts = sym.triangle_counts(pool)
         mode = "seed"
     state.triangles = (version, sym.node_ids, counts, sym)
     engine.record_algo("triangles", mode)

@@ -7,25 +7,39 @@ each with and without self-loops and isolated nodes, plus the empty
 graphs. References may be slow (O(n^2) and worse); the catalog is small.
 
 Rows so far: ``CSRGraph.undirected_projection`` (a Python pair set and
-the row-wise ``np.unique`` build it replaced) and the k-core family
+the row-wise ``np.unique`` build it replaced), the k-core family
 (``core_numbers``, ``k_core``, ``degeneracy``) against repeated removal
-of a minimum-degree node.
+of a minimum-degree node, and the triangle family (``triangle_counts``,
+``total_triangles`` and the three clustering functions) against a
+triple loop over every node triple.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.algorithms import cores
+from repro.algorithms import cores, triangles
 from repro.algorithms import generators as gen
 from repro.algorithms.cores import core_numbers, degeneracy, k_core
+from repro.algorithms.triangles import (
+    average_clustering,
+    clustering_coefficients,
+    global_clustering,
+    total_triangles,
+    triangle_count_array,
+    triangle_counts,
+)
 from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.exceptions import AlgorithmError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.multigraph import DirectedMultigraph
+from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.undirected import UndirectedGraph
+from repro.parallel.executor import WorkerPool
 
 # ----------------------------------------------------------------------
 # The catalog
@@ -138,6 +152,35 @@ def brute_core_numbers(graph) -> dict[int, int]:
         for nbr in adjacency.pop(node):
             adjacency[nbr].discard(node)
     return result
+
+
+def brute_triangles(graph) -> dict[int, int]:
+    """Triangles through each node, by testing every node triple."""
+    adjacency = _simple_adjacency(graph)
+    counts = dict.fromkeys(adjacency, 0)
+    for a, b, c in itertools.combinations(sorted(adjacency), 3):
+        if b in adjacency[a] and c in adjacency[a] and c in adjacency[b]:
+            for node in (a, b, c):
+                counts[node] += 1
+    return counts
+
+
+def brute_clustering(graph) -> dict[int, float]:
+    """Local clustering: triangles over neighbour pairs (0 below degree 2)."""
+    adjacency = _simple_adjacency(graph)
+    result = {}
+    for node, count in brute_triangles(graph).items():
+        degree = len(adjacency[node])
+        pairs = degree * (degree - 1) / 2
+        result[node] = count / pairs if pairs else 0.0
+    return result
+
+
+def brute_transitivity(graph) -> float:
+    """Three times the triangles over the wedges (0 without wedges)."""
+    adjacency = _simple_adjacency(graph)
+    wedges = sum(len(n) * (len(n) - 1) // 2 for n in adjacency.values())
+    return sum(brute_triangles(graph).values()) / wedges if wedges else 0.0
 
 
 def legacy_projection(csr: CSRGraph) -> CSRGraph:
@@ -340,3 +383,102 @@ class TestDeepPeelShapes:
         for u, v in zip(csr.edge_sources().tolist(), csr.out_indices.tolist()):
             graph.add_edge(int(csr.node_ids[u]), int(csr.node_ids[v]))
         _check_core_family(graph)
+
+
+# ----------------------------------------------------------------------
+# The triangle family
+# ----------------------------------------------------------------------
+
+# The default block cap and a cap of one wedge, which puts every node
+# with a wedge in a block of its own; inline and on a three-worker pool.
+SCHEDULES = [
+    pytest.param(cap, width, id=f"cap{cap}-w{width}")
+    for cap in (triangles.MAX_BLOCK_WEDGES, 1)
+    for width in (1, 3)
+]
+
+
+def _check_triangle_family(graph, pool) -> None:
+    """Every function of the family against the brute-force references.
+
+    Each call but the last gets a fresh snapshot, so each one runs the
+    kernel rather than reading the count another call left behind.
+    """
+    expected = brute_triangles(graph)
+    local = brute_clustering(graph)
+
+    def fresh() -> CSRGraph:
+        return CSRGraph.from_graph(graph)
+
+    sym = fresh().undirected_projection()
+    kernel = triangle_count_array(sym, pool=pool)
+    assert kernel.dtype == np.int64
+    assert dict(zip(sym.node_ids.tolist(), kernel.tolist())) == expected
+    assert sym._triangle_counts is None  # the kernel itself caches nothing
+    assert triangle_counts(fresh(), pool=pool) == expected
+    assert total_triangles(fresh(), pool=pool) == sum(expected.values()) // 3
+    assert clustering_coefficients(fresh(), pool=pool) == local
+    mean = sum(local.values()) / len(local) if local else 0.0
+    assert average_clustering(fresh(), pool=pool) == pytest.approx(mean, rel=1e-12)
+    assert global_clustering(fresh(), pool=pool) == pytest.approx(
+        brute_transitivity(graph), rel=1e-12
+    )
+    # Through the graph itself: the incremental seed path and the
+    # snapshot cache.
+    assert triangle_counts(graph, pool=pool) == expected
+    assert clustering_coefficients(graph, pool=pool) == local
+
+
+def _closing_edge(graph) -> "tuple[int, int] | None":
+    """Two non-adjacent nodes with a common neighbour, if any."""
+    adjacency = _simple_adjacency(graph)
+    for node in sorted(adjacency):
+        for a, b in itertools.combinations(sorted(adjacency[node]), 2):
+            if b not in adjacency[a]:
+                return a, b
+    return None
+
+
+class TestTriangleOracle:
+    @pytest.mark.parametrize("cap, width", SCHEDULES)
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_catalog(self, monkeypatch, model, directed, decorated, cap, width):
+        monkeypatch.setattr(triangles, "MAX_BLOCK_WEDGES", cap)
+        graph = _catalog_graph(model, directed, decorated)
+        with WorkerPool(width) as pool:
+            _check_triangle_family(graph, pool)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty(self, directed):
+        graph = _empty(directed)
+        assert triangle_counts(graph) == {}
+        assert total_triangles(graph) == 0
+        assert clustering_coefficients(graph) == {}
+        assert average_clustering(graph) == 0.0
+        assert global_clustering(graph) == 0.0
+        assert triangle_count_array(CSRGraph.from_graph(graph)).shape == (0,)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_count_is_kept_per_snapshot(self, directed):
+        graph = _catalog_graph("planted_partition", directed, decorated=True)
+        clustering_coefficients(graph)
+        csr = csr_snapshot(graph)
+        counts = csr.triangle_counts()
+        assert counts is csr.undirected_projection().triangle_counts()
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 0
+        # A mutation gives a new snapshot, and with it a fresh count.
+        before = dict(zip(csr.node_ids.tolist(), counts.tolist()))
+        u, v = _closing_edge(graph)
+        graph.add_edge(u, v)
+        expected = brute_triangles(graph)
+        assert expected != before
+        assert csr_snapshot(graph) is not csr
+        assert clustering_coefficients(graph) == brute_clustering(graph)
+        fresh = csr_snapshot(graph).triangle_counts()
+        assert fresh is not counts
+        assert dict(zip(csr_snapshot(graph).node_ids.tolist(), fresh.tolist())) == expected
+        assert triangle_counts(graph) == expected
+        # The old snapshot's count is untouched.
+        assert dict(zip(csr.node_ids.tolist(), counts.tolist())) == before

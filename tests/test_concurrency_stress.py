@@ -11,6 +11,9 @@ Across 50 seeds every result must equal the serial answer and no
 ``SanitizerError`` may surface.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,15 +22,16 @@ from repro.algorithms.triangles import triangle_count_array
 from repro.analysis import sanitize
 from repro.convert.table_to_graph import sort_first_directed, sort_first_undirected
 from repro.faults import inject_faults
+from repro.graphs.csr import CSRGraph
 from repro.graphs.snapshot import SnapshotCache
 from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy
 
 _FAULTS = {"parallel.kernel": {"rate": 0.3, "max_triggers": 2}}
 _RETRIES = RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0)
-# Dense enough that the triangle kernel cuts several wedge blocks, so
-# both kernels dispatch one partition per worker.
-_NODES, _EDGES = 120, 3000
+# Dense enough that the triangle kernel cuts at least four wedge blocks,
+# so both kernels dispatch one partition per worker.
+_NODES, _EDGES = 120, 4500
 
 
 @pytest.fixture
@@ -91,3 +95,35 @@ def test_undirected_conversion_under_all_layers(hardened, seed):
     loops = sum(1 for s, d in expected if s == d)
     assert csr.num_edges == 2 * (len(expected) - loops) + loops
     _assert_serial_answers(csr, triangles, labels)
+
+
+def test_threads_racing_to_fill_the_count_agree():
+    """Eight threads ask one fresh snapshot for its triangle count at
+    once. Whichever of them fills the per-snapshot count, every caller
+    gets the serial kernel's answer, read-only."""
+    rng = np.random.default_rng(99)
+    graph = sort_first_directed(
+        rng.integers(0, _NODES, _EDGES), rng.integers(0, _NODES, _EDGES)
+    )
+    expected = triangle_count_array(CSRGraph.from_graph(graph).undirected_projection())
+    csr = CSRGraph.from_graph(graph)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(csr.triangle_counts()))
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for counts in results:
+        assert np.array_equal(counts, expected)
+        assert not counts.flags.writeable
+    assert csr.triangle_counts() is csr.undirected_projection().triangle_counts()

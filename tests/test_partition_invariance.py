@@ -24,7 +24,8 @@ from repro.parallel.resilience import RetryPolicy
 
 PATH_NODES = 100_000
 # The default cap, and one small enough that R-MAT hubs each get a
-# block of their own while the path is still cut into hundreds.
+# block of their own. (The path and the star root no wedges, since every
+# forward degree there is at most one, so they stay one block.)
 CAPS = [triangles.MAX_BLOCK_WEDGES, 1 << 8]
 WIDTHS = [1, 2, 3]
 
@@ -145,7 +146,7 @@ class TestWedgeBlocks:
         assert all(lo < hi for lo, hi in blocks)
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         for lo, hi in blocks:
-            wedges = int((fdeg[lo:hi] ** 2).sum())
+            wedges = int((fdeg[lo:hi] * (fdeg[lo:hi] - 1) // 2).sum())
             assert wedges <= cap or hi - lo == 1
 
     @pytest.mark.parametrize("cap", [1, 7, 1 << 8, 1 << 14])
@@ -190,10 +191,17 @@ class TestSessionPool:
                 ))
         assert answers[0] == answers[1]
 
+    def test_clustering_after_triangles_reuses_the_count(self):
+        with Ringo(workers=2) as session:
+            graph = self._graph(session)
+            session.GetTriangles(graph)
+            before = session.workers.stats.calls
+            session.GetClusteringCoefficients(graph)
+            assert session.workers.stats.calls == before
+
     def test_clustering_runs_on_the_session_pool(self):
         with Ringo(workers=2) as session:
             graph = self._graph(session)
-            session.GetTriangles(graph)  # builds the snapshot
             before = session.workers.stats.calls
             session.GetClusteringCoefficients(graph)
             assert session.workers.stats.calls == before + 1

@@ -1,6 +1,7 @@
 """The versioned CSR snapshot cache: reuse, invalidation, resilience."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -155,6 +156,32 @@ def test_collected_graph_drops_its_entry():
     assert len(cache) == 0
     stats = cache.stats()
     assert stats["collected"] == 1 and stats["bytes"] == 0
+
+
+def test_dropped_projection_is_freed_without_gc(fresh_cache):
+    """No reference cycle keeps a projection (and its derived arrays)
+    alive once its snapshot is gone: plain reference counting frees it."""
+    graph = ring_graph()
+    for i in range(0, 12, 3):
+        graph.add_edge(i, i + 2)
+    gc.disable()
+    try:
+        sym = CSRGraph.from_graph(graph).undirected_projection()
+        assert sym.triangle_counts().sum() > 0
+        dropped = weakref.ref(sym)
+        del sym
+        assert dropped() is None
+
+        alg.clustering_coefficients(graph)  # fills the cached snapshot's projection
+        sym = csr_snapshot(graph).undirected_projection()
+        assert sym._triangle_counts is not None
+        cached = weakref.ref(sym)
+        del sym
+        assert cached() is not None
+        fresh_cache.invalidate(graph)
+        assert cached() is None
+    finally:
+        gc.enable()
 
 
 def test_byte_budget_rejects_but_still_serves():
