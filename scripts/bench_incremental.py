@@ -13,9 +13,12 @@ over identical op streams:
 
 The timed (gated) section is snapshot refresh + PageRank. WCC and
 triangle counts also run every round on both sides — untimed, as exact
-equality checks (their incremental variants degrade gracefully to
-near-batch work when a deletion touches the giant component, so they
-are correctness evidence here, not the headline speedup).
+equality checks, so they are correctness evidence here, not the
+headline speedup. Measured on the ``--quick`` graph (2 vCPU, median of
+6 rounds): a warm WCC advance costs about one batch run (12 ms against
+12 ms for ``wcc_label_array``, since a deletion in the giant component
+re-joins all of its edges), and a warm triangle advance about 0.4× the
+batch count (14 ms against 32 ms for ``triangle_count_array``).
 
 Writes ``BENCH_incremental.json`` at the repo root. Gates (CI fails on
 any):

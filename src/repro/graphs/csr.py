@@ -397,11 +397,15 @@ class CSRGraph:
         Globally ascending for a simple graph (rows are sorted and
         grouped by ascending source), which makes whole-edge-set
         membership a single vectorised binary search — the delta
-        sanitizer's no-dangling-delete / added-edge-present checks.
-        Cached like the other derived arrays.
+        sanitizer's no-dangling-delete / added-edge-present checks and
+        the incremental triangle advance. Cached like the other derived
+        arrays; built from the row starts, so it does not also cache
+        :meth:`edge_sources`.
         """
         if self._out_edge_keys is None:
-            keys = self.edge_sources() * self.num_nodes + self._out_indices
+            count = self.num_nodes
+            row_keys = np.arange(count, dtype=np.int64) * count
+            keys = np.repeat(row_keys, self.out_degrees()) + self._out_indices
             keys.flags.writeable = False
             self._out_edge_keys = keys
         return self._out_edge_keys

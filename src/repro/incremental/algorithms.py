@@ -34,6 +34,34 @@ from repro.incremental.engine import incremental_engine
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _lookup(haystack: np.ndarray, needles: np.ndarray):
+    """``(positions, found)`` of ``needles`` in the sorted ``haystack``.
+
+    ``positions`` is only meaningful where ``found`` is true.
+
+    >>> positions, found = _lookup(np.array([2, 5, 9]), np.array([5, 7, 9]))
+    >>> positions[found].tolist(), found.tolist()
+    ([1, 2], [True, False, True])
+    """
+    if len(haystack) == 0:
+        return (
+            np.zeros(len(needles), dtype=np.int64),
+            np.zeros(len(needles), dtype=bool),
+        )
+    positions = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
+    return positions, haystack[positions] == needles
+
+
+def _pair_columns(pairs) -> "tuple[np.ndarray, np.ndarray]":
+    """A set of ``(a, b)`` original-id pairs as two int64 columns."""
+    flat = np.fromiter(
+        (node for pair in pairs for node in pair),
+        dtype=np.int64,
+        count=2 * len(pairs),
+    )
+    return flat[0::2], flat[1::2]
+
+
 def _is_dynamic(graph) -> bool:
     """Whether ``graph`` is a dynamic class the delta machinery covers."""
     from repro.graphs.directed import DirectedGraph
@@ -58,12 +86,8 @@ def _remap_ranks(
     """
     count = len(new_ids)
     start = np.full(count, 1.0 / count, dtype=np.float64)
-    if len(prev_ids):
-        positions = np.minimum(
-            np.searchsorted(prev_ids, new_ids), len(prev_ids) - 1
-        )
-        known = prev_ids[positions] == new_ids
-        start[known] = prev_ranks[positions[known]]
+    positions, known = _lookup(prev_ids, new_ids)
+    start[known] = prev_ranks[positions[known]]
     total = float(start.sum())
     if total > 0:
         start /= total
@@ -124,43 +148,31 @@ def incremental_pagerank(
 # ----------------------------------------------------------------------
 
 
-def _find(parent: list, x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
+def _hook_and_jump(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component root of each of ``size`` nodes joined by edges ``a``–``b``.
 
-
-def _union(parent: list, a: int, b: int) -> None:
-    root_a = _find(parent, a)
-    root_b = _find(parent, b)
-    if root_a != root_b:
-        if root_a < root_b:
-            parent[root_b] = root_a
-        else:
-            parent[root_a] = root_b
-
-
-def _neighbor_pairs(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """All ``(node, neighbor)`` dense pairs for the given dense nodes."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, _EMPTY
-    sources = np.repeat(nodes, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    targets = indices[np.repeat(indptr[nodes], counts) + offsets]
-    return sources, targets
+    Vectorised hash-min: every round hooks the larger root of each
+    still-split edge onto the smaller (``np.minimum.at``), then jumps
+    pointers (``parent[parent]``) until every node points at a root.
+    Roots only ever move to smaller ids, so no cycle can form; edges
+    whose ends already share a root drop out of the next round.
+    """
+    parent = np.arange(size, dtype=np.int64)
+    while len(a):
+        root_a, root_b = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            parent = hop
+        split = parent[a] != parent[b]
+        a, b = a[split], b[split]
+    return parent
 
 
 def _canonical_labels(roots: np.ndarray) -> np.ndarray:
-    """Relabel union-find roots to the batch WCC labelling.
+    """Relabel component roots to the batch WCC labelling.
 
     The batch kernel labels components in ascending order of their
     minimum dense node id, which equals ranking components by the first
@@ -179,94 +191,58 @@ def _canonical_labels(roots: np.ndarray) -> np.ndarray:
 def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
     """Labels for the merged snapshot, advanced from the previous run.
 
-    Super-node union-find: every *unaffected* previous component is one
+    Super-node contraction: every *unaffected* previous component is one
     super node (it cannot split — none of its edges or members were
-    deleted), every affected or new node is a singleton. Unions come
-    from (a) surviving adjacency among affected nodes and (b) net-added
-    edges; the result is canonicalised to the batch labelling.
+    deleted), every affected or new node is a singleton. The contracted
+    edge list is (a) surviving adjacency among affected nodes plus (b)
+    net-added edges, built with array gathers and joined by one
+    :func:`_hook_and_jump`; the result is canonicalised to the batch
+    labelling.
     """
     new_ids = csr.node_ids
     count = csr.num_nodes
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    if len(prev_ids):
-        positions = np.minimum(
-            np.searchsorted(prev_ids, new_ids), len(prev_ids) - 1
-        )
-        known = prev_ids[positions] == new_ids
-        old_label = np.where(known, prev_labels[positions], -1)
-    else:
-        old_label = np.full(count, -1, dtype=np.int64)
+    positions, known = _lookup(prev_ids, new_ids)
+    old_label = np.full(count, -1, dtype=np.int64)
+    old_label[known] = prev_labels[positions[known]]
 
-    # A deletion can only split the components it touched: mark the old
+    # A deletion can only split the components it touched: the old
     # labels of every net-deleted edge endpoint and net-deleted node.
-    affected_labels: set[int] = set()
-
-    def mark(orig: int) -> None:
-        if len(prev_ids):
-            position = int(np.searchsorted(prev_ids, orig))
-            if position < len(prev_ids) and prev_ids[position] == orig:
-                affected_labels.add(int(prev_labels[position]))
-
-    for u, v in delta.edges_deleted:
-        mark(u)
-        mark(v)
-    for node in delta.nodes_deleted:
-        mark(node)
-
-    affected = old_label == -1
-    if affected_labels:
-        affected |= np.isin(
-            old_label, np.fromiter(affected_labels, dtype=np.int64)
-        )
-
+    deleted_src, deleted_dst = _pair_columns(delta.edges_deleted)
+    touched = np.concatenate([
+        deleted_src,
+        deleted_dst,
+        np.fromiter(delta.nodes_deleted, dtype=np.int64,
+                    count=len(delta.nodes_deleted)),
+    ])
+    positions, found = _lookup(prev_ids, touched)
     label_count = int(prev_labels.max()) + 1 if len(prev_labels) else 0
-    parent = list(range(count + label_count))
+    label_hit = np.zeros(label_count + 1, dtype=bool)
+    label_hit[prev_labels[positions[found]]] = True
+    # old_label -1 (a new node) reads the trailing True slot.
+    label_hit[-1] = True
+    affected = label_hit[old_label]
     node_super = np.where(affected, np.arange(count), count + old_label)
 
     # (a) surviving adjacency among affected nodes. Base edges never
     # cross previous components, so an affected-to-unaffected edge in
     # the merged view can only be a net-added edge — handled in (b).
-    affected_dense = np.flatnonzero(affected)
-    if len(affected_dense):
-        for indptr, indices in (
-            (csr.out_indptr, csr.out_indices),
-            (csr.in_indptr, csr.in_indices),
-        ):
-            sources, targets = _neighbor_pairs(indptr, indices, affected_dense)
-            if len(sources):
-                linked = affected[targets]
-                for a, b in zip(
-                    sources[linked].tolist(), targets[linked].tolist()
-                ):
-                    _union(parent, a, b)
+    # The out-CSR holds every edge (the in-CSR the same ones reversed).
+    sources, targets = csr.edge_sources(), csr.out_indices
+    linked = affected[sources] & affected[targets]
+    sources, targets = sources[linked], targets[linked]
 
-    # (b) net-added edges, in original-id space.
-    for u, v in delta.edges_added:
-        if u == v:
-            continue
-        position_u = int(np.searchsorted(new_ids, u))
-        position_v = int(np.searchsorted(new_ids, v))
-        if (
-            position_u < count
-            and position_v < count
-            and new_ids[position_u] == u
-            and new_ids[position_v] == v
-        ):
-            _union(
-                parent,
-                int(node_super[position_u]),
-                int(node_super[position_v]),
-            )
-
-    parent_array = np.asarray(parent, dtype=np.int64)
-    roots = parent_array[node_super]
-    while True:
-        hop = parent_array[roots]
-        if np.array_equal(hop, roots):
-            break
-        roots = hop
-    return _canonical_labels(roots)
+    # (b) net-added edges, mapped from original ids to super nodes.
+    added_src, added_dst = _pair_columns(delta.edges_added)
+    at_src, has_src = _lookup(new_ids, added_src)
+    at_dst, has_dst = _lookup(new_ids, added_dst)
+    keep = has_src & has_dst
+    a = np.concatenate([node_super[sources], node_super[at_src[keep]]])
+    b = np.concatenate([node_super[targets], node_super[at_dst[keep]]])
+    split = a != b
+    parent = _hook_and_jump(count + label_count, a[split], b[split])
+    return _canonical_labels(parent[node_super])
 
 
 def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
@@ -309,78 +285,98 @@ def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
 # ----------------------------------------------------------------------
 
 
-def _sym_row(sym, orig_id: int) -> np.ndarray:
-    """A node's projection neighbours in *original* id space (sorted)."""
-    ids = sym.node_ids
-    position = int(np.searchsorted(ids, orig_id))
-    if position >= len(ids) or ids[position] != orig_id:
-        return _EMPTY
-    lo = int(sym.out_indptr[position])
-    hi = int(sym.out_indptr[position + 1])
-    return ids[sym.out_indices[lo:hi]]
+def _row_entries(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Every entry of the given CSR rows as ``(owner, value)`` arrays.
 
+    ``owner`` indexes ``rows`` (which may repeat), so ``rows[owner]`` is
+    each entry's row. One gather, no per-row Python step.
 
-def _sym_has(sym, u: int, v: int) -> bool:
-    row = _sym_row(sym, u)
-    position = int(np.searchsorted(row, v))
-    return position < len(row) and int(row[position]) == v
-
-
-def _key(u: int, v: int) -> "tuple[int, int]":
-    return (u, v) if u <= v else (v, u)
-
-
-def _advance_triangles(old_sym, new_sym, delta) -> "dict[int, int]":
-    """Per-node triangle-count *changes* keyed by original node id.
-
-    Changed projection edges are replayed one at a time — deletions
-    against the shrinking old projection, then additions against the
-    grown new projection — so each destroyed/created triangle is
-    counted exactly once (at its first deleted / last added edge).
+    >>> owner, value = _row_entries(
+    ...     np.array([0, 2, 3]), np.array([1, 2, 0]), np.array([1, 0]))
+    >>> owner.tolist(), value.tolist()
+    ([0, 1, 1], [0, 1, 2])
     """
-    candidates: set[tuple[int, int]] = set()
-    for pairs in (delta.edges_added, delta.edges_deleted):
-        for u, v in pairs:
-            if u != v:
-                candidates.add(_key(u, v))
-    deleted = []
-    added = []
-    for pair in sorted(candidates):
-        in_old = _sym_has(old_sym, *pair)
-        in_new = _sym_has(new_sym, *pair)
-        if in_old and not in_new:
-            deleted.append(pair)
-        elif in_new and not in_old:
-            added.append(pair)
-    changes: dict[int, int] = {}
+    counts = indptr[rows + 1] - indptr[rows]
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY, _EMPTY
+    owner = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    offsets = np.arange(total, dtype=np.int64) - (np.cumsum(counts) - counts)[owner]
+    return owner, indices[indptr[rows][owner] + offsets]
 
-    def bump(node: int, amount: int) -> None:
-        changes[node] = changes.get(node, 0) + amount
 
-    removed: set[tuple[int, int]] = set()
-    for u, v in deleted:
-        common = np.intersect1d(
-            _sym_row(old_sym, u), _sym_row(old_sym, v), assume_unique=True
-        )
-        for w in common.tolist():
-            if _key(u, w) in removed or _key(v, w) in removed:
-                continue
-            bump(u, -1)
-            bump(v, -1)
-            bump(w, -1)
-        removed.add((u, v))
-    pending = set(added)
-    for u, v in added:
-        pending.discard((u, v))
-        common = np.intersect1d(
-            _sym_row(new_sym, u), _sym_row(new_sym, v), assume_unique=True
-        )
-        for w in common.tolist():
-            if _key(u, w) in pending or _key(v, w) in pending:
-                continue
-            bump(u, 1)
-            bump(v, 1)
-            bump(w, 1)
+def _projection_keys(sym, lo: np.ndarray, hi: np.ndarray):
+    """Dense ``lo*n + hi`` keys of original-id pairs, and which are edges.
+
+    ``lo < hi`` elementwise, so the keys use the same orientation as
+    ``sym.out_edge_keys()`` and one binary search tests membership.
+    """
+    count = sym.num_nodes
+    at_lo, has_lo = _lookup(sym.node_ids, lo)
+    at_hi, has_hi = _lookup(sym.node_ids, hi)
+    keys = at_lo * count + at_hi
+    _, has_key = _lookup(sym.out_edge_keys(), keys)
+    return keys, has_lo & has_hi & has_key
+
+
+def _closed_triangles(sym, keys: np.ndarray, count_at_first: bool) -> np.ndarray:
+    """Dense corners of the triangles ``sym`` closes on changed edges.
+
+    ``keys`` are the changed edges' sorted dense ``u*n + v`` keys
+    (``u < v``), all edges of ``sym``; an edge's rank is its position in
+    ``keys``. For every edge the row of its lower-degree endpoint is
+    gathered and each neighbour ``w`` tested against the other
+    endpoint's keys, all in one pass. A triangle with several changed
+    edges is found once per changed edge, so it is kept only at its
+    lowest-ranked one (``count_at_first``) or its highest-ranked one.
+    Returns the three corners of every kept triangle, concatenated.
+    """
+    count = sym.num_nodes
+    u, v = np.divmod(keys, count)
+    degrees = sym.out_degrees()
+    swap = degrees[u] > degrees[v]
+    near, far = np.where(swap, v, u), np.where(swap, u, v)
+    owner, w = _row_entries(sym.out_indptr, sym.out_indices, near)
+    _, closed = _lookup(sym.out_edge_keys(), far[owner] * count + w)
+    owner, w = owner[closed], w[closed]
+    u, v = u[owner], v[owner]
+    kept = np.ones(len(owner), dtype=bool)
+    for end in (u, v):
+        rank, changed = _lookup(keys, np.minimum(end, w) * count + np.maximum(end, w))
+        if count_at_first:
+            kept &= ~changed | (rank > owner)
+        else:
+            kept &= ~changed | (rank < owner)
+    return np.concatenate([u[kept], v[kept], w[kept]])
+
+
+def _advance_triangles(old_sym, new_sym, delta) -> np.ndarray:
+    """Per-node triangle-count changes, dense over ``new_sym``'s nodes.
+
+    The changed projection pairs split into deleted (an edge of
+    ``old_sym`` only) and added (of ``new_sym`` only). A destroyed
+    triangle is counted once, at its first deleted edge in key order,
+    against the old projection; a created one once, at its last added
+    edge, against the new projection. Corners are scattered by
+    ``np.bincount``; a corner that no longer exists is dropped.
+    """
+    src, dst = _pair_columns(delta.edges_added | delta.edges_deleted)
+    proper = src != dst
+    lo = np.minimum(src[proper], dst[proper])
+    hi = np.maximum(src[proper], dst[proper])
+    old_keys, in_old = _projection_keys(old_sym, lo, hi)
+    new_keys, in_new = _projection_keys(new_sym, lo, hi)
+    deleted = np.unique(old_keys[in_old & ~in_new])
+    added = np.unique(new_keys[in_new & ~in_old])
+    count = new_sym.num_nodes
+    changes = np.bincount(
+        _closed_triangles(new_sym, added, count_at_first=False), minlength=count
+    )
+    lost = old_sym.node_ids[_closed_triangles(old_sym, deleted, count_at_first=True)]
+    positions, alive = _lookup(new_sym.node_ids, lost)
+    changes -= np.bincount(positions[alive], minlength=count)
     return changes
 
 
@@ -412,19 +408,9 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
         if window is not None and window[1] <= engine.compact_threshold(
             max(prev_sym.num_edges, 1)
         ):
-            changes = _advance_triangles(prev_sym, sym, window[0])
-            new_ids = sym.node_ids
-            counts = np.zeros(sym.num_nodes, dtype=np.int64)
-            if len(prev_ids):
-                positions = np.minimum(
-                    np.searchsorted(prev_ids, new_ids), len(prev_ids) - 1
-                )
-                known = prev_ids[positions] == new_ids
-                counts[known] = prev_counts[positions[known]]
-            for orig, amount in changes.items():
-                position = int(np.searchsorted(new_ids, orig))
-                if position < len(new_ids) and new_ids[position] == orig:
-                    counts[position] += amount
+            counts = _advance_triangles(prev_sym, sym, window[0])
+            positions, known = _lookup(prev_ids, sym.node_ids)
+            counts[known] += prev_counts[positions[known]]
     mode = "warm"
     if counts is None:
         counts = sym.triangle_counts(pool)

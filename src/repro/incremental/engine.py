@@ -103,6 +103,11 @@ class IncrementalEngine:
         self._fallback_full = 0
         self._last_fallback_reason: "str | None" = None
         self._algo: dict[str, dict[str, int]] = {}
+        # The last consolidated window, ``(log, v0, v1, (delta, ops))``:
+        # one round's snapshot merge, WCC and triangle advances all ask
+        # for the same window. Keyed by the log object itself, so a
+        # re-anchored log (or a new graph reusing an id) never matches.
+        self._last_window: "tuple | None" = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -136,6 +141,7 @@ class IncrementalEngine:
             self._fallback_full = 0
             self._last_fallback_reason = None
             self._algo.clear()
+            self._last_window = None
 
     def compact_threshold(self, base_edges: int) -> int:
         """Op-run length beyond which rebuilding beats merging."""
@@ -198,6 +204,7 @@ class IncrementalEngine:
         log = graph._delta_log
         if log is None or not log.usable_at(version):
             graph._delta_log = MutationLog(version)
+            self._last_window = None
 
     def trim_log(self, graph, base_version: int) -> None:
         """Drop ops no consumer can still ask for.
@@ -221,15 +228,22 @@ class IncrementalEngine:
         """The consolidated net delta over ``(v0, v1]``, or ``None``.
 
         Returns ``(delta, op_count)``; ``None`` means the log cannot
-        prove completeness over the window.
+        prove completeness over the window. The last answer is memoised,
+        so every consumer of one window shares one consolidation; the
+        delta is shared and must be treated as read-only.
         """
         log = graph._delta_log
         if log is None:
             return None
+        memo = self._last_window
+        if memo is not None and memo[0] is log and memo[1:3] == (v0, v1):
+            return memo[3]
         ops = log.slice(v0, v1)
         if ops is None:
             return None
-        return consolidate(ops, graph.is_directed), len(ops)
+        window = (consolidate(ops, graph.is_directed), len(ops))
+        self._last_window = (log, v0, v1, window)
+        return window
 
     # ------------------------------------------------------------------
     # Warm algorithm states

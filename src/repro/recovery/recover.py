@@ -37,7 +37,7 @@ from repro.recovery.checkpoint import (
     quarantine,
     verify_and_load_object,
 )
-from repro.recovery.wal import WAL_FILENAME, read_wal
+from repro.recovery.wal import WAL_FILENAME, WalTail, iter_wal
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -140,12 +140,9 @@ def _recover_into(
             report["restored_objects"] += 1
 
     watermark = 0 if manifest is None else int(manifest.get("wal_lsn", 0))
-    records, tail = read_wal(directory / WAL_FILENAME)
-    report["wal_records"] = len(records)
-    report["wal_torn_tail"] = tail.torn
-
+    tail = WalTail()
     unavailable: set[str] = set()
-    for record in records:
+    for record in iter_wal(directory / WAL_FILENAME, tail):
         if record.mutates:
             # Mutations baked into the checkpointed artifact must not
             # be re-applied; mutations newer than the watermark — or
@@ -175,6 +172,8 @@ def _recover_into(
             continue
         report["replayed_ops"] += 1
         _count("recovery.replayed_ops")
+    report["wal_records"] = tail.records
+    report["wal_torn_tail"] = tail.torn
 
     if manifest is not None:
         session._publish_counter = max(

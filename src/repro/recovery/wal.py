@@ -28,7 +28,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.exceptions import FencedError, InjectedFaultError, RecoveryError
 from repro.faults import fault_point
@@ -120,41 +120,49 @@ def decode_line(line: bytes, expected_lsn: int) -> WalRecord:
     )
 
 
-def read_wal(path: "str | os.PathLike[str]") -> tuple[list[WalRecord], WalTail]:
-    """Read the valid prefix of a WAL file.
+def iter_wal(path: "str | os.PathLike[str]", tail: WalTail) -> Iterator[WalRecord]:
+    """Yield the valid prefix of a WAL file, one record at a time.
 
-    Returns ``(records, tail)``. A missing file reads as empty. The
-    scan stops at the first unparsable, CRC-failing, or out-of-sequence
-    frame; ``tail`` records how many bytes were valid and why the scan
+    A missing file yields nothing. The scan stops at the first
+    unparsable, CRC-failing, or out-of-sequence frame. ``tail`` is
+    filled in as the scan goes and is complete once the iterator is
+    exhausted: how many records and bytes were valid and why the scan
     stopped, so a writer reopening the log can truncate the torn suffix.
+    Only one decoded record is alive at a time, so a replay's memory
+    does not grow with the length of the log.
     """
     path = Path(path)
-    tail = WalTail()
-    records: list[WalRecord] = []
     if not path.exists():
-        return records, tail
-    offset = 0
+        return
     with open(path, "rb") as handle:
         for raw in handle:
-            line = raw.rstrip(b"\n")
             if raw[-1:] != b"\n":
                 # No terminator: a torn final write.
                 tail.torn = True
                 tail.reason = "unterminated final frame"
-                break
-            if not line:
-                offset += len(raw)
+                return
+            if raw == b"\n":
+                tail.valid_bytes += 1
                 continue
             try:
-                record = decode_line(line, expected_lsn=len(records) + 1)
+                record = decode_line(raw[:-1], expected_lsn=tail.records + 1)
             except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
                 tail.torn = True
-                tail.reason = f"invalid frame after LSN {len(records)}: {error}"
-                break
-            records.append(record)
-            offset += len(raw)
-    tail.records = len(records)
-    tail.valid_bytes = offset
+                tail.reason = f"invalid frame after LSN {tail.records}: {error}"
+                return
+            tail.records += 1
+            tail.valid_bytes += len(raw)
+            yield record
+
+
+def read_wal(path: "str | os.PathLike[str]") -> tuple[list[WalRecord], WalTail]:
+    """Read the valid prefix of a WAL file: ``(records, tail)``.
+
+    The list form of :func:`iter_wal`, for callers that need every
+    record at once.
+    """
+    tail = WalTail()
+    records = list(iter_wal(path, tail))
     return records, tail
 
 
@@ -179,8 +187,10 @@ class WriteAheadLog:
         self.epoch = state.epoch
         self._epoch_state = state
         self._epoch_stat: "tuple[int, int] | None" = None
-        records, tail = read_wal(self.path)
-        self._last_lsn = len(records)
+        tail = WalTail()
+        for _record in iter_wal(self.path, tail):
+            pass
+        self._last_lsn = tail.records
         self.recovered_torn_tail = tail.torn
         if tail.torn:
             # Drop the torn suffix so new frames append after the valid

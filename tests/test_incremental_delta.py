@@ -246,6 +246,67 @@ class TestDeletePathRegressions:
         assert _fresh_engine.stats()["fallback_full"] == 0
 
 
+class TestWindowMemo:
+    """One round's snapshot merge, WCC and triangles share one window."""
+
+    def _count_consolidations(self, monkeypatch):
+        import repro.incremental.engine as engine_module
+
+        calls = []
+        real = engine_module.consolidate
+
+        def counting(ops, directed):
+            calls.append(len(ops))
+            return real(ops, directed)
+
+        monkeypatch.setattr(engine_module, "consolidate", counting)
+        return calls
+
+    @pytest.mark.parametrize("build", [build_directed, build_undirected])
+    def test_one_round_consolidates_once(self, build, monkeypatch, _fresh_engine):
+        from repro.algorithms.components import weakly_connected_components
+        from repro.algorithms.pagerank import pagerank
+        from repro.algorithms.triangles import triangle_counts
+
+        def ask():
+            pagerank(graph)
+            weakly_connected_components(graph)
+            triangle_counts(graph)
+
+        calls = self._count_consolidations(monkeypatch)
+        graph = build([(1, 2), (2, 3), (3, 1), (3, 4)])
+        ask()
+        for ops in (
+            [("add_edge", 4, 1), ("del_edge", 2, 3), ("add_node", 9)],
+            [("add_edge", 2, 3), ("del_edge", 3, 4)],
+        ):
+            calls.clear()
+            for kind, *args in ops:
+                getattr(graph, kind)(*args)
+            ask()
+            assert calls == [len(ops)]
+        stats = _fresh_engine.stats()
+        assert stats["delta_applied"] == 2
+        assert stats["algorithms"]["wcc"]["warm"] == 2
+        assert stats["algorithms"]["triangles"]["warm"] == 2
+
+    def test_reanchored_log_and_reset_drop_the_memo(self, monkeypatch, _fresh_engine):
+        calls = self._count_consolidations(monkeypatch)
+        graph = build_directed([(1, 2)])
+        _fresh_engine.ensure_log(graph, graph.version)
+        v0 = graph.version
+        graph.add_edge(2, 3)
+        first = _fresh_engine.delta_between(graph, v0, graph.version)
+        assert _fresh_engine.delta_between(graph, v0, graph.version) is first
+        assert len(calls) == 1
+        _fresh_engine.reset()
+        assert _fresh_engine.delta_between(graph, v0, graph.version) is not first
+        assert len(calls) == 2
+        graph._delta_log.poison("bulk install")
+        _fresh_engine.ensure_log(graph, graph.version)
+        assert _fresh_engine.delta_between(graph, v0, graph.version) is None
+
+
 class TestSanitizeDeltaView:
     def _merged(self):
         graph = build_directed([(1, 2), (2, 3)])

@@ -14,6 +14,7 @@ for tolerance 1e-9 at damping 0.85 (which needs ~130 iterations cold).
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -125,6 +126,164 @@ def _run_trace(kind: str, seed: int, checkpoints: int = 6, step: int = 5):
 @pytest.mark.parametrize("kind", KINDS)
 def test_trace_differential(kind, seed):
     _run_trace(kind, seed)
+
+
+def _warm_counts():
+    algorithms = incremental_engine().stats()["algorithms"]
+    return tuple(algorithms.get(name, {}).get("warm", 0) for name in ("wcc", "triangles"))
+
+
+@contextmanager
+def _warm_window(graph, context: str):
+    """The block's mutations are one window; then warm must equal batch.
+
+    The window must ride the warm WCC and triangle paths: a seed run
+    would compare the batch kernel with itself.
+    """
+    before = _warm_counts()
+    yield
+    _assert_equivalent(
+        _incremental_answers(graph), _batch_reference(graph), context
+    )
+    assert _warm_counts() == tuple(count + 1 for count in before), (
+        f"WCC/triangles did not advance warm {context}"
+    )
+
+
+def _check_window(graph, ops, context: str):
+    """Apply ``ops`` (``(method, *args)`` tuples) as one warm window."""
+    with _warm_window(graph, context):
+        for kind, *args in ops:
+            getattr(graph, kind)(*args)
+
+
+@pytest.fixture
+def _wide_windows(_fresh_engine):
+    """Compaction off: a 30-80 mutation window must still advance warm."""
+    _fresh_engine.configure(min_compact_ops=100_000)
+    return _fresh_engine
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_window_trace(kind, seed, _wide_windows):
+    """Windows of 30-80 mutations on a dense 25-node graph.
+
+    Many changed edges per window put several of them in one triangle,
+    which is where the first-deleted / last-added attribution counts.
+    """
+    rng = random.Random(1000 + seed)
+    graph = _build(kind, rng, nodes=25, edges=160)
+    _assert_equivalent(
+        _incremental_answers(graph), _batch_reference(graph),
+        f"at seed point (kind={kind}, seed={seed})",
+    )
+    for checkpoint in range(4):
+        with _warm_window(
+            graph, f"at checkpoint {checkpoint} (kind={kind}, seed={seed})"
+        ):
+            apply_random_mutations(graph, rng, count=rng.randrange(30, 81),
+                                   universe=25)
+
+
+def _seeded(kind: str, edges):
+    graph = (build_directed if kind == "directed" else build_undirected)(edges)
+    _assert_equivalent(
+        _incremental_answers(graph), _batch_reference(graph), "at seed point"
+    )
+    return graph
+
+
+# Two triangles, {1, 2, 3} and {1, 2, 4}, sharing the edge 1-2, plus a
+# tail so the graph is not only the triangles.
+_TWO_TRIANGLES = [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1), (4, 5), (5, 6)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "name, edges, ops",
+    [
+        (
+            "all three edges of a triangle added",
+            [(1, 4), (2, 5), (3, 6), (4, 5)],
+            [("add_edge", 2, 1), ("add_edge", 3, 2), ("add_edge", 1, 3),
+             ("add_edge", 1, 2), ("add_edge", 4, 2)],
+        ),
+        (
+            "all three edges of a triangle deleted",
+            _TWO_TRIANGLES,
+            [("del_edge", 2, 3), ("del_edge", 1, 2), ("del_edge", 3, 1)],
+        ),
+        (
+            "one triangle edge deleted and one added",
+            [(1, 2), (2, 3), (3, 1), (1, 4), (5, 6)],
+            [("del_edge", 2, 3), ("add_edge", 2, 4), ("add_edge", 3, 4)],
+        ),
+        (
+            "a triangle edge deleted and re-added, its neighbour deleted",
+            _TWO_TRIANGLES,
+            [("del_edge", 1, 2), ("del_edge", 2, 4), ("add_edge", 1, 2)],
+        ),
+        (
+            "a node of two triangles deleted, its triangles rebuilt",
+            _TWO_TRIANGLES,
+            [("del_node", 2), ("add_edge", 7, 1), ("add_edge", 7, 3),
+             ("add_edge", 7, 4)],
+        ),
+    ],
+)
+def test_triangle_windows(kind, name, edges, ops, _wide_windows):
+    graph = _seeded(kind, edges)
+    _check_window(graph, ops, f"({name}, kind={kind})")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_directed_reorientation_leaves_projection(kind, _wide_windows):
+    """Deleting (1, 2) and adding (2, 1) leaves the projection as it was."""
+    graph = _seeded(kind, _TWO_TRIANGLES)
+    _check_window(graph, [("del_edge", 1, 2), ("add_edge", 2, 1)], f"({kind})")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_and_rejoin_in_one_window(kind, _wide_windows):
+    """A deletion splits a component; a later add in the window rejoins it."""
+    graph = _seeded(kind, [(1, 2), (2, 3), (3, 4), (4, 5), (7, 8)])
+    _check_window(
+        graph,
+        [("del_edge", 3, 4), ("add_edge", 8, 9), ("add_edge", 5, 1)],
+        f"(rejoined by another edge, kind={kind})",
+    )
+    _check_window(
+        graph,
+        [("del_edge", 2, 3), ("del_edge", 4, 5), ("add_edge", 3, 8),
+         ("add_edge", 2, 3)],
+        f"(one half rejoined, kind={kind})",
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_windows_through_the_empty_graph(kind, _wide_windows):
+    """Every node deleted, then a new triangle grown from nothing."""
+    graph = _seeded(kind, [(1, 2), (2, 3), (3, 1)])
+    _check_window(graph, [("del_node", 1), ("del_node", 2), ("del_node", 3)],
+                  f"(emptied, kind={kind})")
+    _check_window(graph, [("add_edge", 5, 6), ("add_edge", 6, 7),
+                          ("add_edge", 7, 5)], f"(regrown, kind={kind})")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_add_only_window_on_giant_component(kind, _wide_windows):
+    """Adds only: every old component stays one unsplit super node."""
+    rng = random.Random(5)
+    giant = [(node, rng.randrange(node)) for node in range(1, 30)]
+    small = [(40, 41), (42, 43), (44, 45), (46, 46)]
+    graph = _seeded(kind, giant + small)
+    _check_window(
+        graph,
+        [("add_edge", 41, 42), ("add_edge", 3, 44), ("add_node", 50),
+         ("add_edge", 51, 52), ("add_edge", 52, 7), ("add_edge", 5, 9)],
+        f"(kind={kind})",
+    )
 
 
 def test_epsilon_bound_is_tight():
