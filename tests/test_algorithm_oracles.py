@@ -9,21 +9,29 @@ graphs. References may be slow (O(n^2) and worse); the catalog is small.
 Rows so far: ``CSRGraph.undirected_projection`` (a Python pair set and
 the row-wise ``np.unique`` build it replaced), the k-core family
 (``core_numbers``, ``k_core``, ``degeneracy``) against repeated removal
-of a minimum-degree node, and the triangle family (``triangle_counts``,
+of a minimum-degree node, the triangle family (``triangle_counts``,
 ``total_triangles`` and the three clustering functions) against a
-triple loop over every node triple.
+triple loop over every node triple, and the reachability family:
+``strongly_connected_components`` against mutual reachability,
+``bfs_levels`` against a queue BFS per direction, and unit-weight
+``dijkstra`` against the same heap run with an explicit unit weight.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
 from repro.algorithms import cores, triangles
+from repro.algorithms import bfs
 from repro.algorithms import generators as gen
+from repro.algorithms.bfs import UNREACHED, bfs_level_array, bfs_levels
+from repro.algorithms.components import strongly_connected_components
 from repro.algorithms.cores import core_numbers, degeneracy, k_core
+from repro.algorithms.sssp import dijkstra
 from repro.algorithms.triangles import (
     average_clustering,
     clustering_coefficients,
@@ -33,7 +41,7 @@ from repro.algorithms.triangles import (
     triangle_counts,
 )
 from repro.convert.table_to_graph import graph_from_edge_arrays
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, NodeNotFoundError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.multigraph import DirectedMultigraph
@@ -482,3 +490,196 @@ class TestTriangleOracle:
         assert triangle_counts(graph) == expected
         # The old snapshot's count is untouched.
         assert dict(zip(csr.node_ids.tolist(), counts.tolist())) == before
+
+
+# ----------------------------------------------------------------------
+# The reachability family: SCC, BFS levels, unit-weight SSSP
+# ----------------------------------------------------------------------
+
+
+def _arc_lists(graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Out- and in-neighbour lists; an undirected edge is an arc each way."""
+    out: dict[int, list[int]] = {node: [] for node in graph.nodes()}
+    into: dict[int, list[int]] = {node: [] for node in graph.nodes()}
+    for u, v in graph.edges():
+        out[u].append(v)
+        into[v].append(u)
+        if not graph.is_directed and u != v:
+            out[v].append(u)
+            into[u].append(v)
+    return out, into
+
+
+def brute_levels(adjacency: dict[int, list[int]], source: int) -> dict[int, int]:
+    """Hop distance from ``source`` by a queue BFS over ``adjacency``."""
+    levels = {source: 0}
+    queue = collections.deque([source])
+    while queue:
+        node = queue.popleft()
+        for nbr in adjacency[node]:
+            if nbr not in levels:
+                levels[nbr] = levels[node] + 1
+                queue.append(nbr)
+    return levels
+
+
+def brute_scc_partition(graph) -> set[frozenset[int]]:
+    """Each node's SCC: the nodes it reaches that also reach it."""
+    out, into = _arc_lists(graph)
+    return {
+        frozenset(brute_levels(out, node).keys() & brute_levels(into, node).keys())
+        for node in out
+    }
+
+
+def _partition(labels: dict[int, int]) -> set[frozenset[int]]:
+    groups: dict[int, set[int]] = collections.defaultdict(set)
+    for node, label in labels.items():
+        groups[label].add(node)
+    return {frozenset(group) for group in groups.values()}
+
+
+def legacy_bfs_level_array(csr: CSRGraph, source: int, direction: str) -> np.ndarray:
+    """The per-level ``np.unique`` BFS, kept as a bitwise reference for
+    the sort-dedupe kernel that replaced it."""
+    levels = np.full(csr.num_nodes, UNREACHED, dtype=np.int64)
+    levels[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while len(frontier):
+        level += 1
+        candidates = []
+        if direction in ("out", "both"):
+            candidates.append(bfs._frontier_expand(csr.out_indptr, csr.out_indices, frontier))
+        if direction in ("in", "both"):
+            candidates.append(bfs._frontier_expand(csr.in_indptr, csr.in_indices, frontier))
+        merged = np.unique(np.concatenate(candidates))
+        frontier = merged[levels[merged] == UNREACHED]
+        levels[frontier] = level
+    return levels
+
+
+def _sources(graph) -> list[int]:
+    """Five sources spread over the node order (isolated nodes included)."""
+    nodes = sorted(graph.nodes())
+    return nodes[:: max(1, len(nodes) // 4)]
+
+
+def _check_scc(graph) -> None:
+    expected = brute_scc_partition(graph)
+    for subject in (graph, CSRGraph.from_graph(graph)):
+        labels = strongly_connected_components(subject)
+        assert set(labels) == set(graph.nodes())
+        assert sorted(set(labels.values())) == list(range(len(expected)))
+        assert _partition(labels) == expected
+
+
+def _check_bfs(graph) -> None:
+    out, into = _arc_lists(graph)
+    both = {node: out[node] + into[node] for node in out}
+    csr = CSRGraph.from_graph(graph)
+    for source in _sources(graph):
+        dense = csr.dense_of(source)
+        for direction, adjacency in (("out", out), ("in", into), ("both", both)):
+            assert bfs_levels(graph, source, direction) == brute_levels(adjacency, source)
+            got = bfs_level_array(csr, dense, direction)
+            want = legacy_bfs_level_array(csr, dense, direction)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def _check_unit_sssp(graph) -> None:
+    out, _ = _arc_lists(graph)
+    for source in _sources(graph):
+        got = dijkstra(graph, source)
+        assert got == dijkstra(graph, source, weight=lambda u, v: 1.0)
+        assert got == {
+            node: float(level) for node, level in brute_levels(out, source).items()
+        }
+        assert all(type(distance) is float for distance in got.values())
+
+
+def _hub_with_tails(spokes: int = 100, tails: int = 100) -> DirectedGraph:
+    """A hub SCC with in- and out-tails and small SCCs beside it.
+
+    Node 0 and ``spokes`` spokes form one SCC (each spoke both ways to
+    the hub). Two-node in-tails feed spokes and two-node out-tails hang
+    off them, so trimming peels ``2 * tails`` nodes a level for two
+    levels. A 3-cycle the hub reaches and a 4-cycle that reaches the hub
+    lie on one side of the hub's SCC each, so they are left after it.
+    """
+    graph = DirectedGraph()
+    for spoke in range(1, spokes + 1):
+        graph.add_edge(0, spoke)
+        graph.add_edge(spoke, 0)
+    base = 1_000
+    for index in range(tails):
+        spoke = 1 + index % spokes
+        far, near = base + 4 * index, base + 4 * index + 1
+        graph.add_edge(far, near)
+        graph.add_edge(near, spoke)
+        near, far = base + 4 * index + 2, base + 4 * index + 3
+        graph.add_edge(spoke, near)
+        graph.add_edge(near, far)
+    for a, b in [(500, 501), (501, 502), (502, 500), (0, 500)]:
+        graph.add_edge(a, b)
+    for a, b in [(600, 601), (601, 602), (602, 603), (603, 600), (603, 1)]:
+        graph.add_edge(a, b)
+    return graph
+
+
+def _disjoint_triangles(count: int) -> DirectedGraph:
+    graph = DirectedGraph()
+    for index in range(count):
+        a, b, c = 3 * index, 3 * index + 1, 3 * index + 2
+        for u, v in ((a, b), (b, c), (c, a)):
+            graph.add_edge(u, v)
+    return graph
+
+
+def _loop_beside_cycle() -> DirectedGraph:
+    """Node 5's only edge is a self-loop; 1 and 2 form a 2-cycle."""
+    graph = DirectedGraph()
+    for u, v in [(5, 5), (1, 2), (2, 1)]:
+        graph.add_edge(u, v)
+    return graph
+
+
+SCC_SHAPES = [
+    pytest.param(_hub_with_tails, id="hub-with-tails"),
+    pytest.param(lambda: _disjoint_triangles(200), id="200-triangles"),
+    pytest.param(_loop_beside_cycle, id="self-loop-only"),
+]
+
+
+class TestReachabilityOracle:
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_scc_catalog(self, model, directed, decorated):
+        _check_scc(_catalog_graph(model, directed, decorated))
+
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_bfs_catalog(self, model, directed, decorated):
+        _check_bfs(_catalog_graph(model, directed, decorated))
+
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_unit_sssp_catalog(self, model, directed, decorated):
+        _check_unit_sssp(_catalog_graph(model, directed, decorated))
+
+    @pytest.mark.parametrize("shape", SCC_SHAPES)
+    def test_scc_shapes(self, shape):
+        graph = shape()
+        _check_scc(graph)
+        _check_bfs(graph)
+        _check_unit_sssp(graph)
+
+    def test_self_loop_only_node_is_alone(self):
+        labels = strongly_connected_components(_loop_beside_cycle())
+        assert labels[1] == labels[2] != labels[5]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty(self, directed):
+        graph = _empty(directed)
+        assert strongly_connected_components(graph) == {}
+        for call in (bfs_levels, dijkstra):
+            with pytest.raises(NodeNotFoundError):
+                call(graph, 1)
