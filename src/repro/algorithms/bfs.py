@@ -64,7 +64,12 @@ def bfs_levels(
 def bfs_level_array(
     csr: CSRGraph, source_dense: int, direction: str = "out"
 ) -> np.ndarray:
-    """Dense-index variant of :func:`bfs_levels` (-1 for unreached)."""
+    """Dense-index variant of :func:`bfs_levels` (-1 for unreached).
+
+    Each level gathers the frontier's adjacency, drops the candidates
+    already levelled, and dedupes the rest with one sort and a
+    neighbour-inequality mask, so the sort covers only new nodes.
+    """
     if direction not in ("out", "in", "both"):
         raise AlgorithmError(f"unknown BFS direction {direction!r}")
     levels = np.full(csr.num_nodes, UNREACHED, dtype=np.int64)
@@ -79,12 +84,15 @@ def bfs_level_array(
         if direction in ("in", "both"):
             candidates.append(_frontier_expand(csr.in_indptr, csr.in_indices, frontier))
         merged = np.concatenate(candidates) if len(candidates) > 1 else candidates[0]
-        if len(merged) == 0:
-            break
-        merged = np.unique(merged)
         fresh = merged[levels[merged] == UNREACHED]
-        levels[fresh] = level
-        frontier = fresh
+        if len(fresh) == 0:
+            break
+        fresh.sort()
+        distinct = np.empty(len(fresh), dtype=bool)
+        distinct[0] = True
+        np.not_equal(fresh[1:], fresh[:-1], out=distinct[1:])
+        frontier = fresh[distinct]
+        levels[frontier] = level
     return levels
 
 

@@ -1,11 +1,11 @@
 """Single-source shortest paths (paper §3, Table 6 — "SSSP").
 
-Unweighted SSSP is BFS (see :mod:`repro.algorithms.bfs`); this module
-adds the weighted algorithms: binary-heap Dijkstra and Bellman–Ford
-(which also detects negative cycles). Weights come from a callable or an
-edge-attribute name on a :class:`~repro.graphs.network.Network`; absent
-both, every edge weighs 1 and Dijkstra degenerates to BFS ordering —
-exactly the configuration the Table 6 benchmark uses.
+Unweighted SSSP is BFS: :func:`dijkstra` without a weight returns the
+hop levels of :func:`~repro.algorithms.bfs.bfs_level_array` as floats,
+which is the configuration the Table 6 benchmark uses. Weights come
+from a callable or an edge-attribute name on a
+:class:`~repro.graphs.network.Network` and run the binary-heap Dijkstra;
+Bellman–Ford also allows negative weights and detects negative cycles.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
+import numpy as np
+
+from repro.algorithms.bfs import UNREACHED, bfs_level_array
 from repro.algorithms.common import as_csr
 from repro.exceptions import AlgorithmError
 from repro.graphs.network import Network
@@ -44,6 +47,8 @@ def dijkstra(
     """Shortest-path distance from ``source`` to every reachable node.
 
     Edge weights must be non-negative (checked during relaxation).
+    Without a weight every edge weighs 1 and the distances are BFS hop
+    levels, keyed in ascending dense-id order rather than settle order.
 
     >>> from repro.graphs.directed import DirectedGraph
     >>> g = DirectedGraph()
@@ -55,6 +60,12 @@ def dijkstra(
     csr = as_csr(graph)
     source_dense = int(csr.dense_of_array([source])[0])
     node_ids = csr.node_ids
+    if weight is None:
+        levels = bfs_level_array(csr, source_dense)
+        reached = levels != UNREACHED
+        return dict(
+            zip(node_ids[reached].tolist(), levels[reached].astype(np.float64).tolist())
+        )
     distances: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source_dense)]
     settled = set()

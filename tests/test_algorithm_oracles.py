@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.algorithms import cores, triangles
+from repro.algorithms import components, cores, triangles
 from repro.algorithms import bfs
 from repro.algorithms import generators as gen
 from repro.algorithms.bfs import UNREACHED, bfs_level_array, bfs_levels
@@ -671,6 +671,55 @@ class TestReachabilityOracle:
         _check_scc(graph)
         _check_bfs(graph)
         _check_unit_sssp(graph)
+
+    @pytest.mark.parametrize("cutoff", [1, 10**9])
+    @pytest.mark.parametrize(
+        "shape",
+        SCC_SHAPES
+        + [
+            pytest.param(
+                lambda: _catalog_graph(model, True, True), id=f"{model}-directed"
+            )
+            for model in ("gnm", "planted_partition", "rmat")
+        ],
+    )
+    def test_every_vector_cutoff_agrees(self, monkeypatch, shape, cutoff):
+        """Cutoff 1 trims and runs forward–backward wherever it can;
+        10**9 hands the whole graph to Tarjan."""
+        monkeypatch.setattr(components, "_VECTOR_MIN", cutoff)
+        _check_scc(shape())
+
+    def test_hub_leaves_a_tarjan_remainder(self, monkeypatch):
+        """At the default cutoff both vectorised steps run on the hub
+        shape, and Tarjan sees only the 3-cycle and the 4-cycle."""
+        sizes = []
+        tarjan = components._tarjan_labels
+
+        def spy(indptr, indices):
+            sizes.append(len(indptr) - 1)
+            return tarjan(indptr, indices)
+
+        monkeypatch.setattr(components, "_tarjan_labels", spy)
+        _check_scc(_hub_with_tails())
+        assert sizes == [7, 7]  # once per subject: the graph and its CSR
+
+    def test_larger_rmat_matches_tarjan(self):
+        """An R-MAT big enough for the default cutoff to vectorise."""
+        src, dst = gen.rmat_edges(11, 20_000, seed=5)
+        csr = CSRGraph.from_graph(graph_from_edge_arrays(src, dst, directed=True))
+        labels = components.scc_label_array(csr)
+        tarjan = components._tarjan_labels(csr.out_indptr, csr.out_indices)
+        pairs = set(zip(labels.tolist(), tarjan.tolist()))
+        assert len(pairs) == len(set(labels.tolist())) == len(set(tarjan.tolist()))
+
+    @pytest.mark.parametrize("cutoff", [1, 10**9])
+    def test_labels_follow_smallest_node(self, monkeypatch, cutoff):
+        monkeypatch.setattr(components, "_VECTOR_MIN", cutoff)
+        labels = strongly_connected_components(_hub_with_tails())
+        smallest: dict[int, int] = {}
+        for node in sorted(labels):
+            smallest.setdefault(labels[node], node)
+        assert sorted(smallest, key=smallest.get) == list(range(len(smallest)))
 
     def test_self_loop_only_node_is_alone(self):
         labels = strongly_connected_components(_loop_beside_cycle())
