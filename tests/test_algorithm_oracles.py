@@ -721,10 +721,6 @@ class TestReachabilityOracle:
             smallest.setdefault(labels[node], node)
         assert sorted(smallest, key=smallest.get) == list(range(len(smallest)))
 
-    def test_self_loop_only_node_is_alone(self):
-        labels = strongly_connected_components(_loop_beside_cycle())
-        assert labels[1] == labels[2] != labels[5]
-
     @pytest.mark.parametrize("directed", [False, True])
     def test_empty(self, directed):
         graph = _empty(directed)
