@@ -4,21 +4,36 @@ Uses scipy's sparse eigensolver over the undirected projection. The
 Fiedler vector (second-smallest Laplacian eigenvector) yields the
 classic spectral bisection; its eigenvalue is the algebraic
 connectivity (0 iff the graph is disconnected).
+
+scipy is imported on first use, not with the module: the package
+declares only numpy, and ``import repro`` must work without scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.algorithms.triangles import _undirected_csr
 from repro.exceptions import AlgorithmError
 
 
-def laplacian_matrix(graph) -> sp.csr_matrix:
+def _scipy_sparse():
+    """``(scipy.sparse, scipy.sparse.linalg)``, or a clear ImportError."""
+    try:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+    except ImportError as err:
+        raise ImportError(
+            "spectral analysis needs scipy, which is not installed "
+            "(pip install scipy, or the package's [test] extra)"
+        ) from err
+    return sp, spla
+
+
+def laplacian_matrix(graph) -> "scipy.sparse.csr_matrix":
     """Sparse combinatorial Laplacian ``L = D - A`` of the undirected
     projection (dense-index node order, see ``CSRGraph.node_ids``)."""
+    sp, _ = _scipy_sparse()
     sym = _undirected_csr(graph)
     count = sym.num_nodes
     if count == 0:
@@ -46,6 +61,7 @@ def fiedler_vector(graph, seed: int = 0) -> tuple[float, dict[int, float]]:
     sym = _undirected_csr(graph)
     if sym.num_nodes < 3:
         raise AlgorithmError("Fiedler vector needs at least three nodes")
+    _, spla = _scipy_sparse()
     laplacian = laplacian_matrix(graph)
     rng = np.random.default_rng(seed)
     v0 = rng.random(sym.num_nodes)

@@ -38,6 +38,7 @@ from repro.graphs.directed import DirectedGraph
 from repro.graphs.snapshot import snapshot_cache as _default_snapshot_cache
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.engine import incremental_engine as _incremental_engine
+from repro.incremental.ingest import validate_ops
 from repro.recovery import ops as _rops
 from repro.recovery.wal import SessionDurability
 from repro.memory.budget import (
@@ -522,9 +523,13 @@ class Ringo:
 
         ``ops`` is a JSON-safe list of ``["add_node", id]`` /
         ``["del_node", id]`` / ``["add_edge", src, dst]`` /
-        ``["del_edge", src, dst]`` entries, applied in order through the
-        graph's public mutators — so the per-graph mutation log observes
-        every one and subsequent analytics advance by delta instead of
+        ``["del_edge", src, dst]`` entries. The batch is atomic: it is
+        validated once and resolved against the graph in order — each op
+        sees the state the ops before it leave — and the first bad op
+        raises, naming its position (``op #k``), before anything
+        changes. The net change is then applied as arrays in one step,
+        with one version bump, and recorded in the per-graph mutation
+        log so subsequent analytics advance by delta instead of
         rebuilding. With durability armed the batch commits as one WAL
         record; recovery replays it through the same code path, and
         another session can stream it live via :meth:`TailWal`.
@@ -532,7 +537,7 @@ class Ringo:
         Returns the ingest summary (``applied`` / ``skipped`` /
         ``version`` / ``nodes`` / ``edges``).
         """
-        return self._run_op("ApplyOps", (graph,), {"ops": ops})
+        return self._run_op("ApplyOps", (graph,), {"ops": validate_ops(ops)})
 
     @_timed
     def TailWal(

@@ -36,18 +36,20 @@ class GraphError(RingoError):
 class NodeNotFoundError(GraphError):
     """A referenced node id is not present in the graph."""
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, op: "int | None" = None):
         self.node_id = node_id
-        super().__init__(f"node {node_id} not in graph")
+        where = "" if op is None else f"op #{op}: "
+        super().__init__(f"{where}node {node_id} not in graph")
 
 
 class EdgeNotFoundError(GraphError):
     """A referenced edge is not present in the graph."""
 
-    def __init__(self, src: int, dst: int):
+    def __init__(self, src: int, dst: int, op: "int | None" = None):
         self.src = src
         self.dst = dst
-        super().__init__(f"edge ({src} -> {dst}) not in graph")
+        where = "" if op is None else f"op #{op}: "
+        super().__init__(f"{where}edge ({src} -> {dst}) not in graph")
 
 
 class ExpressionError(RingoError):

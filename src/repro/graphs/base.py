@@ -17,11 +17,12 @@ hash table from it once and drops it.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.exceptions import NodeNotFoundError
+from repro.exceptions import GraphError, NodeNotFoundError
 from repro.obs.spans import trace
 
 EMPTY_ADJACENCY = np.empty(0, dtype=np.int64)
@@ -72,6 +73,175 @@ def gather_adjacency(
     return degrees, indptr, np.concatenate(vectors)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: a sort and a neighbour mask, no hashing pass."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def segment_lower_bound(
+    values: np.ndarray, starts: np.ndarray, ends: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """First position in each sorted ``values[start:end]`` holding >= its target.
+
+    One vectorised binary search over many rows of a gathered adjacency
+    array at once: a numpy step per halving of the longest row, compared
+    by value, so node ids of any int64 magnitude work (a ``row * 2**32 +
+    col`` key would collide past 2**32). A row without such a value
+    answers its ``end``.
+    """
+    lo = np.array(starts, dtype=np.int64)
+    hi = np.array(ends, dtype=np.int64)
+    last = len(values) - 1
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        right = active & (values[np.minimum(mid, last)] < targets)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+        active = lo < hi
+    return lo
+
+
+def _holds(
+    values: np.ndarray, positions: np.ndarray, ends: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Whether each lower-bound position inside its row holds its target."""
+    if not len(values):
+        return np.zeros(len(positions), dtype=bool)
+    return (positions < ends) & (values[np.minimum(positions, len(values) - 1)] == targets)
+
+
+class Rows(NamedTuple):
+    """Sorted adjacency rows of some nodes, gathered into one array.
+
+    ``ids`` are ascending node ids (a node not in the graph has an empty
+    row); row ``i`` is ``values[indptr[i]:indptr[i + 1]]``. A batch
+    reads the rows it touches once, checks edges against them, and
+    merges its net change into them as arrays.
+    """
+
+    ids: np.ndarray
+    indptr: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def gather(cls, ids: np.ndarray, vectors: "list[np.ndarray]") -> "Rows":
+        """Rows from one vector per id (in ``ids`` order)."""
+        _, indptr, values = gather_adjacency(vectors)
+        return cls(ids, indptr, values)
+
+    def contain(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether row-owner ``rows[i]`` (an id in ``ids``) holds ``cols[i]``."""
+        index = np.searchsorted(self.ids, rows)
+        ends = self.indptr[index + 1]
+        positions = segment_lower_bound(self.values, self.indptr[index], ends, cols)
+        return _holds(self.values, positions, ends, cols)
+
+    def merged(
+        self,
+        del_rows: np.ndarray,
+        del_cols: np.ndarray,
+        add_rows: np.ndarray,
+        add_cols: np.ndarray,
+    ) -> "Rows":
+        """The rows after deleting, then inserting, the given entries.
+
+        Row owners are ids in ``ids``. Every deleted entry must be
+        present and no added one may be (:class:`GraphError` otherwise).
+        One ``np.delete`` and one ``np.insert`` over all rows together,
+        however many rows and entries.
+        """
+        ids, indptr, values = self
+        degrees = np.diff(indptr)
+        if len(del_rows):
+            rows = np.searchsorted(ids, del_rows)
+            ends = indptr[rows + 1]
+            positions = segment_lower_bound(values, indptr[rows], ends, del_cols)
+            if not _holds(values, positions, ends, del_cols).all():
+                raise GraphError("batch delete of an entry its row does not hold")
+            values = np.delete(values, positions)
+            degrees = degrees - np.bincount(rows, minlength=len(ids))
+            indptr = np.concatenate(([0], np.cumsum(degrees)))
+        if len(add_rows):
+            order = np.lexsort((add_cols, add_rows))
+            rows = np.searchsorted(ids, add_rows[order])
+            add_cols = add_cols[order]
+            ends = indptr[rows + 1]
+            positions = segment_lower_bound(values, indptr[rows], ends, add_cols)
+            if _holds(values, positions, ends, add_cols).any():
+                raise GraphError("batch insert of an entry its row already holds")
+            # np.insert places equal positions in the order given: by column.
+            values = np.insert(values, positions, add_cols)
+            degrees = degrees + np.bincount(rows, minlength=len(ids))
+            indptr = np.concatenate(([0], np.cumsum(degrees)))
+        return Rows(ids, indptr, values)
+
+    def copies(self) -> "Iterator[tuple[int, np.ndarray]]":
+        """``(node, row)`` pairs, each row its own copy.
+
+        A view would keep the whole gathered array alive for as long as
+        its row lives.
+        """
+        indptr = self.indptr.tolist()
+        values = self.values
+        rows = [values[start:end].copy() for start, end in zip(indptr, indptr[1:])]
+        return zip(self.ids.tolist(), rows)
+
+
+class NetChange(NamedTuple):
+    """The net structural effect of one op batch, resolved against a graph.
+
+    Built by :func:`repro.incremental.ingest.resolve_ops`, which has
+    already checked every op, and handed to the graph's ``_apply_net``.
+    Edge pairs are ``(src, dst)`` for directed graphs and ``(min, max)``
+    for undirected ones. Net-deleted edges were present before the batch
+    and net-added ones were absent, so the two sets are disjoint.
+    """
+
+    #: Present before, absent after: their records are dropped.
+    removed_nodes: np.ndarray
+    #: Appended to the node table in this order. New nodes, and nodes a
+    #: ``del_node`` removed that a later op created again: sequential
+    #: re-insertion would have moved those to the end.
+    placed_nodes: np.ndarray
+    #: The placed nodes that were absent before the batch.
+    added_nodes: np.ndarray
+    del_src: np.ndarray
+    del_dst: np.ndarray
+    add_src: np.ndarray
+    add_dst: np.ndarray
+    #: Every node an applied ``del_node`` removed, and every pair an
+    #: applied ``del_edge`` removed, re-created later or not: the
+    #: attribute stores of a :class:`~repro.graphs.network.Network`
+    #: forget those, as the single-op mutators do.
+    deleted_nodes: np.ndarray
+    deleted_src: np.ndarray
+    deleted_dst: np.ndarray
+    #: The rows the change touches, read before it: the out-rows of
+    #: every source above (undirected: the rows of both endpoints),
+    #: and possibly of nodes it leaves absent, whose rows go unused.
+    out_rows: Rows
+
+    def structural(self) -> bool:
+        """Whether the node or edge set changes (the version must step)."""
+        return bool(
+            len(self.removed_nodes) or len(self.added_nodes)
+            or len(self.del_src) or len(self.add_src)
+        )
+
+    def records(self) -> "list[tuple[str, int, int]]":
+        """The net change as mutation-log records, deletes first."""
+        return [
+            *zip(repeat("del_edge"), self.del_src.tolist(), self.del_dst.tolist()),
+            *zip(repeat("del_node"), self.removed_nodes.tolist(), repeat(-1)),
+            *zip(repeat("add_node"), self.added_nodes.tolist(), repeat(-1)),
+            *zip(repeat("add_edge"), self.add_src.tolist(), self.add_dst.tolist()),
+        ]
+
+
 def readonly(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (callers must not mutate adjacency)."""
     view = array.view()
@@ -105,6 +275,14 @@ class CSRBacking(NamedTuple):
         if position < len(ids) and ids[position] == node_id:
             return position
         return -1
+
+    def indices_of(self, node_ids: np.ndarray) -> np.ndarray:
+        """Dense index of each id in an int64 array, -1 where it is not a node."""
+        ids = self.node_ids
+        if not len(ids):
+            return np.full(len(node_ids), -1, dtype=np.int64)
+        positions = np.minimum(np.searchsorted(ids, node_ids), len(ids) - 1)
+        return np.where(ids[positions] == node_ids, positions, -1)
 
     def out_row(self, index: int) -> np.ndarray:
         """Dense out-neighbours of the node at ``index`` (a view)."""
@@ -181,6 +359,12 @@ class GraphBase:
         if log is not None:
             log.record(self._version, kind, a, b)
 
+    def _record_net(self, change: NetChange) -> None:
+        """Append a batch's net change to the attached log at one version."""
+        log = self._delta_log
+        if log is not None:
+            log.record_many(self._version, change.records())
+
     def _poison_delta(self, reason: str) -> None:
         """Mark the attached delta log unusable (bulk-install paths)."""
         log = self._delta_log
@@ -220,6 +404,38 @@ class GraphBase:
     def _records_from(self, backing: CSRBacking) -> dict:
         """The node hash table equivalent to ``backing`` (subclass hook)."""
         raise NotImplementedError
+
+    def _out_vectors(self, node_ids: "list[int]") -> "list[np.ndarray]":
+        """The sorted out-row of each listed node, empty when absent (hook)."""
+        raise NotImplementedError
+
+    def _has_nodes(self, node_ids: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`has_node` over an int64 array (bool array)."""
+        backing = self._csr
+        if backing is not None:
+            return backing.indices_of(node_ids) >= 0
+        nodes = self._nodes
+        return np.fromiter(
+            (node in nodes for node in node_ids.tolist()), dtype=bool, count=len(node_ids)
+        )
+
+    def _out_rows(self, node_ids: np.ndarray) -> Rows:
+        """The out-rows (undirected: rows) of ascending ``node_ids``, gathered.
+
+        A CSR-backed graph slices them out of its backing in one
+        vectorised gather; a materialised one concatenates its vectors.
+        """
+        backing = self._csr
+        if backing is None:
+            return Rows.gather(node_ids, self._out_vectors(node_ids.tolist()))
+        dense = backing.indices_of(node_ids)
+        known = dense >= 0
+        dense = np.where(known, dense, 0)
+        starts = backing.out_indptr[dense]
+        lengths = np.where(known, backing.out_indptr[dense + 1] - starts, 0)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        flat = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Rows(node_ids, indptr, backing.node_ids[backing.out_indices[flat]])
 
     def _dense_index(self, backing: CSRBacking, node_id) -> int:
         """Dense index of ``node_id`` in ``backing``; raises if absent."""

@@ -21,6 +21,9 @@ from repro.graphs.base import (
     EMPTY_ADJACENCY,
     CSRBacking,
     GraphBase,
+    NetChange,
+    Rows,
+    distinct,
     gather_adjacency,
     readonly,
     sorted_contains,
@@ -242,6 +245,63 @@ class DirectedGraph(GraphBase):
             if nbr != node_id:  # the self-loop is already in out_list
                 self._record_delta("del_edge", nbr, node_id)
         self._record_delta("del_node", node_id)
+
+    def _apply_net(self, change: NetChange) -> None:
+        """Apply a resolved op batch's net change in one step.
+
+        Both orientations are merged as arrays (one delete and one
+        insert each over the touched rows; the out-rows come gathered
+        with the change) before the node table is touched, so a failed
+        guard leaves the graph as it was. One version bump and one log
+        append, and neither when the batch nets out to no structural
+        change.
+        """
+        if not change.structural() and not len(change.placed_nodes):
+            return
+        if self._csr is not None:
+            self._materialise("apply_ops")
+        nodes = self._nodes
+        outs = change.out_rows.merged(
+            change.del_src, change.del_dst, change.add_src, change.add_dst
+        )
+        in_ids = distinct(np.concatenate((change.del_dst, change.add_dst)))
+        ins = Rows.gather(in_ids, self._in_vectors(in_ids.tolist())).merged(
+            change.del_dst, change.del_src, change.add_dst, change.add_src
+        )
+        for node in change.removed_nodes.tolist():
+            del nodes[node]
+        for node in change.placed_nodes.tolist():
+            record = nodes.pop(node, None)
+            nodes[node] = _NodeRecord() if record is None else record
+        # Rows of nodes the batch leaves absent are skipped (all empty).
+        for node, row in outs.copies():
+            record = nodes.get(node)
+            if record is not None:
+                record.out_nbrs = row
+        for node, row in ins.copies():
+            record = nodes.get(node)
+            if record is not None:
+                record.in_nbrs = row
+        self._num_edges += len(change.add_src) - len(change.del_src)
+        if change.structural():
+            self._bump_version()
+            self._record_net(change)
+
+    def _out_vectors(self, node_ids: "list[int]") -> "list[np.ndarray]":
+        """Out-rows of the listed nodes, empty for nodes not in the table."""
+        get = self._nodes.get
+        return [
+            EMPTY_ADJACENCY if record is None else record.out_nbrs
+            for record in map(get, node_ids)
+        ]
+
+    def _in_vectors(self, node_ids: "list[int]") -> "list[np.ndarray]":
+        """In-rows of the listed nodes, empty for nodes not in the table."""
+        get = self._nodes.get
+        return [
+            EMPTY_ADJACENCY if record is None else record.in_nbrs
+            for record in map(get, node_ids)
+        ]
 
     def _set_adjacency(
         self, node_id: int, in_nbrs: np.ndarray, out_nbrs: np.ndarray

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
+from repro.graphs.base import NetChange
 from repro.graphs.directed import DirectedGraph
 
 
@@ -104,6 +105,28 @@ class Network(DirectedGraph):
             stale = [key for key in store if node_id in key]
             for key in stale:
                 del store[key]
+
+    def _apply_net(self, change: NetChange) -> None:
+        """Apply a batch's net change, then forget what its ops deleted.
+
+        The same attribute values the single-op mutators would drop: the
+        node attributes of every deleted node, and the edge attributes of
+        every edge a ``del_edge`` removed or that touches a deleted node.
+        """
+        super()._apply_net(change)
+        gone = set(change.deleted_nodes.tolist())
+        if gone:
+            for store in self._node_attrs.values():
+                for node_id in gone:
+                    store.pop(node_id, None)
+        pairs = list(zip(change.deleted_src.tolist(), change.deleted_dst.tolist()))
+        for store in self._edge_attrs.values():
+            for key in pairs:
+                store.pop(key, None)
+            if gone:
+                stale = [key for key in store if key[0] in gone or key[1] in gone]
+                for key in stale:
+                    del store[key]
 
     def __repr__(self) -> str:
         return (

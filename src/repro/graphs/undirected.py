@@ -21,12 +21,19 @@ from repro.graphs.base import (
     EMPTY_ADJACENCY,
     CSRBacking,
     GraphBase,
+    NetChange,
     gather_adjacency,
     readonly,
     sorted_contains,
     sorted_insert,
     sorted_remove,
 )
+
+
+def _symmetric(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both entries of each undirected pair as ``(rows, cols)``; loops once."""
+    pair = u != v
+    return np.concatenate((u, v[pair])), np.concatenate((v, u[pair]))
 
 
 class UndirectedGraph(GraphBase):
@@ -183,6 +190,41 @@ class UndirectedGraph(GraphBase):
         for nbr in nbr_list:
             self._record_delta("del_edge", node_id, nbr)
         self._record_delta("del_node", node_id)
+
+    def _apply_net(self, change: NetChange) -> None:
+        """Apply a resolved op batch's net change in one step.
+
+        As :meth:`DirectedGraph._apply_net`, over the one symmetric
+        orientation: each edge ``{u, v}`` is entry ``v`` of row ``u``
+        and entry ``u`` of row ``v`` (a self-loop once).
+        """
+        if not change.structural() and not len(change.placed_nodes):
+            return
+        if self._csr is not None:
+            self._materialise("apply_ops")
+        nodes = self._nodes
+        rows = change.out_rows.merged(
+            *_symmetric(change.del_src, change.del_dst),
+            *_symmetric(change.add_src, change.add_dst),
+        )
+        for node in change.removed_nodes.tolist():
+            del nodes[node]
+        for node in change.placed_nodes.tolist():
+            nbrs = nodes.pop(node, None)
+            nodes[node] = EMPTY_ADJACENCY if nbrs is None else nbrs
+        # Rows of nodes the batch leaves absent are skipped (all empty).
+        for node, row in rows.copies():
+            if node in nodes:
+                nodes[node] = row
+        self._num_edges += len(change.add_src) - len(change.del_src)
+        if change.structural():
+            self._bump_version()
+            self._record_net(change)
+
+    def _out_vectors(self, node_ids: "list[int]") -> "list[np.ndarray]":
+        """Rows of the listed nodes, empty for nodes not in the table."""
+        get = self._nodes.get
+        return [get(node, EMPTY_ADJACENCY) for node in node_ids]
 
     def _set_adjacency(self, node_id: int, nbrs: np.ndarray) -> None:
         """Install a pre-sorted adjacency vector — bulk construction only."""

@@ -86,6 +86,14 @@ class MutationLog:
 
     def record(self, version: int, kind: str, a: int, b: int) -> None:
         """Append one mutation record (called by the graph mutators)."""
+        self.record_many(version, [(kind, int(a), int(b))])
+
+    def record_many(self, version: int, records: "list[tuple[str, int, int]]") -> None:
+        """Append ``(kind, a, b)`` records that all carry ``version``.
+
+        A batch applied as one net change (``ApplyOps``) records it here
+        at its single version bump.
+        """
         with self._lock:
             if self.poison_reason is not None:
                 return
@@ -97,7 +105,7 @@ class MutationLog:
                 )
                 self._ops.clear()
                 return
-            self._ops.append((version, kind, int(a), int(b)))
+            self._ops.extend((version, kind, a, b) for kind, a, b in records)
             if len(self._ops) > MAX_LOG_OPS:
                 self.poison_reason = f"log overflow past {MAX_LOG_OPS} ops"
                 self._ops.clear()

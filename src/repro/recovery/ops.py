@@ -39,7 +39,7 @@ import numpy as np
 from repro import algorithms as alg
 from repro import convert, tables
 from repro.exceptions import RecoveryError, ReplayError
-from repro.incremental.ingest import apply_graph_ops, validate_ops
+from repro.incremental.ingest import apply_graph_ops
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
 
@@ -368,9 +368,11 @@ OPS: "dict[str, Op]" = {
     # through apply_graph_ops, so every graph's mutation log advances alike.
     "ApplyOps": Op(
         "graph", 1, lambda s, i, a: apply_graph_ops(i[0], **a),
-        # Normalised so the record replays byte-identically — and is
-        # plain JSON already, so decoding need not walk the whole batch.
-        encode=lambda s, a, i: {"ops": [list(op) for op in validate_ops(a["ops"])]},
+        # Ringo.ApplyOps hands over the batch validate_ops normalised
+        # (tuples, which JSON writes as arrays), so the record replays
+        # byte-identically — and is plain JSON already, so decoding need
+        # not walk the whole batch.
+        encode=lambda s, a, i: {"ops": a["ops"]},
         decode=lambda s, a: a,
         mutates=True,
     ),

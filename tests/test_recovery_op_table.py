@@ -19,12 +19,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import Ringo
+from repro.exceptions import EdgeNotFoundError, RingoError
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
+from repro.incremental import ingest
 from repro.recovery import OPS
-from repro.recovery.digest import catalog_digest
+from repro.recovery.digest import catalog_digest, object_digest
 from repro.recovery.wal import WAL_FILENAME, read_wal
+from repro.replication import ReplicaApplier
+from repro.replication.ship import record_frame
 from repro.tables.table import Table
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_wal"
@@ -182,6 +187,88 @@ def test_with_column_is_logged_as_the_mutation_it_is(tmp_path):
         "WithColumn", ("table-1",), "table-1")
     with Ringo.recover(state, workers=1) as recovered:
         assert catalog_digest(recovered) == reference
+
+
+# ----------------------------------------------------------------------
+# A mutating op that raises leaves its input, and the log, as they were
+# ----------------------------------------------------------------------
+
+#: (op-table entry, input factory, call) for every ``mutates`` entry:
+#: a call on the catalogued input that raises.
+RAISING = [
+    ("Select", "left", lambda s, t: s.Select(t, "nope>1", in_place=True)),
+    ("OrderBy", "left", lambda s, t: s.OrderBy(t, "nope", in_place=True)),
+    ("WithColumn", "left", lambda s, t: s.WithColumn(t, "c", "a + nope")),
+    ("ApplyOps", "graph", lambda s, g: s.ApplyOps(
+        g, [["add_edge", 4, 5], ["add_node", 7], ["del_edge", 50, 51]])),
+]
+
+
+def test_every_mutating_entry_has_a_raising_row():
+    assert {op for op, _factory, _call in RAISING} == {
+        name for name, op in OPS.items() if op.mutates
+    }
+
+
+@pytest.mark.parametrize("op, factory, call", RAISING, ids=[row[0] for row in RAISING])
+def test_a_raising_mutation_leaves_its_input_unchanged(tmp_path, op, factory, call):
+    state = tmp_path / "state"
+    with Ringo(workers=1, durability=state) as session:
+        target = getattr(Inputs(session, False, tmp_path), factory)()
+        before = object_digest(target)
+        with pytest.raises(RingoError):
+            call(session, target)
+        assert object_digest(target) == before
+        reference = catalog_digest(session)
+    records, _tail = read_wal(state / WAL_FILENAME)
+    assert op not in {record.op for record in records}
+    with Ringo.recover(state, workers=1) as recovered:
+        assert catalog_digest(recovered) == reference
+
+
+def test_a_failing_apply_ops_batch_is_seen_nowhere(tmp_path):
+    """The op #1 of a batch fails: op #0 is not applied live, logged,
+    replayed, tailed or replicated."""
+    state = tmp_path / "state"
+    with Ringo(workers=1, durability=state) as session:
+        graph = session.GenRMat(6, 100)
+        assert graph.num_edges == 90
+        with pytest.raises(EdgeNotFoundError, match="op #1"):
+            session.ApplyOps(graph, [["add_edge", 1000, 1001], ["del_edge", 5000, 5001]])
+        assert graph.num_edges == 90
+        assert not graph.has_node(1000)
+        live = catalog_digest(session)
+    with Ringo.recover(state, workers=1) as recovered:
+        assert catalog_digest(recovered) == live
+    with Ringo(workers=1, durability=tmp_path / "follower") as follower:
+        follower.GenRMat(6, 100)
+        tailed = follower.TailWal(state)
+        assert (tailed["applied_records"], tailed["error"]) == (0, None)
+        assert catalog_digest(follower) == live
+    records, _tail = read_wal(state / WAL_FILENAME)
+    applier = ReplicaApplier(tmp_path / "replica")
+    try:
+        applier.apply_batch("alice", frames=[record_frame(r) for r in records])
+        assert catalog_digest(applier.tenant("alice").session) == live
+    finally:
+        applier.close()
+
+
+def test_validate_ops_runs_once_per_durable_apply_ops(tmp_path, monkeypatch):
+    calls = []
+    original = ingest.validate_ops
+
+    def spy(ops):
+        calls.append(len(ops))
+        return original(ops)
+
+    # Every module that holds the name, so no call site can slip past.
+    monkeypatch.setattr(ingest, "validate_ops", spy)
+    monkeypatch.setattr(engine_module, "validate_ops", spy)
+    with Ringo(workers=1, durability=tmp_path / "state") as session:
+        graph = session.GenRMat(4, 20, seed=3)
+        session.ApplyOps(graph, [["add_edge", 1, 2], ["add_node", 99]])
+    assert calls == [2]
 
 
 # ----------------------------------------------------------------------
