@@ -271,7 +271,9 @@ def sanitize_delta_view(
     * no dangling deletes: every net-deleted edge is absent from the
       merged view (a surviving one means a stale read waiting to
       happen);
-    * every net-added edge whose endpoints exist is present.
+    * every net-added edge whose endpoints exist is present;
+    * a projection the merge carried forward equals a fresh
+      symmetrisation of the merged view, array for array.
 
     Raises :class:`~repro.exceptions.SanitizerError` on violation.
     """
@@ -313,6 +315,17 @@ def sanitize_delta_view(
                 "delta.missing-add",
                 f"{int((~present).sum())} net-added edge(s) absent from the "
                 f"merged view",
+            )
+    carried = merged._undirected
+    if carried is not None:
+        fresh = merged._symmetrise()
+        arrays = ("node_ids", "out_indptr", "out_indices", "in_indptr", "in_indices")
+        pairs = [(getattr(carried, name), getattr(fresh, name)) for name in arrays]
+        if not all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs):
+            _fail(
+                "delta.projection",
+                "the carried undirected projection differs from a fresh "
+                "symmetrisation of the merged view",
             )
     summary["delta_checked"] = True
     return summary

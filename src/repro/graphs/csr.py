@@ -290,27 +290,35 @@ class CSRGraph:
         so the out- and in-CSR share the same arrays, as in
         :meth:`from_graph` for an undirected graph. A projection is its
         own projection, so chained calls (e.g. girth after triangles)
-        share one object.
+        share one object. A snapshot the incremental engine refreshed
+        from a base that had its projection is born holding one,
+        carried forward by the delta merge instead of re-sorted.
         """
         if self._is_projection:
             return self
         if self._undirected is None:
-            count = self.num_nodes
-            src = self.edge_sources()
-            dst = self._out_indices
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-            keys = np.sort(np.concatenate([src * count + dst, dst * count + src]))
-            first = np.ones(len(keys), dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            rows, indices = np.divmod(keys[first], count)
-            indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(rows, minlength=count)))
-            )
-            projection = CSRGraph(self._node_ids, indptr, indices, indptr, indices)
-            projection._is_projection = True
-            self._undirected = projection
+            self._undirected = self._symmetrise()
         return self._undirected
+
+    def _symmetrise(self) -> "CSRGraph":
+        """A fresh projection, built as :meth:`undirected_projection` says.
+
+        Uncached: the delta sanitizer compares a carried-forward
+        projection against it.
+        """
+        count = self.num_nodes
+        src = self.edge_sources()
+        dst = self._out_indices
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        keys = np.sort(np.concatenate([src * count + dst, dst * count + src]))
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        rows, indices = np.divmod(keys[first], count)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=count))))
+        projection = CSRGraph(self._node_ids, indptr, indices, indptr, indices)
+        projection._is_projection = True
+        return projection
 
     def degree_rank(self) -> np.ndarray:
         """Each dense node's position in ascending ``(degree, id)`` order.

@@ -29,37 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.incremental.delta import lookup
 from repro.incremental.engine import incremental_engine
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _lookup(haystack: np.ndarray, needles: np.ndarray):
-    """``(positions, found)`` of ``needles`` in the sorted ``haystack``.
-
-    ``positions`` is only meaningful where ``found`` is true.
-
-    >>> positions, found = _lookup(np.array([2, 5, 9]), np.array([5, 7, 9]))
-    >>> positions[found].tolist(), found.tolist()
-    ([1, 2], [True, False, True])
-    """
-    if len(haystack) == 0:
-        return (
-            np.zeros(len(needles), dtype=np.int64),
-            np.zeros(len(needles), dtype=bool),
-        )
-    positions = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
-    return positions, haystack[positions] == needles
-
-
-def _pair_columns(pairs) -> "tuple[np.ndarray, np.ndarray]":
-    """A set of ``(a, b)`` original-id pairs as two int64 columns."""
-    flat = np.fromiter(
-        (node for pair in pairs for node in pair),
-        dtype=np.int64,
-        count=2 * len(pairs),
-    )
-    return flat[0::2], flat[1::2]
 
 
 def _is_dynamic(graph) -> bool:
@@ -86,7 +59,7 @@ def _remap_ranks(
     """
     count = len(new_ids)
     start = np.full(count, 1.0 / count, dtype=np.float64)
-    positions, known = _lookup(prev_ids, new_ids)
+    positions, known = lookup(prev_ids, new_ids)
     start[known] = prev_ranks[positions[known]]
     total = float(start.sum())
     if total > 0:
@@ -203,20 +176,17 @@ def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
     count = csr.num_nodes
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    positions, known = _lookup(prev_ids, new_ids)
+    positions, known = lookup(prev_ids, new_ids)
     old_label = np.full(count, -1, dtype=np.int64)
     old_label[known] = prev_labels[positions[known]]
 
     # A deletion can only split the components it touched: the old
     # labels of every net-deleted edge endpoint and net-deleted node.
-    deleted_src, deleted_dst = _pair_columns(delta.edges_deleted)
-    touched = np.concatenate([
-        deleted_src,
-        deleted_dst,
-        np.fromiter(delta.nodes_deleted, dtype=np.int64,
-                    count=len(delta.nodes_deleted)),
-    ])
-    positions, found = _lookup(prev_ids, touched)
+    columns = delta.columns()
+    touched = np.concatenate(
+        [columns.del_src, columns.del_dst, columns.nodes_deleted]
+    )
+    positions, found = lookup(prev_ids, touched)
     label_count = int(prev_labels.max()) + 1 if len(prev_labels) else 0
     label_hit = np.zeros(label_count + 1, dtype=bool)
     label_hit[prev_labels[positions[found]]] = True
@@ -234,9 +204,8 @@ def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
     sources, targets = sources[linked], targets[linked]
 
     # (b) net-added edges, mapped from original ids to super nodes.
-    added_src, added_dst = _pair_columns(delta.edges_added)
-    at_src, has_src = _lookup(new_ids, added_src)
-    at_dst, has_dst = _lookup(new_ids, added_dst)
+    at_src, has_src = lookup(new_ids, columns.add_src)
+    at_dst, has_dst = lookup(new_ids, columns.add_dst)
     keep = has_src & has_dst
     a = np.concatenate([node_super[sources], node_super[at_src[keep]]])
     b = np.concatenate([node_super[targets], node_super[at_dst[keep]]])
@@ -314,10 +283,10 @@ def _projection_keys(sym, lo: np.ndarray, hi: np.ndarray):
     ``sym.out_edge_keys()`` and one binary search tests membership.
     """
     count = sym.num_nodes
-    at_lo, has_lo = _lookup(sym.node_ids, lo)
-    at_hi, has_hi = _lookup(sym.node_ids, hi)
+    at_lo, has_lo = lookup(sym.node_ids, lo)
+    at_hi, has_hi = lookup(sym.node_ids, hi)
     keys = at_lo * count + at_hi
-    _, has_key = _lookup(sym.out_edge_keys(), keys)
+    _, has_key = lookup(sym.out_edge_keys(), keys)
     return keys, has_lo & has_hi & has_key
 
 
@@ -339,12 +308,12 @@ def _closed_triangles(sym, keys: np.ndarray, count_at_first: bool) -> np.ndarray
     swap = degrees[u] > degrees[v]
     near, far = np.where(swap, v, u), np.where(swap, u, v)
     owner, w = _row_entries(sym.out_indptr, sym.out_indices, near)
-    _, closed = _lookup(sym.out_edge_keys(), far[owner] * count + w)
+    _, closed = lookup(sym.out_edge_keys(), far[owner] * count + w)
     owner, w = owner[closed], w[closed]
     u, v = u[owner], v[owner]
     kept = np.ones(len(owner), dtype=bool)
     for end in (u, v):
-        rank, changed = _lookup(keys, np.minimum(end, w) * count + np.maximum(end, w))
+        rank, changed = lookup(keys, np.minimum(end, w) * count + np.maximum(end, w))
         if count_at_first:
             kept &= ~changed | (rank > owner)
         else:
@@ -362,7 +331,9 @@ def _advance_triangles(old_sym, new_sym, delta) -> np.ndarray:
     edge, against the new projection. Corners are scattered by
     ``np.bincount``; a corner that no longer exists is dropped.
     """
-    src, dst = _pair_columns(delta.edges_added | delta.edges_deleted)
+    columns = delta.columns()
+    src = np.concatenate([columns.add_src, columns.del_src])
+    dst = np.concatenate([columns.add_dst, columns.del_dst])
     proper = src != dst
     lo = np.minimum(src[proper], dst[proper])
     hi = np.maximum(src[proper], dst[proper])
@@ -375,7 +346,7 @@ def _advance_triangles(old_sym, new_sym, delta) -> np.ndarray:
         _closed_triangles(new_sym, added, count_at_first=False), minlength=count
     )
     lost = old_sym.node_ids[_closed_triangles(old_sym, deleted, count_at_first=True)]
-    positions, alive = _lookup(new_sym.node_ids, lost)
+    positions, alive = lookup(new_sym.node_ids, lost)
     changes -= np.bincount(positions[alive], minlength=count)
     return changes
 
@@ -386,7 +357,9 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
     Exact: equals :func:`repro.algorithms.triangles.triangle_counts` on
     the same graph. The warm state keeps the previous symmetrised
     projection alongside the counts — membership and common-neighbour
-    queries against the *old* edge set need it. ``pool`` only matters
+    queries against the *old* edge set need it. The new projection is
+    usually the one :func:`~repro.incremental.delta.apply_delta` carried
+    forward onto the refreshed snapshot, so it is not re-sorted here. ``pool`` only matters
     on the seeding (batch) pass; warm advances are serial by design.
     """
     engine = incremental_engine()
@@ -409,7 +382,7 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
             max(prev_sym.num_edges, 1)
         ):
             counts = _advance_triangles(prev_sym, sym, window[0])
-            positions, known = _lookup(prev_ids, sym.node_ids)
+            positions, known = lookup(prev_ids, sym.node_ids)
             counts[known] += prev_counts[positions[known]]
     mode = "warm"
     if counts is None:

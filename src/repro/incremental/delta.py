@@ -5,8 +5,13 @@ an attached :class:`MutationLog` (see ``GraphBase._record_delta``).
 When the snapshot cache finds a stale entry it slices the log between
 the cached version and the live version, consolidates the op run into a
 net :class:`EdgeDelta`, and calls :func:`apply_delta` to merge it into
-the cached CSR — a sorted-key merge in numpy instead of the per-node
-Python conversion loop a full rebuild pays.
+the cached CSR. The merge touches only the rows the delta names: each
+orientation gets one :meth:`~repro.graphs.base.Rows.merged` for the
+deletes (old dense ids) and one for the adds (new dense ids), with the
+old → new remap in between only when the node set changed. No
+full-length edge keys are formed and nothing is re-sorted. A base that
+already caches its undirected projection hands it on the same way: the
+changed pairs that flip in the projection are merged into its rows.
 
 Correctness hinges on the *net* form of the delta:
 
@@ -25,16 +30,20 @@ Correctness hinges on the *net* form of the delta:
 ``CSRGraph.from_graph`` on the mutated graph (the property the
 trace-differential harness pins down), including the undirected
 representation detail that the out- and in-orientations share one
-physical array pair.
+physical array pair; a carried projection is likewise identical to a
+fresh ``undirected_projection()`` of the merged snapshot.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.exceptions import RingoError
+from repro.exceptions import GraphError, RingoError
+from repro.graphs.base import Rows
 from repro.graphs.csr import CSRGraph
 
 #: A log that outgrows this many retained ops poisons itself — the
@@ -42,10 +51,7 @@ from repro.graphs.csr import CSRGraph
 #: become a leak attached to the graph object.
 MAX_LOG_OPS = 1 << 20
 
-#: Node-count ceiling for the keyed merge: edge keys are ``row * n +
-#: col`` in int64, so ``n`` must stay below 2**31 for the product to be
-#: overflow-free. Graphs beyond this fall back to a full rebuild.
-MAX_MERGE_NODES = 1 << 31
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class DeltaError(RingoError):
@@ -157,6 +163,29 @@ class MutationLog:
             return len(self._ops)
 
 
+class DeltaColumns(NamedTuple):
+    """An :class:`EdgeDelta` as int64 columns: node ids ascending, edge
+    pairs ascending by ``(first, second)``."""
+
+    nodes_added: np.ndarray
+    nodes_deleted: np.ndarray
+    add_src: np.ndarray
+    add_dst: np.ndarray
+    del_src: np.ndarray
+    del_dst: np.ndarray
+
+
+def _sorted_nodes(nodes: "set[int]") -> np.ndarray:
+    return np.sort(np.fromiter(nodes, dtype=np.int64, count=len(nodes)))
+
+
+def _sorted_pairs(pairs: "set[tuple[int, int]]") -> tuple[np.ndarray, np.ndarray]:
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    first, second = flat[0::2], flat[1::2]
+    order = np.lexsort((second, first))
+    return first[order], second[order]
+
+
 class EdgeDelta:
     """The net effect of an op run: node and edge add/delete sets.
 
@@ -165,13 +194,39 @@ class EdgeDelta:
     guarantees the add and delete sets are disjoint.
     """
 
-    __slots__ = ("nodes_added", "nodes_deleted", "edges_added", "edges_deleted")
+    __slots__ = (
+        "nodes_added", "nodes_deleted", "edges_added", "edges_deleted", "_columns",
+    )
 
     def __init__(self) -> None:
         self.nodes_added: set[int] = set()
         self.nodes_deleted: set[int] = set()
         self.edges_added: set[tuple[int, int]] = set()
         self.edges_deleted: set[tuple[int, int]] = set()
+        self._columns: "DeltaColumns | None" = None
+
+    def columns(self) -> DeltaColumns:
+        """The sets as sorted int64 columns, converted on first use.
+
+        Every consumer of one window (the snapshot merge, the WCC and
+        triangle advances) shares the one conversion, so the sets must
+        not change once this has been called.
+
+        >>> delta = consolidate([("add_edge", 3, 1), ("add_edge", 1, 2)], directed=True)
+        >>> columns = delta.columns()
+        >>> columns.add_src.tolist(), columns.add_dst.tolist()
+        ([1, 3], [2, 1])
+        >>> delta.columns() is columns
+        True
+        """
+        if self._columns is None:
+            self._columns = DeltaColumns(
+                _sorted_nodes(self.nodes_added),
+                _sorted_nodes(self.nodes_deleted),
+                *_sorted_pairs(self.edges_added),
+                *_sorted_pairs(self.edges_deleted),
+            )
+        return self._columns
 
     def empty(self) -> bool:
         """True when the run cancelled out to a structural no-op."""
@@ -232,15 +287,6 @@ def consolidate(ops, directed: bool) -> EdgeDelta:
     return delta
 
 
-def _pair_arrays(pairs: "set[tuple[int, int]]") -> tuple[np.ndarray, np.ndarray]:
-    """Split a pair set into parallel (first, second) int64 arrays."""
-    if not pairs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    array = np.asarray(sorted(pairs), dtype=np.int64)
-    return array[:, 0], array[:, 1]
-
-
 def _exact_positions(
     haystack: np.ndarray, needles: np.ndarray, what: str
 ) -> np.ndarray:
@@ -254,50 +300,140 @@ def _exact_positions(
     return positions
 
 
-def _merge_orientation(
-    n_old: int,
-    n_new: int,
+def lookup(haystack: np.ndarray, needles: np.ndarray):
+    """``(positions, found)`` of ``needles`` in the sorted ``haystack``.
+
+    ``positions`` is only meaningful where ``found`` is true.
+
+    >>> positions, found = lookup(np.array([2, 5, 9]), np.array([5, 7, 9]))
+    >>> positions[found].tolist(), found.tolist()
+    ([1, 2], [True, False, True])
+    """
+    if len(haystack) == 0:
+        return (
+            np.zeros(len(needles), dtype=np.int64),
+            np.zeros(len(needles), dtype=bool),
+        )
+    positions = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
+    return positions, haystack[positions] == needles
+
+
+def _both_ways(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries ``(r, c)`` and their mirrors ``(c, r)``; a loop appears once."""
+    mirror = rows != cols
+    return (
+        np.concatenate([rows, cols[mirror]]),
+        np.concatenate([cols, rows[mirror]]),
+    )
+
+
+class _Remap(NamedTuple):
+    """How old dense ids move when the delta changes the node set."""
+
+    alive: np.ndarray       # old dense id survives the delta
+    old_to_new: np.ndarray  # its new dense id (meaningful where alive)
+    count: int              # new node count
+
+
+def _merge_rows(
     indptr: np.ndarray,
     indices: np.ndarray,
-    del_rows: np.ndarray,
-    del_cols: np.ndarray,
-    add_rows: np.ndarray,
-    add_cols: np.ndarray,
-    old_to_new: np.ndarray,
-    row_alive: np.ndarray,
+    deletes: "tuple[np.ndarray, np.ndarray]",
+    adds: "tuple[np.ndarray, np.ndarray]",
+    remap: "_Remap | None",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge one CSR orientation: delete, remap, insert — all on sorted keys.
+    """One CSR orientation after deleting, remapping and inserting entries.
 
-    Rows/cols are dense ids; deletes come in *old* dense space, adds in
-    *new* dense space. Returns the merged ``(indptr, indices)``.
+    ``deletes`` are ``(rows, cols)`` in old dense ids, ``adds`` in new
+    ones; ``remap`` is ``None`` when the node set is unchanged. Each
+    step is a :meth:`Rows.merged` over the touched rows only: one
+    ``np.delete``, one ``np.insert``, and — only with a remap — one
+    gather over the kept entries. Every row stays sorted because the
+    remap is monotone and the deleted nodes' rows are empty by then.
     """
-    degrees = np.diff(indptr)
-    rows = np.repeat(np.arange(n_old, dtype=np.int64), degrees)
-    keys = rows * n_old + indices
-    keep = np.ones(len(keys), dtype=bool)
-    if len(del_rows):
-        del_keys = np.sort(del_rows * n_old + del_cols)
-        keep[_exact_positions(keys, del_keys, "delete")] = False
-    kept_rows = rows[keep]
-    kept_cols = indices[keep]
-    if not bool(np.all(row_alive[kept_rows]) and np.all(row_alive[kept_cols])):
-        raise DeltaError("a deleted node still has retained edges")
-    # Monotone densify old → new: both endpoints survive, and the remap
-    # preserves order, so the kept key sequence stays strictly ascending.
-    merged_keys = old_to_new[kept_rows] * n_new + old_to_new[kept_cols]
-    if len(add_rows):
-        add_keys = np.sort(add_rows * n_new + add_cols)
-        merged_keys = np.insert(
-            merged_keys, np.searchsorted(merged_keys, add_keys), add_keys
+    rows = Rows(np.arange(len(indptr) - 1), indptr, indices)
+    try:
+        rows = rows.merged(*deletes, _EMPTY, _EMPTY)
+    except GraphError:
+        raise DeltaError("dangling delete: key not present in base") from None
+    if remap is not None:
+        degrees = np.diff(rows.indptr)
+        if degrees[~remap.alive].any():
+            raise DeltaError("a deleted node still has retained edges")
+        new_degrees = np.zeros(remap.count, dtype=np.int64)
+        new_degrees[remap.old_to_new[remap.alive]] = degrees[remap.alive]
+        rows = Rows(
+            np.arange(remap.count),
+            np.concatenate(([0], np.cumsum(new_degrees))),
+            remap.old_to_new[rows.values],
         )
-    if len(merged_keys) > 1 and int(np.diff(merged_keys).min()) <= 0:
-        raise DeltaError("merged edge keys are not strictly increasing")
-    new_rows = merged_keys // n_new if n_new else merged_keys
-    new_cols = merged_keys % n_new if n_new else merged_keys
-    new_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(new_rows, minlength=n_new)))
-    ).astype(np.int64)
-    return new_indptr, new_cols.astype(np.int64)
+    try:
+        rows = rows.merged(_EMPTY, _EMPTY, *adds)
+    except GraphError:
+        raise DeltaError("merged edge keys are not strictly increasing") from None
+    return rows.indptr, rows.values
+
+
+def _holds_arcs(csr: CSRGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Whether ``csr`` has each out-arc ``src[i] -> dst[i]`` (original ids)."""
+    at_src, has_src = lookup(csr.node_ids, src)
+    at_dst, has_dst = lookup(csr.node_ids, dst)
+    both = has_src & has_dst
+    held = np.zeros(len(src), dtype=bool)
+    rows = Rows(np.arange(csr.num_nodes), csr.out_indptr, csr.out_indices)
+    held[both] = rows.contain(at_src[both], at_dst[both])
+    return held
+
+
+def _carry_projection(
+    old: CSRGraph,
+    merged: CSRGraph,
+    columns: DeltaColumns,
+    directed: bool,
+    remap: "_Remap | None",
+) -> CSRGraph:
+    """The base's undirected projection advanced to ``merged``'s edges.
+
+    Only the changed non-loop pairs can change the projection, and a
+    pair ``{lo, hi}`` is a projection edge while either of its arcs is
+    an edge. A changed arc was an edge exactly when it was deleted and
+    is one exactly when it was added. A directed pair with one changed
+    arc also has the reverse arc, which the delta leaves as it was:
+    ``merged`` tells whether it is an edge. The pairs that flip are
+    merged into the old projection's rows, both ways.
+    """
+    src = np.concatenate([columns.add_src, columns.del_src])
+    dst = np.concatenate([columns.add_dst, columns.del_dst])
+    added = np.arange(len(src)) < len(columns.add_src)
+    proper = src != dst
+    src, dst, added = src[proper], dst[proper], added[proper]
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.lexsort((hi, lo))
+    src, dst, added, lo, hi = src[order], dst[order], added[order], lo[order], hi[order]
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    pair_start = np.flatnonzero(first)  # each pair has one or two arcs
+    was = np.logical_or.reduceat(~added, pair_start)
+    now = np.logical_or.reduceat(added, pair_start)
+    if directed:
+        lone = np.diff(np.append(pair_start, len(lo))) == 1
+        reverse = _holds_arcs(merged, dst[pair_start[lone]], src[pair_start[lone]])
+        was[lone] |= reverse
+        now[lone] |= reverse
+    lo, hi = lo[pair_start], hi[pair_start]
+    gone, born = was & ~now, now & ~was
+    old_ids = old.node_ids
+    deletes = _both_ways(
+        np.searchsorted(old_ids, lo[gone]), np.searchsorted(old_ids, hi[gone])
+    )
+    new_ids = merged.node_ids
+    adds = _both_ways(
+        np.searchsorted(new_ids, lo[born]), np.searchsorted(new_ids, hi[born])
+    )
+    indptr, indices = _merge_rows(old.out_indptr, old.out_indices, deletes, adds, remap)
+    projection = CSRGraph(new_ids, indptr, indices, indptr, indices)
+    projection._is_projection = True
+    return projection
 
 
 def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
@@ -306,65 +442,55 @@ def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
     The result matches ``CSRGraph.from_graph`` on the mutated graph
     array-for-array. Undirected bases expand each delta edge into both
     orientations and keep the from_graph property that out- and
-    in-adjacency share one physical array pair.
+    in-adjacency share one physical array pair. When the base already
+    caches its undirected projection, the result carries that
+    projection forward too (equal to a fresh symmetrisation), so the
+    triangle and k-core family need not re-sort it.
 
     >>> base = CSRGraph.from_edges([1, 2], [2, 3])
     >>> delta = EdgeDelta(); delta.edges_added.add((3, 1))
     >>> apply_delta(base, delta, directed=True).num_edges
     3
     """
+    columns = delta.columns()
     base_ids = base.node_ids
-    n_old = len(base_ids)
-    del_nodes = np.fromiter(
-        sorted(delta.nodes_deleted), dtype=np.int64, count=len(delta.nodes_deleted)
-    )
-    add_nodes = np.fromiter(
-        sorted(delta.nodes_added), dtype=np.int64, count=len(delta.nodes_added)
-    )
-    del_dense = _exact_positions(base_ids, del_nodes, "node delete")
-    if len(add_nodes) and n_old:
-        probe = np.clip(np.searchsorted(base_ids, add_nodes), 0, n_old - 1)
-        if np.any(base_ids[probe] == add_nodes):
-            raise DeltaError("added node already present in base")
-    row_alive = np.ones(n_old, dtype=bool)
-    row_alive[del_dense] = False
-    new_node_ids = np.union1d(base_ids[row_alive], add_nodes)
-    n_new = len(new_node_ids)
-    if n_new >= MAX_MERGE_NODES or n_old >= MAX_MERGE_NODES:
-        raise DeltaError(f"graph too large for keyed merge ({n_new} nodes)")
-    old_to_new = np.searchsorted(new_node_ids, base_ids)
+    del_dense = _exact_positions(base_ids, columns.nodes_deleted, "node delete")
+    add_nodes = columns.nodes_added
+    if len(add_nodes) and np.any(lookup(base_ids, add_nodes)[1]):
+        raise DeltaError("added node already present in base")
+    new_ids, remap = base_ids, None
+    if len(del_dense) or len(add_nodes):
+        alive = np.ones(len(base_ids), dtype=bool)
+        alive[del_dense] = False
+        new_ids = np.union1d(base_ids[alive], add_nodes)
+        remap = _Remap(alive, np.searchsorted(new_ids, base_ids), len(new_ids))
 
-    del_src, del_dst = _pair_arrays(delta.edges_deleted)
-    add_src, add_dst = _pair_arrays(delta.edges_added)
-    del_src = _exact_positions(base_ids, del_src, "edge-delete endpoint")
-    del_dst = _exact_positions(base_ids, del_dst, "edge-delete endpoint")
-    add_src = _exact_positions(new_node_ids, add_src, "edge-add endpoint")
-    add_dst = _exact_positions(new_node_ids, add_dst, "edge-add endpoint")
-
+    deletes = (
+        _exact_positions(base_ids, columns.del_src, "edge-delete endpoint"),
+        _exact_positions(base_ids, columns.del_dst, "edge-delete endpoint"),
+    )
+    adds = (
+        _exact_positions(new_ids, columns.add_src, "edge-add endpoint"),
+        _exact_positions(new_ids, columns.add_dst, "edge-add endpoint"),
+    )
     if directed:
-        out_indptr, out_indices = _merge_orientation(
-            n_old, n_new, base.out_indptr, base.out_indices,
-            del_src, del_dst, add_src, add_dst, old_to_new, row_alive,
+        out_indptr, out_indices = _merge_rows(
+            base.out_indptr, base.out_indices, deletes, adds, remap
         )
-        in_indptr, in_indices = _merge_orientation(
-            n_old, n_new, base.in_indptr, base.in_indices,
-            del_dst, del_src, add_dst, add_src, old_to_new, row_alive,
+        in_indptr, in_indices = _merge_rows(
+            base.in_indptr, base.in_indices, deletes[::-1], adds[::-1], remap
         )
-        return CSRGraph(
-            new_node_ids, out_indptr, out_indices, in_indptr, in_indices
+        merged = CSRGraph(new_ids, out_indptr, out_indices, in_indptr, in_indices)
+    else:
+        # The symmetric representation stores {u, v} as (u, v) and
+        # (v, u) — a self-loop once — in one shared orientation.
+        indptr, indices = _merge_rows(
+            base.out_indptr, base.out_indices,
+            _both_ways(*deletes), _both_ways(*adds), remap,
         )
-    # Undirected: the symmetric representation stores {u, v} as (u, v)
-    # and (v, u) — a self-loop once — so expand the delta the same way
-    # and merge the single shared orientation.
-    loops = del_src == del_dst
-    sym_del_src = np.concatenate([del_src, del_dst[~loops]])
-    sym_del_dst = np.concatenate([del_dst, del_src[~loops]])
-    loops = add_src == add_dst
-    sym_add_src = np.concatenate([add_src, add_dst[~loops]])
-    sym_add_dst = np.concatenate([add_dst, add_src[~loops]])
-    indptr, indices = _merge_orientation(
-        n_old, n_new, base.out_indptr, base.out_indices,
-        sym_del_src, sym_del_dst, sym_add_src, sym_add_dst,
-        old_to_new, row_alive,
-    )
-    return CSRGraph(new_node_ids, indptr, indices, indptr, indices)
+        merged = CSRGraph(new_ids, indptr, indices, indptr, indices)
+    if base._undirected is not None:
+        merged._undirected = _carry_projection(
+            base._undirected, merged, columns, directed, remap
+        )
+    return merged

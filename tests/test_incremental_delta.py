@@ -2,16 +2,20 @@
 
 The focused counterpart to the trace-differential harness — each
 invariant the delta path depends on is pinned down in isolation: log
-contiguity and self-poisoning, add/delete cancellation, the keyed CSR
-merge (including the delete-path regressions: overlay-only edges,
-self-loops, node deletes that cascade), the merged-view sanitizer's
-failure branches, and the op-stream validators.
+contiguity and self-poisoning, add/delete cancellation, the row merge
+and the undirected projection it carries forward (including the
+delete-path regressions: overlay-only edges, self-loops, node deletes
+that cascade), the merged-view sanitizer's failure branches, and the
+op-stream validators.
 """
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.analysis.sanitize import sanitize_delta_view
+from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.exceptions import GraphError, SanitizerError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
@@ -26,7 +30,7 @@ from repro.incremental.delta import (
 )
 from repro.incremental.engine import incremental_engine
 from repro.incremental.ingest import apply_graph_ops, validate_ops
-from tests.helpers import build_directed, build_undirected
+from tests.helpers import apply_random_mutations, build_directed, build_undirected
 
 
 @pytest.fixture(autouse=True)
@@ -184,14 +188,67 @@ class TestApplyDelta:
             apply_delta(base, delta, directed=True)
 
 
+def _assert_same_arrays(got, expected):
+    for name in ("node_ids", "out_indptr", "out_indices", "in_indptr", "in_indices"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
+def _graph_for_windows(directed: bool, backed: bool, rng: random.Random):
+    """A graph with a hub row, self-loops and room for an emptied row."""
+    pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(70)]
+    pairs += [(0, node) for node in range(1, 30)]  # node 0 is a hub
+    pairs += [(5, 5), (7, 7), (31, 32)]
+    if not backed:
+        return (build_directed if directed else build_undirected)(pairs)
+    src, dst = np.array(pairs, dtype=np.int64).T
+    return graph_from_edge_arrays(src, dst, directed=directed)
+
+
+class TestRowMergeEqualsRebuild:
+    """Every delta refresh equals a full rebuild, and so does its projection."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("backed", [False, True], ids=["hashed", "backed"])
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_refresh_and_carried_projection(self, directed, backed, seed, _fresh_engine):
+        _fresh_engine.configure(min_compact_ops=100_000)  # every window merges
+        rng = random.Random(seed)
+        graph = _graph_for_windows(directed, backed, rng)
+        csr_snapshot(graph).undirected_projection()
+        windows = 8
+        for window in range(windows):
+            apply_random_mutations(graph, rng, 10, universe=34)
+            if window == 3 and graph.has_node(31):
+                # Empty a row but keep its node.
+                for u, v in list(graph.edges()):
+                    if 31 in (u, v):
+                        graph.del_edge(u, v)
+            if window == 5:
+                graph.add_edge(0, 33)  # hub row and a new node
+            got = csr_snapshot(graph)
+            carried = got._undirected
+            assert carried is not None, "the base's projection was not carried"
+            expected = CSRGraph.from_graph(graph)
+            _assert_same_arrays(got, expected)
+            _assert_same_arrays(carried, expected.undirected_projection())
+            assert np.shares_memory(carried.out_indices, carried.in_indices)
+            assert got.undirected_projection() is carried
+        stats = _fresh_engine.stats()
+        assert stats["delta_applied"] == windows
+        assert stats["fallback_full"] == 0
+
+    def test_base_without_projection_builds_none(self):
+        graph = build_undirected([(1, 2), (2, 3)])
+        base = CSRGraph.from_graph(graph)
+        delta = consolidate([("add_edge", 1, 3)], directed=False)
+        assert apply_delta(base, delta, directed=False)._undirected is None
+
+
 def _assert_snapshot_matches(graph):
     got = csr_snapshot(graph)
-    expected = CSRGraph.from_graph(graph)
-    assert np.array_equal(got.node_ids, expected.node_ids)
-    assert np.array_equal(got.out_indptr, expected.out_indptr)
-    assert np.array_equal(got.out_indices, expected.out_indices)
-    assert np.array_equal(got.in_indptr, expected.in_indptr)
-    assert np.array_equal(got.in_indices, expected.in_indices)
+    _assert_same_arrays(got, CSRGraph.from_graph(graph))
     return got
 
 
@@ -349,6 +406,18 @@ class TestSanitizeDeltaView:
         merged, base, delta = self._merged()
         delta.edges_added.add((2, 1))  # endpoints exist, edge absent
         with pytest.raises(SanitizerError, match="delta.missing-add"):
+            sanitize_delta_view(merged, base, delta)
+
+    def test_tampered_carried_projection_fails(self):
+        graph = build_directed([(1, 2), (2, 3)])
+        base = CSRGraph.from_graph(graph)
+        base.undirected_projection()
+        delta = consolidate([("add_edge", 3, 1)], directed=True)
+        merged = apply_delta(base, delta, directed=True)
+        assert sanitize_delta_view(merged, base, delta)["delta_checked"]
+        # Swap in the base's projection, which lacks the pair {1, 3}.
+        merged._undirected = base.undirected_projection()
+        with pytest.raises(SanitizerError, match="delta.projection"):
             sanitize_delta_view(merged, base, delta)
 
     def test_add_endpoint_missing_fails(self):
