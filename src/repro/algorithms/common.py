@@ -92,9 +92,3 @@ def scores_to_dict(csr: CSRGraph, values: np.ndarray) -> dict[int, float]:
 def counts_to_dict(csr: CSRGraph, values: np.ndarray) -> dict[int, int]:
     """Integer-valued variant of :func:`scores_to_dict`."""
     return dict(zip(csr.node_ids.tolist(), values.tolist()))
-
-
-def require_nodes(csr: CSRGraph, context: str) -> None:
-    """Raise for the empty graph, which most algorithms cannot define."""
-    if csr.num_nodes == 0:
-        raise AlgorithmError(f"{context} is undefined on an empty graph")

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.algorithms.bfs import UNREACHED, _frontier_expand, bfs_level_array
 from repro.algorithms.common import as_csr
+from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import WorkerPool, serial_pool
 from repro.parallel.partition import split_range
@@ -302,16 +303,15 @@ def condensation(graph, labels: "dict[int, int] | None" = None):
     >>> dag.num_nodes, dag.num_edges
     (2, 1)
     """
-    from repro.graphs.directed import DirectedGraph
-
     if labels is None:
         labels = strongly_connected_components(graph)
-    result = DirectedGraph()
-    for label in set(labels.values()):
-        result.add_node(label)
-    for src, dst in graph.edges():
-        src_label = labels[src]
-        dst_label = labels[dst]
-        if src_label != dst_label:
-            result.add_edge(src_label, dst_label)
-    return result
+    sources, targets = (
+        np.fromiter(map(labels.__getitem__, ends.tolist()), np.int64, len(ends))
+        for ends in graph.edge_arrays()
+    )
+    across = sources != targets
+    return graph_from_edge_arrays(
+        sources[across],
+        targets[across],
+        nodes=np.fromiter(labels.values(), dtype=np.int64, count=len(labels)),
+    )

@@ -25,9 +25,6 @@ class _Projection:
         self.csr: CSRGraph = _undirected_csr(graph)
         self.degrees = self.csr.out_degrees()
 
-    def dense_pair(self, u: int, v: int) -> tuple[int, int]:
-        return self.csr.dense_of(u), self.csr.dense_of(v)
-
     def common(self, du: int, dv: int) -> np.ndarray:
         return np.intersect1d(
             self.csr.out_neighbors(du), self.csr.out_neighbors(dv), assume_unique=True

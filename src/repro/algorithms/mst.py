@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.algorithms.sssp import _resolve_weight
+from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.graphs.undirected import UndirectedGraph
 
 
@@ -78,29 +81,26 @@ def minimum_spanning_forest(
         ((weight_fn(u, v), u, v) for u, v in undirected.edges() if u != v),
         key=lambda edge: edge[0],
     )
-    forest = UndirectedGraph()
-    for node in undirected.nodes():
-        forest.add_node(node)
-    union_find = UnionFind()
-    total = 0.0
-    for edge_weight, u, v in weighted_edges:
-        if union_find.union(u, v):
-            forest.add_edge(u, v)
-            total += edge_weight
-    return forest, total
+    return _kruskal(weighted_edges, undirected.node_array())
 
 
 def spanning_forest_from_edges(
     edges: Iterable[tuple[int, int, float]]
 ) -> tuple[UndirectedGraph, float]:
     """Kruskal over an explicit weighted edge list ``(u, v, w)``."""
-    forest = UndirectedGraph()
+    weighted_edges = sorted((w, u, v) for u, v, w in edges)
+    return _kruskal(weighted_edges, [node for _, u, v in weighted_edges for node in (u, v)])
+
+
+def _kruskal(weighted_edges, nodes) -> tuple[UndirectedGraph, float]:
+    """Kruskal over sorted ``(w, u, v)``; the forest spans ``nodes``, built once."""
     union_find = UnionFind()
     total = 0.0
-    for edge_weight, u, v in sorted((w, u, v) for u, v, w in edges):
-        forest.add_node(u)
-        forest.add_node(v)
+    chosen = []
+    for edge_weight, u, v in weighted_edges:
         if u != v and union_find.union(u, v):
-            forest.add_edge(u, v)
+            chosen.append((u, v))
             total += edge_weight
+    pairs = np.array(chosen, dtype=np.int64).reshape(-1, 2)
+    forest = graph_from_edge_arrays(pairs[:, 0], pairs[:, 1], directed=False, nodes=nodes)
     return forest, total

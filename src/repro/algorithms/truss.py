@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.triangles import _undirected_csr
+from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.graphs.directed import DirectedGraph
-from repro.graphs.ops import subgraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.util.validation import require
 
@@ -92,21 +92,20 @@ def k_truss(graph, k: int) -> "DirectedGraph | UndirectedGraph":
     """
     require(k >= 2, f"k must be at least 2, got {k}")
     trussness = edge_trussness(graph)
-    keep_nodes = {
-        node
-        for (u, v), level in trussness.items()
-        if level >= k
-        for node in (u, v)
-    }
-    result = subgraph(graph, keep_nodes)
-    # Remove surviving edges below the threshold (subgraph keeps all
-    # induced edges; the truss is edge-defined, not node-defined).
-    # Self-loops are never part of any truss.
-    for u, v in list(result.edges()):
-        key = (min(u, v), max(u, v))
-        if u == v or trussness.get(key, 2) < k:
-            result.del_edge(u, v)
-    return result
+    sources, targets = graph.edge_arrays()
+    # The truss is edge-defined: an edge stays when its undirected pair
+    # does. Self-loops have no trussness and are never part of any truss.
+    inside = np.fromiter(
+        (
+            trussness.get((min(u, v), max(u, v)), 0) >= k
+            for u, v in zip(sources.tolist(), targets.tolist())
+        ),
+        dtype=bool,
+        count=len(sources),
+    )
+    return graph_from_edge_arrays(
+        sources[inside], targets[inside], directed=graph.is_directed
+    )
 
 
 def max_trussness(graph) -> int:

@@ -733,9 +733,6 @@ class CallGraph:
                 return owner, ci.attr_sources[attr]
         return None
 
-    def scope_for(self, caller: str) -> "_Scope | None":
-        return self._scopes.get(caller)
-
     def expr_type(self, caller: str, expr: ast.expr) -> "TypeRef | None":
         """Type of an expression evaluated in ``caller``'s scope."""
         scope = self._scopes.get(caller)

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.convert.table_to_graph import _dedup_sorted_pairs, graph_from_edge_arrays
 from repro.exceptions import ConversionError
 from repro.graphs.network import Network
 from repro.tables.schema import ColumnType, Schema
@@ -47,18 +48,17 @@ def network_from_tables(
     for name in (src_col, dst_col):
         if edge_table.schema.require(name) is not ColumnType.INT:
             raise ConversionError(f"endpoint column {name!r} must be integer")
-    network = Network()
-    sources = edge_table.column(src_col)
-    targets = edge_table.column(dst_col)
-    for src, dst in zip(sources.tolist(), targets.tolist()):
-        network.add_edge(src, dst)
+    nodes = None
     if node_table is not None:
         if node_key is None:
             raise ConversionError("node_key is required with a node table")
         if node_table.schema.require(node_key) is not ColumnType.INT:
             raise ConversionError(f"node key column {node_key!r} must be integer")
-        for node in node_table.column(node_key).tolist():
-            network.add_node(node)
+        nodes = node_table.column(node_key)
+    network = _network_from(
+        edge_table.column(src_col), edge_table.column(dst_col), nodes=nodes
+    )
+    if node_table is not None:
         attrs = list(node_attrs) if node_attrs is not None else [
             name for name in node_table.schema.names if name != node_key
         ]
@@ -99,13 +99,26 @@ def weighted_network_from_edges(
         weights = np.ones(table.num_rows, dtype=np.float64)
     if len(sources) == 0:
         return Network()
-    pairs = np.stack([sources, targets], axis=1)
-    unique_pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    totals = np.bincount(inverse.reshape(-1), weights=weights)
+    # A stable sort groups each pair's rows in table order, so each sum
+    # adds in the same order as a per-row accumulation would.
+    order = np.lexsort((targets, sources))
+    sources, targets = sources[order], targets[order]
+    first = _dedup_sorted_pairs(sources, targets)
+    totals = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    sources, targets = sources[first], targets[first]
+    network = _network_from(sources, targets)
+    network._edge_attrs[weight_attr] = dict(
+        zip(zip(sources.tolist(), targets.tolist()), totals.tolist())
+    )
+    return network
+
+
+def _network_from(sources: np.ndarray, targets: np.ndarray, nodes=None) -> Network:
+    """A :class:`Network` adopting a sort-first build's CSR, as ``copy()`` does."""
+    built = graph_from_edge_arrays(sources, targets, nodes=nodes)
     network = Network()
-    for (src, dst), total in zip(unique_pairs.tolist(), totals.tolist()):
-        network.add_edge(src, dst)
-        network.set_edge_attr(src, dst, weight_attr, float(total))
+    if built._csr is not None:  # an empty build has no backing
+        network._install_csr(built._csr, built.num_edges)
     return network
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.exceptions import ConversionError
 from repro.faults import fault_point
-from repro.graphs.base import CSRBacking, readonly
+from repro.graphs.base import CSRBacking, distinct, readonly
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
@@ -124,7 +124,7 @@ def sort_first_directed(
         # Phase 2: neighbour counts from run boundaries — exact sizes
         # known up front, no growth estimation needed.
         with trace("convert.count"):
-            node_ids = np.unique(np.concatenate([out_src, out_dst, nodes]))
+            node_ids = distinct(np.concatenate([out_src, out_dst, nodes]))
             out_indptr = _row_starts(out_src, node_ids)
             in_indptr = _row_starts(in_dst, node_ids)
 
@@ -167,7 +167,7 @@ def sort_first_undirected(
             sym_dst = sym_dst[keep]
 
         with trace("convert.count"):
-            node_ids = np.unique(np.concatenate([sym_src, nodes]))
+            node_ids = distinct(np.concatenate([sym_src, nodes]))
             indptr = _row_starts(sym_src, node_ids)
 
         with trace("convert.copy", nodes=len(node_ids)):

@@ -361,15 +361,13 @@ class DirectedGraph(GraphBase):
         return result
 
     def to_undirected(self) -> "UndirectedGraph":
-        """Undirected projection (edge directions dropped, dedup)."""
-        from repro.graphs.undirected import UndirectedGraph
+        """Undirected projection (edge directions dropped, dedup), sort-first."""
+        from repro.convert.table_to_graph import graph_from_edge_arrays
 
-        result = UndirectedGraph()
-        for node_id in self.nodes():
-            result.add_node(node_id)
-        for src, dst in self.edges():
-            result.add_edge(src, dst)
-        return result
+        sources, targets = self.edge_arrays()
+        return graph_from_edge_arrays(
+            sources, targets, directed=False, nodes=self.node_array()
+        )
 
     def copy(self) -> "DirectedGraph":
         """Deep copy (a CSR-backed graph shares its read-only arrays)."""

@@ -135,14 +135,10 @@ class DirectedMultigraph(GraphBase):
 
     def to_simple(self) -> "DirectedGraph":
         """Collapse parallel edges into a simple :class:`DirectedGraph`."""
-        from repro.graphs.directed import DirectedGraph
+        from repro.convert.table_to_graph import graph_from_edge_arrays
 
-        simple = DirectedGraph()
-        for node_id in self._nodes:
-            simple.add_node(node_id)
-        for _, src, dst in self.edges():
-            simple.add_edge(src, dst)
-        return simple
+        sources, targets = self.edge_arrays()
+        return graph_from_edge_arrays(sources, targets, nodes=self.node_array())
 
     def __repr__(self) -> str:
         return f"DirectedMultigraph({self.num_nodes} nodes, {self.num_edges} edges)"

@@ -1,7 +1,10 @@
 """Structural graph operations: subgraphs, degree filtering, renumbering.
 
 These are the SNAP-style "graph manipulation" constructs Ringo exposes
-alongside the analytics algorithms.
+alongside the analytics algorithms. Each derived graph is built in bulk
+(paper §2.4): one mask over the input's edge arrays picks the edges,
+and one sort-first build makes the result, which is CSR-backed and
+iterates its nodes in ascending order like every bulk-built graph.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.exceptions import GraphError
+from repro.graphs.base import distinct
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 
@@ -26,21 +31,13 @@ def subgraph(
     >>> sub.num_edges
     1
     """
-    keep = {node for node in nodes if graph.has_node(node)}
-    result = DirectedGraph() if graph.is_directed else UndirectedGraph()
-    for node in keep:
-        result.add_node(node)
-    if graph.is_directed:
-        for node in keep:
-            for nbr in graph.out_neighbors(node).tolist():
-                if nbr in keep:
-                    result.add_edge(node, nbr)
-    else:
-        for node in keep:
-            for nbr in graph.neighbors(node).tolist():
-                if nbr in keep and nbr >= node:
-                    result.add_edge(node, nbr)
-    return result
+    keep = graph.node_array()
+    keep = keep[np.isin(keep, np.fromiter(nodes, dtype=np.int64))]
+    sources, targets = graph.edge_arrays()
+    inside = np.isin(sources, keep) & np.isin(targets, keep)
+    return graph_from_edge_arrays(
+        sources[inside], targets[inside], directed=graph.is_directed, nodes=keep
+    )
 
 
 def remove_self_loops(graph: "DirectedGraph | UndirectedGraph") -> int:
@@ -66,13 +63,12 @@ def renumber(
 
     Useful before exporting to array-indexed tools.
     """
-    mapping = {old: new for new, old in enumerate(sorted(graph.nodes()))}
-    result = DirectedGraph() if graph.is_directed else UndirectedGraph()
-    for old in graph.nodes():
-        result.add_node(mapping[old])
-    for edge in graph.edges():
-        result.add_edge(mapping[edge[0]], mapping[edge[1]])
-    return result, mapping
+    ids = np.sort(graph.node_array())
+    sources, targets = (np.searchsorted(ids, ends) for ends in graph.edge_arrays())
+    result = graph_from_edge_arrays(
+        sources, targets, directed=graph.is_directed, nodes=np.arange(len(ids))
+    )
+    return result, dict(zip(ids.tolist(), range(len(ids))))
 
 
 def ego_network(
@@ -107,12 +103,9 @@ def merge_graphs(
     """Union of two graphs of the same kind: all nodes, all edges."""
     if left.is_directed != right.is_directed:
         raise GraphError("cannot merge directed with undirected graphs")
-    result = left.copy()
-    for node in right.nodes():
-        result.add_node(node)
-    for edge in right.edges():
-        result.add_edge(edge[0], edge[1])
-    return result
+    sources, targets = map(np.concatenate, zip(left.edge_arrays(), right.edge_arrays()))
+    nodes = np.concatenate((left.node_array(), right.node_array()))
+    return graph_from_edge_arrays(sources, targets, directed=left.is_directed, nodes=nodes)
 
 
 def intersect_graphs(
@@ -122,14 +115,14 @@ def intersect_graphs(
     """Graph with the shared nodes and shared edges of both inputs."""
     if left.is_directed != right.is_directed:
         raise GraphError("cannot intersect directed with undirected graphs")
-    result = DirectedGraph() if left.is_directed else UndirectedGraph()
-    for node in left.nodes():
-        if right.has_node(node):
-            result.add_node(node)
-    for edge in left.edges():
-        if right.has_edge(edge[0], edge[1]):
-            result.add_edge(edge[0], edge[1])
-    return result
+    nodes = left.node_array()
+    nodes = nodes[np.isin(nodes, right.node_array())]
+    sources, targets = left.edge_arrays()
+    # The right graph's rows, compared by value: ids of any size work.
+    shared = right._out_rows(distinct(sources)).contain(sources, targets)
+    return graph_from_edge_arrays(
+        sources[shared], targets[shared], directed=left.is_directed, nodes=nodes
+    )
 
 
 def degree_array(graph: "DirectedGraph | UndirectedGraph") -> np.ndarray:

@@ -15,6 +15,10 @@ triple loop over every node triple, and the reachability family:
 ``strongly_connected_components`` against mutual reachability,
 ``bfs_levels`` against a queue BFS per direction, and unit-weight
 ``dijkstra`` against the same heap run with an explicit unit weight.
+Derived graphs (``graphs.ops``, ``to_undirected``, ``to_simple``,
+``condensation``, ``k_truss``, the spanning forests and the two
+``Network`` builders) are checked on CSR-backed and materialised inputs
+against node and edge sets built here, and must come out CSR-backed.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.algorithms import components, cores, triangles
-from repro.algorithms import bfs
+from repro.algorithms import bfs, components, cores, mst, triangles, truss
 from repro.algorithms import generators as gen
 from repro.algorithms.bfs import UNREACHED, bfs_level_array, bfs_levels
 from repro.algorithms.components import strongly_connected_components
@@ -40,14 +43,19 @@ from repro.algorithms.triangles import (
     triangle_count_array,
     triangle_counts,
 )
+from repro.convert import attributes
 from repro.convert.table_to_graph import graph_from_edge_arrays
-from repro.exceptions import AlgorithmError, NodeNotFoundError
+from repro.core.engine import Ringo
+from repro.exceptions import AlgorithmError, ConversionError, NodeNotFoundError
+from repro.graphs import ops
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.multigraph import DirectedMultigraph
+from repro.graphs.network import Network
 from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.undirected import UndirectedGraph
 from repro.parallel.executor import WorkerPool
+from repro.tables.table import Table
 
 # ----------------------------------------------------------------------
 # The catalog
@@ -279,6 +287,7 @@ def _check_core_family(graph) -> None:
         keep = {node for node, core in expected.items() if core >= k}
         assert sub.is_directed == graph.is_directed
         assert set(sub.nodes()) == keep
+        assert sub._csr is not None or not keep  # built sort-first
         # Induced subgraph: the original edges (loops included) inside keep.
         assert set(sub.edges()) == {
             (u, v) for u, v in graph.edges() if u in keep and v in keep
@@ -728,3 +737,300 @@ class TestReachabilityOracle:
         for call in (bfs_levels, dijkstra):
             with pytest.raises(NodeNotFoundError):
                 call(graph, 1)
+
+
+# ----------------------------------------------------------------------
+# Derived graphs: every function that builds a new graph from another
+# ----------------------------------------------------------------------
+
+
+def _edge_set(graph) -> set[tuple[int, int]]:
+    """Directed arcs, or undirected edges as ``(min, max)`` pairs."""
+    if graph.is_directed:
+        return set(graph.edges())
+    return {(min(u, v), max(u, v)) for u, v in graph.edges()}
+
+
+def _check_derived(result, nodes, edges, directed: bool) -> None:
+    """Node set, edge set and count, ascending node order, CSR backing."""
+    assert result.is_directed == directed
+    assert list(result.nodes()) == sorted(nodes)
+    assert _edge_set(result) == set(edges)
+    assert result.num_edges == len(set(edges))
+    # Bulk-built: only an empty result has no backing to hold.
+    assert result._csr is not None or not nodes
+
+
+def _backed(graph):
+    return graph_from_edge_arrays(
+        *graph.edge_arrays(), directed=graph.is_directed, nodes=graph.node_array()
+    )
+
+
+def _materialised(graph):
+    """The same graph, its hash table built by one ``add_edge``."""
+    sources, targets = graph.edge_arrays()
+    result = graph_from_edge_arrays(
+        sources[1:], targets[1:], directed=graph.is_directed, nodes=graph.node_array()
+    )
+    result.add_edge(int(sources[0]), int(targets[0]))
+    assert result._csr is None
+    return result
+
+
+INPUT_FORMS = {"backed": _backed, "materialised": _materialised}
+
+
+def _other(graph):
+    """A second graph of the same kind overlapping ``graph`` in part:
+    every third node, every other edge reversed, and a new node."""
+    nodes = sorted(graph.nodes())
+    extra = max(nodes, default=0) + 100
+    other = _empty(graph.is_directed)
+    for node in nodes[::3]:
+        other.add_node(node)
+    for u, v in sorted(_edge_set(graph))[::2]:
+        other.add_edge(v, u)
+    other.add_edge(extra, nodes[0] if nodes else extra)
+    return other
+
+
+def _induced(graph, keep) -> set[tuple[int, int]]:
+    return {(u, v) for u, v in _edge_set(graph) if u in keep and v in keep}
+
+
+def brute_truss(graph, k: int) -> set[tuple[int, int]]:
+    """Undirected pairs of the k-truss: drop loop-free edges with fewer
+    than k-2 common neighbours among the kept edges until none is left."""
+    kept = {(min(u, v), max(u, v)) for u, v in graph.edges() if u != v}
+    while True:
+        adjacency = collections.defaultdict(set)
+        for u, v in kept:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        weak = {(u, v) for u, v in kept if len(adjacency[u] & adjacency[v]) < k - 2}
+        if not weak:
+            return kept
+        kept -= weak
+
+
+def _pair_weights(graph) -> dict[tuple[int, int], float]:
+    """Distinct seeded weights per undirected pair, so the MSF is unique."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in graph.edges()})
+    order = np.random.default_rng(len(pairs)).permutation(len(pairs))
+    return {pair: float(rank) for pair, rank in zip(pairs, order.tolist())}
+
+
+def brute_msf(weights: dict[tuple[int, int], float]) -> set[tuple[int, int]]:
+    """Cycle property: an edge is in the (unique) MSF unless its ends are
+    joined by a path of strictly lighter edges."""
+    forest = set()
+    for (u, v), weight in weights.items():
+        if u == v:
+            continue
+        lighter = {pair for pair, other in weights.items() if other < weight}
+        adjacency = collections.defaultdict(list)
+        for a, b in lighter:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        if v not in brute_levels(adjacency, u):
+            forest.add((u, v))
+    return forest
+
+
+class TestDerivedGraphOracle:
+    """Each derived graph against a reference built here by brute force,
+    on CSR-backed and materialised inputs of the whole catalog."""
+
+    @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_catalog(self, model, directed, decorated, form):
+        graph = INPUT_FORMS[form](_catalog_graph(model, directed, decorated))
+        self._check_all(graph)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty(self, directed):
+        self._check_all(_empty(directed))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_isolated_nodes_only(self, directed):
+        graph = _empty(directed)
+        for node in (7, 2, 40):
+            graph.add_node(node)
+        self._check_all(graph)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_self_loops_and_ids_past_two_to_the_32(self, directed):
+        big = 2**32
+        graph = _empty(directed)
+        for u, v in [(0, big), (big, big), (big + 1, 0), (1, 1), (3 * big, big + 1)]:
+            graph.add_edge(u, v)
+        graph.add_node(5 * big)
+        self._check_all(graph)
+        # (0, 2**32) and (1, 0) share the key row * 2**32 + col.
+        left = _empty(directed)
+        left.add_edge(0, big)
+        right = _empty(directed)
+        right.add_edge(1, 0)
+        _check_derived(ops.intersect_graphs(left, right), {0}, set(), directed)
+        _check_derived(
+            ops.merge_graphs(left, right),
+            {0, 1, big},
+            _edge_set(left) | _edge_set(right),
+            directed,
+        )
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_subgraph_absent_and_duplicate_ids(self, directed):
+        graph = _catalog_graph("gnm", directed, decorated=True)
+        nodes = sorted(graph.nodes())
+        wanted = nodes[:10] + nodes[:10] + [-1, max(nodes) + 1, 2**40]
+        keep = set(nodes[:10])
+        _check_derived(ops.subgraph(graph, wanted), keep, _induced(graph, keep), directed)
+        _check_derived(ops.subgraph(graph, []), set(), set(), directed)
+
+    def _check_all(self, graph) -> None:
+        directed = graph.is_directed
+        nodes = set(graph.nodes())
+        edges = _edge_set(graph)
+        ordered = sorted(nodes)
+
+        keep = set(ordered[::2])
+        _check_derived(ops.subgraph(graph, ordered[::2]), keep, _induced(graph, keep), directed)
+
+        if ordered:
+            center = ordered[len(ordered) // 2]
+            ego = {center} | {v for u, v in edges if u == center}
+            ego |= {u for u, v in edges if v == center}
+            _check_derived(
+                ops.ego_network(graph, center), ego, _induced(graph, ego), directed
+            )
+
+        high = {node for node in nodes if graph.degree(node) >= 3}
+        _check_derived(ops.filter_by_degree(graph, 3), high, _induced(graph, high), directed)
+
+        dense, mapping = ops.renumber(graph)
+        assert mapping == {old: new for new, old in enumerate(ordered)}
+        renamed = {(mapping[u], mapping[v]) for u, v in edges}
+        if not directed:
+            renamed = {(min(u, v), max(u, v)) for u, v in renamed}
+        _check_derived(dense, set(range(len(ordered))), renamed, directed)
+
+        other = _other(graph)
+        other_nodes = set(other.nodes())
+        _check_derived(
+            ops.merge_graphs(graph, other),
+            nodes | other_nodes,
+            edges | _edge_set(other),
+            directed,
+        )
+        _check_derived(
+            ops.intersect_graphs(graph, other),
+            nodes & other_nodes,
+            edges & _edge_set(other),
+            directed,
+        )
+
+        multi = DirectedMultigraph()
+        for node in ordered:
+            multi.add_node(node)
+        arcs = sorted(graph.edges())
+        for u, v in arcs + arcs[::2]:
+            multi.add_edge(u, v)
+        _check_derived(multi.to_simple(), nodes, set(arcs), True)
+
+        if directed:
+            _check_derived(
+                graph.to_undirected(),
+                nodes,
+                {(min(u, v), max(u, v)) for u, v in edges},
+                False,
+            )
+            labels = strongly_connected_components(graph)
+            _check_derived(
+                components.condensation(graph),
+                set(labels.values()),
+                {(labels[u], labels[v]) for u, v in edges if labels[u] != labels[v]},
+                True,
+            )
+
+        for k in (3, 4):
+            pairs = brute_truss(graph, k)
+            truss_nodes = {node for pair in pairs for node in pair}
+            truss_edges = {
+                (u, v) for u, v in edges if u != v and (min(u, v), max(u, v)) in pairs
+            }
+            _check_derived(truss.k_truss(graph, k), truss_nodes, truss_edges, directed)
+
+        weights = _pair_weights(graph)
+        expected = brute_msf(weights)
+
+        def weight(u, v):
+            return weights[(min(u, v), max(u, v))]
+
+        forest, total = mst.minimum_spanning_forest(graph, weight=weight)
+        _check_derived(forest, nodes, expected, False)
+        assert total == sum(weights[pair] for pair in expected)
+        listed = [(u, v, w) for (u, v), w in weights.items()]
+        forest, total = mst.spanning_forest_from_edges(listed)
+        _check_derived(
+            forest, {node for pair in weights for node in pair}, expected, False
+        )
+        assert total == sum(weights[pair] for pair in expected)
+
+        sources, targets = graph.edge_arrays()
+        table = Table.from_columns({"a": sources, "b": targets})
+        extra = max(ordered, default=0) + 1
+        keys = ordered[::4] + [extra]
+        node_table = Table.from_columns(
+            {"id": keys, "label": [f"n{key}" for key in keys]}
+        )
+        net = attributes.network_from_tables(
+            table, "a", "b", node_table, node_key="id"
+        )
+        arcs = set(zip(sources.tolist(), targets.tolist()))
+        endpoints = {node for arc in arcs for node in arc}
+        _check_derived(net, endpoints | set(keys), arcs, True)
+        assert isinstance(net, Network)
+        assert {key: net.node_attr(key, "label") for key in keys} == {
+            key: f"n{key}" for key in keys
+        }
+
+        if len(sources):
+            # Each arc as 1-3 rows, shuffled; weight_col sums are exact.
+            repeats = 1 + (sources + targets) % 3
+            shuffle = np.random.default_rng(9).permutation(int(repeats.sum()))
+            rows = Table.from_columns(
+                {
+                    "a": np.repeat(sources, repeats)[shuffle],
+                    "b": np.repeat(targets, repeats)[shuffle],
+                    "w": np.repeat(sources * 0.5 + 1.0, repeats)[shuffle],
+                }
+            )
+            counted = attributes.weighted_network_from_edges(rows, "a", "b")
+            summed = attributes.weighted_network_from_edges(
+                rows, "a", "b", weight_col="w"
+            )
+            for net in (counted, summed):
+                _check_derived(net, endpoints, arcs, True)
+            for u, v, repeat in zip(sources.tolist(), targets.tolist(), repeats.tolist()):
+                assert counted.edge_attr(u, v, "weight") == float(repeat)
+                assert summed.edge_attr(u, v, "weight") == repeat * (u * 0.5 + 1.0)
+
+    @pytest.mark.parametrize("column", ["a", "b"])
+    def test_negative_id_raises_conversion_error(self, column):
+        values = {"a": [1, 2], "b": [2, 3]}
+        values[column] = [1, -4]
+        table = Table.from_columns(values)
+        with pytest.raises(ConversionError):
+            attributes.network_from_tables(table, "a", "b")
+        with pytest.raises(ConversionError):
+            attributes.weighted_network_from_edges(table, "a", "b")
+        with Ringo() as session, pytest.raises(ConversionError):
+            session.ToWeightedNetwork(table, "a", "b")
+
+    def test_negative_node_table_id_raises_conversion_error(self):
+        edges = Table.from_columns({"a": [1], "b": [2]})
+        nodes = Table.from_columns({"id": [1, -2], "x": [5, 6]})
+        with pytest.raises(ConversionError):
+            attributes.network_from_tables(edges, "a", "b", nodes, node_key="id")
