@@ -17,6 +17,7 @@ import pytest
 from benchmarks.util import rate_m_per_s, record, reset, timed
 from repro.algorithms.pagerank import pagerank_array
 from repro.algorithms.triangles import total_triangles
+from repro.graphs.csr import CSRGraph
 from repro.memory.footprint import peak_footprint
 from repro.memory.sizeof import format_bytes
 
@@ -52,7 +53,16 @@ def test_table3_pagerank_10_iterations(benchmark, name, lj_csr, tw_csr):
 def test_table3_triangle_counting(benchmark, name, lj_graph, tw_graph):
     graph = lj_graph if name == "lj-scaled" else tw_graph
 
-    count = benchmark.pedantic(total_triangles, args=(graph,), rounds=1, iterations=1)
+    def fresh_snapshot():
+        # The session's cached snapshot may already hold its triangle
+        # count (ablation A3 fills it); timing that would time a cache
+        # read. An uncached snapshot of the graph makes the round run
+        # the projection and the kernel.
+        return (CSRGraph.from_graph(graph),), {}
+
+    count = benchmark.pedantic(
+        total_triangles, setup=fresh_snapshot, rounds=1, iterations=1
+    )
 
     elapsed = benchmark.stats.stats.mean
     _measured[(name, "triangles")] = elapsed

@@ -81,7 +81,10 @@ def wcc_label_array(csr: CSRGraph, pool: WorkerPool | None = None) -> np.ndarray
         if np.array_equal(gathered, labels):
             break
         labels = gathered
-    return np.searchsorted(np.unique(labels), labels)
+    # Each component's label is its smallest member, which is its own
+    # label: numbering those roots in ascending order relabels densely.
+    is_root = labels == np.arange(count, dtype=np.int64)
+    return (np.cumsum(is_root) - 1)[labels]
 
 
 def weakly_connected_components(

@@ -11,8 +11,13 @@ The paper chose the hash table *for dynamism*, and only a mutation needs
 it. A graph built in bulk (the sort-first converter, restores) is born
 holding a frozen CSR instead: a :class:`CSRBacking` of read-only arrays
 that every read answers from and that the snapshot cache wraps without
-copying. The first mutation that changes structure materialises the
-hash table from it once and drops it.
+copying. An ``ApplyOps`` batch that keeps the node set is merged into
+the backing's rows (:func:`merge_rows`, one delete and one insert per
+orientation) and installed as the next frozen backing, so such a graph
+stays CSR-backed under batch churn and its next snapshot is again a
+wrap. Any other structural mutation — a batch that adds, removes or
+re-creates a node, or a single-op mutator — materialises the hash table
+from the backing once and drops it.
 """
 
 from __future__ import annotations
@@ -191,6 +196,76 @@ class Rows(NamedTuple):
         return zip(self.ids.tolist(), rows)
 
 
+def both_ways(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries ``(r, c)`` and their mirrors ``(c, r)``; a loop appears once."""
+    mirror = rows != cols
+    return (
+        np.concatenate([rows, cols[mirror]]),
+        np.concatenate([cols, rows[mirror]]),
+    )
+
+
+class Remap(NamedTuple):
+    """How old dense ids move when a change alters the node set."""
+
+    alive: np.ndarray       # old dense id survives the change
+    old_to_new: np.ndarray  # its new dense id (meaningful where alive)
+    count: int              # new node count
+
+
+_NO_ENTRIES = np.empty(0, dtype=np.int64)
+
+
+def merge_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    deletes: "tuple[np.ndarray, np.ndarray]",
+    adds: "tuple[np.ndarray, np.ndarray]",
+    remap: "Remap | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One CSR orientation after deleting, remapping and inserting entries.
+
+    The one row-merge kernel: a graph merging a batch into its backing
+    and the snapshot cache merging a delta into a stale snapshot both
+    call it. ``deletes`` are ``(rows, cols)`` in old dense ids, ``adds``
+    in new ones; ``remap`` is ``None`` when the node set is unchanged.
+    Each step is a :meth:`Rows.merged` over the touched rows only: one
+    ``np.delete``, one ``np.insert``, and — only with a remap — one
+    gather over the kept entries. Every row stays sorted because the
+    remap is monotone and the deleted nodes' rows are empty by then.
+    Returns fresh arrays; raises :class:`GraphError` when a delete is
+    not held, a deleted node keeps an entry, or an add is already held.
+
+    >>> indptr, indices = merge_rows(
+    ...     np.array([0, 1, 2]), np.array([1, 0]),
+    ...     (np.array([0]), np.array([1])), (np.array([1]), np.array([1])),
+    ... )
+    >>> indptr.tolist(), indices.tolist()
+    ([0, 0, 2], [0, 1])
+    """
+    rows = Rows(np.arange(len(indptr) - 1), indptr, indices)
+    try:
+        rows = rows.merged(*deletes, _NO_ENTRIES, _NO_ENTRIES)
+    except GraphError:
+        raise GraphError("dangling delete: key not present in base") from None
+    if remap is not None:
+        degrees = np.diff(rows.indptr)
+        if degrees[~remap.alive].any():
+            raise GraphError("a deleted node still has retained edges")
+        new_degrees = np.zeros(remap.count, dtype=np.int64)
+        new_degrees[remap.old_to_new[remap.alive]] = degrees[remap.alive]
+        rows = Rows(
+            np.arange(remap.count),
+            np.concatenate(([0], np.cumsum(new_degrees))),
+            remap.old_to_new[rows.values],
+        )
+    try:
+        rows = rows.merged(_NO_ENTRIES, _NO_ENTRIES, *adds)
+    except GraphError:
+        raise GraphError("merged edge keys are not strictly increasing") from None
+    return rows.indptr, rows.values
+
+
 class NetChange(NamedTuple):
     """The net structural effect of one op batch, resolved against a graph.
 
@@ -303,6 +378,34 @@ class CSRBacking(NamedTuple):
         ids = self.node_ids
         return np.repeat(ids, np.diff(self.out_indptr)), ids[self.out_indices]
 
+    def merged(self, change: NetChange, directed: bool) -> "CSRBacking":
+        """A new backing: this one with a net change that keeps the node set.
+
+        Every endpoint of the change is a node already, so its edges are
+        dense ids by one ``searchsorted`` each; :func:`merge_rows` then
+        merges them into both orientations (undirected: into the one
+        symmetric orientation, both ways). This backing is untouched, so
+        snapshots and copies that share its arrays stay valid.
+        """
+        ids = self.node_ids
+        deletes = np.searchsorted(ids, change.del_src), np.searchsorted(ids, change.del_dst)
+        adds = np.searchsorted(ids, change.add_src), np.searchsorted(ids, change.add_dst)
+        if not directed:
+            indptr, indices = map(readonly, merge_rows(
+                self.out_indptr, self.out_indices, both_ways(*deletes), both_ways(*adds)
+            ))
+            return CSRBacking(ids, indptr, indices, indptr, indices)
+        out_indptr, out_indices = merge_rows(
+            self.out_indptr, self.out_indices, deletes, adds
+        )
+        in_indptr, in_indices = merge_rows(
+            self.in_indptr, self.in_indices, deletes[::-1], adds[::-1]
+        )
+        return CSRBacking(
+            ids, readonly(out_indptr), readonly(out_indices),
+            readonly(in_indptr), readonly(in_indices),
+        )
+
     def memory_bytes(self) -> int:
         """Bytes held by the distinct arrays (undirected ones share two)."""
         distinct = {id(array): array.nbytes for array in self}
@@ -387,6 +490,25 @@ class GraphBase:
         self._num_edges = num_edges
         self._bump_version()
         self._poison_delta("bulk CSR install")
+
+    def _merge_into_backing(self, change: NetChange) -> bool:
+        """Apply a structural batch change to the backing; False if it cannot.
+
+        A CSR-backed graph whose batch keeps its node set (nothing
+        removed, nothing placed at the end of the node order) stays
+        backed: the change is merged into the backing's rows and the
+        result installed as the new frozen backing, with one version
+        bump and one log append, like the record path. Any other batch,
+        or a graph already on its hash table, returns False untouched.
+        """
+        backing = self._csr
+        if backing is None or len(change.placed_nodes) or len(change.removed_nodes):
+            return False
+        self._csr = backing.merged(change, self.is_directed)
+        self._num_edges += len(change.add_src) - len(change.del_src)
+        self._bump_version()
+        self._record_net(change)
+        return True
 
     def _materialise(self, op: str) -> None:
         """Build the node hash table from the backing, then drop it.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.graphs.base import gather_adjacency, readonly
+from repro.graphs.base import distinct, gather_adjacency, readonly
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 
@@ -89,13 +89,15 @@ class CSRGraph:
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         if len(sources) != len(targets):
             raise GraphError("edge arrays must have equal length")
-        node_ids = np.unique(np.concatenate([sources, targets]))
+        node_ids = distinct(np.concatenate([sources, targets]))
         dense_src = np.searchsorted(node_ids, sources)
         dense_dst = np.searchsorted(node_ids, targets)
         if deduplicate and len(dense_src):
-            pairs = np.stack([dense_src, dense_dst], axis=1)
-            pairs = np.unique(pairs, axis=0)
-            dense_src, dense_dst = pairs[:, 0], pairs[:, 1]
+            order = np.lexsort((dense_dst, dense_src))
+            dense_src, dense_dst = dense_src[order], dense_dst[order]
+            keep = np.ones(len(order), dtype=bool)
+            keep[1:] = (dense_src[1:] != dense_src[:-1]) | (dense_dst[1:] != dense_dst[:-1])
+            dense_src, dense_dst = dense_src[keep], dense_dst[keep]
         return cls._from_dense_edges(node_ids, dense_src, dense_dst)
 
     @classmethod

@@ -6,8 +6,9 @@ in-neighbors and out-neighbors." Simple directed graph semantics (SNAP's
 ``TNGraph``): at most one edge per ordered pair, self-loops allowed.
 
 A bulk-built graph holds both orientations as a frozen CSR instead
-(:class:`~repro.graphs.base.CSRBacking`) and builds the hash table on
-its first structural mutation; see :mod:`repro.graphs.base`.
+(:class:`~repro.graphs.base.CSRBacking`). An ``ApplyOps`` batch that
+keeps the node set is merged into it; any other structural mutation
+builds the hash table first. See :mod:`repro.graphs.base`.
 """
 
 from __future__ import annotations
@@ -254,9 +255,13 @@ class DirectedGraph(GraphBase):
         with the change) before the node table is touched, so a failed
         guard leaves the graph as it was. One version bump and one log
         append, and neither when the batch nets out to no structural
-        change.
+        change. A CSR-backed graph whose node set the batch keeps merges
+        it into its backing instead and stays backed
+        (``_merge_into_backing``).
         """
         if not change.structural() and not len(change.placed_nodes):
+            return
+        if self._merge_into_backing(change):
             return
         if self._csr is not None:
             self._materialise("apply_ops")

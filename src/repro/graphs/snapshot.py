@@ -43,7 +43,7 @@ from repro.faults import fault_point
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
-from repro.incremental.delta import DeltaError, apply_delta
+from repro.incremental.delta import DeltaError, apply_delta, carry_projection
 from repro.incremental.engine import incremental_engine
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.spans import enabled as _tracing_enabled
@@ -228,7 +228,20 @@ class SnapshotCache:
                 # the existing arrays under the new version.
                 merged = entry.csr
             else:
-                merged = apply_delta(entry.csr, delta, graph.is_directed)
+                backing = graph._csr
+                if backing is None:
+                    merged = apply_delta(entry.csr, delta, graph.is_directed)
+                else:
+                    # ApplyOps already merged the window into the backing:
+                    # wrap it as from_graph does (O(1)) and carry only the
+                    # projection. A writer that moved the graph since
+                    # ``version`` was read makes the wrap newer than the
+                    # window, so that falls back to a full build.
+                    if graph.version != version:
+                        raise DeltaError("the graph moved during the refresh")
+                    merged = carry_projection(
+                        entry.csr, CSRGraph(*backing), delta, graph.is_directed
+                    )
                 self._verify_refresh(merged, graph)
             merged._delta_base_version = entry.version
             merged._delta_target_version = version

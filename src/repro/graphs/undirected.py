@@ -7,7 +7,8 @@ undirected projections of its datasets.
 
 A bulk-built graph holds its symmetric adjacency as a frozen CSR instead
 (:class:`~repro.graphs.base.CSRBacking`, both orientations the same two
-arrays) and builds the hash table on its first structural mutation.
+arrays). An ``ApplyOps`` batch that keeps the node set is merged into
+it; any other structural mutation builds the hash table first.
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from repro.graphs.base import (
     CSRBacking,
     GraphBase,
     NetChange,
+    both_ways,
     gather_adjacency,
     readonly,
     sorted_contains,
     sorted_insert,
     sorted_remove,
 )
-
-
-def _symmetric(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both entries of each undirected pair as ``(rows, cols)``; loops once."""
-    pair = u != v
-    return np.concatenate((u, v[pair])), np.concatenate((v, u[pair]))
 
 
 class UndirectedGraph(GraphBase):
@@ -200,12 +196,14 @@ class UndirectedGraph(GraphBase):
         """
         if not change.structural() and not len(change.placed_nodes):
             return
+        if self._merge_into_backing(change):
+            return
         if self._csr is not None:
             self._materialise("apply_ops")
         nodes = self._nodes
         rows = change.out_rows.merged(
-            *_symmetric(change.del_src, change.del_dst),
-            *_symmetric(change.add_src, change.add_dst),
+            *both_ways(change.del_src, change.del_dst),
+            *both_ways(change.add_src, change.add_dst),
         )
         for node in change.removed_nodes.tolist():
             del nodes[node]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.base import distinct
 from repro.incremental.delta import lookup
 from repro.incremental.engine import incremental_engine
 
@@ -149,16 +150,21 @@ def _canonical_labels(roots: np.ndarray) -> np.ndarray:
 
     The batch kernel labels components in ascending order of their
     minimum dense node id, which equals ranking components by the first
-    dense position their root appears at.
+    dense position their root appears at. One sort of ``root * n +
+    position`` keys is a stable argsort: equal roots group together with
+    their first position leading, and marking those positions numbers
+    the groups in first-seen order by one ``cumsum``.
     """
-    unique_roots, first_seen, inverse = np.unique(
-        roots, return_index=True, return_inverse=True
-    )
-    rank = np.empty(len(unique_roots), dtype=np.int64)
-    rank[np.argsort(first_seen, kind="stable")] = np.arange(
-        len(unique_roots), dtype=np.int64
-    )
-    return rank[inverse]
+    count = len(roots)
+    ordered, order = np.divmod(np.sort(roots * count + np.arange(count)), count)
+    leads = np.ones(count, dtype=bool)
+    leads[1:] = ordered[1:] != ordered[:-1]
+    first_seen = np.zeros(count, dtype=bool)
+    first_seen[order[leads]] = True
+    rank = np.cumsum(first_seen) - 1
+    labels = np.empty(count, dtype=np.int64)
+    labels[order] = rank[order[leads]][np.cumsum(leads) - 1]
+    return labels
 
 
 def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
@@ -339,8 +345,8 @@ def _advance_triangles(old_sym, new_sym, delta) -> np.ndarray:
     hi = np.maximum(src[proper], dst[proper])
     old_keys, in_old = _projection_keys(old_sym, lo, hi)
     new_keys, in_new = _projection_keys(new_sym, lo, hi)
-    deleted = np.unique(old_keys[in_old & ~in_new])
-    added = np.unique(new_keys[in_new & ~in_old])
+    deleted = distinct(old_keys[in_old & ~in_new])
+    added = distinct(new_keys[in_new & ~in_old])
     count = new_sym.num_nodes
     changes = np.bincount(
         _closed_triangles(new_sym, added, count_at_first=False), minlength=count

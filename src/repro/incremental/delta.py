@@ -6,12 +6,18 @@ When the snapshot cache finds a stale entry it slices the log between
 the cached version and the live version, consolidates the op run into a
 net :class:`EdgeDelta`, and calls :func:`apply_delta` to merge it into
 the cached CSR. The merge touches only the rows the delta names: each
-orientation gets one :meth:`~repro.graphs.base.Rows.merged` for the
-deletes (old dense ids) and one for the adds (new dense ids), with the
-old → new remap in between only when the node set changed. No
-full-length edge keys are formed and nothing is re-sorted. A base that
-already caches its undirected projection hands it on the same way: the
-changed pairs that flip in the projection are merged into its rows.
+orientation goes through :func:`~repro.graphs.base.merge_rows`, one
+:meth:`~repro.graphs.base.Rows.merged` for the deletes (old dense ids)
+and one for the adds (new dense ids), with the old → new remap in
+between only when the node set changed. No full-length edge keys are
+formed and nothing is re-sorted. A base that already caches its
+undirected projection hands it on the same way: the changed pairs that
+flip in the projection are merged into its rows.
+
+That structural merge is for graphs on their node hash table. A
+CSR-backed graph merged each batch into its backing when ``ApplyOps``
+applied it (the same kernel), so its refreshed snapshot is a wrap of the
+backing and :func:`carry_projection` only hands the projection on.
 
 Correctness hinges on the *net* form of the delta:
 
@@ -43,16 +49,13 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.exceptions import GraphError, RingoError
-from repro.graphs.base import Rows
+from repro.graphs.base import Remap, Rows, both_ways, merge_rows
 from repro.graphs.csr import CSRGraph
 
 #: A log that outgrows this many retained ops poisons itself — the
 #: consumer has stopped draining it and unbounded growth would quietly
 #: become a leak attached to the graph object.
 MAX_LOG_OPS = 1 << 20
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 class DeltaError(RingoError):
     """A delta could not be applied to its base snapshot.
@@ -318,60 +321,18 @@ def lookup(haystack: np.ndarray, needles: np.ndarray):
     return positions, haystack[positions] == needles
 
 
-def _both_ways(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries ``(r, c)`` and their mirrors ``(c, r)``; a loop appears once."""
-    mirror = rows != cols
-    return (
-        np.concatenate([rows, cols[mirror]]),
-        np.concatenate([cols, rows[mirror]]),
-    )
-
-
-class _Remap(NamedTuple):
-    """How old dense ids move when the delta changes the node set."""
-
-    alive: np.ndarray       # old dense id survives the delta
-    old_to_new: np.ndarray  # its new dense id (meaningful where alive)
-    count: int              # new node count
-
-
 def _merge_rows(
     indptr: np.ndarray,
     indices: np.ndarray,
     deletes: "tuple[np.ndarray, np.ndarray]",
     adds: "tuple[np.ndarray, np.ndarray]",
-    remap: "_Remap | None",
+    remap: "Remap | None",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One CSR orientation after deleting, remapping and inserting entries.
-
-    ``deletes`` are ``(rows, cols)`` in old dense ids, ``adds`` in new
-    ones; ``remap`` is ``None`` when the node set is unchanged. Each
-    step is a :meth:`Rows.merged` over the touched rows only: one
-    ``np.delete``, one ``np.insert``, and — only with a remap — one
-    gather over the kept entries. Every row stays sorted because the
-    remap is monotone and the deleted nodes' rows are empty by then.
-    """
-    rows = Rows(np.arange(len(indptr) - 1), indptr, indices)
+    """:func:`~repro.graphs.base.merge_rows`, its failures as :class:`DeltaError`."""
     try:
-        rows = rows.merged(*deletes, _EMPTY, _EMPTY)
-    except GraphError:
-        raise DeltaError("dangling delete: key not present in base") from None
-    if remap is not None:
-        degrees = np.diff(rows.indptr)
-        if degrees[~remap.alive].any():
-            raise DeltaError("a deleted node still has retained edges")
-        new_degrees = np.zeros(remap.count, dtype=np.int64)
-        new_degrees[remap.old_to_new[remap.alive]] = degrees[remap.alive]
-        rows = Rows(
-            np.arange(remap.count),
-            np.concatenate(([0], np.cumsum(new_degrees))),
-            remap.old_to_new[rows.values],
-        )
-    try:
-        rows = rows.merged(_EMPTY, _EMPTY, *adds)
-    except GraphError:
-        raise DeltaError("merged edge keys are not strictly increasing") from None
-    return rows.indptr, rows.values
+        return merge_rows(indptr, indices, deletes, adds, remap)
+    except GraphError as err:
+        raise DeltaError(str(err)) from None
 
 
 def _holds_arcs(csr: CSRGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -390,7 +351,7 @@ def _carry_projection(
     merged: CSRGraph,
     columns: DeltaColumns,
     directed: bool,
-    remap: "_Remap | None",
+    remap: "Remap | None",
 ) -> CSRGraph:
     """The base's undirected projection advanced to ``merged``'s edges.
 
@@ -423,17 +384,46 @@ def _carry_projection(
     lo, hi = lo[pair_start], hi[pair_start]
     gone, born = was & ~now, now & ~was
     old_ids = old.node_ids
-    deletes = _both_ways(
+    deletes = both_ways(
         np.searchsorted(old_ids, lo[gone]), np.searchsorted(old_ids, hi[gone])
     )
     new_ids = merged.node_ids
-    adds = _both_ways(
+    adds = both_ways(
         np.searchsorted(new_ids, lo[born]), np.searchsorted(new_ids, hi[born])
     )
     indptr, indices = _merge_rows(old.out_indptr, old.out_indices, deletes, adds, remap)
     projection = CSRGraph(new_ids, indptr, indices, indptr, indices)
     projection._is_projection = True
     return projection
+
+
+def carry_projection(
+    base: CSRGraph, merged: CSRGraph, delta: EdgeDelta, directed: bool
+) -> CSRGraph:
+    """``merged`` — ``base`` advanced by ``delta`` elsewhere — given the base's projection.
+
+    A CSR-backed graph merged each batch into its backing as the batch
+    was applied, so the refreshed snapshot is a wrap of that backing
+    and the base's cached undirected projection is all that is left to
+    advance. Such batches keep the node set; a window that changes it
+    raises :class:`DeltaError`.
+
+    >>> base = CSRGraph.from_edges([1, 2], [2, 3]); _ = base.undirected_projection()
+    >>> delta = EdgeDelta(); delta.edges_added.add((3, 1))
+    >>> merged = carry_projection(
+    ...     base, CSRGraph.from_edges([1, 2, 3], [2, 3, 1]), delta, directed=True
+    ... )
+    >>> merged.undirected_projection().num_edges
+    6
+    """
+    columns = delta.columns()
+    if len(columns.nodes_added) or len(columns.nodes_deleted):
+        raise DeltaError("a node-set change cannot have been merged into a backing")
+    if base._undirected is not None:
+        merged._undirected = _carry_projection(
+            base._undirected, merged, columns, directed, None
+        )
+    return merged
 
 
 def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
@@ -445,7 +435,9 @@ def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
     in-adjacency share one physical array pair. When the base already
     caches its undirected projection, the result carries that
     projection forward too (equal to a fresh symmetrisation), so the
-    triangle and k-core family need not re-sort it.
+    triangle and k-core family need not re-sort it. The snapshot cache
+    calls it for graphs on their hash table only: a CSR-backed graph's
+    window is already merged into its backing (:func:`carry_projection`).
 
     >>> base = CSRGraph.from_edges([1, 2], [2, 3])
     >>> delta = EdgeDelta(); delta.edges_added.add((3, 1))
@@ -463,7 +455,7 @@ def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
         alive = np.ones(len(base_ids), dtype=bool)
         alive[del_dense] = False
         new_ids = np.union1d(base_ids[alive], add_nodes)
-        remap = _Remap(alive, np.searchsorted(new_ids, base_ids), len(new_ids))
+        remap = Remap(alive, np.searchsorted(new_ids, base_ids), len(new_ids))
 
     deletes = (
         _exact_positions(base_ids, columns.del_src, "edge-delete endpoint"),
@@ -486,7 +478,7 @@ def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
         # (v, u) — a self-loop once — in one shared orientation.
         indptr, indices = _merge_rows(
             base.out_indptr, base.out_indices,
-            _both_ways(*deletes), _both_ways(*adds), remap,
+            both_ways(*deletes), both_ways(*adds), remap,
         )
         merged = CSRGraph(new_ids, indptr, indices, indptr, indices)
     if base._undirected is not None:

@@ -8,7 +8,9 @@ corner shapes, over ``DirectedGraph``, ``UndirectedGraph`` and
 ``Network``, CSR-backed and materialised, the two must leave the same
 graph (node order included), report the same summary, and the batched
 graph's next snapshot — refreshed through the delta path — must equal a
-fresh ``CSRGraph.from_graph`` array for array.
+fresh ``CSRGraph.from_graph`` array for array. A CSR-backed graph whose
+batch keeps its node set merges the batch into its backing and stays
+backed; one whose batch adds or re-creates a node grows its hash table.
 """
 
 import random
@@ -21,6 +23,7 @@ from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.network import Network
+from repro.graphs import snapshot as snapshot_module
 from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.engine import incremental_engine
@@ -252,3 +255,79 @@ def test_merged_rows_are_copies_not_views():
         record = graph._nodes[node]
         for row in (record.out_nbrs, record.in_nbrs):
             assert row.base is None or row.base.size == row.size
+
+
+def edge_churn(graph, rng, count: int) -> list:
+    """``count`` random edge ops among ``graph``'s nodes, applied to it.
+
+    Adds (some already present, some self-loops) and deletes of present
+    edges only, so a batch of them keeps the node set.
+    """
+    nodes = sorted(graph.nodes())
+    ops: list = []
+    for _ in range(count):
+        if rng.random() < 0.4 and graph.num_edges:
+            edges = sorted(graph.edges())
+            u, v = edges[rng.randrange(len(edges))]
+            graph.del_edge(u, v)
+            ops.append(["del_edge", u, v])
+        else:
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            graph.add_edge(u, v)
+            ops.append(["add_edge", u, v])
+    return ops
+
+
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return call
+
+
+def assert_same_arrays(got, expected):
+    for name in ("node_ids", "out_indptr", "out_indices", "in_indptr", "in_indices"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_node_set_preserving_batches_merge_into_the_backing(
+    kind, seed, _fresh_engine, monkeypatch
+):
+    batched, legacy, source = twins(kind, True, seed)
+    # The batch is merged once, into the backing: the graph never grows
+    # its hash table, and the refresh runs no structural merge of its own.
+    monkeypatch.setattr(batched, "_materialise", forbidden("_materialise"))
+    monkeypatch.setattr(snapshot_module, "apply_delta", forbidden("apply_delta"))
+    csr_snapshot(batched).undirected_projection()  # a base holding a projection
+    rng = random.Random(3000 + seed)
+    for _ in range(4):
+        ops = edge_churn(source, rng, rng.randrange(1, 30))
+        before = _fresh_engine.stats()
+        version = batched.version
+        summary = apply_graph_ops(batched, ops)
+        reference = legacy_apply_graph_ops(legacy, ops)
+        assert {key: summary[key] for key in reference} == reference
+        assert batched._csr is not None
+        assert_same(batched, legacy)
+        snapshot = csr_snapshot(batched)
+        assert_same_arrays(snapshot, CSRGraph.from_graph(batched))
+        after = _fresh_engine.stats()
+        assert after["fallback_full"] == before["fallback_full"]
+        moved = batched.version != version
+        assert after["delta_applied"] == before["delta_applied"] + moved
+        assert_same_arrays(snapshot.undirected_projection(), snapshot._symmetrise())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ops", [
+    [["add_edge", 1, 2], ["add_edge", 4, 9]],
+    [["del_node", 3], ["add_edge", 3, 1], ["del_edge", 1, 2]],
+], ids=["adds-a-node", "recreates-a-node"])
+def test_node_set_changing_batches_still_materialise(kind, ops, _fresh_engine):
+    pairs = [(1, 2), (2, 3), (3, 1), (3, 4)]
+    batched, legacy = (make_graph(kind, True, pairs) for _ in range(2))
+    check_batch(batched, legacy, ops, _fresh_engine)  # legacy node order included
+    assert batched._csr is None
