@@ -229,7 +229,7 @@ def _dense_lookup(node_ids: np.ndarray, values: np.ndarray):
     return clipped, node_ids[clipped] == values
 
 
-def _merged_membership(merged, pairs) -> tuple[np.ndarray, np.ndarray]:
+def _merged_membership(merged, src, dst) -> tuple[np.ndarray, np.ndarray]:
     """Per delta edge: ``(present_in_merged, both_endpoints_exist)``.
 
     Presence is a binary search over the merged snapshot's globally
@@ -238,21 +238,13 @@ def _merged_membership(merged, pairs) -> tuple[np.ndarray, np.ndarray]:
     """
     node_ids = merged.node_ids
     count = merged.num_nodes
-    array = np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    src_pos, src_ok = _dense_lookup(node_ids, array[:, 0])
-    dst_pos, dst_ok = _dense_lookup(node_ids, array[:, 1])
+    src_pos, src_ok = _dense_lookup(node_ids, src)
+    dst_pos, dst_ok = _dense_lookup(node_ids, dst)
     both = src_ok & dst_ok
-    present = np.zeros(len(array), dtype=bool)
+    present = np.zeros(len(src), dtype=bool)
     if np.any(both) and count:
-        keys = merged.out_edge_keys()
         query = src_pos[both] * count + dst_pos[both]
-        positions = np.searchsorted(keys, query)
-        if len(keys):
-            hit = keys[np.minimum(positions, len(keys) - 1)] == query
-            hit &= positions < len(keys)
-        else:
-            hit = np.zeros(len(query), dtype=bool)
-        present[both] = hit
+        present[both] = _dense_lookup(merged.out_edge_keys(), query)[1]
     return present, both
 
 
@@ -295,16 +287,16 @@ def sanitize_delta_view(
             f"base {base.num_nodes} - {len(delta.nodes_deleted)} deleted "
             f"+ {len(delta.nodes_added)} added = {expected_nodes}",
         )
-    if delta.edges_deleted:
-        present, _ = _merged_membership(merged, delta.edges_deleted)
+    if len(delta.del_src):
+        present, _ = _merged_membership(merged, delta.del_src, delta.del_dst)
         if np.any(present):
             _fail(
                 "delta.dangling-delete",
                 f"{int(present.sum())} net-deleted edge(s) survive in the "
                 f"merged view",
             )
-    if delta.edges_added:
-        present, both = _merged_membership(merged, delta.edges_added)
+    if len(delta.add_src):
+        present, both = _merged_membership(merged, delta.add_src, delta.add_dst)
         if not np.all(both):
             _fail(
                 "delta.add-endpoint",

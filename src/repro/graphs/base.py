@@ -22,7 +22,6 @@ from the backing once and drops it.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -307,15 +306,6 @@ class NetChange(NamedTuple):
             or len(self.del_src) or len(self.add_src)
         )
 
-    def records(self) -> "list[tuple[str, int, int]]":
-        """The net change as mutation-log records, deletes first."""
-        return [
-            *zip(repeat("del_edge"), self.del_src.tolist(), self.del_dst.tolist()),
-            *zip(repeat("del_node"), self.removed_nodes.tolist(), repeat(-1)),
-            *zip(repeat("add_node"), self.added_nodes.tolist(), repeat(-1)),
-            *zip(repeat("add_edge"), self.add_src.tolist(), self.add_dst.tolist()),
-        ]
-
 
 def readonly(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (callers must not mutate adjacency)."""
@@ -431,8 +421,8 @@ class GraphBase:
     _csr: "CSRBacking | None" = None
     _version: int = 0
     # Attached by the snapshot cache when incremental maintenance is on
-    # (see repro.incremental.delta.MutationLog); None costs one attribute
-    # load per mutation and nothing else.
+    # (repro.incremental.delta.MutationLog, one int64 row per mutation);
+    # None costs one attribute load per mutation and nothing else.
     _delta_log = None
 
     @property
@@ -451,22 +441,32 @@ class GraphBase:
         self._version += 1
 
     def _record_delta(self, kind: str, a: int = -1, b: int = -1) -> None:
-        """Append one mutation to the attached delta log, if any.
+        """Append one mutation row to the attached delta log, if any.
 
-        Called by the mutators *after* their version bump so the record
-        carries the version the mutation produced. Inert (one attribute
-        load, one ``None`` check) unless the snapshot cache attached a
-        log for incremental maintenance.
+        Called by the single-op mutators *after* their version bump so
+        the row carries the version the mutation produced. Inert (one
+        attribute load, one ``None`` check) unless the snapshot cache
+        attached a log for incremental maintenance.
         """
         log = self._delta_log
         if log is not None:
             log.record(self._version, kind, a, b)
 
-    def _record_net(self, change: NetChange) -> None:
-        """Append a batch's net change to the attached log at one version."""
+    def _record_runs(self, *runs) -> None:
+        """Append ``(kind, a, b)`` runs of rows (int64 arrays, scalars
+        broadcast) to the attached log in one extend, if there is one."""
         log = self._delta_log
         if log is not None:
-            log.record_many(self._version, change.records())
+            log.record_many(self._version, runs)
+
+    def _record_net(self, change: NetChange) -> None:
+        """Append a batch's net change, deletes first, at one version."""
+        self._record_runs(
+            ("del_edge", change.del_src, change.del_dst),
+            ("del_node", change.removed_nodes, -1),
+            ("add_node", change.added_nodes, -1),
+            ("add_edge", change.add_src, change.add_dst),
+        )
 
     def _poison_delta(self, reason: str) -> None:
         """Mark the attached delta log unusable (bulk-install paths)."""

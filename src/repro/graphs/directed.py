@@ -220,12 +220,6 @@ class DirectedGraph(GraphBase):
         if self._csr is not None:
             self._materialise("del_node")
         record = self._nodes[node_id]
-        # Captured before deletion; the delta log needs every incident
-        # edge as an explicit delete record (stamped with the single
-        # post-bump version) so a node delete never leaves an implicit
-        # cascade for the merge to reconstruct.
-        out_list = record.out_nbrs.tolist()
-        in_list = record.in_nbrs.tolist()
         for nbr in record.out_nbrs.tolist():
             if nbr != node_id:
                 nbr_record = self._nodes[nbr]
@@ -240,12 +234,13 @@ class DirectedGraph(GraphBase):
         self._num_edges -= removed_edges
         del self._nodes[node_id]
         self._bump_version()
-        for nbr in out_list:
-            self._record_delta("del_edge", node_id, nbr)
-        for nbr in in_list:
-            if nbr != node_id:  # the self-loop is already in out_list
-                self._record_delta("del_edge", nbr, node_id)
-        self._record_delta("del_node", node_id)
+        # Every incident edge as an explicit delete, so the merge never
+        # reconstructs a cascade; the self-loop is an out-edge only.
+        self._record_runs(
+            ("del_edge", node_id, record.out_nbrs),
+            ("del_edge", record.in_nbrs[record.in_nbrs != node_id], node_id),
+            ("del_node", node_id, -1),
+        )
 
     def _apply_net(self, change: NetChange) -> None:
         """Apply a resolved op batch's net change in one step.

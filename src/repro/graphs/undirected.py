@@ -174,18 +174,13 @@ class UndirectedGraph(GraphBase):
         if self._csr is not None:
             self._materialise("del_node")
         nbrs = self._nodes[node_id]
-        # Captured before deletion: the delta log records each incident
-        # edge as an explicit delete stamped with the post-bump version.
-        nbr_list = nbrs.tolist()
         for nbr in nbrs.tolist():
             if nbr != node_id:
                 self._nodes[nbr], _ = sorted_remove(self._nodes[nbr], node_id)
         self._num_edges -= len(nbrs)
         del self._nodes[node_id]
         self._bump_version()
-        for nbr in nbr_list:
-            self._record_delta("del_edge", node_id, nbr)
-        self._record_delta("del_node", node_id)
+        self._record_runs(("del_edge", node_id, nbrs), ("del_node", node_id, -1))
 
     def _apply_net(self, change: NetChange) -> None:
         """Apply a resolved op batch's net change in one step.

@@ -6,10 +6,11 @@ iterate) breaks down the moment a graph mutates — before this package a
 the next query paid a full O(V+E) rebuild. ``repro.incremental`` closes
 that gap with three cooperating layers:
 
-* :mod:`repro.incremental.delta` — a per-graph mutation log plus the
-  sorted-merge kernel that folds a consolidated edge/node delta into an
-  existing CSR base, producing the snapshot a full rebuild would have
-  produced (bitwise) at O(delta + E/word) numpy cost instead of the
+* :mod:`repro.incremental.delta` — a per-graph mutation log kept as
+  flat int64 columns, the vectorised fold of a log window into its net
+  edge/node delta columns, and the sorted-merge kernel that merges those
+  into an existing CSR base, producing the snapshot a full rebuild would
+  have produced (bitwise) at O(delta + E/word) numpy cost instead of the
   per-node Python conversion loop;
 * :mod:`repro.incremental.engine` — the process-wide policy object:
   enablement (``incremental_engine().configure(enabled=...)``), the
@@ -29,11 +30,11 @@ triangles, ε-bounded for PageRank (see :data:`PAGERANK_EPSILON_FACTOR`).
 """
 
 from repro.incremental.delta import (
+    DeltaColumns,
     DeltaError,
-    EdgeDelta,
     MutationLog,
     apply_delta,
-    consolidate,
+    fold_window,
 )
 from repro.incremental.engine import (
     PAGERANK_EPSILON_FACTOR,
@@ -44,14 +45,14 @@ from repro.incremental.engine import (
 from repro.incremental.ingest import apply_graph_ops
 
 __all__ = [
+    "DeltaColumns",
     "DeltaError",
-    "EdgeDelta",
     "MutationLog",
     "IncrementalEngine",
     "PAGERANK_EPSILON_FACTOR",
     "apply_delta",
     "apply_graph_ops",
-    "consolidate",
+    "fold_window",
     "incremental_engine",
     "pagerank_epsilon",
 ]

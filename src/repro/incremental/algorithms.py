@@ -188,9 +188,8 @@ def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
 
     # A deletion can only split the components it touched: the old
     # labels of every net-deleted edge endpoint and net-deleted node.
-    columns = delta.columns()
     touched = np.concatenate(
-        [columns.del_src, columns.del_dst, columns.nodes_deleted]
+        [delta.del_src, delta.del_dst, delta.nodes_deleted]
     )
     positions, found = lookup(prev_ids, touched)
     label_count = int(prev_labels.max()) + 1 if len(prev_labels) else 0
@@ -210,8 +209,8 @@ def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
     sources, targets = sources[linked], targets[linked]
 
     # (b) net-added edges, mapped from original ids to super nodes.
-    at_src, has_src = lookup(new_ids, columns.add_src)
-    at_dst, has_dst = lookup(new_ids, columns.add_dst)
+    at_src, has_src = lookup(new_ids, delta.add_src)
+    at_dst, has_dst = lookup(new_ids, delta.add_dst)
     keep = has_src & has_dst
     a = np.concatenate([node_super[sources], node_super[at_src[keep]]])
     b = np.concatenate([node_super[targets], node_super[at_dst[keep]]])
@@ -337,9 +336,8 @@ def _advance_triangles(old_sym, new_sym, delta) -> np.ndarray:
     edge, against the new projection. Corners are scattered by
     ``np.bincount``; a corner that no longer exists is dropped.
     """
-    columns = delta.columns()
-    src = np.concatenate([columns.add_src, columns.del_src])
-    dst = np.concatenate([columns.add_dst, columns.del_dst])
+    src = np.concatenate([delta.add_src, delta.del_src])
+    dst = np.concatenate([delta.add_dst, delta.del_dst])
     proper = src != dst
     lo = np.minimum(src[proper], dst[proper])
     hi = np.maximum(src[proper], dst[proper])

@@ -1,11 +1,12 @@
 """Per-graph mutation logs and the CSR delta-merge kernel.
 
-The dynamic graph classes append one record per structural mutation to
-an attached :class:`MutationLog` (see ``GraphBase._record_delta``).
-When the snapshot cache finds a stale entry it slices the log between
-the cached version and the live version, consolidates the op run into a
-net :class:`EdgeDelta`, and calls :func:`apply_delta` to merge it into
-the cached CSR. The merge touches only the rows the delta names: each
+The dynamic graph classes append one row per structural mutation to
+the int64 columns of an attached :class:`MutationLog` (see
+``GraphBase._record_delta``). When the snapshot cache finds a stale
+entry it slices the log between the cached version and the live
+version, folds the window into its net :class:`DeltaColumns` with one
+sort (:func:`fold_window`), and calls :func:`apply_delta` to merge it
+into the cached CSR. The merge touches only the rows the delta names: each
 orientation goes through :func:`~repro.graphs.base.merge_rows`, one
 :meth:`~repro.graphs.base.Rows.merged` for the deletes (old dense ids)
 and one for the adds (new dense ids), with the old → new remap in
@@ -21,8 +22,8 @@ backing and :func:`carry_projection` only hands the projection on.
 
 Correctness hinges on the *net* form of the delta:
 
-* an edge appears in at most one of ``edges_added`` / ``edges_deleted``
-  (an add cancels a pending delete and vice versa), so every net-deleted
+* an edge appears in at most one of the added / deleted columns (an
+  add cancels a pending delete and vice versa), so every net-deleted
   edge exists in the base and every net-added edge is absent from it;
 * ``del_node`` is recorded as explicit per-incident-edge deletes
   followed by the node delete, so a net-deleted node never has a
@@ -43,7 +44,8 @@ fresh ``undirected_projection()`` of the merged snapshot.
 from __future__ import annotations
 
 import threading
-from itertools import chain
+from array import array
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +54,17 @@ from repro.exceptions import GraphError, RingoError
 from repro.graphs.base import Remap, Rows, both_ways, merge_rows
 from repro.graphs.csr import CSRGraph
 
-#: A log that outgrows this many retained ops poisons itself — the
+#: A log that outgrows this many retained rows poisons itself — the
 #: consumer has stopped draining it and unbounded growth would quietly
 #: become a leak attached to the graph object.
 MAX_LOG_OPS = 1 << 20
+
+#: The mutation kinds, node kinds first. A kind's code is its index
+#: here, in a log row and in ``ApplyOps`` batch resolution alike.
+KINDS = ("add_node", "del_node", "add_edge", "del_edge")
+ADD_NODE, DEL_NODE, ADD_EDGE, DEL_EDGE = range(len(KINDS))
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
 
 class DeltaError(RingoError):
     """A delta could not be applied to its base snapshot.
@@ -66,23 +75,32 @@ class DeltaError(RingoError):
     """
 
 
+def _code(kind: str) -> int:
+    try:
+        return KIND_CODES[kind]
+    except KeyError:
+        raise DeltaError(f"unknown mutation kind {kind!r}") from None
+
+
 class MutationLog:
     """Version-stamped structural mutation log attached to one graph.
 
-    Records are ``(version, kind, a, b)`` tuples appended by the graph
-    mutators after each version bump. The log is *contiguous*: a record
-    must carry the current ``contiguous_until`` version (several records
-    may share one bump — ``del_node`` emits one per incident edge) or
-    advance it by exactly one; any larger jump means a mutation went
-    unrecorded and the log poisons itself.
+    Four flat int64 columns, one row per mutation: the version, the
+    kind's index in :data:`KINDS`, and the operands ``a`` and ``b``
+    (``-1`` where a node op has none), appended by the graph mutators
+    after each version bump. The log is *contiguous*: rows must carry
+    the current ``contiguous_until`` version (several may share one
+    bump) or advance it by exactly one; any larger jump means a mutation
+    went unrecorded and the log poisons itself. The version column
+    therefore ascends, and windows are found by bisecting it.
 
-    ``slice(v0, v1)`` returns the ops in ``(v0, v1]`` only when the log
+    ``slice(v0, v1)`` returns the rows in ``(v0, v1]`` only when the log
     can prove it observed every mutation in that window; otherwise it
     returns ``None`` and the caller rebuilds from scratch.
     """
 
     __slots__ = (
-        "_lock", "start_version", "contiguous_until", "_ops",
+        "_lock", "start_version", "contiguous_until", "_columns",
         "poison_reason",
     )
 
@@ -90,41 +108,79 @@ class MutationLog:
         self._lock = threading.Lock()
         self.start_version = int(version)
         self.contiguous_until = int(version)
-        self._ops: list[tuple[int, str, int, int]] = []
+        # version, kind code, a, b
+        self._columns = tuple(array("q") for _ in range(4))
         self.poison_reason: "str | None" = None
 
-    def record(self, version: int, kind: str, a: int, b: int) -> None:
-        """Append one mutation record (called by the graph mutators)."""
-        self.record_many(version, [(kind, int(a), int(b))])
-
-    def record_many(self, version: int, records: "list[tuple[str, int, int]]") -> None:
-        """Append ``(kind, a, b)`` records that all carry ``version``.
-
-        A batch applied as one net change (``ApplyOps``) records it here
-        at its single version bump.
-        """
+    def record(self, version: int, kind: str, a: int = -1, b: int = -1) -> None:
+        """Append one mutation row (called by the single-op mutators)."""
+        code = _code(kind)
         with self._lock:
-            if self.poison_reason is not None:
+            if not self._advance(version):
                 return
-            if version == self.contiguous_until + 1:
-                self.contiguous_until = version
-            elif version != self.contiguous_until:
-                self.poison_reason = (
-                    f"version gap: recorded v{version} after v{self.contiguous_until}"
-                )
-                self._ops.clear()
+            versions, kinds, column_a, column_b = self._columns
+            try:
+                versions.append(version)
+                kinds.append(code)
+                column_a.append(a)
+                column_b.append(b)
+            except OverflowError:
+                return self._poison(f"unrecordable operands {a!r}, {b!r}")
+            self._check_size()
+
+    def record_many(self, version: int, runs) -> None:
+        """Append runs of rows that all carry ``version``, in one extend.
+
+        Each run is ``(kind, a, b)``; ``a`` and ``b`` are int64 arrays of
+        one length or scalars broadcast against them, so a ``del_node``
+        records its incident edges straight from its adjacency rows and
+        an ``ApplyOps`` batch its net change straight from its columns.
+        """
+        try:
+            runs = [
+                np.broadcast_arrays(*(
+                    np.asarray(value, dtype=np.int64)
+                    for value in (version, _code(kind), a, b)
+                ))
+                for kind, a, b in runs
+            ]
+        except OverflowError:
+            return self.poison(f"unrecordable operands at v{version}")
+        with self._lock:
+            if not self._advance(version):
                 return
-            self._ops.extend((version, kind, a, b) for kind, a, b in records)
-            if len(self._ops) > MAX_LOG_OPS:
-                self.poison_reason = f"log overflow past {MAX_LOG_OPS} ops"
-                self._ops.clear()
+            for run in runs:
+                for column, values in zip(self._columns, run):
+                    column.frombytes(values.tobytes())
+            self._check_size()
+
+    def _advance(self, version: int) -> bool:
+        """Whether rows at ``version`` may be appended (lock held)."""
+        if self.poison_reason is not None:
+            return False
+        if version == self.contiguous_until + 1:
+            self.contiguous_until = version
+        elif version != self.contiguous_until:
+            self._poison(
+                f"version gap: recorded v{version} after v{self.contiguous_until}"
+            )
+            return False
+        return True
+
+    def _check_size(self) -> None:
+        if len(self._columns[0]) > MAX_LOG_OPS:
+            self._poison(f"log overflow past {MAX_LOG_OPS} ops")
+
+    def _poison(self, reason: str) -> None:
+        if self.poison_reason is None:
+            self.poison_reason = reason
+        for column in self._columns:
+            del column[:]
 
     def poison(self, reason: str) -> None:
         """Mark the log unusable (bulk install, unrecordable mutation)."""
         with self._lock:
-            if self.poison_reason is None:
-                self.poison_reason = reason
-            self._ops.clear()
+            self._poison(reason)
 
     def usable_at(self, version: int) -> bool:
         """Whether the log can serve slices ending at ``version``."""
@@ -133,8 +189,8 @@ class MutationLog:
                 self.poison_reason is None and self.contiguous_until == version
             )
 
-    def slice(self, v0: int, v1: int) -> "list[tuple[str, int, int]] | None":
-        """The ``(kind, a, b)`` ops in ``(v0, v1]``, or ``None``.
+    def slice(self, v0: int, v1: int) -> "LogWindow | None":
+        """The rows in ``(v0, v1]`` as a :class:`LogWindow`, or ``None``.
 
         ``None`` means the log cannot prove completeness over the window
         (poisoned, anchored after ``v0``, or not yet caught up to
@@ -147,28 +203,44 @@ class MutationLog:
                 or self.contiguous_until < v1
             ):
                 return None
-            return [
-                (kind, a, b)
-                for version, kind, a, b in self._ops
-                if v0 < version <= v1
-            ]
+            versions = self._columns[0]
+            lo, hi = bisect_right(versions, v0), bisect_right(versions, v1)
+            return LogWindow(*(
+                np.frombuffer(column[lo:hi], dtype=np.int64)
+                for column in self._columns[1:]
+            ))
 
     def drop_before(self, floor: int) -> None:
-        """Discard ops at or below ``floor`` (no consumer needs them)."""
+        """Discard rows at or below ``floor`` (no consumer needs them)."""
         with self._lock:
             if floor <= self.start_version:
                 return
             self.start_version = min(floor, self.contiguous_until)
-            self._ops = [op for op in self._ops if op[0] > floor]
+            cut = bisect_right(self._columns[0], floor)
+            for column in self._columns:
+                del column[:cut]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._ops)
+            return len(self._columns[0])
+
+
+class LogWindow(NamedTuple):
+    """The rows of one log window in log order: kind codes and operands."""
+
+    kinds: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 class DeltaColumns(NamedTuple):
-    """An :class:`EdgeDelta` as int64 columns: node ids ascending, edge
-    pairs ascending by ``(first, second)``."""
+    """The net effect of a log window as int64 columns: node ids
+    ascending, edge pairs ascending by ``(first, second)``.
+
+    Edge pairs are ``(src, dst)`` original ids for directed graphs and
+    ``(min, max)`` for undirected ones. :func:`fold_window` guarantees
+    the added and deleted sets are disjoint.
+    """
 
     nodes_added: np.ndarray
     nodes_deleted: np.ndarray
@@ -177,117 +249,63 @@ class DeltaColumns(NamedTuple):
     del_src: np.ndarray
     del_dst: np.ndarray
 
-
-def _sorted_nodes(nodes: "set[int]") -> np.ndarray:
-    return np.sort(np.fromiter(nodes, dtype=np.int64, count=len(nodes)))
-
-
-def _sorted_pairs(pairs: "set[tuple[int, int]]") -> tuple[np.ndarray, np.ndarray]:
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    first, second = flat[0::2], flat[1::2]
-    order = np.lexsort((second, first))
-    return first[order], second[order]
-
-
-class EdgeDelta:
-    """The net effect of an op run: node and edge add/delete sets.
-
-    Edge keys are ``(src, dst)`` original-id pairs for directed graphs
-    and ``(min, max)`` pairs for undirected ones. The consolidation
-    guarantees the add and delete sets are disjoint.
-    """
-
-    __slots__ = (
-        "nodes_added", "nodes_deleted", "edges_added", "edges_deleted", "_columns",
-    )
-
-    def __init__(self) -> None:
-        self.nodes_added: set[int] = set()
-        self.nodes_deleted: set[int] = set()
-        self.edges_added: set[tuple[int, int]] = set()
-        self.edges_deleted: set[tuple[int, int]] = set()
-        self._columns: "DeltaColumns | None" = None
-
-    def columns(self) -> DeltaColumns:
-        """The sets as sorted int64 columns, converted on first use.
-
-        Every consumer of one window (the snapshot merge, the WCC and
-        triangle advances) shares the one conversion, so the sets must
-        not change once this has been called.
-
-        >>> delta = consolidate([("add_edge", 3, 1), ("add_edge", 1, 2)], directed=True)
-        >>> columns = delta.columns()
-        >>> columns.add_src.tolist(), columns.add_dst.tolist()
-        ([1, 3], [2, 1])
-        >>> delta.columns() is columns
-        True
-        """
-        if self._columns is None:
-            self._columns = DeltaColumns(
-                _sorted_nodes(self.nodes_added),
-                _sorted_nodes(self.nodes_deleted),
-                *_sorted_pairs(self.edges_added),
-                *_sorted_pairs(self.edges_deleted),
-            )
-        return self._columns
-
     def empty(self) -> bool:
-        """True when the run cancelled out to a structural no-op."""
-        return not (
-            self.nodes_added or self.nodes_deleted
-            or self.edges_added or self.edges_deleted
-        )
-
-    def size(self) -> int:
-        """Total number of net node/edge changes."""
-        return (
-            len(self.nodes_added) + len(self.nodes_deleted)
-            + len(self.edges_added) + len(self.edges_deleted)
-        )
+        """True when the window cancelled out to a structural no-op."""
+        return not any(len(column) for column in self)
 
 
-def consolidate(ops, directed: bool) -> EdgeDelta:
-    """Fold an ordered op run into its net :class:`EdgeDelta`.
+def _net(added: np.ndarray, *keys: np.ndarray):
+    """``(net_added, net_deleted)`` key columns of an op stream, ascending.
 
-    Later ops cancel earlier ones: re-adding a deleted edge removes it
-    from the delete set instead of entering the add set (the edge exists
-    in both base and target, so the merge must not touch it), and
-    deleting a node added within the window erases it entirely.
-
-    >>> delta = consolidate(
-    ...     [("add_edge", 1, 2), ("del_edge", 1, 2), ("del_edge", 3, 4)],
-    ...     directed=True,
-    ... )
-    >>> delta.edges_added, delta.edges_deleted
-    (set(), {(3, 4)})
+    ``keys`` hold each op's key (first column primary) in log order and
+    ``added`` whether it is an add. The mutators record only ops that
+    took effect, so the ops on one key alternate between add and delete
+    and its net effect is read off its first and last: both adds —
+    absent before, present after; both deletes — the reverse; anything
+    else cancels.
     """
-    delta = EdgeDelta()
-    for kind, a, b in ops:
-        if kind == "add_node":
-            if a in delta.nodes_deleted:
-                delta.nodes_deleted.discard(a)
-            else:
-                delta.nodes_added.add(a)
-        elif kind == "del_node":
-            if a in delta.nodes_added:
-                delta.nodes_added.discard(a)
-            else:
-                delta.nodes_deleted.add(a)
-        elif kind in ("add_edge", "del_edge"):
-            key = (a, b) if directed or a <= b else (b, a)
-            if kind == "add_edge":
-                if key in delta.edges_deleted:
-                    delta.edges_deleted.discard(key)
-                else:
-                    delta.edges_added.add(key)
-            else:
-                if key in delta.edges_added:
-                    delta.edges_added.discard(key)
-                else:
-                    delta.edges_deleted.add(key)
-        else:
-            raise DeltaError(f"unknown mutation kind {kind!r}")
-    return delta
+    order = np.lexsort(keys[::-1])  # stable: a key's ops stay in log order
+    added = added[order]
+    keys = [key[order] for key in keys]
+    # bounds[i]: op i starts a key's run; bounds[i + 1]: op i ends it.
+    bounds = np.zeros(len(added) + 1, dtype=bool)
+    bounds[[0, -1]] = True
+    for key in keys:
+        bounds[1:-1] |= key[1:] != key[:-1]
+    first, last = bounds[:-1], bounds[1:]
+    first_added, last_added = added[first], added[last]
+    net_added = first_added & last_added
+    net_deleted = ~(first_added | last_added)
+    keys = [key[last] for key in keys]
+    return [key[net_added] for key in keys], [key[net_deleted] for key in keys]
+
+
+def fold_window(window: LogWindow, directed: bool) -> DeltaColumns:
+    """Fold a log window into its net :class:`DeltaColumns`.
+
+    Later ops cancel earlier ones: re-adding a deleted edge leaves it in
+    neither column (it exists in both base and target, so the merge must
+    not touch it), and deleting a node added within the window erases
+    it. Undirected edge keys are normalised to ``(min, max)`` first.
+
+    >>> log = MutationLog(0)
+    >>> log.record(1, "add_edge", 1, 2); log.record(2, "del_edge", 1, 2)
+    >>> log.record(3, "del_edge", 3, 4); log.record(4, "add_edge", 3, 1)
+    >>> delta = fold_window(log.slice(0, 4), directed=True)
+    >>> delta.add_src.tolist(), delta.add_dst.tolist()
+    ([3], [1])
+    >>> delta.del_src.tolist(), delta.del_dst.tolist()
+    ([3], [4])
+    """
+    kinds, a, b = window
+    node = kinds < ADD_EDGE
+    (nodes_added,), (nodes_deleted,) = _net(kinds[node] == ADD_NODE, a[node])
+    edge = ~node
+    src, dst = a[edge], b[edge]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    (add_src, add_dst), (del_src, del_dst) = _net(kinds[edge] == ADD_EDGE, src, dst)
+    return DeltaColumns(nodes_added, nodes_deleted, add_src, add_dst, del_src, del_dst)
 
 
 def _exact_positions(
@@ -398,7 +416,7 @@ def _carry_projection(
 
 
 def carry_projection(
-    base: CSRGraph, merged: CSRGraph, delta: EdgeDelta, directed: bool
+    base: CSRGraph, merged: CSRGraph, delta: DeltaColumns, directed: bool
 ) -> CSRGraph:
     """``merged`` — ``base`` advanced by ``delta`` elsewhere — given the base's projection.
 
@@ -409,24 +427,24 @@ def carry_projection(
     raises :class:`DeltaError`.
 
     >>> base = CSRGraph.from_edges([1, 2], [2, 3]); _ = base.undirected_projection()
-    >>> delta = EdgeDelta(); delta.edges_added.add((3, 1))
+    >>> log = MutationLog(0); log.record(1, "add_edge", 3, 1)
+    >>> delta = fold_window(log.slice(0, 1), directed=True)
     >>> merged = carry_projection(
     ...     base, CSRGraph.from_edges([1, 2, 3], [2, 3, 1]), delta, directed=True
     ... )
     >>> merged.undirected_projection().num_edges
     6
     """
-    columns = delta.columns()
-    if len(columns.nodes_added) or len(columns.nodes_deleted):
+    if len(delta.nodes_added) or len(delta.nodes_deleted):
         raise DeltaError("a node-set change cannot have been merged into a backing")
     if base._undirected is not None:
         merged._undirected = _carry_projection(
-            base._undirected, merged, columns, directed, None
+            base._undirected, merged, delta, directed, None
         )
     return merged
 
 
-def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
+def apply_delta(base: CSRGraph, columns: DeltaColumns, directed: bool) -> CSRGraph:
     """Merge a net delta into a base CSR; raises :class:`DeltaError`.
 
     The result matches ``CSRGraph.from_graph`` on the mutated graph
@@ -440,11 +458,10 @@ def apply_delta(base: CSRGraph, delta: EdgeDelta, directed: bool) -> CSRGraph:
     window is already merged into its backing (:func:`carry_projection`).
 
     >>> base = CSRGraph.from_edges([1, 2], [2, 3])
-    >>> delta = EdgeDelta(); delta.edges_added.add((3, 1))
-    >>> apply_delta(base, delta, directed=True).num_edges
+    >>> log = MutationLog(0); log.record(1, "add_edge", 3, 1)
+    >>> apply_delta(base, fold_window(log.slice(0, 1), True), directed=True).num_edges
     3
     """
-    columns = delta.columns()
     base_ids = base.node_ids
     del_dense = _exact_positions(base_ids, columns.nodes_deleted, "node delete")
     add_nodes = columns.nodes_added

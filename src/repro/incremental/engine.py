@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import weakref
 
-from repro.incremental.delta import EdgeDelta, MutationLog, consolidate
+from repro.incremental.delta import DeltaColumns, MutationLog, fold_window
 
 #: PageRank stops when the L1 step change drops below ``tolerance``;
 #: the standard power-iteration bound then caps the distance to the
@@ -103,7 +103,7 @@ class IncrementalEngine:
         self._fallback_full = 0
         self._last_fallback_reason: "str | None" = None
         self._algo: dict[str, dict[str, int]] = {}
-        # The last consolidated window, ``(log, v0, v1, (delta, ops))``:
+        # The last folded window, ``(log, v0, v1, (delta, rows))``:
         # one round's snapshot merge, WCC and triangle advances all ask
         # for the same window. Keyed by the log object itself, so a
         # re-anchored log (or a new graph reusing an id) never matches.
@@ -224,13 +224,14 @@ class IncrementalEngine:
 
     def delta_between(
         self, graph, v0: int, v1: int
-    ) -> "tuple[EdgeDelta, int] | None":
-        """The consolidated net delta over ``(v0, v1]``, or ``None``.
+    ) -> "tuple[DeltaColumns, int] | None":
+        """The folded net delta over ``(v0, v1]``, or ``None``.
 
-        Returns ``(delta, op_count)``; ``None`` means the log cannot
-        prove completeness over the window. The last answer is memoised,
-        so every consumer of one window shares one consolidation; the
-        delta is shared and must be treated as read-only.
+        Returns ``(delta, op_count)``, the count in log rows; ``None``
+        means the log cannot prove completeness over the window. The
+        last answer is memoised, so every consumer of one window shares
+        one fold; the delta's arrays are shared and must be treated as
+        read-only.
         """
         log = graph._delta_log
         if log is None:
@@ -238,12 +239,12 @@ class IncrementalEngine:
         memo = self._last_window
         if memo is not None and memo[0] is log and memo[1:3] == (v0, v1):
             return memo[3]
-        ops = log.slice(v0, v1)
-        if ops is None:
+        window = log.slice(v0, v1)
+        if window is None:
             return None
-        window = (consolidate(ops, graph.is_directed), len(ops))
-        self._last_window = (log, v0, v1, window)
-        return window
+        folded = (fold_window(window, graph.is_directed), len(window.kinds))
+        self._last_window = (log, v0, v1, folded)
+        return folded
 
     # ------------------------------------------------------------------
     # Warm algorithm states

@@ -34,6 +34,7 @@ import numpy as np
 from repro.convert.table_to_graph import _dedup_sorted_pairs
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graphs.base import NetChange, distinct
+from repro.incremental.delta import ADD_EDGE, ADD_NODE, DEL_EDGE, DEL_NODE, KIND_CODES
 
 #: op kind -> expected operand count
 _OP_ARITY = {
@@ -42,9 +43,6 @@ _OP_ARITY = {
     "add_edge": 2,
     "del_edge": 2,
 }
-_ADD_NODE, _DEL_NODE, _ADD_EDGE, _DEL_EDGE = range(4)
-_CODES = {"add_node": _ADD_NODE, "del_node": _DEL_NODE,
-          "add_edge": _ADD_EDGE, "del_edge": _DEL_EDGE}
 
 
 class OpBatch(list):
@@ -104,7 +102,7 @@ def _reject(position: int, op) -> None:
 def _op_arrays(batch: OpBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(kind codes, first operands, second operands or -1)`` of a batch."""
     count = len(batch)
-    codes = np.fromiter((_CODES[op[0]] for op in batch), dtype=np.int64, count=count)
+    codes = np.fromiter((KIND_CODES[op[0]] for op in batch), dtype=np.int64, count=count)
     try:
         first = np.fromiter((op[1] for op in batch), dtype=np.int64, count=count)
         second = np.fromiter(
@@ -148,8 +146,8 @@ def resolve_ops(graph, batch: OpBatch) -> tuple[NetChange, int]:
     count = len(codes)
     failures: list[tuple[int, Exception]] = []
 
-    adds = (codes == _ADD_NODE) | (codes == _ADD_EDGE)
-    negative = adds & ((first < 0) | ((codes == _ADD_EDGE) & (second < 0)))
+    adds = (codes == ADD_NODE) | (codes == ADD_EDGE)
+    negative = adds & ((first < 0) | ((codes == ADD_EDGE) & (second < 0)))
     if negative.any():
         position = int(np.flatnonzero(negative)[0])
         bad = min(batch[position][1:])
@@ -159,7 +157,7 @@ def resolve_ops(graph, batch: OpBatch) -> tuple[NetChange, int]:
         )))
 
     # Every id named in the batch, and each operand's rank among them.
-    edge_pos = np.flatnonzero(codes >= _ADD_EDGE)
+    edge_pos = np.flatnonzero(codes >= ADD_EDGE)
     universe, ranks = np.unique(
         np.concatenate((first, second[edge_pos])), return_inverse=True
     )
@@ -170,17 +168,17 @@ def resolve_ops(graph, batch: OpBatch) -> tuple[NetChange, int]:
 
     # --- Nodes: one timeline per id, sorted by (id, position). ---------
     # add_edge creates its endpoints, src before dst, at its position.
-    node_pos = np.flatnonzero(codes < _ADD_EDGE)
-    add_edge_pos = np.flatnonzero(codes == _ADD_EDGE)
+    node_pos = np.flatnonzero(codes < ADD_EDGE)
+    add_edge_pos = np.flatnonzero(codes == ADD_EDGE)
     ev_rank = np.concatenate(
         (first_rank[node_pos], first_rank[add_edge_pos], second_rank[add_edge_pos])
     )
     ev_time = np.concatenate((2 * node_pos, 2 * add_edge_pos, 2 * add_edge_pos + 1))
     ev_del = np.concatenate(
-        (codes[node_pos] == _DEL_NODE, np.zeros(2 * len(add_edge_pos), dtype=bool))
+        (codes[node_pos] == DEL_NODE, np.zeros(2 * len(add_edge_pos), dtype=bool))
     )
     ev_add_node = np.concatenate(
-        (codes[node_pos] == _ADD_NODE, np.zeros(2 * len(add_edge_pos), dtype=bool))
+        (codes[node_pos] == ADD_NODE, np.zeros(2 * len(add_edge_pos), dtype=bool))
     )
     order = np.lexsort((ev_time, ev_rank))
     ev_rank, ev_time, ev_del, ev_add_node = (
@@ -220,7 +218,7 @@ def resolve_ops(graph, batch: OpBatch) -> tuple[NetChange, int]:
     placed = placed[np.argsort(placed_at[placed], kind="stable")]
 
     # --- Edges: one timeline per key, sorted by (key, position). -------
-    del_node_pos = np.flatnonzero(codes == _DEL_NODE)
+    del_node_pos = np.flatnonzero(codes == DEL_NODE)
     del_keys = np.sort(first_rank[del_node_pos] * count + del_node_pos)
     src, dst = first[edge_pos], second[edge_pos]
     src_rank, dst_rank = first_rank[edge_pos], second_rank[edge_pos]
@@ -233,7 +231,7 @@ def resolve_ops(graph, batch: OpBatch) -> tuple[NetChange, int]:
         keys[order], edge_pos[order], src[order], dst[order],
         src_rank[order], dst_rank[order],
     )
-    is_add = codes[positions] == _ADD_EDGE
+    is_add = codes[positions] == ADD_EDGE
     key_first = np.ones(len(keys), dtype=bool)
     key_first[1:] = keys[1:] != keys[:-1]
     heads = np.flatnonzero(key_first)
@@ -275,7 +273,7 @@ def resolve_ops(graph, batch: OpBatch) -> tuple[NetChange, int]:
         )
     added = final_edge & ~initial_edge
     deleted = initial_edge & ~final_edge
-    explicit_del = edge_pos[codes[edge_pos] == _DEL_EDGE]
+    explicit_del = edge_pos[codes[edge_pos] == DEL_EDGE]
     change = NetChange(
         removed_nodes=seg_nodes[initial & ~final],
         placed_nodes=seg_nodes[placed],

@@ -1,8 +1,9 @@
-"""Units for the delta layer: mutation log, consolidation, merge, sanitizer.
+"""Units for the delta layer: mutation log, window fold, merge, sanitizer.
 
 The focused counterpart to the trace-differential harness — each
 invariant the delta path depends on is pinned down in isolation: log
-contiguity and self-poisoning, add/delete cancellation, the row merge
+contiguity and self-poisoning, add/delete cancellation (and the
+vectorised fold against a per-op set fold on random streams), the row merge
 and the undirected projection it carries forward (including the
 delete-path regressions: overlay-only edges, self-loops, node deletes
 that cascade), the merged-view sanitizer's failure branches, and the
@@ -22,11 +23,12 @@ from repro.graphs.directed import DirectedGraph
 from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.delta import (
+    KINDS,
+    DeltaColumns,
     DeltaError,
-    EdgeDelta,
     MutationLog,
     apply_delta,
-    consolidate,
+    fold_window,
 )
 from repro.incremental.engine import incremental_engine
 from repro.incremental.ingest import apply_graph_ops, validate_ops
@@ -41,6 +43,39 @@ def _fresh_engine():
     engine.reset()
 
 
+def _rows(window):
+    """A log window's rows as ``(kind, a, b)`` tuples."""
+    return [
+        (KINDS[kind], a, b)
+        for kind, a, b in zip(*(column.tolist() for column in window))
+    ]
+
+
+def _fold(ops, directed):
+    """Fold ``ops``, recorded one version each, as one window."""
+    log = MutationLog(0)
+    for version, (kind, *operands) in enumerate(ops, 1):
+        log.record(version, kind, *operands)
+    return fold_window(log.slice(0, len(ops)), directed)
+
+
+def _pairs(first, second):
+    return set(zip(first.tolist(), second.tolist()))
+
+
+def _columns(nodes_added=(), nodes_deleted=(), added=(), deleted=()):
+    """Delta columns built by hand, sorted as a fold leaves them."""
+    def pairs(edges):
+        return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+
+    return DeltaColumns(
+        np.array(sorted(nodes_added), dtype=np.int64),
+        np.array(sorted(nodes_deleted), dtype=np.int64),
+        *pairs(added),
+        *pairs(deleted),
+    )
+
+
 class TestMutationLog:
     def test_contiguous_recording_and_slice(self):
         log = MutationLog(10)
@@ -48,10 +83,27 @@ class TestMutationLog:
         log.record(11, "add_edge", 2, 3)  # several records per bump is fine
         log.record(12, "del_edge", 1, 2)
         assert log.usable_at(12)
-        assert log.slice(10, 12) == [
+        assert _rows(log.slice(10, 12)) == [
             ("add_edge", 1, 2), ("add_edge", 2, 3), ("del_edge", 1, 2),
         ]
-        assert log.slice(11, 12) == [("del_edge", 1, 2)]
+        assert _rows(log.slice(11, 12)) == [("del_edge", 1, 2)]
+
+    def test_runs_share_one_version_and_broadcast(self):
+        log = MutationLog(4)
+        log.record_many(5, [
+            ("del_edge", 7, np.array([1, 2])),
+            ("del_edge", np.array([3]), 7),
+            ("del_node", 7, -1),
+        ])
+        log.record(6, "add_node", 7)
+        assert log.usable_at(6)
+        assert _rows(log.slice(4, 5)) == [
+            ("del_edge", 7, 1), ("del_edge", 7, 2), ("del_edge", 3, 7),
+            ("del_node", 7, -1),
+        ]
+        assert _rows(log.slice(5, 6)) == [("add_node", 7, -1)]
+        log.record_many(8, [("add_node", np.array([9]), -1)])  # skipped v7
+        assert "gap" in log.poison_reason
 
     def test_version_gap_poisons(self):
         log = MutationLog(10)
@@ -84,8 +136,19 @@ class TestMutationLog:
             log.record(version, "add_node", version, 0)
         log.drop_before(3)
         assert log.slice(0, 5) is None  # floor moved past v0
-        assert log.slice(3, 5) == [("add_node", 4, 0), ("add_node", 5, 0)]
+        assert _rows(log.slice(3, 5)) == [("add_node", 4, 0), ("add_node", 5, 0)]
         assert len(log) == 2
+
+    @pytest.mark.parametrize("build", [build_directed, build_undirected])
+    def test_ids_past_int64_poison_instead_of_raising(self, build):
+        graph = build([(1, 2)])
+        graph._delta_log = MutationLog(graph.version)
+        graph.add_node(2**70)
+        assert "unrecordable" in graph._delta_log.poison_reason
+        graph._delta_log = MutationLog(graph.version)
+        graph.del_node(2**70)
+        assert "unrecordable" in graph._delta_log.poison_reason
+        assert graph._delta_log.slice(graph.version - 1, graph.version) is None
 
     def test_explicit_poison_clears_ops(self):
         log = MutationLog(0)
@@ -97,41 +160,141 @@ class TestMutationLog:
 
 class TestConsolidate:
     def test_add_then_delete_cancels(self):
-        delta = consolidate(
+        delta = _fold(
             [("add_edge", 1, 2), ("del_edge", 1, 2)], directed=True
         )
         assert delta.empty()
 
     def test_delete_then_readd_cancels(self):
-        delta = consolidate(
+        delta = _fold(
             [("del_edge", 1, 2), ("add_edge", 1, 2)], directed=True
         )
         assert delta.empty()
 
     def test_node_add_then_delete_cancels(self):
-        delta = consolidate(
+        delta = _fold(
             [("add_node", 7, 0), ("del_node", 7, 0)], directed=True
         )
         assert delta.empty()
 
     def test_undirected_keys_normalise(self):
-        delta = consolidate(
+        delta = _fold(
             [("add_edge", 5, 2), ("del_edge", 2, 5)], directed=False
         )
         assert delta.empty()
-        delta = consolidate([("add_edge", 5, 2)], directed=False)
-        assert delta.edges_added == {(2, 5)}
+        delta = _fold([("add_edge", 5, 2)], directed=False)
+        assert _pairs(delta.add_src, delta.add_dst) == {(2, 5)}
 
     def test_unknown_kind_raises(self):
+        # Rejected when recorded, before it reaches any window.
         with pytest.raises(DeltaError, match="unknown mutation kind"):
-            consolidate([("rename_edge", 1, 2)], directed=True)
+            _fold([("rename_edge", 1, 2)], directed=True)
+        with pytest.raises(DeltaError, match="unknown mutation kind"):
+            MutationLog(0).record_many(1, [("rename_edge", np.array([1]), 2)])
 
     def test_size_counts_all_sets(self):
-        delta = consolidate(
+        delta = _fold(
             [("add_node", 9, 0), ("del_edge", 1, 2), ("add_edge", 3, 4)],
             directed=True,
         )
-        assert delta.size() == 3
+        changes = [delta.nodes_added, delta.nodes_deleted, delta.add_src, delta.del_src]
+        assert sum(map(len, changes)) == 3
+
+
+def _set_fold(ops, directed):
+    """Reference fold: one op at a time into node and edge sets.
+
+    A later op cancels an earlier opposite one on the same key instead
+    of entering its own set. Returns ``(nodes_added, nodes_deleted,
+    edges_added, edges_deleted)``.
+    """
+    nodes_added, nodes_deleted = set(), set()
+    edges_added, edges_deleted = set(), set()
+    for kind, a, b in ops:
+        if kind.endswith("_node"):
+            key, adds, deletes = a, nodes_added, nodes_deleted
+        else:
+            key = (a, b) if directed or a <= b else (b, a)
+            adds, deletes = edges_added, edges_deleted
+        mine, opposite = (adds, deletes) if kind.startswith("add") else (deletes, adds)
+        if key in opposite:
+            opposite.discard(key)
+        else:
+            mine.add(key)
+    return nodes_added, nodes_deleted, edges_added, edges_deleted
+
+
+def _structure(graph):
+    """``(nodes, edges)`` as sets, undirected edges as ``(min, max)``."""
+    edges = graph.edges()
+    if not graph.is_directed:
+        edges = ((min(u, v), max(u, v)) for u, v in edges)
+    return set(graph.nodes()), set(edges)
+
+
+class TestFoldOracle:
+    """The vectorised fold equals the per-op set fold on random valid streams."""
+
+    UNIVERSE = 12
+
+    def _stream(self, graph, rng):
+        """Mutate ``graph`` with a logged stream; the state at each step."""
+        graph._delta_log = MutationLog(graph.version)
+        states = {graph.version: _structure(graph)}
+
+        def step(mutate, *args):
+            mutate(*args)
+            states[graph.version] = _structure(graph)
+
+        # Fixed corners first: a reversed undirected pair, a self-loop,
+        # and a node deleted with its edges, then created again.
+        step(graph.add_edge, 5, 2)
+        step(graph.del_edge, *((5, 2) if graph.is_directed else (2, 5)))
+        step(graph.add_edge, 2, 5)
+        step(graph.add_edge, 3, 3)
+        step(graph.add_edge, 3, 4)
+        step(graph.del_node, 3)
+        step(graph.add_node, 3)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                step(apply_random_mutations, graph, rng, 1, self.UNIVERSE)
+                continue
+            # A valid batch: drawn against a copy in the graph's state.
+            ops = apply_random_mutations(
+                graph.copy(), rng, rng.randint(1, 12), self.UNIVERSE
+            )
+            deleted = [op[1] for op in ops if op[0] == "del_node"]
+            if deleted:
+                ops.append(["add_node", deleted[0]])  # re-created in the batch
+            step(apply_graph_ops, graph, ops)
+        assert graph._delta_log.poison_reason is None
+        return graph._delta_log, states
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backed", [False, True], ids=["hashed", "backed"])
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_fold_equals_set_fold(self, directed, backed, seed):
+        rng = random.Random(seed)
+        graph = _graph_for_windows(directed, backed, rng)
+        log, states = self._stream(graph, rng)
+        versions = sorted(states)
+        windows = [(versions[0], versions[-1])] + [
+            tuple(sorted(rng.sample(versions, 2))) for _ in range(40)
+        ]
+        for v0, v1 in windows:
+            window = log.slice(v0, v1)
+            delta = fold_window(window, directed)
+            got = (
+                set(delta.nodes_added.tolist()), set(delta.nodes_deleted.tolist()),
+                _pairs(delta.add_src, delta.add_dst), _pairs(delta.del_src, delta.del_dst),
+            )
+            assert got == _set_fold(_rows(window), directed), (v0, v1)
+            (nodes0, edges0), (nodes1, edges1) = states[v0], states[v1]
+            assert got == (nodes1 - nodes0, nodes0 - nodes1, edges1 - edges0, edges0 - edges1)
+            for column in (delta.nodes_added, delta.nodes_deleted):
+                assert np.all(np.diff(column) > 0)
+            for first, second in ((delta.add_src, delta.add_dst), (delta.del_src, delta.del_dst)):
+                assert np.all((np.diff(first) > 0) | ((np.diff(first) == 0) & (np.diff(second) > 0)))
 
 
 class TestApplyDelta:
@@ -140,10 +303,9 @@ class TestApplyDelta:
         base = CSRGraph.from_graph(graph)
         graph.add_edge(3, 4)
         graph.del_edge(1, 2)
-        delta = consolidate(
+        delta = _fold(
             [("add_edge", 3, 4), ("del_edge", 1, 2)], directed=True
-        )
-        delta.nodes_added.add(4)
+        )._replace(nodes_added=np.array([4]))
         merged = apply_delta(base, delta, directed=True)
         expected = CSRGraph.from_graph(graph)
         assert np.array_equal(merged.node_ids, expected.node_ids)
@@ -155,8 +317,7 @@ class TestApplyDelta:
     def test_undirected_merge_shares_orientations(self):
         graph = build_undirected([(1, 2), (2, 3)])
         base = CSRGraph.from_graph(graph)
-        delta = EdgeDelta()
-        delta.edges_added.add((1, 3))
+        delta = _columns(added=[(1, 3)])
         merged = apply_delta(base, delta, directed=False)
         # from_graph's undirected representation detail is preserved:
         # both orientations carry the same symmetric adjacency.
@@ -168,22 +329,19 @@ class TestApplyDelta:
 
     def test_dangling_edge_delete_raises(self):
         base = CSRGraph.from_edges([1, 2], [2, 3])
-        delta = EdgeDelta()
-        delta.edges_deleted.add((1, 3))
+        delta = _columns(deleted=[(1, 3)])
         with pytest.raises(DeltaError, match="dangling"):
             apply_delta(base, delta, directed=True)
 
     def test_duplicate_node_add_raises(self):
         base = CSRGraph.from_edges([1], [2])
-        delta = EdgeDelta()
-        delta.nodes_added.add(2)
+        delta = _columns(nodes_added=[2])
         with pytest.raises(DeltaError, match="already present"):
             apply_delta(base, delta, directed=True)
 
     def test_deleted_node_with_retained_edges_raises(self):
         base = CSRGraph.from_edges([1, 2], [2, 3])
-        delta = EdgeDelta()
-        delta.nodes_deleted.add(2)  # node delete without its edge deletes
+        delta = _columns(nodes_deleted=[2])  # node delete without its edge deletes
         with pytest.raises(DeltaError):
             apply_delta(base, delta, directed=True)
 
@@ -242,7 +400,7 @@ class TestRowMergeEqualsRebuild:
     def test_base_without_projection_builds_none(self):
         graph = build_undirected([(1, 2), (2, 3)])
         base = CSRGraph.from_graph(graph)
-        delta = consolidate([("add_edge", 1, 3)], directed=False)
+        delta = _fold([("add_edge", 1, 3)], directed=False)
         assert apply_delta(base, delta, directed=False)._undirected is None
 
 
@@ -310,13 +468,13 @@ class TestWindowMemo:
         import repro.incremental.engine as engine_module
 
         calls = []
-        real = engine_module.consolidate
+        real = engine_module.fold_window
 
-        def counting(ops, directed):
-            calls.append(len(ops))
-            return real(ops, directed)
+        def counting(window, directed):
+            calls.append(len(window.kinds))
+            return real(window, directed)
 
-        monkeypatch.setattr(engine_module, "consolidate", counting)
+        monkeypatch.setattr(engine_module, "fold_window", counting)
         return calls
 
     @pytest.mark.parametrize("build", [build_directed, build_undirected])
@@ -368,8 +526,7 @@ class TestSanitizeDeltaView:
     def _merged(self):
         graph = build_directed([(1, 2), (2, 3)])
         base = CSRGraph.from_graph(graph)
-        delta = EdgeDelta()
-        delta.edges_added.add((3, 1))
+        delta = _columns(added=[(3, 1)])
         merged = apply_delta(base, delta, directed=True)
         merged._delta_base_version = graph.version
         merged._delta_target_version = graph.version + 1
@@ -392,19 +549,22 @@ class TestSanitizeDeltaView:
 
     def test_node_count_mismatch_fails(self):
         merged, base, delta = self._merged()
-        delta.nodes_added.add(99)  # claims a node the merge never added
+        # Claims a node the merge never added.
+        delta = delta._replace(nodes_added=np.array([99]))
         with pytest.raises(SanitizerError, match="delta.node-count"):
             sanitize_delta_view(merged, base, delta)
 
     def test_dangling_delete_fails(self):
         merged, base, delta = self._merged()
-        delta.edges_deleted.add((1, 2))  # still present in the merged view
+        # (1, 2) is still present in the merged view.
+        delta = _columns(added=[(3, 1)], deleted=[(1, 2)])
         with pytest.raises(SanitizerError, match="delta.dangling-delete"):
             sanitize_delta_view(merged, base, delta)
 
     def test_missing_add_fails(self):
         merged, base, delta = self._merged()
-        delta.edges_added.add((2, 1))  # endpoints exist, edge absent
+        # (2, 1): endpoints exist, edge absent.
+        delta = _columns(added=[(3, 1), (2, 1)])
         with pytest.raises(SanitizerError, match="delta.missing-add"):
             sanitize_delta_view(merged, base, delta)
 
@@ -412,7 +572,7 @@ class TestSanitizeDeltaView:
         graph = build_directed([(1, 2), (2, 3)])
         base = CSRGraph.from_graph(graph)
         base.undirected_projection()
-        delta = consolidate([("add_edge", 3, 1)], directed=True)
+        delta = _fold([("add_edge", 3, 1)], directed=True)
         merged = apply_delta(base, delta, directed=True)
         assert sanitize_delta_view(merged, base, delta)["delta_checked"]
         # Swap in the base's projection, which lacks the pair {1, 3}.
@@ -422,7 +582,8 @@ class TestSanitizeDeltaView:
 
     def test_add_endpoint_missing_fails(self):
         merged, base, delta = self._merged()
-        delta.edges_added.add((1, 42))  # node 42 not in the merged view
+        # Node 42 is not in the merged view.
+        delta = _columns(added=[(3, 1), (1, 42)])
         with pytest.raises(SanitizerError, match="delta.add-endpoint"):
             sanitize_delta_view(merged, base, delta)
 
