@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import as_csr
+from repro.algorithms.common import NodeValues, as_csr
 from repro.exceptions import AlgorithmError
 from repro.graphs.csr import CSRGraph
 
@@ -37,7 +37,7 @@ def _frontier_expand(
 
 def bfs_levels(
     graph, source: int, direction: str = "out"
-) -> dict[int, int]:
+) -> NodeValues:
     """Hop distance from ``source`` to every reachable node.
 
     ``direction`` is ``out`` (follow edges), ``in`` (reverse), or
@@ -53,12 +53,7 @@ def bfs_levels(
     source_dense = int(csr.dense_of_array([source])[0])
     levels = bfs_level_array(csr, source_dense, direction=direction)
     reached = levels != UNREACHED
-    return dict(
-        zip(
-            csr.node_ids[reached].tolist(),
-            levels[reached].tolist(),
-        )
-    )
+    return NodeValues(csr.node_ids[reached], levels[reached])
 
 
 def bfs_level_array(

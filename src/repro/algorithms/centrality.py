@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHED, bfs_level_array
-from repro.algorithms.common import as_csr, scores_to_dict
+from repro.algorithms.common import NodeValues, as_csr
 from repro.exceptions import AlgorithmError
 from repro.util.validation import check_positive
 
 
-def degree_centrality(graph, mode: str = "total") -> dict[int, float]:
+def degree_centrality(graph, mode: str = "total") -> NodeValues:
     """Degree / (n - 1) per node; ``mode`` is ``in``, ``out``, or ``total``.
 
     >>> from repro.graphs.directed import DirectedGraph
@@ -34,12 +34,12 @@ def degree_centrality(graph, mode: str = "total") -> dict[int, float]:
     else:
         raise AlgorithmError(f"unknown degree mode {mode!r}")
     scale = 1.0 / max(csr.num_nodes - 1, 1)
-    return scores_to_dict(csr, degrees.astype(np.float64) * scale)
+    return NodeValues(csr.node_ids, degrees.astype(np.float64) * scale)
 
 
 def closeness_centrality(
     graph, samples: int | None = None, seed: int = 0
-) -> dict[int, float]:
+) -> NodeValues:
     """Closeness per node (Wasserman–Faust component-size correction).
 
     Exact when ``samples`` is None: one BFS per node. With ``samples``,
@@ -49,7 +49,7 @@ def closeness_centrality(
     csr = as_csr(graph)
     count = csr.num_nodes
     if count == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     if samples is None:
         sources = np.arange(count)
     else:
@@ -76,12 +76,12 @@ def closeness_centrality(
         * (reach_count[positive] - 1)
         / distance_sum[positive]
     )
-    return scores_to_dict(csr, scores)
+    return NodeValues(csr.node_ids, scores)
 
 
 def betweenness_centrality(
     graph, samples: int | None = None, seed: int = 0, normalized: bool = True
-) -> dict[int, float]:
+) -> NodeValues:
     """Betweenness per node via Brandes' algorithm.
 
     Exact when ``samples`` is None; otherwise estimated from that many
@@ -90,7 +90,7 @@ def betweenness_centrality(
     csr = as_csr(graph)
     count = csr.num_nodes
     if count == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     if samples is None:
         sources = np.arange(count)
     else:
@@ -106,7 +106,7 @@ def betweenness_centrality(
         scores *= count / len(sources)
     if normalized and count > 2:
         scores /= (count - 1) * (count - 2)
-    return scores_to_dict(csr, scores)
+    return NodeValues(csr.node_ids, scores)
 
 
 def _brandes_single_source(
@@ -142,7 +142,7 @@ def _brandes_single_source(
 
 def eigenvector_centrality(
     graph, max_iterations: int = 200, tolerance: float = 1e-8
-) -> dict[int, float]:
+) -> NodeValues:
     """Eigenvector centrality by power iteration on the in-adjacency.
 
     A node is central when central nodes point at it. L2-normalised;
@@ -153,7 +153,7 @@ def eigenvector_centrality(
     csr = as_csr(graph)
     count = csr.num_nodes
     if count == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     edge_src = csr.edge_sources()
     edge_dst = csr.out_indices
     vector = np.full(count, 1.0 / np.sqrt(count), dtype=np.float64)
@@ -169,4 +169,4 @@ def eigenvector_centrality(
             vector = spread
             break
         vector = spread
-    return scores_to_dict(csr, vector)
+    return NodeValues(csr.node_ids, vector)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.common import NodeValues
 from repro.algorithms.triangles import _undirected_csr
 from repro.exceptions import AlgorithmError
 
 _STRATEGIES = ("degree", "id")
 
 
-def greedy_coloring(graph, strategy: str = "degree") -> dict[int, int]:
+def greedy_coloring(graph, strategy: str = "degree") -> NodeValues:
     """Proper node colouring via greedy assignment.
 
     ``strategy`` orders the nodes: ``degree`` (largest first — the
@@ -37,7 +38,7 @@ def greedy_coloring(graph, strategy: str = "degree") -> dict[int, int]:
         while color in used:
             color += 1
         colors[node] = color
-    return dict(zip(csr.node_ids.tolist(), colors.tolist()))
+    return NodeValues(csr.node_ids, colors)
 
 
 def chromatic_upper_bound(graph, strategy: str = "degree") -> int:

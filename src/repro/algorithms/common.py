@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import time
 import types
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -84,11 +85,87 @@ def as_csr(graph: "DirectedGraph | UndirectedGraph | CSRGraph") -> CSRGraph:
     raise AlgorithmError(f"expected a graph, got {type(graph).__name__}")
 
 
-def scores_to_dict(csr: CSRGraph, values: np.ndarray) -> dict[int, float]:
-    """Map a dense result vector back to ``{original_node_id: value}``."""
-    return dict(zip(csr.node_ids.tolist(), values.tolist()))
+class NodeValues(Mapping):
+    """A read-only ``{node_id: value}`` result over two parallel arrays.
+
+    Every kernel answers a dense array over a snapshot's ``node_ids``;
+    this keeps the pair as it is instead of re-keying it into a dict.
+    ``node_ids`` (int64) and ``value_array`` are read-only views. The
+    dict is built on the first key access and kept, so a caller that
+    only hands the result on (to :func:`~repro.convert.table_from_hashmap`
+    or the service's column reply) never pays for it. ``repr``, ``==``
+    (in both directions), iteration order, ``len``, ``get`` and ``in``
+    are those of the dict it replaces.
+
+    The arrays are named ``node_ids`` and ``value_array`` because
+    ``values()`` is the :class:`~collections.abc.Mapping` method.
+
+    >>> import numpy as np
+    >>> result = NodeValues(np.array([3, 1]), np.array([0.5, 0.25]))
+    >>> result
+    {3: 0.5, 1: 0.25}
+    >>> result == {1: 0.25, 3: 0.5}, {3: 0.5, 1: 0.25} == result
+    (True, True)
+    >>> result[1], result.get(2), 3 in result, len(result)
+    (0.25, None, True, 2)
+    """
+
+    __slots__ = ("node_ids", "value_array", "_dict")
+
+    def __init__(self, node_ids, values) -> None:
+        node_ids = _read_only(np.asarray(node_ids, dtype=np.int64))
+        values = _read_only(np.asarray(values))
+        if node_ids.ndim != 1 or values.shape != node_ids.shape:
+            raise AlgorithmError(
+                f"NodeValues needs two 1-D arrays of one length, got shapes "
+                f"{node_ids.shape} and {values.shape}"
+            )
+        self.node_ids = node_ids
+        self.value_array = values
+        self._dict: "dict | None" = None
+
+    def _items(self) -> dict:
+        items = self._dict
+        if items is None:
+            items = self._dict = dict(
+                zip(self.node_ids.tolist(), self.value_array.tolist())
+            )
+        return items
+
+    def __getitem__(self, node_id):
+        return self._items()[node_id]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self.node_ids)
+
+    def keys(self):
+        return self._items().keys()
+
+    def values(self):
+        return self._items().values()
+
+    def items(self):
+        return self._items().items()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, NodeValues):
+            other = other._items()
+        return self._items() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+    def __reduce__(self):
+        return (NodeValues, (self.node_ids, self.value_array))
 
 
-def counts_to_dict(csr: CSRGraph, values: np.ndarray) -> dict[int, int]:
-    """Integer-valued variant of :func:`scores_to_dict`."""
-    return dict(zip(csr.node_ids.tolist(), values.tolist()))
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view: the owner's array keeps its own flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view

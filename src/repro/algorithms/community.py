@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.common import NodeValues
 from repro.algorithms.triangles import _undirected_csr
 from repro.util.validation import check_positive
 
 
 def label_propagation(
     graph, max_iterations: int = 100, seed: int = 0
-) -> dict[int, int]:
+) -> NodeValues:
     """Communities via synchronous-free (sequential, shuffled) label
     propagation.
 
@@ -58,7 +59,7 @@ def label_propagation(
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     appearance = np.argsort(np.argsort(first))
     dense = appearance[inverse]
-    return dict(zip(sym.node_ids.tolist(), dense.tolist()))
+    return NodeValues(sym.node_ids, dense)
 
 
 def modularity(graph, communities: dict[int, int]) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHED, _frontier_expand, bfs_level_array
-from repro.algorithms.common import as_csr
+from repro.algorithms.common import NodeValues, as_csr
 from repro.convert.table_to_graph import graph_from_edge_arrays
 from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import WorkerPool, serial_pool
@@ -89,7 +89,7 @@ def wcc_label_array(csr: CSRGraph, pool: WorkerPool | None = None) -> np.ndarray
 
 def weakly_connected_components(
     graph, pool: WorkerPool | None = None
-) -> dict[int, int]:
+) -> NodeValues:
     """Component label per node (labels dense from 0, edges undirected)."""
     if not isinstance(graph, CSRGraph):
         from repro.incremental.algorithms import incremental_wcc
@@ -99,10 +99,10 @@ def weakly_connected_components(
             return warm
     csr = as_csr(graph)
     labels = wcc_label_array(csr, pool=pool)
-    return dict(zip(csr.node_ids.tolist(), labels.tolist()))
+    return NodeValues(csr.node_ids, labels)
 
 
-def strongly_connected_components(graph) -> dict[int, int]:
+def strongly_connected_components(graph) -> NodeValues:
     """SCC label per node: trim, forward–backward, Tarjan on the rest.
 
     Labels are dense from 0 in order of each SCC's smallest dense id
@@ -117,7 +117,7 @@ def strongly_connected_components(graph) -> dict[int, int]:
     """
     csr = as_csr(graph)
     labels = scc_label_array(csr)
-    return dict(zip(csr.node_ids.tolist(), labels.tolist()))
+    return NodeValues(csr.node_ids, labels)
 
 
 def scc_label_array(csr: CSRGraph) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import counts_to_dict
+from repro.algorithms.common import NodeValues
 from repro.algorithms.triangles import _undirected_csr
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.ops import subgraph
@@ -30,7 +30,7 @@ from repro.util.validation import check_positive
 _DRAIN_BELOW = 16
 
 
-def core_numbers(graph) -> dict[int, int]:
+def core_numbers(graph) -> NodeValues:
     """Core number per node (max k such that the node is in the k-core).
 
     >>> from repro.graphs.undirected import UndirectedGraph
@@ -41,7 +41,7 @@ def core_numbers(graph) -> dict[int, int]:
     (2, 1)
     """
     sym = _undirected_csr(graph)
-    return counts_to_dict(sym, _core_number_array(sym))
+    return NodeValues(sym.node_ids, _core_number_array(sym))
 
 
 def _core_number_array(sym) -> np.ndarray:

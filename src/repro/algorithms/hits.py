@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import as_csr, scores_to_dict
+from repro.algorithms.common import NodeValues, as_csr
 from repro.util.validation import check_positive
 
 
@@ -16,7 +16,7 @@ def hits(
     graph,
     max_iterations: int = 100,
     tolerance: float = 1e-9,
-) -> tuple[dict[int, float], dict[int, float]]:
+) -> tuple[NodeValues, NodeValues]:
     """Return ``(hubs, authorities)`` score maps.
 
     >>> from repro.graphs.directed import DirectedGraph
@@ -30,7 +30,8 @@ def hits(
     csr = as_csr(graph)
     count = csr.num_nodes
     if count == 0:
-        return {}, {}
+        empty = NodeValues(csr.node_ids, np.zeros(0))
+        return empty, empty
     edge_src = csr.edge_sources()
     edge_dst = csr.out_indices
     hubs_vec = np.full(count, 1.0 / np.sqrt(count), dtype=np.float64)
@@ -49,4 +50,4 @@ def hits(
         hubs_vec = new_hubs
         if delta < tolerance:
             break
-    return scores_to_dict(csr, hubs_vec), scores_to_dict(csr, auth_vec)
+    return NodeValues(csr.node_ids, hubs_vec), NodeValues(csr.node_ids, auth_vec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import as_csr, scores_to_dict
+from repro.algorithms.common import NodeValues, as_csr
 from repro.exceptions import ConvergenceError
 from repro.util.validation import check_positive
 
@@ -22,7 +22,7 @@ def katz_centrality(
     max_iterations: int = 1000,
     tolerance: float = 1e-10,
     normalized: bool = True,
-) -> dict[int, float]:
+) -> NodeValues:
     """Katz centrality per node.
 
     Raises :class:`ConvergenceError` when ``alpha`` is at or above the
@@ -40,7 +40,7 @@ def katz_centrality(
     csr = as_csr(graph)
     count = csr.num_nodes
     if count == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     edge_src = csr.edge_sources()
     edge_dst = csr.out_indices
     values = np.zeros(count, dtype=np.float64)
@@ -59,4 +59,4 @@ def katz_centrality(
         norm = np.linalg.norm(values)
         if norm > 0:
             values = values / norm
-    return scores_to_dict(csr, values)
+    return NodeValues(csr.node_ids, values)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import as_csr, scores_to_dict
+from repro.algorithms.common import NodeValues, as_csr
 from repro.exceptions import AlgorithmError
 from repro.util.validation import check_fraction, check_positive
 
@@ -29,7 +29,7 @@ def pagerank(
     tolerance: float = 1e-9,
     iterations: int | None = None,
     personalize: dict[int, float] | None = None,
-) -> dict[int, float]:
+) -> NodeValues:
     """PageRank scores per node (sums to 1).
 
     With ``iterations`` set, exactly that many power iterations run with
@@ -58,7 +58,7 @@ def pagerank(
             return warm
     csr = as_csr(graph)
     if csr.num_nodes == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     values = pagerank_array(
         csr,
         damping=damping,
@@ -67,7 +67,7 @@ def pagerank(
         iterations=iterations,
         personalize_dense=_dense_personalization(csr, personalize),
     )
-    return scores_to_dict(csr, values)
+    return NodeValues(csr.node_ids, values)
 
 
 def _dense_personalization(csr, personalize: dict[int, float] | None):
@@ -143,7 +143,7 @@ def pagerank_weighted(
     max_iterations: int = 100,
     tolerance: float = 1e-9,
     default_weight: float = 1.0,
-) -> dict[int, float]:
+) -> NodeValues:
     """PageRank with edge weights from a Network attribute.
 
     Each node distributes its rank proportionally to outgoing edge
@@ -170,7 +170,7 @@ def pagerank_weighted(
     csr = as_csr(network)
     count = csr.num_nodes
     if count == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     edge_src = csr.edge_sources()
     edge_dst = csr.out_indices
     node_ids = csr.node_ids
@@ -205,14 +205,14 @@ def pagerank_weighted(
         ranks = new_ranks
         if delta < tolerance:
             break
-    return scores_to_dict(csr, ranks)
+    return NodeValues(csr.node_ids, ranks)
 
 
 def pagerank_sequential(
     graph,
     damping: float = 0.85,
     iterations: int = 10,
-) -> dict[int, float]:
+) -> NodeValues:
     """Pure-Python per-node PageRank (the sequential reference).
 
     Same numerics as :func:`pagerank` with a fixed iteration count;
@@ -224,7 +224,7 @@ def pagerank_sequential(
     csr = as_csr(graph)
     count = csr.num_nodes
     if count == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     ranks = [1.0 / count] * count
     out_degrees = csr.out_degrees().tolist()
     for _ in range(iterations):
@@ -241,4 +241,4 @@ def pagerank_sequential(
         uniform = (1.0 - damping) / count
         dangling_share = damping * dangling_mass / count
         ranks = [uniform + damping * spread[node] + dangling_share for node in range(count)]
-    return scores_to_dict(csr, np.asarray(ranks))
+    return NodeValues(csr.node_ids, np.asarray(ranks))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.common import NodeValues
 from repro.algorithms.triangles import _undirected_csr
 from repro.exceptions import AlgorithmError
 
@@ -47,7 +48,7 @@ def laplacian_matrix(graph) -> "scipy.sparse.csr_matrix":
     return (degrees - adjacency).tocsr()
 
 
-def fiedler_vector(graph, seed: int = 0) -> tuple[float, dict[int, float]]:
+def fiedler_vector(graph, seed: int = 0) -> tuple[float, NodeValues]:
     """``(algebraic_connectivity, {node: fiedler_value})``.
 
     Requires at least three nodes (eigensolver constraint); smaller
@@ -71,7 +72,7 @@ def fiedler_vector(graph, seed: int = 0) -> tuple[float, dict[int, float]]:
     order = np.argsort(values)
     lam = float(values[order[1]])
     vec = vectors[:, order[1]]
-    return lam, dict(zip(sym.node_ids.tolist(), vec.tolist()))
+    return lam, NodeValues(sym.node_ids, vec)
 
 
 def spectral_bisection(graph, seed: int = 0) -> tuple[set[int], set[int]]:

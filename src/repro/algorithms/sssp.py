@@ -11,12 +11,12 @@ Bellman–Ford also allows negative weights and detects negative cycles.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHED, bfs_level_array
-from repro.algorithms.common import as_csr
+from repro.algorithms.common import NodeValues, as_csr
 from repro.exceptions import AlgorithmError
 from repro.graphs.network import Network
 
@@ -43,7 +43,7 @@ def dijkstra(
     graph,
     source: int,
     weight: "str | WeightFn | None" = None,
-) -> dict[int, float]:
+) -> Mapping[int, float]:
     """Shortest-path distance from ``source`` to every reachable node.
 
     Edge weights must be non-negative (checked during relaxation).
@@ -63,9 +63,7 @@ def dijkstra(
     if weight is None:
         levels = bfs_level_array(csr, source_dense)
         reached = levels != UNREACHED
-        return dict(
-            zip(node_ids[reached].tolist(), levels[reached].astype(np.float64).tolist())
-        )
+        return NodeValues(node_ids[reached], levels[reached].astype(np.float64))
     distances: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, source_dense)]
     settled = set()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import as_csr, counts_to_dict
+from repro.algorithms.common import NodeValues, as_csr
 from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import WorkerPool, serial_pool
 
@@ -98,7 +98,7 @@ def _undirected_csr(graph) -> CSRGraph:
     return as_csr(graph).undirected_projection()
 
 
-def triangle_counts(graph, pool: WorkerPool | None = None) -> dict[int, int]:
+def triangle_counts(graph, pool: WorkerPool | None = None) -> NodeValues:
     """Number of triangles through each node.
 
     >>> from repro.graphs.undirected import UndirectedGraph
@@ -115,7 +115,7 @@ def triangle_counts(graph, pool: WorkerPool | None = None) -> dict[int, int]:
         if warm is not None:
             return warm
     sym = _undirected_csr(graph)
-    return counts_to_dict(sym, sym.triangle_counts(pool))
+    return NodeValues(sym.node_ids, sym.triangle_counts(pool))
 
 
 def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.ndarray:
@@ -164,13 +164,13 @@ def total_triangles(graph, pool: WorkerPool | None = None) -> int:
 
         warm = incremental_triangle_counts(graph, pool=pool)
         if warm is not None:
-            return sum(warm.values()) // 3
+            return int(warm.value_array.sum()) // 3
     return int(_undirected_csr(graph).triangle_counts(pool).sum()) // 3
 
 
 def clustering_coefficients(
     graph, pool: WorkerPool | None = None
-) -> dict[int, float]:
+) -> NodeValues:
     """Local clustering coefficient per node (0 for degree < 2)."""
     sym = _undirected_csr(graph)
     counts = sym.triangle_counts(pool)
@@ -178,7 +178,7 @@ def clustering_coefficients(
     possible = degrees * (degrees - 1) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         local = np.where(possible > 0, counts / possible, 0.0)
-    return dict(zip(sym.node_ids.tolist(), local.tolist()))
+    return NodeValues(sym.node_ids, local)
 
 
 def average_clustering(graph, pool: WorkerPool | None = None) -> float:

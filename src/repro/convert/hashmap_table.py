@@ -27,6 +27,8 @@ def table_from_hashmap(
     """Build a two-column table from a ``{node_id: value}`` mapping.
 
     Values must be uniformly int or float; the value column type follows.
+    An algorithm's :class:`~repro.algorithms.common.NodeValues` result is
+    taken as its two arrays, with no pass over its items.
 
     >>> table = table_from_hashmap({1: 0.5, 2: 0.25}, "User", "Scr")
     >>> table.schema.names
@@ -36,13 +38,22 @@ def table_from_hashmap(
     """
     if key_col == value_col:
         raise ConversionError("key and value columns must have distinct names")
-    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
-    values = list(mapping.values())
-    if all(isinstance(value, (int, np.integer)) for value in values):
+    from repro.algorithms.common import NodeValues
+
+    if isinstance(mapping, NodeValues):
+        # Adopt the result's arrays (copied: the table owns its columns).
+        keys = mapping.node_ids.copy()
+        values = mapping.value_array
+        integral = len(values) == 0 or values.dtype.kind in "iub"
+    else:
+        keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+        values = list(mapping.values())
+        integral = all(isinstance(value, (int, np.integer)) for value in values)
+    if integral:
         value_type = ColumnType.INT
-        value_array = np.asarray(values, dtype=np.int64)
+        value_array = np.array(values, dtype=np.int64)
     else:
         value_type = ColumnType.FLOAT
-        value_array = np.asarray(values, dtype=np.float64)
+        value_array = np.array(values, dtype=np.float64)
     schema = Schema([(key_col, ColumnType.INT), (value_col, value_type)])
     return Table(schema, {key_col: keys, value_col: value_array}, pool=pool)

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 from repro import algorithms as alg
 from repro import convert, obs, tables
+from repro.algorithms.common import NodeValues
 from repro.analysis import sanitize as _sanitize
 from repro.core.registry import FunctionRegistry, build_default_registry
 from repro.exceptions import RecoveryError
@@ -655,12 +656,12 @@ class Ringo:
     # ------------------------------------------------------------------
 
     @_timed
-    def GetPageRank(self, graph, **kwargs) -> dict[int, float]:
+    def GetPageRank(self, graph, **kwargs) -> NodeValues:
         """PageRank scores (the demo's expert-ranking step)."""
         return alg.pagerank(graph, **kwargs)
 
     @_timed
-    def GetHits(self, graph, **kwargs) -> tuple[dict[int, float], dict[int, float]]:
+    def GetHits(self, graph, **kwargs) -> tuple[NodeValues, NodeValues]:
         """HITS ``(hubs, authorities)``."""
         return alg.hits(graph, **kwargs)
 
@@ -670,12 +671,12 @@ class Ringo:
         return alg.total_triangles(graph, pool=self.workers)
 
     @_timed
-    def GetTriangleCounts(self, graph) -> dict[int, int]:
+    def GetTriangleCounts(self, graph) -> NodeValues:
         """Per-node triangle participation counts."""
         return alg.triangle_counts(graph, pool=self.workers)
 
     @_timed
-    def GetClusteringCoefficients(self, graph) -> dict[int, float]:
+    def GetClusteringCoefficients(self, graph) -> NodeValues:
         """Local clustering coefficient per node."""
         return alg.clustering_coefficients(graph, pool=self.workers)
 
@@ -685,37 +686,37 @@ class Ringo:
         return alg.k_core(graph, k)
 
     @_timed
-    def GetCoreNumbers(self, graph) -> dict[int, int]:
+    def GetCoreNumbers(self, graph) -> NodeValues:
         """Core number per node."""
         return alg.core_numbers(graph)
 
     @_timed
-    def GetSssp(self, graph, source: int, weight=None) -> dict[int, float]:
+    def GetSssp(self, graph, source: int, weight=None) -> Mapping[int, float]:
         """Single-source shortest paths (Table 6's SSSP)."""
         return alg.dijkstra(graph, source, weight=weight)
 
     @_timed
-    def GetBfsLevels(self, graph, source: int, direction: str = "out") -> dict[int, int]:
+    def GetBfsLevels(self, graph, source: int, direction: str = "out") -> NodeValues:
         """BFS hop distances from a source."""
         return alg.bfs_levels(graph, source, direction=direction)
 
     @_timed
-    def GetScc(self, graph) -> dict[int, int]:
+    def GetScc(self, graph) -> NodeValues:
         """Strongly connected component labels (Table 6's SCC)."""
         return alg.strongly_connected_components(graph)
 
     @_timed
-    def GetWcc(self, graph) -> dict[int, int]:
+    def GetWcc(self, graph) -> NodeValues:
         """Weakly connected component labels."""
         return alg.weakly_connected_components(graph, pool=self.workers)
 
     @_timed
-    def GetDegreeCentrality(self, graph, mode: str = "total") -> dict[int, float]:
+    def GetDegreeCentrality(self, graph, mode: str = "total") -> NodeValues:
         """Degree centrality."""
         return alg.degree_centrality(graph, mode)
 
     @_timed
-    def GetCommunities(self, graph, **kwargs) -> dict[int, int]:
+    def GetCommunities(self, graph, **kwargs) -> NodeValues:
         """Label-propagation communities."""
         return alg.label_propagation(graph, **kwargs)
 
@@ -772,7 +773,7 @@ class Ringo:
         return self._run_op("GenPlantedPartition", (), args)
 
     @_timed
-    def GetKatz(self, graph, **kwargs) -> dict[int, float]:
+    def GetKatz(self, graph, **kwargs) -> NodeValues:
         """Katz centrality."""
         return alg.katz_centrality(graph, **kwargs)
 
@@ -792,7 +793,7 @@ class Ringo:
         return alg.bridges(graph)
 
     @_timed
-    def GetColoring(self, graph, strategy: str = "degree") -> dict[int, int]:
+    def GetColoring(self, graph, strategy: str = "degree") -> NodeValues:
         """Greedy proper node colouring."""
         return alg.greedy_coloring(graph, strategy)
 
@@ -809,7 +810,7 @@ class Ringo:
         return alg.top_predicted_links(graph, scorer=scorer, k=k)
 
     @_timed
-    def GetWeightedPageRank(self, network, weight_attr: str, **kwargs) -> dict[int, float]:
+    def GetWeightedPageRank(self, network, weight_attr: str, **kwargs) -> NodeValues:
         """PageRank with rank spread proportional to edge weights."""
         return alg.pagerank_weighted(network, weight_attr, **kwargs)
 

@@ -73,7 +73,7 @@ def incremental_pagerank(
     damping: float = 0.85,
     max_iterations: int = 100,
     tolerance: float = 1e-9,
-) -> "dict[int, float] | None":
+) -> "NodeValues | None":
     """Warm-started PageRank, or ``None`` when not applicable.
 
     The warm path needs no mutation log: the previous rank vector is
@@ -86,13 +86,13 @@ def incremental_pagerank(
     engine = incremental_engine()
     if not engine.enabled or not _is_dynamic(graph):
         return None
-    from repro.algorithms.common import as_csr, scores_to_dict
+    from repro.algorithms.common import NodeValues, as_csr
     from repro.algorithms.pagerank import pagerank_array
 
     version = graph.version
     csr = as_csr(graph)
     if csr.num_nodes == 0:
-        return {}
+        return NodeValues(csr.node_ids, np.zeros(0))
     params_key = (damping, max_iterations, tolerance)
     state = engine.state_for(graph)
     start = None
@@ -102,7 +102,7 @@ def incremental_pagerank(
         _, prev_version, prev_ids, prev_ranks = warm
         if prev_version == version:
             engine.record_algo("pagerank", "cached")
-            return scores_to_dict(csr, prev_ranks)
+            return NodeValues(csr.node_ids, prev_ranks)
         start = _remap_ranks(prev_ids, prev_ranks, csr.node_ids)
         mode = "warm"
     ranks = pagerank_array(
@@ -114,7 +114,7 @@ def incremental_pagerank(
     )
     state.pagerank = (params_key, version, csr.node_ids, ranks)
     engine.record_algo("pagerank", mode)
-    return scores_to_dict(csr, ranks)
+    return NodeValues(csr.node_ids, ranks)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +219,7 @@ def _advance_wcc(csr, prev_ids, prev_labels, delta) -> np.ndarray:
     return _canonical_labels(parent[node_super])
 
 
-def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
+def incremental_wcc(graph, pool=None) -> "NodeValues | None":
     """Delta-advanced WCC labels, or ``None`` when not applicable.
 
     Exact: labels equal :func:`repro.algorithms.components.weakly_connected_components`
@@ -229,7 +229,7 @@ def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
     engine = incremental_engine()
     if not engine.enabled or not _is_dynamic(graph):
         return None
-    from repro.algorithms.common import as_csr
+    from repro.algorithms.common import NodeValues, as_csr
     from repro.algorithms.components import wcc_label_array
 
     version = graph.version
@@ -238,7 +238,7 @@ def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
     warm = state.wcc
     if warm is not None and warm[0] == version:
         engine.record_algo("wcc", "cached")
-        return dict(zip(csr.node_ids.tolist(), warm[2].tolist()))
+        return NodeValues(csr.node_ids, warm[2])
     labels = None
     if warm is not None:
         prev_version, prev_ids, prev_labels = warm
@@ -251,7 +251,7 @@ def incremental_wcc(graph, pool=None) -> "dict[int, int] | None":
         mode = "seed"
     state.wcc = (version, csr.node_ids, labels)
     engine.record_algo("wcc", mode)
-    return dict(zip(csr.node_ids.tolist(), labels.tolist()))
+    return NodeValues(csr.node_ids, labels)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +355,7 @@ def _advance_triangles(old_sym, new_sym, delta) -> np.ndarray:
     return changes
 
 
-def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
+def incremental_triangle_counts(graph, pool=None) -> "NodeValues | None":
     """Delta-advanced per-node triangle counts, or ``None``.
 
     Exact: equals :func:`repro.algorithms.triangles.triangle_counts` on
@@ -369,7 +369,7 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
     engine = incremental_engine()
     if not engine.enabled or not _is_dynamic(graph):
         return None
-    from repro.algorithms.common import as_csr, counts_to_dict
+    from repro.algorithms.common import NodeValues, as_csr
 
     version = graph.version
     sym = as_csr(graph).undirected_projection()
@@ -377,7 +377,7 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
     warm = state.triangles
     if warm is not None and warm[0] == version:
         engine.record_algo("triangles", "cached")
-        return counts_to_dict(sym, warm[2])
+        return NodeValues(sym.node_ids, warm[2])
     counts = None
     if warm is not None:
         prev_version, prev_ids, prev_counts, prev_sym = warm
@@ -394,4 +394,4 @@ def incremental_triangle_counts(graph, pool=None) -> "dict[int, int] | None":
         mode = "seed"
     state.triangles = (version, sym.node_ids, counts, sym)
     engine.record_algo("triangles", mode)
-    return counts_to_dict(sym, counts)
+    return NodeValues(sym.node_ids, counts)

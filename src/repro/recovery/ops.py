@@ -38,6 +38,7 @@ import numpy as np
 
 from repro import algorithms as alg
 from repro import convert, tables
+from repro.algorithms.common import NodeValues
 from repro.exceptions import RecoveryError, ReplayError
 from repro.incremental.ingest import apply_graph_ops
 from repro.tables.schema import ColumnType, Schema
@@ -58,7 +59,7 @@ def encode_value(value):
         return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, (dict, NodeValues)):
         return {str(k): encode_value(v) for k, v in value.items()}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

@@ -25,7 +25,12 @@ import threading
 
 from repro.exceptions import RingoError, TransientError
 from repro.parallel.resilience import RetryPolicy, run_with_retry
-from repro.service.protocol import TransientRemoteError, raise_remote_error
+from repro.service.protocol import (
+    ACCEPT_COLUMNS,
+    TransientRemoteError,
+    decode_result,
+    raise_remote_error,
+)
 
 
 class EndpointFailure(TransientError):
@@ -148,7 +153,9 @@ class ServiceClient:
         """Write one request without waiting; returns its request id.
 
         Use with :meth:`wait` to pipeline many requests on one
-        connection (how the benchmarks saturate a queue).
+        connection (how the benchmarks saturate a queue). Every request
+        asks for column replies (``"accept": "columns"``); :meth:`wait`
+        returns them as sent, and :meth:`call` decodes them.
         """
         with self._lock:
             try:
@@ -162,6 +169,7 @@ class ServiceClient:
                 "tenant": self.tenant,
                 "op": op,
                 "args": args,
+                "accept": ACCEPT_COLUMNS,
             }
             if deadline_ms is not None:
                 raw["deadline_ms"] = deadline_ms
@@ -215,7 +223,9 @@ class ServiceClient:
     ) -> object:
         """One request, blocking; unwraps the result or raises typed errors.
 
-        Failure envelopes become
+        Column envelopes in the result come back as
+        :class:`~repro.algorithms.common.NodeValues` with int keys, equal
+        to what the engine returns in process. Failure envelopes become
         :class:`~repro.service.protocol.RemoteError` (or its retryable
         subclass). When the client was built with a ``retry_policy``,
         retryable failures are re-sent with jittered backoff — the same
@@ -230,7 +240,7 @@ class ServiceClient:
             envelope = self.wait(self.send(op, deadline_ms=deadline_ms, **args))
             if not envelope.get("ok"):
                 raise_remote_error(envelope)
-            return envelope.get("result")
+            return decode_result(envelope.get("result"))
 
         def on_retry(attempt_no: int, error: BaseException) -> None:
             # A connection-level failure already rotated in

@@ -6,7 +6,8 @@ server may answer out of order when a connection pipelines requests).
 Request::
 
     {"id": 7, "tenant": "alice", "op": "GetPageRank",
-     "args": {"graph": {"$ref": "graph-1"}}, "deadline_ms": 500}
+     "args": {"graph": {"$ref": "graph-1"}}, "deadline_ms": 500,
+     "accept": "columns"}
 
 Response::
 
@@ -24,6 +25,21 @@ as ``{"$ref": "<catalog-name>"}``; results that are tables or graphs
 come back as a ``$ref`` envelope carrying their catalog name and shape,
 everything else is encoded to plain JSON.
 
+A per-node result (:class:`~repro.algorithms.common.NodeValues`) goes
+out as the ``{"1": 0.31, ...}`` object above unless the request carries
+``"accept": "columns"``. Then every ``NodeValues`` in the result, nested
+ones too, is a column envelope instead::
+
+    {"$columns": {"node_ids": {"dtype": "<i4", "b64": "AQAAAA..."},
+                  "values": {"dtype": "<f8", "b64": "..."}}}
+
+Each column is the little-endian bytes of one array, base64-encoded.
+Integer columns are sent as ``<i4`` when every entry fits, else
+``<i8``; floats as ``<f8``, booleans as ``|b1``. :func:`decode_result`
+turns an envelope back into a ``NodeValues`` with int64 ids, and raises
+:class:`ProtocolError` on a dtype outside that list, a byte count that is
+not a whole number of items, or columns of unequal length.
+
 The service is an analytics front-end for trusted tenants sharing one
 big-memory machine, not a security boundary: path-taking ops
 (``LoadTableTSV``...) read the server's filesystem.
@@ -31,12 +47,14 @@ big-memory machine, not a security boundary: path-taking ops
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from repro.algorithms.common import NodeValues
 from repro.core.engine import Ringo
 from repro.exceptions import RingoError, ServiceError, TransientError
 from repro.graphs.directed import DirectedGraph
@@ -44,6 +62,14 @@ from repro.graphs.undirected import UndirectedGraph
 from repro.tables.table import Table
 
 REF_KEY = "$ref"
+COLUMNS_KEY = "$columns"
+
+#: The one value of a request's optional ``accept`` field.
+ACCEPT_COLUMNS = "columns"
+
+#: Every dtype a column envelope may carry, by its ``numpy`` string.
+COLUMN_DTYPES = frozenset({"<i4", "<i8", "<f8", "|b1"})
+_INT32 = np.iinfo(np.int32)
 
 #: Service-level ops handled by the server itself, not a tenant engine.
 #: ``digest_at`` and ``checkpoint`` run inside the tenant's serialized
@@ -100,7 +126,8 @@ class Request:
     ``deadline`` is absolute (event-loop clock), computed at accept time
     from the client's relative ``deadline_ms`` budget; ``future``
     resolves to the response envelope (set exactly once, whether the
-    request completed, expired, or was shed).
+    request completed, expired, or was shed). ``columns`` is whether
+    the client asked for column envelopes (:func:`accepts_columns`).
     """
 
     id: object
@@ -110,6 +137,7 @@ class Request:
     deadline: float = 0.0
     accepted_at: float = 0.0
     future: object = None
+    columns: bool = False
 
 
 def parse_request(raw: object) -> "tuple[object, str, str, dict, float | None]":
@@ -141,6 +169,20 @@ def parse_request(raw: object) -> "tuple[object, str, str, dict, float | None]":
     return request_id, tenant, op, args, float(deadline_ms) / 1000.0
 
 
+def accepts_columns(raw: Mapping) -> bool:
+    """Whether a request asked for column envelopes (``"accept": "columns"``).
+
+    The field is optional; any value other than ``"columns"`` is a
+    :class:`ProtocolError`.
+    """
+    accept = raw.get("accept")
+    if accept is None:
+        return False
+    if accept != ACCEPT_COLUMNS:
+        raise ProtocolError(f"'accept' must be {ACCEPT_COLUMNS!r}, got {accept!r}")
+    return True
+
+
 def decode_args(session: Ringo, args: Mapping) -> dict:
     """Resolve ``{"$ref": name}`` placeholders against a session catalog."""
 
@@ -156,13 +198,14 @@ def decode_args(session: Ringo, args: Mapping) -> dict:
     return {key: walk(value) for key, value in dict(args).items()}
 
 
-def encode_result(session: Ringo, result: object) -> object:
+def encode_result(session: Ringo, result: object, columns: bool = False) -> object:
     """Encode one engine result into JSON-safe content.
 
     Catalogued tables/graphs become ``$ref`` envelopes; anonymous ones
     (a session without durability does not publish every derivation)
     are summarised without a ref. Mappings get string keys, sets become
     sorted lists, numpy scalars/arrays become Python numbers/lists.
+    With ``columns`` every :class:`NodeValues` becomes a column envelope.
     """
     if isinstance(result, Table):
         envelope: dict = {
@@ -185,7 +228,7 @@ def encode_result(session: Ringo, result: object) -> object:
         if name is not None:
             envelope[REF_KEY] = name
         return envelope
-    return _plain(result)
+    return _plain(result, columns)
 
 
 def _catalog_name(session: Ringo, obj: object) -> "str | None":
@@ -196,25 +239,118 @@ def _catalog_name(session: Ringo, obj: object) -> "str | None":
     return None
 
 
-def _plain(value: object) -> object:
+def _plain(value: object, columns: bool = False) -> object:
     """Recursively reduce a value to JSON-native types."""
     if isinstance(value, (str, bool)) or value is None:
         return value
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (int, float)):
         return value
+    if isinstance(value, NodeValues):
+        if columns and value.value_array.dtype.kind in "bif":
+            return _encode_columns(value)
+        return dict(
+            zip(map(str, value.node_ids.tolist()), value.value_array.tolist())
+        )
     if isinstance(value, np.ndarray):
         return [_plain(item) for item in value.tolist()]
     if isinstance(value, Mapping):
-        return {str(_plain(key)): _plain(item) for key, item in value.items()}
+        return {
+            str(_plain(key)): _plain(item, columns) for key, item in value.items()
+        }
     if isinstance(value, (set, frozenset)):
         return sorted(_plain(item) for item in value)
     if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
+        return [_plain(item, columns) for item in value]
     return repr(value)
+
+
+def _encode_columns(result: NodeValues) -> dict:
+    """One :class:`NodeValues` as a ``$columns`` envelope (module docstring)."""
+    return {
+        COLUMNS_KEY: {
+            "node_ids": _encode_column(result.node_ids),
+            "values": _encode_column(result.value_array),
+        }
+    }
+
+
+def _encode_column(array: np.ndarray) -> dict:
+    kind = array.dtype.kind
+    if kind == "b":
+        dtype = "|b1"
+    elif kind == "f":
+        dtype = "<f8"
+    elif len(array) == 0 or (
+        int(array.min()) >= _INT32.min and int(array.max()) <= _INT32.max
+    ):
+        dtype = "<i4"
+    else:
+        dtype = "<i8"
+    data = np.ascontiguousarray(array, dtype=np.dtype(dtype)).tobytes()
+    return {"dtype": dtype, "b64": base64.b64encode(data).decode("ascii")}
+
+
+def decode_result(value: object) -> object:
+    """Turn every ``$columns`` envelope in a result back into :class:`NodeValues`.
+
+    Walks dicts and lists; anything else is returned as it is. A
+    malformed envelope raises :class:`ProtocolError`.
+    """
+    if isinstance(value, dict):
+        if COLUMNS_KEY in value and len(value) == 1:
+            return _decode_columns(value[COLUMNS_KEY])
+        return {key: decode_result(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [decode_result(item) for item in value]
+    return value
+
+
+def _decode_columns(columns: object) -> NodeValues:
+    """Invert :func:`_encode_columns` (given the envelope's inner object)."""
+    if not isinstance(columns, dict) or set(columns) != {"node_ids", "values"}:
+        raise ProtocolError("a column envelope needs exactly 'node_ids' and 'values'")
+    node_ids = _decode_column(columns["node_ids"])
+    values = _decode_column(columns["values"])
+    if node_ids.dtype.kind != "i":
+        raise ProtocolError(
+            f"node_ids must be an integer column, got {node_ids.dtype.str}"
+        )
+    if len(node_ids) != len(values):
+        raise ProtocolError(
+            f"column lengths differ: {len(node_ids)} node_ids, {len(values)} values"
+        )
+    if values.dtype.kind == "i":
+        values = values.astype(np.int64)
+    return NodeValues(node_ids, values)
+
+
+def _decode_column(column: object) -> np.ndarray:
+    if not isinstance(column, dict):
+        raise ProtocolError("a column must be an object with 'dtype' and 'b64'")
+    dtype, data = column.get("dtype"), column.get("b64")
+    if dtype not in COLUMN_DTYPES:
+        raise ProtocolError(
+            f"column dtype {dtype!r} is not one of {sorted(COLUMN_DTYPES)}"
+        )
+    if not isinstance(data, str):
+        raise ProtocolError("a column's 'b64' must be a string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as error:
+        raise ProtocolError(f"a column's 'b64' is not valid base64: {error}")
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) % itemsize:
+        raise ProtocolError(
+            f"a {dtype} column of {len(raw)} bytes is not a whole number of "
+            f"{itemsize}-byte items"
+        )
+    return np.frombuffer(raw, dtype=np.dtype(dtype))
 
 
 def ok_response(request_id: object, result: object) -> dict:

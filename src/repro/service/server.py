@@ -47,12 +47,16 @@ from repro.exceptions import RequestRejected, RingoError, ServiceError
 from repro.faults import fault_point
 from repro.parallel.resilience import RetryPolicy
 from repro.service.protocol import (
+    ACCEPT_COLUMNS,
     Request,
+    accepts_columns,
+    decode_result,
     dump_line,
     error_response,
     load_line,
     ok_response,
     parse_request,
+    raise_remote_error,
 )
 from repro.service.session import SessionManager
 
@@ -219,6 +223,7 @@ class SessionService:
         try:
             fault_point("service.accept")
             request_id, tenant_name, op, args, deadline_s = parse_request(raw)
+            columns = accepts_columns(raw)
             self._requests_accepted += 1
             if op == "ping":
                 return ok_response(request_id, "pong")
@@ -231,7 +236,9 @@ class SessionService:
             if op in ("replicate", "replicate_seed", "promote"):
                 return await self._replication_op(request_id, tenant_name, op, args)
             if self.role == "replica":
-                return await self._replica_read(request_id, tenant_name, op, args)
+                return await self._replica_read(
+                    request_id, tenant_name, op, args, columns
+                )
             if op == "open":
                 return self._open_tenant(request_id, tenant_name, args)
             record = self.manager.tenant(tenant_name)
@@ -244,6 +251,7 @@ class SessionService:
                 deadline=now + (deadline_s or self.config.default_deadline_s),
                 accepted_at=now,
                 future=self.loop.create_future(),
+                columns=columns,
             )
             self.manager.submit(record, request)
         except Exception as error:
@@ -313,7 +321,8 @@ class SessionService:
         return ok_response(request_id, result)
 
     async def _replica_read(
-        self, request_id: object, tenant_name: str, op: str, args: dict
+        self, request_id: object, tenant_name: str, op: str, args: dict,
+        columns: bool,
     ) -> dict:
         """Serve a read from a follower; refuse writes until promotion.
 
@@ -350,7 +359,8 @@ class SessionService:
                         "digest": catalog_digest(session),
                     }
                 kwargs = decode_args(session, args)
-                return encode_result(session, getattr(session, op)(**kwargs))
+                result = getattr(session, op)(**kwargs)
+                return encode_result(session, result, columns)
 
         try:
             result = await self.loop.run_in_executor(self.executor, read)
@@ -592,19 +602,24 @@ class ServiceHandle:
         return future.result(timeout)
 
     def call(self, tenant: str, op: str, deadline_ms: "int | None" = None, **args):
-        """Convenience: one request, unwrapped result or typed exception."""
-        from repro.service.protocol import raise_remote_error
+        """Convenience: one request, unwrapped result or typed exception.
 
+        Asks for column replies and decodes them, as
+        :meth:`ServiceClient.call` does, so both return equal results.
+        """
         with self._id_lock:
             self._next_id += 1
             request_id = self._next_id
-        raw: dict = {"id": request_id, "tenant": tenant, "op": op, "args": args}
+        raw: dict = {
+            "id": request_id, "tenant": tenant, "op": op, "args": args,
+            "accept": ACCEPT_COLUMNS,
+        }
         if deadline_ms is not None:
             raw["deadline_ms"] = deadline_ms
         envelope = self.submit(raw)
         if not envelope.get("ok"):
             raise_remote_error(envelope)
-        return envelope.get("result")
+        return decode_result(envelope.get("result"))
 
     def health(self) -> dict:
         """The live service health report."""

@@ -323,7 +323,7 @@ class TenantSession:
                     on_retry=self.stats.record_retry,
                     metric_prefix="service",
                 )
-        return encode_result(session, result)
+        return encode_result(session, result, request.columns)
 
     # -- responses -----------------------------------------------------
 
