@@ -20,8 +20,8 @@ headline speedup. Measured on the ``--quick`` graph (2 vCPU, median of
 re-joins all of its edges), and a warm triangle advance about 0.4× the
 batch count (14 ms against 32 ms for ``triangle_count_array``).
 
-Writes ``BENCH_incremental.json`` at the repo root. Gates (CI fails on
-any):
+Writes the JSON report to ``--out PATH`` when given (CI passes
+``--out BENCH_incremental.json``). Gates (CI fails on any):
 
 * per-round PageRank L1 distance between the two pipelines stays within
   ``pagerank_epsilon`` (both sides run ``max_iterations=400`` so they
@@ -34,7 +34,7 @@ any):
 * sustained ingest rate (edges/s through the mutators, log armed) is
   recorded; the JSON carries it for trend tracking.
 
-Run:  python scripts/bench_incremental.py [--quick]
+Run:  python scripts/bench_incremental.py [--quick] [--out PATH]
 """
 
 import argparse
@@ -59,8 +59,6 @@ from repro.incremental.engine import (  # noqa: E402
     pagerank_epsilon,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_PATH = REPO_ROOT / "BENCH_incremental.json"
 SPEEDUP_FLOOR = 5.0
 CHURN_FRACTION = 0.01
 DAMPING = 0.85
@@ -149,6 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller graph / fewer rounds (CI smoke)")
     parser.add_argument("--seed", type=int, default=2015)
+    parser.add_argument("--out", type=Path, help="write the JSON report here")
     args = parser.parse_args(argv)
 
     num_nodes = 20_000 if args.quick else 40_000
@@ -254,11 +253,12 @@ def main(argv=None) -> int:
             "failures": failures,
         },
     }
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if args.out is not None:
+        args.out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {args.out}")
     print(f"ingest {edges_per_second:,.0f} edges/s; "
           f"incremental {incremental_seconds:.3f}s vs rebuild "
           f"{rebuild_seconds:.3f}s ({speedup:.1f}x); worst l1 {worst_l1:.2e}")
-    print(f"wrote {RESULT_PATH}")
     if failures:
         for failure in failures:
             print(f"GATE FAILED: {failure}", file=sys.stderr)

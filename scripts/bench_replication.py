@@ -2,8 +2,9 @@
 
 Runs a live primary/replica :class:`ServiceHandle` pair (the same
 topology ``repro serve --replica`` deploys) and measures the three
-numbers an operator sizes a hot standby by, writing the JSON artifact
-``BENCH_replication.json`` at the repo root for CI to archive:
+numbers an operator sizes a hot standby by, printing the JSON result
+and writing it to ``--out PATH`` when given (CI passes
+``--out BENCH_replication.json`` and archives it):
 
 * **steady-state lag** — a tenant streams committed ``ApplyOps``
   batches while the WAL shipper runs; replication lag (records and
@@ -31,7 +32,7 @@ Gates (CI fails on any):
 * the injected divergence is detected, quarantined, auto re-seeded,
   and digest equality restored — never silently served.
 
-Run:  python scripts/bench_replication.py [--batches N] [--quick]
+Run:  python scripts/bench_replication.py [--batches N] [--quick] [--out PATH]
 """
 
 import argparse
@@ -49,8 +50,6 @@ from repro.exceptions import FencedError  # noqa: E402
 from repro.recovery.digest import catalog_digest  # noqa: E402
 from repro.service import ServiceConfig, ServiceHandle  # noqa: E402
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_PATH = REPO_ROOT / "BENCH_replication.json"
 TENANT = "bench"
 
 
@@ -269,11 +268,13 @@ def main() -> int:
         help="smaller stream for CI smoke (50 batches)",
     )
     parser.add_argument("--catchup-timeout-s", type=float, default=60.0)
+    parser.add_argument("--out", type=Path, help="also write the JSON result here")
     args = parser.parse_args()
     batches = 50 if args.quick else args.batches
 
     payload = run_benchmark(batches, args.catchup_timeout_s)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    if args.out is not None:
+        args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(payload, indent=2))
     try:
         check(payload)

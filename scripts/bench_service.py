@@ -1,7 +1,8 @@
 """Service benchmark: concurrent tenants, request latency, density.
 
-Measures the multi-tenant session service on three axes and writes the
-JSON artifact ``BENCH_service.json`` at the repo root for CI to archive:
+Measures the multi-tenant session service on three axes, prints the
+JSON result, and writes it to ``--out PATH`` when given (CI passes
+``--out BENCH_service.json`` and archives it):
 
 * **throughput under concurrency** — N tenant threads drive the
   service at once (setup: load -> graph -> PageRank, then a stream of
@@ -18,7 +19,7 @@ JSON artifact ``BENCH_service.json`` at the repo root for CI to archive:
 Gates (CI fails on either): every request ends in a result or a typed
 service error, and steady-state read p95 stays under one second.
 
-Run:  python scripts/bench_service.py [--tenants N] [--reads M]
+Run:  python scripts/bench_service.py [--tenants N] [--reads M] [--out PATH]
 """
 
 import argparse
@@ -34,8 +35,6 @@ sys.path.insert(0, str(SRC))
 
 from repro.service import ServiceConfig, ServiceHandle  # noqa: E402
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_PATH = REPO_ROOT / "BENCH_service.json"
 SCHEMA = [["src", "int"], ["dst", "int"]]
 TENANT_BUDGET = 32 << 20
 LEDGER_BYTES = 256 << 20  # 8 resident x 32 MiB; the rest live evicted
@@ -190,10 +189,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tenants", type=int, default=24)
     parser.add_argument("--reads", type=int, default=20)
+    parser.add_argument("--out", type=Path, help="also write the JSON result here")
     args = parser.parse_args()
 
     payload = run_benchmark(args.tenants, args.reads)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    if args.out is not None:
+        args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(payload, indent=2))
     try:
         check(payload)

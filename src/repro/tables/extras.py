@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import SchemaError
+from repro.tables.groupby import factorize_rows
 from repro.tables.order import sort_permutation
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
@@ -29,13 +30,8 @@ def distinct(table: Table, columns: "Sequence[str] | None" = None) -> Table:
     names = list(columns) if columns is not None else list(table.schema.names)
     if not names:
         raise SchemaError("distinct needs at least one column")
-    arrays = [table.column(name) for name in names]
-    if len(arrays) == 1:
-        _, first = np.unique(arrays[0], return_index=True)
-    else:
-        stacked = np.column_stack(arrays)
-        _, first = np.unique(stacked, axis=0, return_index=True)
-    return table.take(np.sort(first))
+    _, firsts = factorize_rows([table.column(name) for name in names])
+    return table.take(firsts)
 
 
 def limit(table: Table, count: int) -> Table:

@@ -6,6 +6,11 @@ Two entry points mirror the two Ringo uses:
   persistent row ids — it labels each row with its group without moving
   data, and can append the labels as a column.
 * :func:`group_by` produces a new aggregated table (count/sum/mean/...).
+
+Both, and every other site that numbers distinct keys (``distinct``, the
+set operations, multi-column join keys, the TSV loader's string columns),
+go through :func:`factorize`: one sort, a neighbour mask, and the first
+row of each run of equal keys.
 """
 
 from __future__ import annotations
@@ -22,6 +27,71 @@ from repro.tables.table import Table
 _AGGREGATES = ("count", "sum", "mean", "min", "max", "first")
 
 
+def factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` by first appearance.
+
+    Returns ``(labels, firsts)``: ``labels[i]`` is row ``i``'s group
+    (int64), and ``firsts[g]`` the first row of group ``g``, so ``firsts``
+    ascends. Equality is ``np.unique``'s: NaNs form one group and ``-0.0``
+    groups with ``0.0``.
+
+    >>> labels, firsts = factorize(np.array([1, np.nan, -0.0, 0.0, np.nan, 2]))
+    >>> labels.tolist(), firsts.tolist()
+    ([0, 1, 2, 2, 1, 3], [0, 1, 2, 5])
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # Any sort will do: a run's first row is its smallest position, so
+    # the unstable default (introsort) is enough.
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        # NaNs sort last and compare unequal; make them one run.
+        new_run[int(np.searchsorted(ordered, np.nan)) + 1 :] = False
+    run_starts = np.flatnonzero(new_run)
+    firsts = np.minimum.reduceat(order, run_starts)
+    appearance = np.argsort(firsts)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(appearance))
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.repeat(rank, np.diff(run_starts, append=n))
+    return labels, firsts[appearance]
+
+
+def factorize_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`factorize` over key tuples, one per row of equal-length ``columns``.
+
+    Each column is factorised on its own and the labels are combined
+    into one int64 key per row, compacted whenever the next product
+    could overflow; the combined key is factorised last, so labels
+    number tuples by first appearance.
+
+    >>> labels, firsts = factorize_rows([np.array([1, 1, 2, 1]), np.array([5, 6, 5, 5])])
+    >>> labels.tolist(), firsts.tolist()
+    ([0, 1, 2, 0], [0, 1, 2])
+    """
+    if not columns:
+        raise SchemaError("grouping needs at least one key column")
+    labels, firsts = factorize(columns[0])
+    if len(columns) == 1:
+        return labels, firsts
+    groups = len(firsts)
+    for column in columns[1:]:
+        inner, inner_firsts = factorize(column)
+        width = len(inner_firsts)
+        if groups * width >= 2**62:
+            labels, firsts = factorize(labels)
+            groups = len(firsts)
+        labels = labels * width + inner
+        groups *= width
+    return factorize(labels)
+
+
 def group_ids(table: Table, keys: "Sequence[str] | str") -> np.ndarray:
     """Dense int64 group label per row; equal key tuples share a label.
 
@@ -29,22 +99,7 @@ def group_ids(table: Table, keys: "Sequence[str] | str") -> np.ndarray:
     """
     if isinstance(keys, str):
         keys = [keys]
-    if not keys:
-        raise SchemaError("grouping needs at least one key column")
-    arrays = [table.column(name) for name in keys]
-    if len(arrays) == 1:
-        _, first_pos, inverse = np.unique(
-            arrays[0], return_index=True, return_inverse=True
-        )
-    else:
-        stacked = np.column_stack(arrays)
-        _, first_pos, inverse = np.unique(
-            stacked, axis=0, return_index=True, return_inverse=True
-        )
-    inverse = inverse.astype(np.int64).reshape(-1)
-    # np.unique numbers groups by sorted key; renumber by first appearance.
-    appearance = np.argsort(np.argsort(first_pos, kind="stable"), kind="stable")
-    return appearance[inverse]
+    return factorize_rows([table.column(name) for name in keys])[0]
 
 
 def add_group_column(
@@ -76,9 +131,8 @@ def group_by(
     if aggregations is None:
         aggregations = {"Count": ("count", keys[0])}
     with trace("table.groupby", rows=table.num_rows, keys=len(keys)) as span:
-        labels = group_ids(table, keys)
-        n_groups = int(labels.max()) + 1 if len(labels) else 0
-        first_occurrence = _first_occurrence(labels, n_groups)
+        labels, first_occurrence = factorize_rows([table.column(name) for name in keys])
+        n_groups = len(first_occurrence)
 
         out_schema_cols: list[tuple[str, ColumnType]] = []
         out_columns: dict[str, np.ndarray] = {}
@@ -94,14 +148,6 @@ def group_by(
             out_columns[out_name] = values
         span.set_tag("groups", n_groups)
         return Table(Schema(out_schema_cols), out_columns, pool=table.pool)
-
-
-def _first_occurrence(labels: np.ndarray, n_groups: int) -> np.ndarray:
-    """Index of the first row of each group, in label order."""
-    first = np.full(n_groups, -1, dtype=np.int64)
-    # Walk backwards so earlier rows overwrite later ones.
-    first[labels[::-1]] = np.arange(len(labels) - 1, -1, -1, dtype=np.int64)
-    return first
 
 
 def _aggregate(

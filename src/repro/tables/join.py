@@ -18,6 +18,7 @@ import numpy as np
 from repro.exceptions import TypeMismatchError
 from repro.faults import fault_point
 from repro.obs.spans import trace
+from repro.tables.groupby import factorize_rows
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
 
@@ -84,20 +85,19 @@ def composite_keys(
     """Factorise multi-column keys into comparable int64 ids.
 
     Equal tuples across the two sides get equal ids, so a multi-column
-    join reduces to a single-column join on the ids.
+    join reduces to a single-column join on the ids. Ids number tuples
+    by first appearance, left rows before right ones.
     """
     if len(left_columns) != len(right_columns):
         raise TypeMismatchError("key column lists must have equal length")
     n_left = len(left_columns[0]) if left_columns else 0
-    stacked = np.column_stack(
+    ids, _ = factorize_rows(
         [
             np.concatenate([np.asarray(l), np.asarray(r)])
             for l, r in zip(left_columns, right_columns)
         ]
     )
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.astype(np.int64).reshape(-1)
-    return inverse[:n_left], inverse[n_left:]
+    return ids[:n_left], ids[n_left:]
 
 
 def join(

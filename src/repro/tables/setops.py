@@ -10,30 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tables.groupby import factorize, factorize_rows
 from repro.tables.table import Table, check_same_layout
 
 
 def _row_keys(left: Table, right: Table) -> tuple[np.ndarray, np.ndarray]:
     """Factorise both tables' rows into comparable int64 keys."""
-    n_left = left.num_rows
-    columns = []
-    for name in left.schema.names:
-        merged = np.concatenate([left.column(name), right.column(name)])
-        _, inverse = np.unique(merged, return_inverse=True)
-        columns.append(inverse.astype(np.int64).reshape(-1))
-    if len(columns) == 1:
-        keys = columns[0]
-    else:
-        stacked = np.column_stack(columns)
-        _, keys = np.unique(stacked, axis=0, return_inverse=True)
-        keys = keys.astype(np.int64).reshape(-1)
-    return keys[:n_left], keys[n_left:]
+    keys, _ = factorize_rows(
+        [
+            np.concatenate([left.column(name), right.column(name)])
+            for name in left.schema.names
+        ]
+    )
+    return keys[: left.num_rows], keys[left.num_rows :]
 
 
 def _distinct_positions(keys: np.ndarray) -> np.ndarray:
     """Positions of the first occurrence of each key, in input order."""
-    _, first = np.unique(keys, return_index=True)
-    return np.sort(first)
+    return factorize(keys)[1]
 
 
 def union(left: Table, right: Table, distinct: bool = True) -> Table:

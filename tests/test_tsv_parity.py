@@ -8,7 +8,9 @@ exception type with the same message. Fixed cases pin each fallback
 rule and which path it takes; hypothesis covers the mixtures.
 """
 
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -279,3 +281,171 @@ def test_generated_files_match_the_loop(body, has_header):
 @given(clean_files())
 def test_clean_generated_files_take_the_bulk_path(body):
     assert not _check_generated(body)
+
+
+# ----------------------------------------------------------------------
+# The block-wise word scan
+# ----------------------------------------------------------------------
+
+
+def bulk_reason(path, schema=SCHEMA, has_header=False, comment="#"):
+    """The reason the bulk scan hands ``path`` to the per-row loop (the
+    ``io.load_tsv`` span's ``reason`` tag), or ``None`` if it takes it."""
+    try:
+        io_tsv._load_bulk(schema, path, "\t", has_header, comment, StringPool())
+    except io_tsv._Reject as reject:
+        return str(reject)
+    return None
+
+
+def _rows(count, seed=0):
+    """``count`` clean rows of SCHEMA with varied widths in every column."""
+    rng = np.random.default_rng(seed)
+    tags = ["q", "answer", "question", "JavaScript", "x" * 17, "ü" * 5, ""]
+    return [
+        f"{int(rng.integers(-10**rng.integers(1, 19) + 1, 10**rng.integers(1, 19)))}"
+        f"\t{float(rng.normal()) * 10.0 ** int(rng.integers(-5, 6))!r}"
+        f"\t{tags[int(rng.integers(len(tags)))]}\n"
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of a few lines, so every file spans many of them."""
+    monkeypatch.setattr(io_tsv, "_BLOCK", 64)
+
+
+class TestWordScan:
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("digits", range(1, 19))
+    def test_every_digit_count(self, tmp_path, digits, sign):
+        rng = np.random.default_rng(digits)
+        values = [sign + "9" * digits, sign + "1" + "0" * (digits - 1)] + [
+            sign + "".join(rng.choice(list("0123456789"), digits)) for _ in range(30)
+        ]
+        result = check(tmp_path, "".join(f"{v}\t0.5\tx\n" for v in values), bulk_path=True)
+        assert np.frombuffer(result[1][0][2], np.int64).tolist() == [int(v) for v in values]
+
+    def test_leading_zeros_and_negative_zero(self, tmp_path):
+        values = ["0", "-0", "00", "-007", "0" * 17 + "1", "-" + "0" * 18, "0" * 9, "-" + "0" * 8 + "5"]
+        result = check(tmp_path, "".join(f"{v}\t0.0\tx\n" for v in values), bulk_path=True)
+        assert np.frombuffer(result[1][0][2], np.int64).tolist() == [int(v) for v in values]
+
+    @pytest.mark.parametrize(
+        "schema,text",
+        [
+            (Schema([("n", "int")]), "7\n"),
+            (Schema([("n", "int")]), "-123456789012345678\n"),
+            (EDGES, "123456789012345678\t-5\n"),
+            (Schema([("tag", "string")]), "x" * 64 + "\n"),
+            (Schema([("n", "int"), ("tag", "string")]), "1\t" + "y" * 63 + "\n"),
+            (Schema([("x", "float")]), "1e300\n"),
+        ],
+    )
+    def test_fields_touching_the_pad(self, tmp_path, schema, text):
+        check(tmp_path, text, bulk_path=True, schema=schema)
+
+    @pytest.mark.parametrize("block", [1, 37, 64, 500])
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_rows_straddling_block_edges(self, tmp_path, monkeypatch, block, has_header):
+        monkeypatch.setattr(io_tsv, "_BLOCK", block)
+        header = "id\tscore\ttag\n" if has_header else ""
+        check(tmp_path, header + "".join(_rows(300)), bulk_path=True, has_header=has_header)
+
+    @pytest.mark.parametrize(
+        "last,reason",
+        [
+            ("1x\t0.0\tz\n", "int_format"),
+            ("1\t0.0\n", "field_count"),
+            ("1\t0.0\tz\textra\n", "field_count"),
+            ("# the end\n", "comment_or_blank"),
+            ("\n", "comment_or_blank"),
+            ("1\tabc\tz\n", "float_format"),
+        ],
+    )
+    def test_doubt_only_in_the_last_block(self, tmp_path, small_blocks, last, reason):
+        check(tmp_path, "".join(_rows(200)) + last, bulk_path=False)
+        assert bulk_reason(tmp_path / "case.tsv") == reason
+
+    @pytest.mark.parametrize(
+        "first,last,reason",
+        [
+            ("1x\t0.0\tz\n", "# the end\n", "comment_or_blank"),
+            ("1\t0.0\n", "\n", "comment_or_blank"),
+            ("1x\t0.0\tz\n", "1\t0.0\n", "field_count"),
+            ("1\tabc\tz\n", "1x\t0.0\tz\n", "int_format"),
+            ("1x\t0.0\tz\n", "1\tabc\tz\n", "int_format"),
+        ],
+    )
+    def test_the_whole_file_order_names_the_reason(
+        self, tmp_path, small_blocks, first, last, reason
+    ):
+        # Each doubt sits in its own block; the reason is the one a
+        # scan of the whole file at once gives.
+        check(tmp_path, first + "".join(_rows(200)) + last, bulk_path=False)
+        assert bulk_reason(tmp_path / "case.tsv") == reason
+
+    def test_a_float_column_before_an_int_column_ranks_first(self, tmp_path, small_blocks):
+        schema = Schema([("score", "float"), ("id", "int")])
+        rows = "".join(f"{i * 0.5!r}\t{i}\n" for i in range(200))
+        check(tmp_path, "0.5\t1x\n" + rows + "abc\t1\n", bulk_path=False, schema=schema)
+        assert bulk_reason(tmp_path / "case.tsv", schema=schema) == "float_format"
+
+    @pytest.mark.parametrize("width", [8, 9, 16, 17, 64, 65])
+    def test_string_widths(self, tmp_path, small_blocks, width):
+        values = ["a" * width, "a" * (width - 1) + "b", "b" + "a" * (width - 1), "a" * (width - 1)]
+        rows = [f"{i}\t0.0\t{values[i * 7 % len(values)]}\n" for i in range(60)]
+        result = check(tmp_path, "".join(rows), bulk_path=True)
+        assert sorted(result[2]) == sorted(values)
+
+    def test_key_does_not_depend_on_block_width(self, tmp_path, small_blocks):
+        # Early blocks need one word per field, later ones three; equal
+        # strings must still group together across them.
+        short = [f"{i}\t0.0\tabc\n" for i in range(30)]
+        long = [f"{i}\t0.0\t{'abc' if i % 2 else 'z' * 20}\n" for i in range(30)]
+        result = check(tmp_path, "".join(short + long + short), bulk_path=True)
+        assert result[2] == ["abc", "z" * 20]
+
+    def test_hash_collision_across_blocks(self, tmp_path, monkeypatch, small_blocks):
+        monkeypatch.setattr(io_tsv, "_MIX", np.uint64(0))
+        rows = ["1\t0.0\taaaaaaaaX\n", "2\t0.0\tshort\n"] * 10 + ["3\t0.0\tbbbbbbbbX\n"] * 10
+        rows += ["4\t0.0\taaaaaaaaX\n"] * 5
+        result = check(tmp_path, "".join(rows), bulk_path=True)
+        assert result[2] == ["aaaaaaaaX", "short", "bbbbbbbbX"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_reads_to_its_end(self, tmp_path):
+        # A pipe reports size 0, so the scan must read past its stat.
+        text = "".join(_rows(300))
+        pipe, plain = tmp_path / "pipe.tsv", tmp_path / "plain.tsv"
+        plain.write_text(text)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        bulk = _outcome(lambda pool: io_tsv._load_bulk(SCHEMA, pipe, "\t", False, "#", pool))
+        writer.join(timeout=10)
+        reference = _outcome(lambda pool: io_tsv._load_rows(SCHEMA, plain, "\t", False, "#", pool))
+        assert bulk == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(tsv_files(), st.booleans(), st.sampled_from([1, 16, 64]))
+def test_generated_files_match_the_loop_in_small_blocks(body, has_header, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_tsv, "_BLOCK", block)
+        _check_generated(body, has_header)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tsv_files(), st.booleans(), st.sampled_from([1, 16, 64]))
+def test_block_size_does_not_change_the_reason(body, has_header, block):
+    # These files fit one default block, so the default scan is the
+    # whole-file scan whose reason every block size must repeat.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gen.tsv"
+        path.write_bytes(body.encode("utf-8"))
+        whole = bulk_reason(path, has_header=has_header)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_tsv, "_BLOCK", block)
+            assert bulk_reason(path, has_header=has_header) == whole
