@@ -7,21 +7,23 @@ the neighbor vectors to the graph hash table."
 
 The three phases map here as:
 
-1. **sort** — lexsort copies of the (src, dst) columns twice: grouped by
-   source (yielding out-adjacency runs) and grouped by destination
-   (yielding in-adjacency runs). numpy's sort is the stand-in for the
-   paper's parallel sort.
-2. **count** — run boundaries via ``searchsorted`` give each node's
+1. **sort** — one argsort over the source, destination and extra node
+   columns yields the sorted ``node_ids`` and every endpoint's dense
+   label. Each edge becomes one int64 key ``src_label * m + dst_label``,
+   exact for any id magnitude; one sort and a neighbour mask order and
+   deduplicate the keys, ``divmod`` splits them into out-adjacency runs,
+   and one sort of the transposed keys gives the in-adjacency runs.
+   numpy's sort is the stand-in for the paper's parallel sort.
+2. **count** — a ``bincount`` of the run labels gives each node's
    neighbour count, so "there is no need to estimate the size of the
    hash table or neighbor vectors in advance".
 3. **copy** — the paper copies each node's neighbour vector into the
-   graph hash table. Here the sorted neighbour columns are densified
-   with one ``searchsorted`` over the node ids, and the graph adopts
-   ``node_ids``, the run boundaries as ``indptr`` and the dense columns
-   as a frozen CSR (:class:`~repro.graphs.base.CSRBacking`). No per-node
-   record is made: reads answer from the CSR, the snapshot cache wraps
-   it without a copy, and the hash table is built only if the graph is
-   mutated (EXPERIMENTS.md, A3).
+   graph hash table. Here the split keys already are the dense neighbour
+   columns, and the graph adopts ``node_ids``, the row pointers and
+   those columns as a frozen CSR (:class:`~repro.graphs.base.CSRBacking`).
+   No per-node record is made: reads answer from the CSR, the snapshot
+   cache wraps it without a copy, and the hash table is built only if
+   the graph is mutated (EXPERIMENTS.md, A3).
 
 Two alternative builders are kept as the baselines the paper says it
 experimented against (benchmark A1): per-edge dynamic insertion, and
@@ -34,7 +36,15 @@ import numpy as np
 
 from repro.exceptions import ConversionError
 from repro.faults import fault_point
-from repro.graphs.base import CSRBacking, distinct, readonly
+from repro.graphs.base import (
+    CSRBacking,
+    dense_labels,
+    distinct,
+    edge_keys,
+    keyed_rows,
+    readonly,
+    row_pointer,
+)
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
@@ -68,11 +78,6 @@ def _as_node_array(nodes) -> np.ndarray:
     return nodes
 
 
-def _row_starts(keys: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """CSR row pointer of sorted ``keys`` over sorted ``node_ids``."""
-    return np.append(np.searchsorted(keys, node_ids), len(keys))
-
-
 def _dedup_sorted_pairs(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
     """Keep-mask removing consecutive duplicate (primary, secondary) pairs.
 
@@ -88,6 +93,52 @@ def _dedup_sorted_pairs(primary: np.ndarray, secondary: np.ndarray) -> np.ndarra
     return keep
 
 
+def _sort_first(graph_class, sources, targets, nodes):
+    """The sort-first build of either graph class (see the module docstring)."""
+    sources, targets = _as_edge_arrays(sources, targets)
+    nodes = _as_node_array(nodes)
+    fault_point("convert.sort_first")
+    graph = graph_class()
+    if len(sources) == 0 and len(nodes) == 0:
+        return graph
+    directed = graph.is_directed
+    with trace("convert.sort_first", rows=len(sources), directed=directed) as span:
+        # Phase 1: sort the edges as one key column and split it into
+        # out-runs, and its sorted transpose into in-runs. An undirected
+        # edge is keyed both ways, so its adjacency is its own transpose.
+        with trace("convert.sort"):
+            node_ids, labels = dense_labels(np.concatenate([sources, targets, nodes]))
+            m, n = len(node_ids), len(sources)
+            src, dst = labels[:n], labels[n : 2 * n]
+            keys = edge_keys(src, dst, m)
+            if not directed:
+                keys = np.concatenate([keys, edge_keys(dst, src, m)[src != dst]])
+            keys = distinct(keys)
+            if directed:
+                rows, cols, in_rows, in_cols = keyed_rows(keys, m)
+            else:
+                rows, cols = in_rows, in_cols = np.divmod(keys, m)
+
+        # Phase 2: neighbour counts per row — exact sizes known up
+        # front, no growth estimation needed.
+        with trace("convert.count"):
+            indptr = row_pointer(rows, m)
+            in_indptr = row_pointer(in_rows, m) if directed else indptr
+
+        # Phase 3: the split keys already are the dense neighbour columns;
+        # with the node ids and the row pointers they are the graph's CSR.
+        with trace("convert.copy", nodes=m):
+            out = readonly(indptr), readonly(cols)
+            into = (readonly(in_indptr), readonly(in_cols)) if directed else out
+            backing = CSRBacking(readonly(node_ids), *out, *into)
+        # Each non-loop undirected edge is keyed twice, each loop once.
+        loops = 0 if directed else int(np.count_nonzero(rows == cols))
+        graph._install_csr(backing, len(keys) if directed else (len(keys) + loops) // 2)
+        span.set_tag("nodes", m)
+        span.set_tag("edges", graph.num_edges)
+    return graph
+
+
 def sort_first_directed(
     sources: np.ndarray, targets: np.ndarray, nodes=None
 ) -> DirectedGraph:
@@ -95,93 +146,14 @@ def sort_first_directed(
 
     ``nodes`` adds ids that need not appear in any edge (isolated nodes).
     """
-    sources, targets = _as_edge_arrays(sources, targets)
-    nodes = _as_node_array(nodes)
-    fault_point("convert.sort_first")
-    graph = DirectedGraph()
-    if len(sources) == 0 and len(nodes) == 0:
-        return graph
-
-    with trace("convert.sort_first", rows=len(sources), directed=True) as span:
-        # Phase 1: sort copies of the columns (by src then dst →
-        # out-adjacency runs; by dst then src → in-adjacency runs).
-        # lexsort keys read (secondary, primary).
-        with trace("convert.sort"):
-            out_order = np.lexsort((targets, sources))
-            out_src = sources[out_order]
-            out_dst = targets[out_order]
-            out_keep = _dedup_sorted_pairs(out_src, out_dst)
-            out_src = out_src[out_keep]
-            out_dst = out_dst[out_keep]
-
-            in_order = np.lexsort((sources, targets))
-            in_src = sources[in_order]
-            in_dst = targets[in_order]
-            in_keep = _dedup_sorted_pairs(in_dst, in_src)
-            in_src = in_src[in_keep]
-            in_dst = in_dst[in_keep]
-
-        # Phase 2: neighbour counts from run boundaries — exact sizes
-        # known up front, no growth estimation needed.
-        with trace("convert.count"):
-            node_ids = distinct(np.concatenate([out_src, out_dst, nodes]))
-            out_indptr = _row_starts(out_src, node_ids)
-            in_indptr = _row_starts(in_dst, node_ids)
-
-        # Phase 3: densify the sorted neighbour columns; with the node
-        # ids and the run boundaries they are the graph's CSR.
-        with trace("convert.copy", nodes=len(node_ids)):
-            backing = CSRBacking(
-                readonly(node_ids),
-                readonly(out_indptr),
-                readonly(np.searchsorted(node_ids, out_dst)),
-                readonly(in_indptr),
-                readonly(np.searchsorted(node_ids, in_src)),
-            )
-        graph._install_csr(backing, len(out_src))
-        span.set_tag("nodes", len(node_ids))
-        span.set_tag("edges", len(out_src))
-    return graph
+    return _sort_first(DirectedGraph, sources, targets, nodes)
 
 
 def sort_first_undirected(
     sources: np.ndarray, targets: np.ndarray, nodes=None
 ) -> UndirectedGraph:
     """Sort-first build of an :class:`UndirectedGraph` (edges symmetrised)."""
-    sources, targets = _as_edge_arrays(sources, targets)
-    nodes = _as_node_array(nodes)
-    fault_point("convert.sort_first")
-    graph = UndirectedGraph()
-    if len(sources) == 0 and len(nodes) == 0:
-        return graph
-    with trace("convert.sort_first", rows=len(sources), directed=False) as span:
-        with trace("convert.sort"):
-            loops = sources == targets
-            sym_src = np.concatenate([sources, targets[~loops]])
-            sym_dst = np.concatenate([targets, sources[~loops]])
-            order = np.lexsort((sym_dst, sym_src))
-            sym_src = sym_src[order]
-            sym_dst = sym_dst[order]
-            keep = _dedup_sorted_pairs(sym_src, sym_dst)
-            sym_src = sym_src[keep]
-            sym_dst = sym_dst[keep]
-
-        with trace("convert.count"):
-            node_ids = distinct(np.concatenate([sym_src, nodes]))
-            indptr = _row_starts(sym_src, node_ids)
-
-        with trace("convert.copy", nodes=len(node_ids)):
-            # The symmetric adjacency is its own transpose: both
-            # orientations share the two arrays, as in a snapshot.
-            indptr = readonly(indptr)
-            indices = readonly(np.searchsorted(node_ids, sym_dst))
-            backing = CSRBacking(readonly(node_ids), indptr, indices, indptr, indices)
-        # Each non-loop edge appears twice in the symmetrised pairs.
-        loop_count = int(np.sum(sym_src == sym_dst))
-        graph._install_csr(backing, (len(sym_src) - loop_count) // 2 + loop_count)
-        span.set_tag("nodes", len(node_ids))
-        span.set_tag("edges", graph.num_edges)
-    return graph
+    return _sort_first(UndirectedGraph, sources, targets, nodes)
 
 
 def graph_from_edge_arrays(

@@ -497,7 +497,7 @@ class Ringo:
         start = time.perf_counter()
         args = {"src_col": src_col, "dst_col": dst_col, "directed": bool(directed)}
         if self.budget is not None:
-            estimated = estimate_graph_build_bytes(table.num_rows, directed=directed)
+            estimated = estimate_graph_build_bytes(table.num_rows)
             if self.budget.admit("ToGraph", estimated) == ADMIT_DEGRADE:
                 args["chunked"] = True
         graph = self._run_op("ToGraph", (table,), args)

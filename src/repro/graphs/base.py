@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.exceptions import GraphError, NodeNotFoundError
+from repro.exceptions import ConversionError, GraphError, NodeNotFoundError
 from repro.obs.spans import trace
 
 EMPTY_ADJACENCY = np.empty(0, dtype=np.int64)
@@ -83,6 +83,46 @@ def distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+# Edge keys ``row * m + col`` fit an int64 while ``m * m < 2**63``.
+MAX_KEYED_NODES = 3_037_000_499
+
+
+def dense_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``distinct(values)`` and each value's index in it, from one argsort."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new_run = np.empty(len(values), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    ids = ordered[new_run]
+    del ordered  # freed before the two label arrays: a lower peak
+    labels = np.empty(len(values), dtype=np.int64)
+    labels[order] = np.cumsum(new_run) - 1
+    return ids, labels
+
+
+def edge_keys(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """Sortable int64 edge keys ``row * m + col`` of dense labels below ``m``."""
+    if m > MAX_KEYED_NODES:
+        raise ConversionError(f"{m} nodes: int64 edge keys pair at most {MAX_KEYED_NODES}")
+    return np.asarray(rows, dtype=np.int64) * m + cols
+
+
+def keyed_rows(keys: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """``(out_rows, out_cols, in_rows, in_cols)`` of sorted edge keys.
+
+    The in-rows split one sort of the transposed keys.
+    """
+    out_rows, out_cols = np.divmod(keys, m)
+    in_rows, in_cols = np.divmod(np.sort(edge_keys(out_cols, out_rows, m)), m)
+    return out_rows, out_cols, in_rows, in_cols
+
+
+def row_pointer(rows: np.ndarray, m: int) -> np.ndarray:
+    """CSR row pointer over ``m`` rows of sorted row labels."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
 
 
 def segment_lower_bound(

@@ -23,7 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.graphs.base import distinct, gather_adjacency, readonly
+from repro.graphs.base import (
+    dense_labels,
+    distinct,
+    edge_keys,
+    gather_adjacency,
+    keyed_rows,
+    readonly,
+    row_pointer,
+)
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 
@@ -89,31 +97,22 @@ class CSRGraph:
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         if len(sources) != len(targets):
             raise GraphError("edge arrays must have equal length")
-        node_ids = distinct(np.concatenate([sources, targets]))
-        dense_src = np.searchsorted(node_ids, sources)
-        dense_dst = np.searchsorted(node_ids, targets)
-        if deduplicate and len(dense_src):
-            order = np.lexsort((dense_dst, dense_src))
-            dense_src, dense_dst = dense_src[order], dense_dst[order]
-            keep = np.ones(len(order), dtype=bool)
-            keep[1:] = (dense_src[1:] != dense_src[:-1]) | (dense_dst[1:] != dense_dst[:-1])
-            dense_src, dense_dst = dense_src[keep], dense_dst[keep]
-        return cls._from_dense_edges(node_ids, dense_src, dense_dst)
+        node_ids, labels = dense_labels(np.concatenate([sources, targets]))
+        return cls._from_dense_edges(
+            node_ids, labels[: len(sources)], labels[len(sources) :], deduplicate
+        )
 
     @classmethod
     def _from_dense_edges(
-        cls, node_ids: np.ndarray, dense_src: np.ndarray, dense_dst: np.ndarray
+        cls, node_ids: np.ndarray, dense_src, dense_dst, deduplicate: bool = False
     ) -> "CSRGraph":
         count = len(node_ids)
-        out_order = np.lexsort((dense_dst, dense_src))
-        out_indices = dense_dst[out_order]
-        out_degrees = np.bincount(dense_src, minlength=count)
-        out_indptr = np.concatenate(([0], np.cumsum(out_degrees)))
-        in_order = np.lexsort((dense_src, dense_dst))
-        in_indices = dense_src[in_order]
-        in_degrees = np.bincount(dense_dst, minlength=count)
-        in_indptr = np.concatenate(([0], np.cumsum(in_degrees)))
-        return cls(node_ids, out_indptr, out_indices, in_indptr, in_indices)
+        keys = edge_keys(dense_src, dense_dst, count)
+        keys = distinct(keys) if deduplicate else np.sort(keys)
+        out_src, out_dst, in_dst, in_src = keyed_rows(keys, count)
+        return cls(
+            node_ids, row_pointer(out_src, count), out_dst, row_pointer(in_dst, count), in_src
+        )
 
     @classmethod
     def from_graph(cls, graph: "DirectedGraph | UndirectedGraph") -> "CSRGraph":
@@ -125,7 +124,7 @@ class CSRGraph:
         nodes are included from the start, so no
         mismatch-detect-and-rebuild ever happens. The
         dynamic adjacency vectors are already sorted, so the build skips
-        the edge-list lexsort: it gathers the vectors in node-id order
+        the edge-key sort: it gathers the vectors in node-id order
         (degrees, row pointers and one concatenate) and densifies them
         with one ``searchsorted`` per direction. Each row stays sorted
         because both the vectors and ``node_ids`` are.
@@ -283,18 +282,17 @@ class CSRGraph:
         The shared input of the triangle/clustering/community family and
         of the k-core peel; one symmetrisation serves every such call on
         this snapshot. Each non-loop edge contributes the keys ``u*n + v``
-        and ``v*n + u`` (like :meth:`out_edge_keys`, this assumes ``n**2``
-        fits in int64); one sort and a neighbour-inequality mask
-        deduplicate them, so ``divmod`` gives rows grouped by source and
-        sorted within, and one ``bincount`` gives the row pointer. (Not
-        plain ``np.unique``: on numpy 2.x it takes a hashing path, ~40x
-        slower than the sort for these keys.) The edge set is symmetric,
-        so the out- and in-CSR share the same arrays, as in
-        :meth:`from_graph` for an undirected graph. A projection is its
-        own projection, so chained calls (e.g. girth after triangles)
-        share one object. A snapshot the incremental engine refreshed
-        from a base that had its projection is born holding one,
-        carried forward by the delta merge instead of re-sorted.
+        and ``v*n + u`` (:func:`~repro.graphs.base.edge_keys`); one sort
+        and a neighbour-inequality mask deduplicate them, so ``divmod``
+        gives rows sorted by source and then target, and one ``bincount``
+        gives the row pointer. (Not plain ``np.unique``: on numpy 2.x it
+        takes a hashing path, ~40x slower than the sort for these keys.)
+        The edge set is symmetric, so the out- and in-CSR share the same
+        arrays, as in :meth:`from_graph` for an undirected graph. A
+        projection is its own projection, so chained calls (e.g. girth
+        after triangles) share one object. A snapshot the incremental
+        engine refreshed from a base that had its projection is born
+        holding one, carried forward by the delta merge, not re-sorted.
         """
         if self._is_projection:
             return self
@@ -313,11 +311,11 @@ class CSRGraph:
         dst = self._out_indices
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        keys = np.sort(np.concatenate([src * count + dst, dst * count + src]))
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        rows, indices = np.divmod(keys[first], count)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=count))))
+        keys = distinct(
+            np.concatenate([edge_keys(src, dst, count), edge_keys(dst, src, count)])
+        )
+        rows, indices = np.divmod(keys, count)
+        indptr = row_pointer(rows, count)
         projection = CSRGraph(self._node_ids, indptr, indices, indptr, indices)
         projection._is_projection = True
         return projection
@@ -361,9 +359,7 @@ class CSRGraph:
             keep = dst > src
             keys = np.sort(src[keep] * count + dst[keep])
             rows, findices = np.divmod(keys, count)
-            findptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(rows, minlength=count)))
-            )
+            findptr = row_pointer(rows, count)
             for array in (keys, findptr, findices):
                 array.flags.writeable = False
             self._forward_edge_keys = keys

@@ -3,7 +3,7 @@
 Ringo's value proposition is holding everything in RAM; on a shared
 big-memory machine the failure mode is an OOM that kills the whole
 interactive session. A :class:`MemoryBudget` makes the large transient
-allocations — the sort-first conversion's sorted column copies, a join's
+allocations — the sort-first conversion's sorted endpoint ids, a join's
 materialised output — *admission-controlled*: the engine estimates the
 allocation up front (the same arithmetic :mod:`repro.memory.sizeof`
 uses for Table 2) and either refuses with a typed
@@ -23,23 +23,17 @@ ADMIT_OK = "ok"
 ADMIT_DEGRADE = "degrade"
 
 
-def estimate_graph_build_bytes(num_edges: int, directed: bool = True) -> int:
+def estimate_graph_build_bytes(num_edges: int) -> int:
     """Transient bytes the sort-first build allocates for an edge table.
 
-    Directed builds materialise two sorted copies of both int64 key
-    columns (out- and in-adjacency orderings) plus the two lexsort index
-    arrays; undirected builds symmetrise first (2x the pairs) but sort
-    only once. Adjacency slices then roughly double the surviving pairs.
+    The peak is the endpoint labelling, alike for both directions: one
+    argsort over the 2n endpoint ids holds about five int64 arrays of 2n
+    at once (the ids, their order, the running ranks, their int64 cast
+    and the labels). The edge-key sorts after it hold less.
     """
     if num_edges < 0:
         raise RingoError(f"num_edges must be non-negative, got {num_edges}")
-    if directed:
-        # 2 sorts x (2 key copies + 1 index array) + adjacency copies.
-        transient = 2 * (2 + 1) * num_edges * _INT64 + 2 * num_edges * _INT64
-    else:
-        sym = 2 * num_edges
-        transient = (2 + 1) * sym * _INT64 + sym * _INT64
-    return transient
+    return 5 * 2 * num_edges * _INT64
 
 
 def estimate_join_bytes(

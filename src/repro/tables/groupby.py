@@ -55,12 +55,13 @@ def factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         new_run[int(np.searchsorted(ordered, np.nan)) + 1 :] = False
     run_starts = np.flatnonzero(new_run)
     firsts = np.minimum.reduceat(order, run_starts)
-    appearance = np.argsort(firsts)
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(len(appearance))
+    # Runs in first-appearance order are their marked first rows, ascending.
+    is_first = np.zeros(n, dtype=bool)
+    is_first[firsts] = True
+    rank = (np.cumsum(is_first) - 1)[firsts]
     labels = np.empty(n, dtype=np.int64)
     labels[order] = np.repeat(rank, np.diff(run_starts, append=n))
-    return labels, firsts[appearance]
+    return labels, np.flatnonzero(is_first)
 
 
 def factorize_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -179,19 +180,16 @@ def _aggregate(
         sums = np.bincount(labels, weights=values, minlength=n_groups)
         counts = np.bincount(labels, minlength=n_groups)
         return sums / np.maximum(counts, 1), ColumnType.FLOAT
-    # min/max via sort + reduceat over group-contiguous runs.
-    order = np.argsort(labels, kind="stable")
-    sorted_values = values[order]
+    # min/max via sort + reduceat over group-contiguous runs. The order
+    # within a run changes at most which zero (0.0 or -0.0) answers.
+    order = np.argsort(labels)
     boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-    starts = np.concatenate(([0], boundaries))
     if col_type is ColumnType.STRING:
         # Min/max of a string column means lexicographic min/max.
         decoded = np.asarray(table.values(col_name), dtype=object)[order]
-        reducer = np.minimum if agg == "min" else np.maximum
         segments = np.split(decoded, boundaries)
         best = [seg.min() if agg == "min" else seg.max() for seg in segments]
-        del reducer
         codes = table.pool.encode_many(str(v) for v in best)
         return codes, ColumnType.STRING
     reducer = np.minimum.reduceat if agg == "min" else np.maximum.reduceat
-    return reducer(sorted_values, starts), col_type
+    return reducer(values[order], np.concatenate(([0], boundaries))), col_type

@@ -16,6 +16,8 @@ from repro.convert.table_to_graph import (
     to_graph,
 )
 from repro.exceptions import ConversionError
+from repro.graphs.base import MAX_KEYED_NODES, edge_keys
+from repro.graphs.csr import CSRGraph
 from repro.tables.table import Table
 
 EDGES = st.lists(
@@ -108,6 +110,146 @@ class TestSortFirstUndirected:
         other = hash_accumulate_build(*arrays(edge_list), directed=False)
         assert fast.num_edges == other.num_edges
         assert sorted(fast.edges()) == sorted(other.edges())
+
+
+# Ids from a small range (so rows repeat and loops occur) mixed with ids
+# up to 2**62, where a key of raw ids would overflow and dense labels must
+# do the pairing.
+_IDS = st.one_of(st.integers(0, 12), st.integers(0, 2**62))
+_BUILDS = st.tuples(
+    st.lists(st.tuples(_IDS, _IDS), max_size=60), st.lists(_IDS, max_size=6)
+)
+_EDGE_CASES = [
+    ([], []),
+    ([], [5]),
+    ([], [7, 7, 2**62]),
+    ([(3, 4)], []),
+    ([(2**62, 2**62)], []),
+    ([(1, 2), (1, 2), (2, 1), (2, 2), (2, 2)], [9, 1, 9]),
+    ([(2**62, 0), (0, 2**62), (2**62 - 1, 2**62)], [2**61]),
+]
+
+
+def _lexsort_build(sources, targets, nodes, directed, deduplicate=True):
+    """The two-lexsort builder the key kernel replaced, kept as a reference.
+
+    Returns the five backing arrays and the edge count.
+    """
+    if not directed:
+        loops = sources == targets
+        sources, targets = (
+            np.concatenate([sources, targets[~loops]]),
+            np.concatenate([targets, sources[~loops]]),
+        )
+
+    def runs(primary, secondary):
+        order = np.lexsort((secondary, primary))
+        primary, secondary = primary[order], secondary[order]
+        keep = np.ones(len(primary), dtype=bool)
+        if deduplicate:
+            keep[1:] = (primary[1:] != primary[:-1]) | (secondary[1:] != secondary[:-1])
+        return primary[keep], secondary[keep]
+
+    out_src, out_dst = runs(sources, targets)
+    in_dst, in_src = runs(targets, sources)
+    node_ids = np.unique(np.concatenate([out_src, out_dst, nodes]))
+
+    def row_starts(keys):
+        return np.append(np.searchsorted(keys, node_ids), len(keys))
+
+    backing = (
+        node_ids,
+        row_starts(out_src),
+        np.searchsorted(node_ids, out_dst),
+        row_starts(in_dst),
+        np.searchsorted(node_ids, in_src),
+    )
+    loops = int(np.count_nonzero(out_src == out_dst))
+    edges = len(out_src) if directed else (len(out_src) - loops) // 2 + loops
+    return backing, edges
+
+
+def _set_reference(edge_list, nodes, directed):
+    """Node set, out- and in-neighbour sets and edge count, by Python sets."""
+    node_set = {node for edge in edge_list for node in edge} | set(nodes)
+    out = {node: set() for node in node_set}
+    into = {node: set() for node in node_set}
+    for src, dst in edge_list:
+        out[src].add(dst)
+        into[dst].add(src)
+        if not directed:
+            out[dst].add(src)
+            into[src].add(dst)
+    edges = {edge if directed else tuple(sorted(edge)) for edge in edge_list}
+    return node_set, out, into, len(edges)
+
+
+def _decoded_rows(node_ids, indptr, indices):
+    """``{node id: neighbour ids}`` of one orientation of a backing."""
+    return {
+        int(node): node_ids[indices[indptr[i] : indptr[i + 1]]].tolist()
+        for i, node in enumerate(node_ids)
+    }
+
+
+def _assert_same_arrays(got, expected):
+    for array, reference in zip(got, expected, strict=True):
+        assert array.dtype == reference.dtype
+        assert np.array_equal(array, reference)
+
+
+class TestKeyKernel:
+    """The one-key-sort build against a set reference and the lexsort build."""
+
+    def check(self, edge_list, nodes, directed):
+        src, dst = arrays(edge_list)
+        extra = np.array(nodes, dtype=np.int64)
+        build = sort_first_directed if directed else sort_first_undirected
+        graph = build(src, dst, extra)
+        node_set, out, into, edges = _set_reference(edge_list, nodes, directed)
+        assert graph.num_edges == edges
+        if not node_set:
+            assert graph.num_nodes == 0
+            return
+        backing = graph._csr
+        assert backing.node_ids.tolist() == sorted(node_set)
+        assert _decoded_rows(*backing[:3]) == {n: sorted(out[n]) for n in node_set}
+        assert _decoded_rows(backing[0], *backing[3:]) == {
+            n: sorted(into[n]) for n in node_set
+        }
+        reference, reference_edges = _lexsort_build(src, dst, extra, directed)
+        _assert_same_arrays(backing, reference)
+        assert graph.num_edges == reference_edges
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("edge_list,nodes", _EDGE_CASES)
+    def test_edge_cases(self, edge_list, nodes, directed):
+        self.check(edge_list, nodes, directed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_BUILDS, st.booleans())
+    def test_matches_both_references(self, build, directed):
+        self.check(*build, directed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_IDS, _IDS), max_size=60), st.booleans())
+    def test_csr_from_edges(self, edge_list, deduplicate):
+        src, dst = arrays(edge_list)
+        csr = CSRGraph.from_edges(src, dst, deduplicate=deduplicate)
+        reference, edges = _lexsort_build(
+            src, dst, np.empty(0, dtype=np.int64), True, deduplicate
+        )
+        got = (csr.node_ids, csr.out_indptr, csr.out_indices, csr.in_indptr, csr.in_indices)
+        _assert_same_arrays(got, reference)
+        assert csr.num_edges == (edges if deduplicate else len(edge_list))
+
+    def test_key_overflow_guard_names_the_limit(self):
+        # m * m must stay below 2**63 for every key row * m + col to fit.
+        assert MAX_KEYED_NODES**2 < 2**63 <= (MAX_KEYED_NODES + 1) ** 2
+        empty = np.empty(0, dtype=np.int64)
+        assert len(edge_keys(empty, empty, MAX_KEYED_NODES)) == 0
+        with pytest.raises(ConversionError, match=str(MAX_KEYED_NODES)):
+            edge_keys(empty, empty, MAX_KEYED_NODES + 1)
 
 
 class TestToGraph:
