@@ -67,11 +67,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "posts.tsv"
         write_posts_tsv(data, path)
-        with Ringo(
-            workers=args.workers,
-            memory_budget=budget,
-            on_budget_exceeded=args.budget_policy,
-        ) as ringo:
+        with Ringo(workers=args.workers, memory_budget=budget) as ringo:
             posts = ringo.LoadTableTSV(POSTS_SCHEMA, path)
             tagged = ringo.Select(posts, f"Tag='{args.tag}'")
             questions = ringo.Select(tagged, "Type=question")
@@ -98,7 +94,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             mb = health["memory_budget"]
             print(
                 f"budget: limit={mb['limit_bytes']}B admitted={mb['admitted']} "
-                f"denials={mb['denials']} degradations={mb['degradations']}"
+                f"denials={mb['denials']}"
             )
         print(f"objects published: {health['objects']['published']}")
     return 0
@@ -272,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--memory-budget-mb", type=int, default=None,
         help="session memory budget for conversions/joins, in MiB",
-    )
-    demo.add_argument(
-        "--budget-policy", choices=("raise", "degrade"), default="raise",
-        help="over-budget behaviour: fail fast or degrade to chunked builds",
     )
     demo.add_argument(
         "--show-health", action="store_true",

@@ -14,7 +14,6 @@ from repro.convert.cooccurrence import co_occurrence_graph, co_occurrence_pairs
 from repro.convert.graph_to_table import to_edge_table, to_node_table
 from repro.convert.hashmap_table import table_from_hashmap
 from repro.convert.table_to_graph import (
-    chunked_build,
     graph_from_edge_arrays,
     hash_accumulate_build,
     per_edge_build,
@@ -25,7 +24,6 @@ from repro.convert.table_to_graph import (
 
 __all__ = [
     "attach_node_attribute",
-    "chunked_build",
     "co_occurrence_graph",
     "co_occurrence_pairs",
     "graph_from_edge_arrays",

@@ -194,40 +194,6 @@ def to_graph(
     )
 
 
-def chunked_build(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    directed: bool = True,
-    chunk_edges: int = 1 << 16,
-) -> "DirectedGraph | UndirectedGraph":
-    """Memory-frugal graph build: dynamic inserts over fixed-size chunks.
-
-    The budget-degraded alternative to sort-first: instead of
-    materialising whole-column sorted copies (transient memory
-    proportional to the edge count), edges stream in ``chunk_edges``
-    slices through dynamic ``add_edge`` calls. Slower, but its transient
-    footprint is bounded by one chunk — the graceful-degradation path
-    :class:`repro.memory.budget.MemoryBudget` selects.
-    """
-    sources, targets = _as_edge_arrays(sources, targets)
-    if chunk_edges <= 0:
-        raise ConversionError(f"chunk_edges must be positive, got {chunk_edges}")
-    graph = DirectedGraph() if directed else UndirectedGraph()
-    with trace(
-        "convert.chunked_build",
-        rows=len(sources),
-        directed=directed,
-        chunk_edges=chunk_edges,
-    ):
-        for start in range(0, len(sources), chunk_edges):
-            stop = start + chunk_edges
-            for src, dst in zip(
-                sources[start:stop].tolist(), targets[start:stop].tolist()
-            ):
-                graph.add_edge(src, dst)
-    return graph
-
-
 # ----------------------------------------------------------------------
 # Baseline builders (§2.4: "We experimented with several approaches")
 # ----------------------------------------------------------------------

@@ -42,12 +42,7 @@ from repro.incremental.engine import incremental_engine as _incremental_engine
 from repro.incremental.ingest import validate_ops
 from repro.recovery import ops as _rops
 from repro.recovery.wal import SessionDurability
-from repro.memory.budget import (
-    ADMIT_DEGRADE,
-    MemoryBudget,
-    estimate_graph_build_bytes,
-    estimate_join_bytes,
-)
+from repro.memory.budget import MemoryBudget
 from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy, run_with_retry
 from repro.tables.strings import StringPool
@@ -89,10 +84,11 @@ class Ringo:
 
     ``memory_budget`` caps the estimated transient allocation of big
     conversions and joins (bytes, or a pre-built
-    :class:`~repro.memory.budget.MemoryBudget`); ``on_budget_exceeded``
-    picks between failing fast (``"raise"``) and degrading to chunked
-    execution (``"degrade"``). ``retry_policy`` arms the worker pool's
-    transparent retries of :class:`~repro.exceptions.TransientError`.
+    :class:`~repro.memory.budget.MemoryBudget`): an operation whose
+    estimate exceeds it raises
+    :class:`~repro.exceptions.MemoryBudgetError` before any work.
+    ``retry_policy`` arms the worker pool's transparent retries of
+    :class:`~repro.exceptions.TransientError`.
 
     Objects built by the session are published to its catalog only after
     a build fully succeeds, so a mid-build failure never leaves a
@@ -137,14 +133,13 @@ class Ringo:
         self,
         workers: int | None = None,
         memory_budget: "MemoryBudget | int | None" = None,
-        on_budget_exceeded: str = "raise",
         retry_policy: RetryPolicy | None = None,
         trace: "bool | str | None" = None,
         durability: "str | os.PathLike[str] | None" = None,
     ) -> None:
         self.pool = StringPool()
         self.workers = WorkerPool(workers, retry_policy=retry_policy)
-        self.budget = MemoryBudget.coerce(memory_budget, on_exceed=on_budget_exceeded)
+        self.budget = MemoryBudget.coerce(memory_budget)
         self.registry: FunctionRegistry = build_default_registry()
         # Catalog state is guarded so health()/Objects() polled from a
         # monitoring thread (the session service's health endpoint) can
@@ -243,8 +238,10 @@ class Ringo:
         """Run one durable operation through its op-table entry.
 
         The single live path for every entry of
-        :data:`repro.recovery.ops.OPS`, in one fixed order: inputs not
-        yet in the catalog are adopted (snapshotted into the WAL)
+        :data:`repro.recovery.ops.OPS`, in one fixed order: an entry
+        with an ``estimate`` is admitted by the session's memory budget
+        (an over-budget call raises before anything is logged); inputs
+        not yet in the catalog are adopted (snapshotted into the WAL)
         *before* the operator can mutate them; the arguments are
         encoded against that same pre-state; the operator runs; the
         record is appended (flushed + fsync'd); and only then does the
@@ -258,6 +255,8 @@ class Ringo:
         everything else passes through.
         """
         op = _rops.OPS[name]
+        if self.budget is not None and op.estimate is not None:
+            self.budget.admit(name, op.estimate(inputs, args))
         if self._durability is None:
             result = op.run(self, inputs, args)
             if op.always_publish:
@@ -392,17 +391,9 @@ class Ringo:
     def Join(self, left: Table, right: Table, left_col, right_col=None, **kwargs) -> Table:
         """Inner equi-join; always a new table, clashes suffixed -1/-2.
 
-        Under a session memory budget the join's estimated materialisation
-        is admission-checked first; an over-budget join raises
+        Under a session memory budget an over-budget join raises
         :class:`~repro.exceptions.MemoryBudgetError` before any work.
         """
-        if self.budget is not None:
-            estimated = estimate_join_bytes(
-                left.num_rows, right.num_rows, len(left.schema) + len(right.schema)
-            )
-            # A join has no chunked strategy, so a "degrade" budget only
-            # records the admission; strict budgets refuse outright.
-            self.budget.admit("Join", estimated)
         args = {"left_on": left_col, "right_on": right_col, "kwargs": kwargs}
         return self._run_op("Join", (left, right), args)
 
@@ -487,19 +478,13 @@ class Ringo:
     def ToGraph(self, table: Table, src_col: str, dst_col: str, directed: bool = True):
         """Edge table → graph via the sort-first algorithm.
 
-        Under a session memory budget the sort-first build's transient
-        allocation is admission-checked; an over-budget conversion either
-        raises :class:`~repro.exceptions.MemoryBudgetError` or (with
-        ``on_budget_exceeded="degrade"``) falls back to the chunked
-        dynamic build. The graph is built privately and published to the
-        session catalog only on success.
+        Under a session memory budget an over-budget conversion raises
+        :class:`~repro.exceptions.MemoryBudgetError` before any work. The
+        graph is built privately and published to the session catalog
+        only on success.
         """
         start = time.perf_counter()
         args = {"src_col": src_col, "dst_col": dst_col, "directed": bool(directed)}
-        if self.budget is not None:
-            estimated = estimate_graph_build_bytes(table.num_rows)
-            if self.budget.admit("ToGraph", estimated) == ADMIT_DEGRADE:
-                args["chunked"] = True
         graph = self._run_op("ToGraph", (table,), args)
         if obs.enabled():
             # The paper-styled rate metrics: rows/s in, edges/s out.

@@ -8,12 +8,15 @@ durability — and holds the single ``run(session, inputs, args)`` that
 calls the underlying operator (``repro.tables``, ``repro.convert``,
 ``repro.algorithms``). Optional ``encode``/``decode`` hooks translate
 the few argument shapes that are not already JSON (schemas, predicate
-masks, inline payloads, hashmap items) to and from their WAL form.
+masks, inline payloads, hashmap items) to and from their WAL form. The
+two ops with a big transient allocation (``Join``, ``ToGraph``) also
+carry an ``estimate`` that the session's memory budget admits or
+refuses before any work.
 
 Two callers execute entries, and nothing else does:
 
-* the live session (``Ringo._run_op``) — adopt inputs, encode, ``run``,
-  append to the WAL, publish;
+* the live session (``Ringo._run_op``) — admit the estimate, adopt
+  inputs, encode, ``run``, append to the WAL, publish;
 * :func:`apply_record` — decode a committed record and ``run`` it
   against a session's catalog. Crash recovery, replication followers
   and ``Ringo.TailWal`` all apply records through it.
@@ -41,6 +44,7 @@ from repro import convert, tables
 from repro.algorithms.common import NodeValues
 from repro.exceptions import RecoveryError, ReplayError
 from repro.incremental.ingest import apply_graph_ops
+from repro.memory.budget import estimate_graph_build_bytes, estimate_join_bytes
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
 
@@ -205,6 +209,10 @@ class Op:
     input and output and publishes nothing; ``run``'s return value is
     then only the caller's result. ``always_publish`` marks the ops
     that publish to the catalog even in a non-durable session.
+
+    ``estimate(inputs, args)`` gives the bytes the operation allocates
+    transiently, for the session's memory budget to admit; ``None``
+    marks an op the budget does not check.
     """
 
     kind: str
@@ -214,6 +222,7 @@ class Op:
     decode: Callable = _decode_plain
     mutates: "bool | str" = False
     always_publish: bool = False
+    estimate: "Callable | None" = None
 
     def mutates_with(self, args: dict) -> bool:
         """Whether a call with ``args`` mutates ``inputs[0]`` in place."""
@@ -228,18 +237,6 @@ _INLINE_TABLE = Op(
     encode=lambda s, a, i: {"payload": encode_table_payload(a["object"])},
     decode=lambda s, a: {"object": decode_table_payload(a["payload"], s.pool)},
 )
-
-
-def _run_to_graph(session, inputs, args):
-    table, src_col, dst_col = inputs[0], args["src_col"], args["dst_col"]
-    if args.get("chunked"):
-        # Only a live build that memory admission degraded; never logged.
-        for name in (src_col, dst_col):
-            table.schema.require(name)
-        return convert.chunked_build(
-            table.column(src_col), table.column(dst_col), directed=args["directed"]
-        )
-    return convert.to_graph(table, src_col, dst_col, directed=args["directed"])
 
 
 def _encode_group_by(session, args, inputs):
@@ -314,6 +311,9 @@ OPS: "dict[str, Op]" = {
             i[0], i[1], a["left_on"], a["right_on"], **a["kwargs"]
         ),
         always_publish=True,
+        estimate=lambda i, a: estimate_join_bytes(
+            i[0].num_rows, i[1].num_rows, len(i[0].schema) + len(i[1].schema)
+        ),
     ),
     "Project": Op("table", 1, lambda s, i, a: tables.project(i[0], a["columns"])),
     "Rename": Op("table", 1, lambda s, i, a: tables.rename(i[0], **a)),
@@ -344,9 +344,9 @@ OPS: "dict[str, Op]" = {
     ),
     "Sample": Op("table", 1, lambda s, i, a: tables.sample_rows(i[0], **a)),
     "ToGraph": Op(
-        "graph", 1, _run_to_graph,
-        encode=lambda s, a, i: {k: v for k, v in a.items() if k != "chunked"},
+        "graph", 1, lambda s, i, a: convert.to_graph(i[0], **a),
         always_publish=True,
+        estimate=lambda i, a: estimate_graph_build_bytes(i[0].num_rows),
     ),
     "GetEdgeTable": Op(
         "table", 1, lambda s, i, a: convert.to_edge_table(i[0], string_pool=s.pool)

@@ -1,5 +1,10 @@
 """Tests for spectral analysis and biconnected components."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -121,3 +126,29 @@ class TestReportCommand:
         from repro.cli import main
 
         assert main(["report", "--results", str(tmp_path / "nope")]) == 2
+
+
+# ``import repro`` must work without scipy; only a spectral call needs it.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from repro import Ringo
+with Ringo(workers=1) as ringo:
+    print(ringo.NumFunctions())
+    graph = ringo.GenErdosRenyi(10, 15, seed=1)
+    try:
+        ringo.GetSpectralBisection(graph)
+    except ImportError as err:
+        print(err)
+"""
+
+
+def test_scipy_is_needed_only_by_a_spectral_call():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    num_functions, message = result.stdout.splitlines()
+    assert int(num_functions) > 200
+    assert message.startswith("spectral analysis needs scipy, which is not installed")

@@ -34,6 +34,8 @@ from repro.graphs.serialize import load_edge_list, load_graph, save_graph
 from repro.parallel.concurrent_hash import LinearProbingHashTable
 from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy, run_with_retry
+from repro.recovery.digest import catalog_digest
+from repro.recovery.wal import WAL_FILENAME, read_wal
 from repro.tables.io_npz import save_table_npz
 from repro.tables.io_tsv import load_table_tsv
 from repro.tables.table import Table
@@ -407,21 +409,6 @@ class TestMemoryBudgets:
             assert ringo.health()["objects"]["published"] == 0
             assert ringo.health()["memory_budget"]["denials"] == 1
 
-    def test_degrade_budget_builds_same_graph_chunked(self):
-        with Ringo(workers=1) as reference:
-            table = reference.TableFromColumns(EDGE_COLUMNS)
-            expected = reference.ToGraph(table, "a", "b")
-        with Ringo(
-            workers=1, memory_budget=64, on_budget_exceeded="degrade"
-        ) as ringo:
-            table = ringo.TableFromColumns(EDGE_COLUMNS)
-            graph = ringo.ToGraph(table, "a", "b")
-            assert graph.num_edges == expected.num_edges
-            assert sorted(graph.nodes()) == sorted(expected.nodes())
-            health = ringo.health()
-            assert health["memory_budget"]["degradations"] == 1
-            assert health["objects"]["published"] == 1
-
     def test_budget_admits_small_work(self):
         with Ringo(workers=1, memory_budget=1 << 30) as ringo:
             table = ringo.TableFromColumns(EDGE_COLUMNS)
@@ -434,6 +421,30 @@ class TestMemoryBudgets:
             table = ringo.TableFromColumns({"k": list(range(100))})
             with pytest.raises(MemoryBudgetError):
                 ringo.Join(table, table, "k")
+
+    def test_durable_refusal_logs_nothing_and_recovers(self, tmp_path):
+        state = tmp_path / "state"
+        # Converting 100 rows is estimated at 8 000 bytes; 4 rows at 320.
+        outside = Table.from_columns({"a": list(range(100)), "b": list(range(100))})
+        with Ringo(workers=1, memory_budget=1000, durability=state) as ringo:
+            with pytest.raises(MemoryBudgetError) as join_info:
+                ringo.Join(outside, outside, "a")
+            with pytest.raises(MemoryBudgetError) as graph_info:
+                ringo.ToGraph(outside, "a", "b")
+            assert (join_info.value.operation, graph_info.value.operation) == (
+                "Join", "ToGraph")
+            # Refused before adoption: no record at all, not even __adopt_table__.
+            assert read_wal(state / WAL_FILENAME)[0] == []
+            assert ringo.Objects() == []
+            assert ringo.health()["memory_budget"]["denials"] == 2
+
+            table = ringo.TableFromColumns({"a": [5, 3, 9, 1], "b": [3, 9, 1, 5]})
+            graph = ringo.ToGraph(table, "a", "b")
+            nodes = ringo.GetNodeTable(graph)
+            assert nodes.column(nodes.schema.names[0]).tolist() == [1, 3, 5, 9]
+            reference = catalog_digest(ringo)
+        with Ringo.recover(state, workers=1) as recovered:
+            assert catalog_digest(recovered) == reference
 
 
 class TestConcurrentContainerFaultStress:

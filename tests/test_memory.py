@@ -119,7 +119,7 @@ class TestMemoryBudget:
         from repro.memory.budget import MemoryBudget
 
         budget = MemoryBudget(1 << 20)
-        assert budget.admit("op", 1 << 10) == "ok"
+        assert budget.admit("op", 1 << 10) is None
         snap = budget.snapshot()
         assert snap["admitted"] == 1 and snap["denials"] == 0
 
@@ -134,13 +134,6 @@ class TestMemoryBudget:
         assert info.value.limit == 1 << 10
         assert budget.snapshot()["denials"] == 1
 
-    def test_degrade_budget_returns_degrade(self):
-        from repro.memory.budget import MemoryBudget
-
-        budget = MemoryBudget(1 << 10, on_exceed="degrade")
-        assert budget.admit("ToGraph", 1 << 20) == "degrade"
-        assert budget.snapshot()["degradations"] == 1
-
     def test_coerce_accepts_ints_and_none(self):
         from repro.memory.budget import MemoryBudget
 
@@ -154,8 +147,6 @@ class TestMemoryBudget:
 
         with pytest.raises(RingoError):
             MemoryBudget(0)
-        with pytest.raises(RingoError):
-            MemoryBudget(100, on_exceed="panic")
 
     def test_estimates_scale_with_input(self):
         from repro.memory.budget import (
