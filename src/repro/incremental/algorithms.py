@@ -14,11 +14,14 @@ Equivalence contracts, asserted by the trace-differential harness:
 * **WCC / triangles** — exact: warm answers equal a from-scratch batch
   run bit for bit (WCC labels are canonicalised to the batch labelling:
   a component's label is the rank of its minimum dense node id).
-* **PageRank** — ε-bounded: the warm path re-runs the *same* power
-  iteration with the *same* stopping criterion, just started from the
-  previous ranks instead of uniform. Both runs therefore land within
-  ``damping/(1-damping) * tolerance`` (L1) of the fixed point, so they
-  differ by at most :func:`~repro.incremental.engine.pagerank_epsilon`.
+* **PageRank** — ε-bounded: the warm path runs the *same* solver
+  (:func:`~repro.algorithms.pagerank.pagerank_array`), started from the
+  previous ranks instead of uniform, and its answer carries the *same
+  certificate*: a final power sweep with an L1 step below ``tolerance``,
+  whichever of power sweeps or GMRES got there. Both runs therefore
+  land within ``damping/(1-damping) * tolerance`` (L1) of the fixed
+  point, so they differ by at most
+  :func:`~repro.incremental.engine.pagerank_epsilon`.
 
 Batch modules are imported lazily inside functions — they import the
 snapshot cache, which imports the incremental engine, and a module-level
@@ -78,10 +81,9 @@ def incremental_pagerank(
 
     The warm path needs no mutation log: the previous rank vector is
     remapped onto the current node set and handed to the unchanged
-    batch kernel as its starting point. Convergence is checked by the
-    same L1-under-``tolerance`` criterion as a cold run, so the answer
-    satisfies the same fixed-point bound — it just gets there in far
-    fewer iterations after small churn.
+    batch kernel as its initial guess. The answer ends on the same
+    certificate as a cold run (a power sweep whose L1 step is below
+    ``tolerance``), so it satisfies the same fixed-point bound.
     """
     engine = incremental_engine()
     if not engine.enabled or not _is_dynamic(graph):

@@ -34,9 +34,10 @@ ones too, is a column envelope instead::
                   "values": {"dtype": "<f8", "b64": "..."}}}
 
 Each column is the little-endian bytes of one array, base64-encoded.
-Integer columns are sent as ``<i4`` when every entry fits, else
-``<i8``; floats as ``<f8``, booleans as ``|b1``. :func:`decode_result`
-turns an envelope back into a ``NodeValues`` with int64 ids, and raises
+Integer columns are sent as the narrowest of ``<i1``/``<i2``/``<i4``/
+``<i8`` that holds every entry; floats as ``<f8``, booleans as ``|b1``.
+:func:`decode_result` turns an envelope back into a ``NodeValues`` with
+int64 ids (and int64 integer values), and raises
 :class:`ProtocolError` on a dtype outside that list, a byte count that is
 not a whole number of items, or columns of unequal length.
 
@@ -68,8 +69,9 @@ COLUMNS_KEY = "$columns"
 ACCEPT_COLUMNS = "columns"
 
 #: Every dtype a column envelope may carry, by its ``numpy`` string.
-COLUMN_DTYPES = frozenset({"<i4", "<i8", "<f8", "|b1"})
-_INT32 = np.iinfo(np.int32)
+COLUMN_DTYPES = frozenset({"<i1", "<i2", "<i4", "<i8", "<f8", "|b1"})
+#: Integer wire widths, narrowest first; ``<i8`` holds every int64.
+_INT_WIDTHS = tuple((f"<i{size}", np.iinfo(f"i{size}")) for size in (1, 2, 4))
 
 #: Service-level ops handled by the server itself, not a tenant engine.
 #: ``digest_at`` and ``checkpoint`` run inside the tenant's serialized
@@ -286,14 +288,19 @@ def _encode_column(array: np.ndarray) -> dict:
         dtype = "|b1"
     elif kind == "f":
         dtype = "<f8"
-    elif len(array) == 0 or (
-        int(array.min()) >= _INT32.min and int(array.max()) <= _INT32.max
-    ):
-        dtype = "<i4"
     else:
-        dtype = "<i8"
+        dtype = _int_width(array)
     data = np.ascontiguousarray(array, dtype=np.dtype(dtype)).tobytes()
     return {"dtype": dtype, "b64": base64.b64encode(data).decode("ascii")}
+
+
+def _int_width(array: np.ndarray) -> str:
+    """The narrowest integer wire dtype that holds every entry of ``array``."""
+    low, high = (int(array.min()), int(array.max())) if len(array) else (0, 0)
+    for dtype, info in _INT_WIDTHS:
+        if info.min <= low and high <= info.max:
+            return dtype
+    return "<i8"
 
 
 def decode_result(value: object) -> object:

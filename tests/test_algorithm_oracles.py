@@ -19,6 +19,11 @@ Derived graphs (``graphs.ops``, ``to_undirected``, ``to_simple``,
 ``condensation``, ``k_truss``, the spanning forests and the two
 ``Network`` builders) are checked on CSR-backed and materialised inputs
 against node and edge sets built here, and must come out CSR-backed.
+PageRank (``pagerank_array``, ``pagerank``, ``pagerank_weighted``) is
+checked against ``np.linalg.solve`` of the dense linear system within
+its certificate, d/(1-d)·tol in L1, on both solver paths; the power
+path and ``iterations=`` runs are bitwise those of the power loop kept
+here as ``legacy_pagerank_array``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.algorithms import generators as gen
 from repro.algorithms.bfs import UNREACHED, bfs_level_array, bfs_levels
 from repro.algorithms.components import strongly_connected_components
 from repro.algorithms.cores import core_numbers, degeneracy, k_core
+from repro.algorithms.pagerank import pagerank, pagerank_array, pagerank_weighted
 from repro.algorithms.sssp import dijkstra
 from repro.algorithms.triangles import (
     average_clustering,
@@ -54,6 +60,7 @@ from repro.graphs.multigraph import DirectedMultigraph
 from repro.graphs.network import Network
 from repro.graphs.snapshot import csr_snapshot
 from repro.graphs.undirected import UndirectedGraph
+from repro.obs.metrics import registry as metrics_registry
 from repro.parallel.executor import WorkerPool
 from repro.tables.table import Table
 
@@ -1034,3 +1041,254 @@ class TestDerivedGraphOracle:
         nodes = Table.from_columns({"id": [1, -2], "x": [5, 6]})
         with pytest.raises(ConversionError):
             attributes.network_from_tables(edges, "a", "b", nodes, node_key="id")
+
+
+# ----------------------------------------------------------------------
+# PageRank: the dense linear solve
+# ----------------------------------------------------------------------
+
+DAMPING, TOLERANCE = 0.85, 1e-9
+#: The certificate every converged answer carries: a final sweep whose L1
+#: step is below ``TOLERANCE`` is within d/(1-d)·tol of the fixed point.
+PAGERANK_BOUND = DAMPING / (1.0 - DAMPING) * TOLERANCE
+
+
+def exact_pagerank(csr, personalize=None, weights=None) -> np.ndarray:
+    """The fixed point by ``np.linalg.solve`` of ``(I - M)·x = (1-d)·v``.
+
+    ``M = d·P``, where ``P[i, j]`` is the share of ``j``'s rank that
+    reaches ``i``: ``w(j, i) / Σw(j, ·)`` along an edge, ``v[i]`` when
+    ``j``'s out-weights sum to zero (dangling).
+    """
+    count = csr.num_nodes
+    sources, targets = csr.edge_sources(), csr.out_indices
+    weights = np.ones(len(sources)) if weights is None else weights
+    totals = np.bincount(sources, weights=weights, minlength=count)
+    teleport = np.full(count, 1.0 / count) if personalize is None else personalize
+    shares = np.zeros((count, count))
+    np.add.at(shares, (targets, sources), weights / np.where(totals > 0, totals, 1.0)[sources])
+    shares[:, totals <= 0] += teleport[:, None]
+    return np.linalg.solve(
+        np.eye(count) - DAMPING * shares, (1.0 - DAMPING) * teleport
+    )
+
+
+def legacy_pagerank_array(
+    csr, max_iterations=100, iterations=None, personalize_dense=None, start=None
+) -> np.ndarray:
+    """The power loop ``pagerank_array`` ran before it owned a workspace and
+    could hand slow graphs to GMRES: a sweep of fresh temporaries."""
+    count = csr.num_nodes
+    out_deg = csr.out_degrees().astype(np.float64)
+    dangling = out_deg == 0
+    edge_src = csr.edge_sources()
+    edge_dst = csr.out_indices
+    base = (
+        personalize_dense
+        if personalize_dense is not None
+        else np.full(count, 1.0 / count, dtype=np.float64)
+    )
+    ranks = base.copy() if start is None else np.ascontiguousarray(start, dtype=np.float64)
+    safe_deg = np.where(dangling, 1.0, out_deg)
+    rounds = iterations if iterations is not None else max_iterations
+    for _ in range(rounds):
+        share = ranks / safe_deg
+        spread = np.bincount(edge_dst, weights=share[edge_src], minlength=count)
+        dangling_mass = float(ranks[dangling].sum())
+        new_ranks = (1.0 - DAMPING) * base + DAMPING * (spread + dangling_mass * base)
+        delta = float(np.abs(new_ranks - ranks).sum())
+        ranks = new_ranks
+        if iterations is None and delta < TOLERANCE:
+            break
+    return ranks
+
+
+def _solver_counts() -> dict[str, int]:
+    snapshot = metrics_registry().snapshot()
+    return {
+        name: snapshot.get(f"alg.pagerank.{name}", {}).get("value", 0)
+        for name in ("power_solves", "krylov_solves", "matvecs")
+    }
+
+
+def _counted(fn, *args, **kwargs):
+    """``fn``'s result and the solver counters it moved."""
+    before = _solver_counts()
+    result = fn(*args, **kwargs)
+    after = _solver_counts()
+    return result, {name: after[name] - before[name] for name in after}
+
+
+def _question_answer_edges(seed: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """A small asker → answerer graph: 60 users, 90 questions, and five
+    experts who answer 60 % of them. Like the Figure 2 tag graphs, its
+    power sweeps contract by ~0.7, which sends it down the Krylov branch."""
+    rng = np.random.default_rng(seed)
+    askers = rng.integers(0, 60, 90)
+    answerers = np.where(
+        rng.random(90) < 0.6, rng.integers(0, 5, 90), rng.integers(0, 60, 90)
+    )
+    keep = askers != answerers
+    return askers[keep], answerers[keep]
+
+
+def _weighted_network(graph, seed: int) -> tuple[Network, CSRGraph, np.ndarray]:
+    """``graph`` as a Network with a weight in [0, 2) on every arc (some 0),
+    its snapshot, and the weights in the snapshot's edge order."""
+    rng = np.random.default_rng(seed)
+    net = Network()
+    for node in graph.nodes():
+        net.add_node(node)
+    for u, v in sorted(graph.edges()):
+        net.add_edge(u, v)
+        if not graph.is_directed and u != v:
+            net.add_edge(v, u)
+    csr = csr_snapshot(net)
+    weights = np.where(rng.random(csr.num_edges) < 0.1, 0.0, 2 * rng.random(csr.num_edges))
+    ids = csr.node_ids
+    for s, d, w in zip(csr.edge_sources().tolist(), csr.out_indices.tolist(), weights):
+        net.set_edge_attr(int(ids[s]), int(ids[d]), "w", float(w))
+    return net, csr_snapshot(net), weights
+
+
+def _l1(a, b) -> float:
+    return float(np.abs(np.asarray(a) - np.asarray(b)).sum())
+
+
+class TestPageRankOracle:
+    solve = staticmethod(pagerank_array)
+
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_catalog_within_certificate(self, model, directed, decorated):
+        graph = _catalog_graph(model, directed, decorated)
+        csr = csr_snapshot(graph)
+        ranks, moved = _counted(self.solve, csr)
+        assert _l1(ranks, exact_pagerank(csr)) <= PAGERANK_BOUND
+        assert moved["power_solves"] + moved["krylov_solves"] == 1
+        assert 1 <= moved["matvecs"] <= 100
+        if moved["power_solves"]:
+            # Fast contraction never leaves the power path: the old loop's
+            # answer bit for bit.
+            assert ranks.tobytes() == legacy_pagerank_array(csr).tobytes()
+        public = pagerank(graph)
+        assert public.node_ids.tolist() == csr.node_ids.tolist()
+        assert _l1(public.value_array, exact_pagerank(csr)) <= PAGERANK_BOUND
+
+    @pytest.mark.parametrize("model, directed, decorated", CATALOG)
+    def test_catalog_fixed_iterations_are_the_power_loop(self, model, directed, decorated):
+        csr = csr_snapshot(_catalog_graph(model, directed, decorated))
+        ranks, moved = _counted(self.solve, csr, iterations=10)
+        assert ranks.tobytes() == legacy_pagerank_array(csr, iterations=10).tobytes()
+        assert moved == {"power_solves": 1, "krylov_solves": 0, "matvecs": 10}
+
+    @pytest.mark.parametrize(
+        "model, directed, decorated",
+        [param for param in CATALOG if param.values[1]],
+    )
+    def test_weighted_within_certificate(self, model, directed, decorated):
+        net, csr, weights = _weighted_network(
+            _catalog_graph(model, directed, decorated), seed=len(model)
+        )
+        ranks = pagerank_weighted(net, "w")
+        assert ranks.node_ids.tolist() == csr.node_ids.tolist()
+        exact = exact_pagerank(csr, weights=weights)
+        assert _l1(ranks.value_array, exact) <= PAGERANK_BOUND
+
+    def test_question_answer_graph_takes_krylov_and_counts_it(self):
+        sources, targets = _question_answer_edges()
+        with Ringo(workers=1) as session:
+            table = session.TableFromColumns({"a": sources, "b": targets})
+            graph = session.ToGraph(table, "a", "b")
+            before = session.health()["obs"]["metrics"]
+            ranks = session.GetPageRank(graph)
+            after = session.health()["obs"]["metrics"]
+        moved = {
+            name: after[f"alg.pagerank.{name}"]["value"]
+            - before.get(f"alg.pagerank.{name}", {}).get("value", 0)
+            for name in ("power_solves", "krylov_solves", "matvecs")
+        }
+        assert moved["krylov_solves"] == 1 and moved["power_solves"] == 0
+        # Four sweeps to judge the contraction, then Krylov steps and the
+        # certifying sweep: far fewer than the power loop's sweeps.
+        csr = csr_snapshot(graph)
+        assert 5 <= moved["matvecs"] < 30
+        exact = exact_pagerank(csr)
+        assert _l1(ranks.value_array, exact) <= PAGERANK_BOUND
+        assert _l1(legacy_pagerank_array(csr), exact) <= PAGERANK_BOUND
+        assert np.all(np.isfinite(ranks.value_array))
+
+    def test_personalize(self):
+        for graph in (
+            graph_from_edge_arrays(*_question_answer_edges(), directed=True),
+            _catalog_graph("barabasi_albert", True, True),
+        ):
+            csr = csr_snapshot(graph)
+            ids = csr.node_ids.tolist()
+            weights = {ids[0]: 3.0, ids[len(ids) // 2]: 1.0, ids[-1]: 0.0}
+            teleport = np.zeros(csr.num_nodes)
+            for node, weight in weights.items():
+                teleport[ids.index(node)] = weight
+            teleport /= teleport.sum()
+            ranks = pagerank(graph, personalize=weights)
+            assert _l1(ranks.value_array, exact_pagerank(csr, personalize=teleport)) <= PAGERANK_BOUND
+            fixed = pagerank(graph, personalize=weights, iterations=10)
+            assert fixed.value_array.tobytes() == legacy_pagerank_array(
+                csr, iterations=10, personalize_dense=teleport
+            ).tobytes()
+
+    @pytest.mark.parametrize("krylov", [False, True], ids=["power", "krylov"])
+    def test_start_is_the_initial_guess(self, krylov):
+        graph = (
+            graph_from_edge_arrays(*_question_answer_edges(), directed=True)
+            if krylov
+            else _catalog_graph("rmat", True, False)
+        )
+        csr = csr_snapshot(graph)
+        exact = exact_pagerank(csr)
+        rng = np.random.default_rng(3)
+        start = rng.random(csr.num_nodes)
+        start /= start.sum()
+        kept = start.copy()
+        ranks = self.solve(csr, start=start)
+        assert np.array_equal(start, kept)  # the guess is read, not written
+        assert _l1(ranks, exact) <= PAGERANK_BOUND
+        # Starting at the answer certifies it with one sweep.
+        warm, moved = _counted(self.solve, csr, start=ranks)
+        assert moved["matvecs"] == 1 and _l1(warm, exact) <= PAGERANK_BOUND
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_all_dangling_and_single_node(self, count):
+        graph = DirectedGraph()
+        for node in range(count):
+            graph.add_node(node * 3)
+        csr = csr_snapshot(graph)
+        ranks, moved = _counted(self.solve, csr)
+        assert np.allclose(ranks, 1.0 / count, rtol=0, atol=1e-15)
+        assert moved == {"power_solves": 1, "krylov_solves": 0, "matvecs": 1}
+        assert _l1(pagerank(graph).value_array, exact_pagerank(csr)) <= PAGERANK_BOUND
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty_graph(self, directed):
+        graph = _empty(directed)
+        assert pagerank(graph) == {}
+        assert self.solve(csr_snapshot(graph)).shape == (0,)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_max_iterations_caps_the_matvecs(self, budget):
+        for graph in (
+            graph_from_edge_arrays(*_question_answer_edges(), directed=True),
+            _catalog_graph("gnm", True, False),
+        ):
+            csr = csr_snapshot(graph)
+            ranks, moved = _counted(self.solve, csr, max_iterations=budget)
+            assert moved == {"power_solves": 1, "krylov_solves": 0, "matvecs": budget}
+            assert ranks.tobytes() == legacy_pagerank_array(csr, max_iterations=budget).tobytes()
+
+    def test_krylov_budget_returns_the_last_sweep(self):
+        csr = csr_snapshot(graph_from_edge_arrays(*_question_answer_edges(), directed=True))
+        full, moved = _counted(self.solve, csr)
+        for budget in range(4, moved["matvecs"] + 2):
+            ranks, capped = _counted(self.solve, csr, max_iterations=budget)
+            assert capped["matvecs"] <= budget
+            assert np.all(np.isfinite(ranks)) and abs(ranks.sum() - 1.0) < 1e-12
+        assert ranks.tobytes() == full.tobytes()

@@ -44,7 +44,8 @@ def column(array, dtype):
 
 class TestEnvelope:
     def test_int_columns_narrow_to_int32_when_lossless(self):
-        result = NodeValues(np.arange(5), np.array([0, -3, 2**31 - 1, 7, -(2**31)]))
+        ids = np.array([0, 2**15, 2**31 - 1, 3, -(2**31)])
+        result = NodeValues(ids, np.array([0, -3, 2**31 - 1, 7, -(2**31)]))
         encoded, decoded = round_trip(result)
         columns = encoded[COLUMNS_KEY]
         assert columns["node_ids"]["dtype"] == "<i4"
@@ -61,6 +62,52 @@ class TestEnvelope:
         assert encoded[COLUMNS_KEY]["node_ids"]["dtype"] == "<i8"
         assert encoded[COLUMNS_KEY]["values"]["dtype"] == "<i8"
         assert decoded == result and list(decoded) == ids.tolist()
+
+    @pytest.mark.parametrize(
+        "entries, dtype",
+        [
+            ([-128, 127], "<i1"),
+            ([-129, 0], "<i2"),
+            ([0, 128], "<i2"),
+            ([-(2**15), 2**15 - 1], "<i2"),
+            ([-(2**15) - 1], "<i4"),
+            ([2**15], "<i4"),
+            ([2**31 - 1, -(2**31)], "<i4"),
+            ([2**31], "<i8"),
+            ([-(2**31) - 1], "<i8"),
+            ([2**63 - 1, -(2**63)], "<i8"),
+        ],
+        ids=["i1-edges", "-129", "128", "i2-edges", "-2**15-1", "2**15",
+             "i4-edges", "2**31", "-2**31-1", "i8-edges"],
+    )
+    def test_int_columns_take_the_narrowest_lossless_width(self, entries, dtype):
+        entries = np.array(entries, dtype=np.int64)
+        result = NodeValues(entries, entries[::-1])
+        encoded, decoded = round_trip(result)
+        columns = encoded[COLUMNS_KEY]
+        assert columns["node_ids"]["dtype"] == columns["values"]["dtype"] == dtype
+        itemsize = np.dtype(dtype).itemsize
+        assert len(base64.b64decode(columns["node_ids"]["b64"])) == itemsize * len(entries)
+        assert decoded == result
+        assert decoded.node_ids.dtype == decoded.value_array.dtype == np.int64
+        assert decoded.node_ids.tolist() == entries.tolist()
+
+    def test_empty_int_column_is_one_byte_wide(self):
+        empty = NodeValues(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        encoded, decoded = round_trip(empty)
+        assert encoded[COLUMNS_KEY]["node_ids"] == {"dtype": "<i1", "b64": ""}
+        assert decoded.value_array.dtype == np.int64 and decoded == {}
+
+    def test_bfs_levels_shrink_below_the_plain_reply(self):
+        ids = np.arange(5_000, dtype=np.int64) * 3
+        levels = np.arange(5_000, dtype=np.int64) % 9
+        result = NodeValues(ids, levels)
+        with Ringo(workers=1) as ringo:
+            plain = dump_line(encode_result(ringo, result))
+            columns = dump_line(encode_result(ringo, result, columns=True))
+        encoded = json.loads(columns)[COLUMNS_KEY]
+        assert (encoded["node_ids"]["dtype"], encoded["values"]["dtype"]) == ("<i2", "<i1")
+        assert len(columns) < len(plain)
 
     def test_floats_are_bit_exact(self):
         values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
