@@ -41,7 +41,7 @@ from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.engine import incremental_engine as _incremental_engine
 from repro.incremental.ingest import validate_ops
 from repro.recovery import ops as _rops
-from repro.recovery.wal import SessionDurability
+from repro.recovery.wal import SessionDurability, WalTail
 from repro.memory.budget import MemoryBudget
 from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy, run_with_retry
@@ -153,7 +153,7 @@ class Ringo:
         self._durability: "SessionDurability | None" = None
         self._recovery_report: "dict | None" = None
         if durability:
-            self._arm_durability(durability, resume=False)
+            self._arm_durability(durability)
         # The snapshot cache is process-wide; the session only reports it.
         self._snapshot_cache = _default_snapshot_cache()
         self._timings: dict[str, dict] = {}
@@ -193,21 +193,23 @@ class Ringo:
             )
         return obj
 
-    def _arm_durability(self, directory, resume: bool = False) -> None:
+    def _arm_durability(self, directory, tail: "WalTail | None" = None) -> None:
         """Open the write-ahead log under ``directory``.
 
-        A fresh session refuses a directory that already holds durable
-        state (LSNs and catalog names would collide with the old run's);
-        :meth:`recover` passes ``resume=True`` after reconstructing the
-        catalog, so appends continue the existing sequence.
+        A fresh session (``tail=None``) refuses a directory that already
+        holds durable state (LSNs and catalog names would collide with
+        the old run's), so its log starts empty. :meth:`recover` passes
+        the :class:`~repro.recovery.wal.WalTail` its replay scan ended
+        at, so appends continue the existing sequence without a rescan.
         """
         from repro.recovery.checkpoint import ensure_fresh
 
         if self._durability is not None:
             raise RecoveryError("session durability is already armed")
-        if not resume:
+        if tail is None:
             ensure_fresh(directory)
-        self._durability = SessionDurability(directory)
+            tail = WalTail()
+        self._durability = SessionDurability(directory, tail)
 
     def _require_ref(self, obj) -> str:
         """The catalog id of ``obj``, adopting it into the WAL if unknown.
@@ -328,7 +330,7 @@ class Ringo:
         """
         from repro.recovery.recover import recover_session
 
-        return recover_session(cls, directory, strict=strict, **session_kwargs)
+        return recover_session(cls, directory, strict=strict, **session_kwargs)[0]
 
     def close(self) -> None:
         """Shut down the worker pool (and any tracer this session armed)."""
@@ -558,15 +560,19 @@ class Ringo:
         stops with the resumable cursor. ``None`` keeps the strict
         stop-on-first-error semantics.
         """
-        from repro.recovery.wal import WAL_FILENAME, read_wal
+        from repro.recovery.wal import WAL_FILENAME, iter_wal
 
-        records, _tail = read_wal(os.path.join(os.fspath(directory), WAL_FILENAME))
+        wal_path = os.path.join(os.fspath(directory), WAL_FILENAME)
+        own = self._durability.wal.path if self._durability is not None else None
+        if own is not None and os.path.realpath(wal_path) == os.path.realpath(own):
+            # The stream would re-read every record this loop appends.
+            raise RecoveryError("a session cannot tail its own write-ahead log")
         applied_records = 0
         applied_ops = 0
         skipped = 0
         position = int(cursor)
         error = None
-        for record in records:
+        for record in iter_wal(wal_path, WalTail()):
             if record.lsn <= position:
                 continue
 

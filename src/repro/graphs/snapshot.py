@@ -45,17 +45,9 @@ from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.incremental.delta import DeltaError, apply_delta, carry_projection
 from repro.incremental.engine import incremental_engine
-from repro.obs.metrics import registry as _metrics_registry
-from repro.obs.spans import enabled as _tracing_enabled
+from repro.obs.metrics import count as _count
 from repro.obs.spans import event as _obs_event
 from repro.obs.spans import trace as _obs_trace
-
-
-def _count(name: str) -> None:
-    """Bump a snapshot.* counter — only while tracing is armed, so the
-    untraced hot path pays a single module-global check."""
-    if _tracing_enabled():
-        _metrics_registry().counter(name).inc()
 
 
 class _Entry:

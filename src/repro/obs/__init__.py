@@ -29,6 +29,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    count,
     observe_rate,
     registry,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "Span",
     "Tracer",
     "build_tree",
+    "count",
     "current_span",
     "current_span_id",
     "current_tracer",

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import threading
 
+from repro.obs.spans import enabled
+
 
 class Counter:
     """A monotonically non-decreasing total."""
@@ -216,6 +218,13 @@ _REGISTRY = MetricsRegistry()
 def registry() -> MetricsRegistry:
     """The process-wide metrics registry."""
     return _REGISTRY
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Bump counter ``name`` only while tracing is armed, so untraced
+    sessions leave the registry empty and pay one global check."""
+    if enabled():
+        _REGISTRY.counter(name).inc(amount)
 
 
 def observe_rate(

@@ -26,8 +26,7 @@ import os
 from pathlib import Path
 
 from repro.exceptions import CorruptionError, RecoveryError, ReplayError
-from repro.obs.metrics import registry as _metrics_registry
-from repro.obs.spans import enabled as _tracing_enabled
+from repro.obs.metrics import count as _count
 from repro.obs.spans import trace as _obs_trace
 from repro.recovery import ops as _ops
 from repro.recovery.checkpoint import (
@@ -40,11 +39,6 @@ from repro.recovery.checkpoint import (
 from repro.recovery.wal import WAL_FILENAME, WalTail, iter_wal
 
 
-def _count(name: str, amount: int = 1) -> None:
-    if _tracing_enabled():
-        _metrics_registry().counter(name).inc(amount)
-
-
 def recover_session(
     ringo_cls,
     directory: "str | os.PathLike[str]",
@@ -52,18 +46,20 @@ def recover_session(
     arm: bool = True,
     **session_kwargs,
 ):
-    """Reconstruct a session from ``directory``; returns a new armed session.
+    """Reconstruct a session from ``directory``: ``(session, tail)``.
 
     See the module docstring for the three recovery stages. With
     ``strict=True`` any object that can be neither checksum-verified
     nor re-derived from the WAL raises; the default records it under
     ``health()["recovery"]["last_recovery"]["unrecovered"]`` instead.
 
-    ``arm=False`` reconstructs the catalog but leaves the session
-    *unarmed* — it holds no WAL handle and commits nothing. Replication
-    followers use this: the replica applies shipped records to the
-    on-disk WAL itself and keeps the in-memory session as a read-only
-    mirror, arming it only at promotion.
+    ``tail`` is where the replay scan stopped. The armed session's
+    writer resumes from it, so the WAL is read once. ``arm=False``
+    reconstructs the catalog but leaves the session *unarmed* — it
+    holds no WAL handle and commits nothing. Replication followers use
+    this: the replica applies shipped records to the on-disk WAL itself,
+    advancing ``tail``, and keeps the in-memory session as a read-only
+    mirror, arming it from ``tail`` only at promotion.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -82,17 +78,17 @@ def recover_session(
     }
     with _obs_trace("recovery.recover", directory=str(directory)):
         try:
-            _recover_into(session, directory, report, strict=strict, arm=arm)
+            tail = _recover_into(session, directory, report, strict=strict)
+            if arm:
+                session._arm_durability(directory, tail)
         except BaseException:
             session.close()
             raise
     session._recovery_report = report
-    return session
+    return session, tail
 
 
-def _recover_into(
-    session, directory: Path, report: dict, strict: bool, arm: bool = True
-) -> None:
+def _recover_into(session, directory: Path, report: dict, strict: bool) -> WalTail:
     manifest = None
     chosen: "Path | None" = None
     from_checkpoint: set[str] = set()
@@ -197,6 +193,4 @@ def _recover_into(
             str(directory),
             f"strict recovery: {len(report['unrecovered'])} object(s) unrecovered",
         )
-
-    if arm:
-        session._arm_durability(directory, resume=True)
+    return tail

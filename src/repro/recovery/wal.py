@@ -18,6 +18,12 @@ The reader tolerates a torn tail: a final line that fails to parse,
 fails its CRC, or breaks LSN monotonicity ends the readable prefix
 (everything after an invalid frame is untrusted, because later
 operations may depend on the lost one).
+
+This module is the only one that knows these rules. Every reader —
+replay, the writer it arms, a replication follower, the shipper,
+``Ringo.TailWal`` — resumes a :class:`WalTail` through :func:`iter_wal`,
+and converts between records and frames with :meth:`WalRecord.payload`,
+:meth:`WalRecord.from_payload`, :func:`framed` and :func:`unframe`.
 """
 
 from __future__ import annotations
@@ -26,22 +32,14 @@ import json
 import os
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.exceptions import FencedError, InjectedFaultError, RecoveryError
 from repro.faults import fault_point
+from repro.obs.metrics import count as _count
 from repro.recovery.epoch import EpochState, epoch_path, read_epoch
-from repro.obs.metrics import registry as _metrics_registry
-from repro.obs.spans import enabled as _tracing_enabled
-
-
-def _count(name: str, amount: int = 1) -> None:
-    """Bump a recovery.* counter — only while tracing is armed, so the
-    metrics registry stays empty for untraced sessions."""
-    if _tracing_enabled():
-        _metrics_registry().counter(name).inc(amount)
 
 WAL_FILENAME = "wal.jsonl"
 
@@ -51,12 +49,27 @@ def _canonical(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def framed(payload: dict) -> dict:
+    """``payload`` plus its ``crc`` field: one record as a framed object."""
+    return {**payload, "crc": zlib.crc32(_canonical(payload))}
+
+
+def unframe(frame: object) -> dict:
+    """Verify a framed object's CRC; returns the payload without it.
+
+    Raises ``ValueError`` on a missing or mismatching CRC.
+    """
+    if not isinstance(frame, dict) or "crc" not in frame:
+        raise ValueError("frame is not a CRC-framed record object")
+    payload = {key: value for key, value in frame.items() if key != "crc"}
+    if zlib.crc32(_canonical(payload)) != frame["crc"]:
+        raise ValueError("CRC mismatch")
+    return payload
+
+
 def frame_record(payload: dict) -> bytes:
     """Serialise one record payload into a CRC32-framed JSONL line."""
-    crc = zlib.crc32(_canonical(payload))
-    framed = dict(payload)
-    framed["crc"] = crc
-    return json.dumps(framed, sort_keys=True, separators=(",", ":")).encode(
+    return json.dumps(framed(payload), sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     ) + b"\n"
 
@@ -86,58 +99,88 @@ class WalRecord:
         """
         return self.output in self.inputs
 
+    def payload(self) -> dict:
+        """The record as the dict its frame's CRC covers."""
+        payload = {
+            "lsn": self.lsn,
+            "op": self.op,
+            "args": self.args,
+            "inputs": list(self.inputs),
+            "output": self.output,
+        }
+        if self.epoch:
+            payload["epoch"] = self.epoch
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "WalRecord":
+        """The record a verified payload describes (inverse of :meth:`payload`)."""
+        return cls(
+            lsn=int(payload["lsn"]),
+            op=str(payload["op"]),
+            args=payload.get("args") or {},
+            inputs=tuple(payload.get("inputs") or ()),
+            output=str(payload["output"]),
+            epoch=int(payload.get("epoch", 0)),
+        )
+
 
 @dataclass
 class WalTail:
-    """Diagnostics about where (and why) a WAL scan stopped."""
+    """Where a WAL scan stopped: the cursor every reader resumes from.
+
+    ``records`` is the LSN of the last valid record, ``valid_bytes`` the
+    length of the valid prefix and ``epoch`` the last record's epoch.
+    ``torn`` and ``reason`` say why the latest scan stopped short of the
+    end of the file, so a writer can truncate the torn suffix.
+    """
 
     records: int = 0
     valid_bytes: int = 0
+    epoch: int = 0
     torn: bool = False
     reason: "str | None" = None
-    quarantined_lines: int = 0
-    errors: list = field(default_factory=list)
+
+    def advance(self, record: WalRecord, nbytes: int) -> None:
+        """Move past one valid frame of ``nbytes`` bytes holding ``record``."""
+        self.records = record.lsn
+        self.valid_bytes += nbytes
+        self.epoch = record.epoch
 
 
 def decode_line(line: bytes, expected_lsn: int) -> WalRecord:
     """Decode and verify one framed line; raises ``ValueError`` on damage."""
-    obj = json.loads(line.decode("utf-8"))
-    if not isinstance(obj, dict) or "crc" not in obj:
-        raise ValueError("frame is not a CRC-framed record object")
-    crc = obj.pop("crc")
-    if zlib.crc32(_canonical(obj)) != crc:
-        raise ValueError("CRC mismatch")
-    lsn = obj["lsn"]
-    if lsn != expected_lsn:
-        raise ValueError(f"LSN {lsn} breaks monotonic sequence (expected {expected_lsn})")
-    return WalRecord(
-        lsn=lsn,
-        op=str(obj["op"]),
-        args=obj.get("args") or {},
-        inputs=tuple(obj.get("inputs") or ()),
-        output=str(obj["output"]),
-        epoch=int(obj.get("epoch", 0)),
-    )
+    record = WalRecord.from_payload(unframe(json.loads(line.decode("utf-8"))))
+    if record.lsn != expected_lsn:
+        raise ValueError(
+            f"LSN {record.lsn} breaks monotonic sequence (expected {expected_lsn})"
+        )
+    return record
 
 
 def iter_wal(path: "str | os.PathLike[str]", tail: WalTail) -> Iterator[WalRecord]:
-    """Yield the valid prefix of a WAL file, one record at a time.
+    """Yield the valid frames of a WAL file past ``tail``, one at a time.
 
-    A missing file yields nothing. The scan stops at the first
-    unparsable, CRC-failing, or out-of-sequence frame. ``tail`` is
-    filled in as the scan goes and is complete once the iterator is
-    exhausted: how many records and bytes were valid and why the scan
-    stopped, so a writer reopening the log can truncate the torn suffix.
-    Only one decoded record is alive at a time, so a replay's memory
-    does not grow with the length of the log.
+    The scan resumes at ``tail.valid_bytes`` expecting LSN
+    ``tail.records + 1`` (a fresh :class:`WalTail` reads from byte 0)
+    and stops at the first unterminated, unparsable, CRC-failing or
+    out-of-sequence frame. ``tail`` advances past each yielded record,
+    so a later scan picks up what was appended since, and once the
+    iterator is exhausted it says why the scan stopped. A missing file
+    yields nothing. Only one decoded record is alive at a time, so a
+    replay's memory does not grow with the length of the log.
     """
-    path = Path(path)
-    if not path.exists():
+    tail.torn = False
+    tail.reason = None
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
         return
-    with open(path, "rb") as handle:
+    with handle:
+        handle.seek(tail.valid_bytes)
         for raw in handle:
             if raw[-1:] != b"\n":
-                # No terminator: a torn final write.
+                # No terminator: a torn final write (or one in flight).
                 tail.torn = True
                 tail.reason = "unterminated final frame"
                 return
@@ -150,8 +193,7 @@ def iter_wal(path: "str | os.PathLike[str]", tail: WalTail) -> Iterator[WalRecor
                 tail.torn = True
                 tail.reason = f"invalid frame after LSN {tail.records}: {error}"
                 return
-            tail.records += 1
-            tail.valid_bytes += len(raw)
+            tail.advance(record, len(raw))
             yield record
 
 
@@ -166,16 +208,32 @@ def read_wal(path: "str | os.PathLike[str]") -> tuple[list[WalRecord], WalTail]:
     return records, tail
 
 
+def open_for_append(path: "str | os.PathLike[str]", tail: WalTail):
+    """Open a WAL for appending after the valid prefix ``tail`` scanned.
+
+    A torn suffix was never committed (its operation raised or the
+    process died mid-write), so it is cut off: new frames follow the
+    valid prefix instead of garbage.
+    """
+    if tail.torn:
+        with open(path, "r+b") as handle:
+            handle.truncate(tail.valid_bytes)
+    return open(path, "ab")
+
+
 class WriteAheadLog:
     """An append-only, fsync'd, CRC32-framed JSONL operation log.
 
-    Thread-safe; one instance per durable session. Opening an existing
-    file scans it, resumes the LSN sequence after the last valid
-    record, and truncates any torn tail (the torn suffix was never
-    committed — its operation raised or the process died mid-write).
+    Thread-safe; one instance per durable session. ``tail`` is the
+    scan of the existing file that the caller already made (a replay,
+    a follower's applied prefix, or an empty :class:`WalTail` for a
+    fresh directory): the writer resumes the LSN sequence after it and
+    truncates the torn suffix it found, without reading the file again.
     """
 
-    def __init__(self, path: "str | os.PathLike[str]", fsync: bool = True) -> None:
+    def __init__(
+        self, path: "str | os.PathLike[str]", tail: WalTail, fsync: bool = True
+    ) -> None:
         self.path = Path(path)
         self.fsync = fsync
         self._lock = threading.Lock()
@@ -187,17 +245,9 @@ class WriteAheadLog:
         self.epoch = state.epoch
         self._epoch_state = state
         self._epoch_stat: "tuple[int, int] | None" = None
-        tail = WalTail()
-        for _record in iter_wal(self.path, tail):
-            pass
         self._last_lsn = tail.records
         self.recovered_torn_tail = tail.torn
-        if tail.torn:
-            # Drop the torn suffix so new frames append after the valid
-            # prefix instead of after garbage.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(tail.valid_bytes)
-        self._handle = open(self.path, "ab")
+        self._handle = open_for_append(self.path, tail)
         self.appends = 0
 
     @property
@@ -245,16 +295,8 @@ class WriteAheadLog:
             self._check_fence()
             fault_point("recovery.wal.append")
             lsn = self._last_lsn + 1
-            payload = {
-                "lsn": lsn,
-                "op": op,
-                "args": args,
-                "inputs": list(inputs),
-                "output": output,
-            }
-            if self.epoch > 0:
-                payload["epoch"] = self.epoch
-            data = frame_record(payload)
+            record = WalRecord(lsn, op, args, tuple(inputs), output, self.epoch)
+            data = frame_record(record.payload())
             try:
                 fault_point("recovery.wal.torn_write")
             except InjectedFaultError:
@@ -291,10 +333,10 @@ class WriteAheadLog:
 class SessionDurability:
     """The durable state one armed session owns: its directory and WAL."""
 
-    def __init__(self, directory: "str | os.PathLike[str]") -> None:
+    def __init__(self, directory: "str | os.PathLike[str]", tail: WalTail) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.wal = WriteAheadLog(self.directory / WAL_FILENAME)
+        self.wal = WriteAheadLog(self.directory / WAL_FILENAME, tail)
         self.checkpoints_written = 0
 
     def close(self) -> None:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import zlib
 from base64 import b64decode
 from pathlib import Path
 
@@ -60,18 +59,16 @@ from repro.recovery import ops as _ops
 from repro.recovery.checkpoint import quarantine as _quarantine_path
 from repro.recovery.digest import catalog_digest
 from repro.recovery.epoch import fence, read_epoch, write_epoch
+from repro.recovery.recover import recover_session
 from repro.recovery.wal import (
     WAL_FILENAME,
     WalRecord,
-    _canonical,
+    WalTail,
     frame_record,
-    read_wal,
+    iter_wal,
+    open_for_append,
+    unframe,
 )
-
-
-def _count(name: str, amount: int = 1) -> None:
-    if obs.enabled():
-        obs.registry().counter(name).inc(amount)
 
 
 def validate_tenant_name(name: str) -> str:
@@ -97,25 +94,6 @@ def validate_tenant_name(name: str) -> str:
     return name
 
 
-def frame_payload(frame: dict) -> dict:
-    """Verify one shipped frame's CRC; returns the payload without it.
-
-    The payload's canonical JSON is exactly the bytes the primary framed,
-    so the recomputed CRC32 must match the shipped one — anything else
-    means the stream was corrupted in flight or at rest.
-    """
-    if not isinstance(frame, dict) or "crc" not in frame:
-        raise ReplicationError("shipped frame is not a CRC-framed record object")
-    payload = {key: value for key, value in frame.items() if key != "crc"}
-    if zlib.crc32(_canonical(payload)) != frame["crc"]:
-        raise DivergenceError(
-            str(frame.get("tenant", "?")),
-            int(frame.get("lsn", 0)),
-            "shipped frame failed its CRC check",
-        )
-    return payload
-
-
 class ReplicaTenant:
     """One tenant's follower state on the replica."""
 
@@ -125,7 +103,9 @@ class ReplicaTenant:
         self.directory = Path(applier.spool_dir) / tenant
         self.lock = threading.Lock()
         self.session: "Ringo | None" = None
-        self.applied_lsn = 0
+        #: Where the replica's own WAL ends: its recovery scan, advanced
+        #: by each persisted frame. Promotion arms the writer from it.
+        self.tail = WalTail()
         self.tip_lsn = 0
         self.epoch = 0
         self.quarantined: "str | None" = None
@@ -135,22 +115,22 @@ class ReplicaTenant:
         self.reseeds = 0
         self._wal_handle = None
 
+    @property
+    def applied_lsn(self) -> int:
+        """LSN of the last record persisted to the replica's own WAL."""
+        return self.tail.records
+
     # -- follower lifecycle ---------------------------------------------
 
     def open(self) -> None:
         """Recover (or freshly create) the unarmed follower session."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.session = Ringo.recover(
-            self.directory, arm=False, workers=self.applier.session_workers
+        self.session, self.tail = recover_session(
+            Ringo, self.directory, arm=False, workers=self.applier.session_workers
         )
-        records, _tail = read_wal(self.directory / WAL_FILENAME)
-        self.applied_lsn = records[-1].lsn if records else 0
         self.tip_lsn = max(self.tip_lsn, self.applied_lsn)
-        self.epoch = max(
-            read_epoch(self.directory).epoch,
-            records[-1].epoch if records else 0,
-        )
-        self._wal_handle = open(self.directory / WAL_FILENAME, "ab")
+        self.epoch = max(read_epoch(self.directory).epoch, self.tail.epoch)
+        self._wal_handle = open_for_append(self.directory / WAL_FILENAME, self.tail)
 
     def close(self) -> None:
         if self._wal_handle is not None and not self._wal_handle.closed:
@@ -163,15 +143,15 @@ class ReplicaTenant:
 
     # -- frame application ----------------------------------------------
 
-    def apply_payload(self, payload: dict) -> bool:
-        """Persist and replay one verified payload; False if already applied.
+    def apply(self, record: WalRecord) -> bool:
+        """Replay and persist one verified record; False if already applied.
 
         Callers hold ``self.lock``. Any replay failure quarantines the
         tenant — the on-disk WAL and in-memory catalog could otherwise
         drift apart, which is exactly the divergence this layer exists
         to refuse.
         """
-        lsn = int(payload.get("lsn", 0))
+        lsn = record.lsn
         if lsn <= self.applied_lsn:
             self.skipped_frames += 1
             return False
@@ -181,14 +161,6 @@ class ReplicaTenant:
                 f"{lsn} (replica has applied {self.applied_lsn}); the "
                 f"shipper must resynchronise its cursor"
             )
-        record = WalRecord(
-            lsn=lsn,
-            op=str(payload["op"]),
-            args=payload.get("args") or {},
-            inputs=tuple(payload.get("inputs") or ()),
-            output=str(payload["output"]),
-            epoch=int(payload.get("epoch", 0)),
-        )
         try:
             _ops.apply_record(self.session, record)
         except Exception as error:
@@ -196,7 +168,7 @@ class ReplicaTenant:
                 f"replay of shipped LSN {lsn} ({record.op}) failed: "
                 f"{type(error).__name__}: {error}"
             )
-            _count("replication.divergence_total")
+            obs.count("replication.divergence_total")
             raise DivergenceError(self.tenant, lsn, self.quarantined)
         # Replay succeeded: commit the byte-identical frame to the
         # replica's own log, so the follower can itself be recovered
@@ -204,8 +176,9 @@ class ReplicaTenant:
         # must quarantine too: the in-memory catalog already holds the
         # mutation, so letting the shipper's resend through would
         # replay it a second time.
+        line = frame_record(record.payload())
         try:
-            self._wal_handle.write(frame_record(payload))
+            self._wal_handle.write(line)
             self._wal_handle.flush()
             os.fsync(self._wal_handle.fileno())
         except Exception as error:
@@ -213,9 +186,9 @@ class ReplicaTenant:
                 f"persisting shipped LSN {lsn} ({record.op}) failed after "
                 f"replay: {type(error).__name__}: {error}"
             )
-            _count("replication.divergence_total")
+            obs.count("replication.divergence_total")
             raise DivergenceError(self.tenant, lsn, self.quarantined)
-        self.applied_lsn = lsn
+        self.tail.advance(record, len(line))
         self.applied_records += 1
         return True
 
@@ -234,7 +207,7 @@ class ReplicaTenant:
             self.quarantined = (
                 f"catalog digest mismatch against primary at LSN {lsn}"
             )
-            _count("replication.divergence_total")
+            obs.count("replication.divergence_total")
             raise DivergenceError(self.tenant, lsn, self.quarantined)
         self.digest_checks += 1
         return True
@@ -326,21 +299,28 @@ class ReplicaApplier:
                 record.tip_lsn = max(record.tip_lsn, int(tip_lsn))
             applied = 0
             for frame in frames or ():
+                # The payload's canonical JSON is exactly the bytes the
+                # primary framed, so its CRC must verify. A frame that
+                # does not is divergence, not a retry: the stream can no
+                # longer be trusted byte-for-byte.
                 try:
-                    payload = frame_payload(frame)
-                except DivergenceError as error:
-                    # A corrupt frame is divergence, not a retry: the
-                    # stream can no longer be trusted byte-for-byte.
-                    record.quarantined = str(error)
-                    _count("replication.divergence_total")
-                    raise
-                if record.apply_payload(payload):
+                    shipped = WalRecord.from_payload(unframe(frame))
+                except (ValueError, KeyError, TypeError) as error:
+                    record.quarantined = (
+                        f"shipped frame after LSN {record.applied_lsn} "
+                        f"failed its check: {error}"
+                    )
+                    obs.count("replication.divergence_total")
+                    raise DivergenceError(
+                        tenant, record.applied_lsn, record.quarantined
+                    ) from None
+                if record.apply(shipped):
                     applied += 1
             record.tip_lsn = max(record.tip_lsn, record.applied_lsn)
             digest_checked = False
             if digest is not None:
                 digest_checked = record.check_digest(digest)
-            _count("replication.applied_records", applied)
+            obs.count("replication.applied_records", applied)
             return {
                 "tenant": tenant,
                 "applied": applied,
@@ -364,7 +344,7 @@ class ReplicaApplier:
             record.close()
             if any(record.directory.iterdir()):
                 moved = _quarantine_path(record.directory)
-                _count("replication.reseeds_total")
+                obs.count("replication.reseeds_total")
             else:
                 record.directory.rmdir()
                 moved = None
@@ -399,7 +379,7 @@ class ReplicaApplier:
             raise DivergenceError(tenant, record.applied_lsn, record.quarantined)
         lag = max(0, record.tip_lsn - record.applied_lsn)
         if lag > self.lag_degrade_records:
-            _count("replication.degraded_reads_total")
+            obs.count("replication.degraded_reads_total")
             raise ReplicaLagError(tenant, lag, self.lag_degrade_records)
         return record
 
@@ -486,7 +466,7 @@ class ReplicaApplier:
                         record._wal_handle = None
                     session = record.session
                     record.session = None
-                    session._arm_durability(record.directory, resume=True)
+                    session._arm_durability(record.directory, record.tail)
                     sessions[record.tenant] = session
                     report["tenants"][record.tenant] = {
                         "applied_lsn": record.applied_lsn,
@@ -495,34 +475,22 @@ class ReplicaApplier:
                 self.promoted_epoch = new_epoch
                 report["epoch"] = new_epoch
                 report["fenced_spool"] = fence_spool
-                _count("replication.promotions_total")
+                obs.count("replication.promotions_total")
                 return report, sessions
 
     def _drain_tail(self, record: ReplicaTenant, primary_spool: Path) -> int:
         """Apply the committed suffix of the primary's on-disk WAL.
 
-        ``read_wal`` yields the valid prefix only, so a SIGKILL-torn
+        ``iter_wal`` yields the valid prefix only, so a SIGKILL-torn
         final frame on the primary — never acknowledged as committed —
         is excluded by construction.
         """
         wal_path = primary_spool / record.tenant / WAL_FILENAME
-        primary_records, _tail = read_wal(wal_path)
-        drained = 0
-        for primary_record in primary_records:
-            if primary_record.lsn <= record.applied_lsn:
-                continue
-            payload = {
-                "lsn": primary_record.lsn,
-                "op": primary_record.op,
-                "args": primary_record.args,
-                "inputs": list(primary_record.inputs),
-                "output": primary_record.output,
-            }
-            if primary_record.epoch:
-                payload["epoch"] = primary_record.epoch
-            if record.apply_payload(payload):
-                drained += 1
-        return drained
+        return sum(
+            record.apply(primary_record)
+            for primary_record in iter_wal(wal_path, WalTail())
+            if primary_record.lsn > record.applied_lsn
+        )
 
     # -- reporting -------------------------------------------------------
 

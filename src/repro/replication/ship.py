@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import zlib
 from base64 import b64encode
 from collections import deque
 from pathlib import Path
@@ -41,47 +40,31 @@ from repro.faults import fault_point
 from repro.parallel.resilience import RetryPolicy, run_with_retry
 from repro.recovery.checkpoint import CHECKPOINT_SUBDIR, find_checkpoints
 from repro.recovery.epoch import read_epoch
-from repro.recovery.wal import WAL_FILENAME, _canonical, decode_line, read_wal
+from repro.recovery.wal import WAL_FILENAME, WalTail, framed, iter_wal
 from repro.service.client import ServiceClient
 from repro.service.protocol import RemoteError
-
-
-def _count(name: str, amount: int = 1) -> None:
-    if obs.enabled():
-        obs.registry().counter(name).inc(amount)
 
 
 def record_frame(record) -> dict:
     """Re-frame one decoded WAL record as its shippable payload + CRC.
 
-    ``read_wal`` verified the on-disk CRC; re-deriving it from the
+    ``iter_wal`` verified the on-disk CRC; re-deriving it from the
     canonical payload reproduces the identical value, so the replica can
     verify end-to-end and append a byte-identical line to its own log.
     """
-    payload = {
-        "lsn": record.lsn,
-        "op": record.op,
-        "args": record.args,
-        "inputs": list(record.inputs),
-        "output": record.output,
-    }
-    if record.epoch:
-        payload["epoch"] = record.epoch
-    frame = dict(payload)
-    frame["crc"] = zlib.crc32(_canonical(payload))
-    return frame
+    return framed(record.payload())
 
 
 class ShipCursor:
     """Per-tenant shipping state: cursor, watermarks, divergence count.
 
-    The cursor also owns the incremental WAL scan: ``scan_offset`` is
-    the byte offset of the log's decoded-valid prefix, ``scan_next_lsn``
-    the LSN the next on-disk frame must carry, and ``unacked`` the
-    decoded records (with their on-disk line lengths) the replica has
-    not yet acknowledged as applied. Each ship cycle decodes only the
-    bytes appended since the last one — O(new records), not O(total WAL
-    size) — and ``lag_bytes`` falls out of the retained line lengths.
+    The cursor also owns the incremental WAL scan: ``tail`` is the
+    :class:`~repro.recovery.wal.WalTail` the next scan resumes from, and
+    ``unacked`` the decoded records (with their on-disk line lengths)
+    the replica has not yet acknowledged as applied. Each ship cycle
+    decodes only the bytes appended since the last one — O(new
+    records), not O(total WAL size) — and ``lag_bytes`` falls out of
+    the retained line lengths.
     """
 
     def __init__(self, tenant: str) -> None:
@@ -97,15 +80,13 @@ class ShipCursor:
         self.reseeds = 0
         self.fenced = False
         self.last_error: "str | None" = None
-        self.scan_offset = 0
-        self.scan_next_lsn = 1
+        self.tail = WalTail()
         self.unacked: "deque[tuple]" = deque()
         self.unacked_bytes = 0
 
     def reset_scan(self) -> None:
         """Forget the incremental scan; the next cycle re-reads from 0."""
-        self.scan_offset = 0
-        self.scan_next_lsn = 1
+        self.tail = WalTail()
         self.unacked.clear()
         self.unacked_bytes = 0
 
@@ -187,7 +168,7 @@ class WalShipper(threading.Thread):
                 with self._lock:
                     for cursor in self.cursors.values():
                         cursor.last_error = f"{type(error).__name__}: {error}"
-                _count("replication.ship_cycle_errors")
+                obs.count("replication.ship_cycle_errors")
             self._stop_event.wait(self.interval_s)
 
     # -- one shipping cycle ---------------------------------------------
@@ -206,42 +187,32 @@ class WalShipper(threading.Thread):
     def _scan_new_frames(self, cursor: ShipCursor, wal_path: Path) -> None:
         """Decode only the WAL bytes appended since the last cycle.
 
-        Seeks to the cursor's decoded-valid offset and tails forward.
+        Resumes the cursor's :class:`WalTail` through :func:`iter_wal`.
         An unterminated or undecodable final line is left for the next
-        cycle (the writer may still be mid-append); the offset never
-        advances past it, mirroring :func:`read_wal`'s valid-prefix
-        rule. The scan restarts from byte 0 only when the log shrank
-        (a torn-tail truncation at session arm) or a resync/re-seed
-        moved the ship cursor behind the retained record window.
+        cycle (the writer may still be mid-append): the tail never
+        advances past it. The scan restarts from byte 0 only when the
+        log shrank or a resync/re-seed moved the ship cursor behind the
+        retained record window.
         """
         try:
             size = wal_path.stat().st_size
         except OSError:
             size = 0
+        tail = cursor.tail
         retained_floor = (
-            cursor.unacked[0][0].lsn if cursor.unacked else cursor.scan_next_lsn
+            cursor.unacked[0][0].lsn if cursor.unacked else tail.records + 1
         )
-        if size < cursor.scan_offset or cursor.shipped_lsn + 1 < retained_floor:
+        if size < tail.valid_bytes or cursor.shipped_lsn + 1 < retained_floor:
             cursor.reset_scan()
-        if size <= cursor.scan_offset:
+            tail = cursor.tail
+        if size <= tail.valid_bytes:
             return
-        with open(wal_path, "rb") as handle:
-            handle.seek(cursor.scan_offset)
-            for raw in handle:
-                if raw[-1:] != b"\n":
-                    break
-                line = raw.rstrip(b"\n")
-                if not line:
-                    cursor.scan_offset += len(raw)
-                    continue
-                try:
-                    record = decode_line(line, expected_lsn=cursor.scan_next_lsn)
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                    break
-                cursor.unacked.append((record, len(raw)))
-                cursor.unacked_bytes += len(raw)
-                cursor.scan_offset += len(raw)
-                cursor.scan_next_lsn += 1
+        offset = tail.valid_bytes
+        for record in iter_wal(wal_path, tail):
+            nbytes = tail.valid_bytes - offset
+            offset = tail.valid_bytes
+            cursor.unacked.append((record, nbytes))
+            cursor.unacked_bytes += nbytes
 
     @staticmethod
     def _prune_acked(cursor: ShipCursor) -> None:
@@ -256,11 +227,11 @@ class WalShipper(threading.Thread):
         state = read_epoch(directory)
         if state.fenced:
             cursor.fenced = True
-            _count("replication.fenced_total")
+            obs.count("replication.fenced_total")
             return 0
         cursor.epoch = max(cursor.epoch, state.epoch)
         self._scan_new_frames(cursor, directory / WAL_FILENAME)
-        cursor.tip_lsn = cursor.scan_next_lsn - 1
+        cursor.tip_lsn = cursor.tail.records
         pending = [r for r, _bytes in cursor.unacked if r.lsn > cursor.shipped_lsn]
         sent = 0
         digest_due = (
@@ -325,7 +296,7 @@ class WalShipper(threading.Thread):
         if digest is not None and status.get("digest_checked"):
             cursor.digests_exchanged += 1
             cursor.batches_since_digest = 0
-        _count("replication.shipped_records", len(batch))
+        obs.count("replication.shipped_records", len(batch))
 
     def _handle_reject(self, cursor: ShipCursor, error: RemoteError) -> None:
         """A non-retryable replica reply: fence, re-seed, or resync."""
@@ -333,7 +304,7 @@ class WalShipper(threading.Thread):
         if error.error_type == "FencedError":
             # This primary has been deposed; stop shipping, stay quiet.
             cursor.fenced = True
-            _count("replication.fenced_total")
+            obs.count("replication.fenced_total")
             return
         if error.error_type == "DivergenceError":
             self._reseed(cursor)
@@ -400,12 +371,12 @@ class WalShipper(threading.Thread):
             wal_path = directory / WAL_FILENAME
             if wal_path.exists():
                 # Ship only the committed prefix: a torn tail is not
-                # committed state and must not seed the replica.
-                _records, tail = read_wal(wal_path)
+                # committed state and must not seed the replica. The
+                # cursor's scan is brought up to the checkpoint first,
+                # so the seeded log covers every record it folded in.
+                self._scan_new_frames(cursor, wal_path)
                 with open(wal_path, "rb") as handle:
-                    data = handle.read()
-                if tail.torn:
-                    data = data[: tail.valid_bytes]
+                    data = handle.read(cursor.tail.valid_bytes)
                 files[WAL_FILENAME] = b64encode(data).decode("ascii")
             checkpoints = find_checkpoints(directory)
             if checkpoints:
@@ -429,7 +400,7 @@ class WalShipper(threading.Thread):
             cursor.shipped_lsn = cursor.applied_lsn
             cursor.batches_since_digest = 0
             cursor.last_error = None
-            _count("replication.reseeds_total")
+            obs.count("replication.reseeds_total")
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -58,7 +58,7 @@ from repro.service.protocol import (
     parse_request,
     raise_remote_error,
 )
-from repro.service.session import SessionManager
+from repro.service.session import SessionManager, dispatch_engine
 
 
 @dataclass
@@ -329,7 +329,9 @@ class SessionService:
         Reads are gated by :meth:`ReplicaApplier.ensure_readable`: a
         quarantined tenant fails with :class:`DivergenceError` and a
         lagging one with the *retryable* :class:`ReplicaLagError` — a
-        stale answer is never served silently.
+        stale answer is never served silently. A read that passes runs
+        through :func:`~repro.service.session.dispatch_engine`, the
+        primary's own dispatch path, at the follower's watermark.
         """
         applier = self.applier
         if not (op in ("objects", "digest", "digest_at") or op.startswith("Get")):
@@ -342,25 +344,12 @@ class SessionService:
             )
 
         def read() -> object:
-            from repro.recovery.digest import catalog_digest
-            from repro.service.protocol import decode_args, encode_result
-
             record = applier.ensure_readable(tenant_name)
             with record.lock:
-                session = record.session
-                if op == "objects":
-                    return session.Objects()
-                if op == "digest":
-                    return catalog_digest(session)
-                if op == "digest_at":
-                    return {
-                        "lsn": record.applied_lsn,
-                        "epoch": record.epoch,
-                        "digest": catalog_digest(session),
-                    }
-                kwargs = decode_args(session, args)
-                result = getattr(session, op)(**kwargs)
-                return encode_result(session, result, columns)
+                return dispatch_engine(
+                    record.session, tenant_name, op, args, columns,
+                    (record.applied_lsn, record.epoch), self.manager.retry_policy,
+                )
 
         try:
             result = await self.loop.run_in_executor(self.executor, read)

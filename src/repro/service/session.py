@@ -60,6 +60,44 @@ from repro.service.protocol import (
 from repro.service.queueing import DeadlineQueue
 
 
+def dispatch_engine(
+    session: Ringo, tenant: str, op: str, args: dict, columns: bool,
+    watermark: "tuple[int, int]", retry_policy=None, on_retry=None,
+) -> object:
+    """Run one engine request against ``session``; returns the encoded result.
+
+    The one dispatch path for a primary tenant and a replica read.
+    ``watermark`` is the (LSN, epoch) the session's catalog reflects, so
+    ``digest_at`` answers the consistent (LSN, digest) pair the
+    replication shipper exchanges. Engine operations publish atomically
+    (no partial state escapes a failed call), so re-running a whole
+    request after a transient failure is safe; ``retry_policy`` does
+    exactly that.
+    """
+
+    def attempt() -> object:
+        fault_point("service.dispatch")
+        if op == "objects":
+            return session.Objects()
+        if op == "digest":
+            return catalog_digest(session)
+        if op == "digest_at":
+            lsn, epoch = watermark
+            return {"lsn": lsn, "epoch": epoch, "digest": catalog_digest(session)}
+        if op == "checkpoint":
+            return session.checkpoint()
+        return getattr(session, op)(**decode_args(session, args))
+
+    with obs.trace("service.dispatch", tenant=tenant, op=op):
+        if retry_policy is None:
+            result = attempt()
+        else:
+            result = run_with_retry(
+                attempt, retry_policy, on_retry=on_retry, metric_prefix="service"
+            )
+    return encode_result(session, result, columns)
+
+
 class TenantStats:
     """Per-tenant request counters (thread-safe: retries are recorded
     from executor threads while the rest updates on the event loop)."""
@@ -284,46 +322,15 @@ class TenantSession:
     def _call_engine(self, request: Request) -> object:
         """One request against the engine (runs on an executor thread).
 
-        Engine operations publish atomically (no partial state escapes a
-        failed call), so re-running a whole request after a transient
-        failure is safe; the shared retry policy does exactly that.
+        The dispatcher serializes engine calls, so nothing can commit
+        between reading the watermark here and a ``digest_at`` digest.
         """
-        session = self.ringo
-        assert session is not None
-
-        def attempt() -> object:
-            fault_point("service.dispatch")
-            if request.op == "objects":
-                return session.Objects()
-            if request.op == "digest":
-                return catalog_digest(session)
-            if request.op == "digest_at":
-                # The dispatcher serializes engine calls, so nothing can
-                # commit between reading the watermark and digesting —
-                # this is the consistent (LSN, digest) pair the
-                # replication shipper exchanges with the replica.
-                return {
-                    "lsn": self._wal_lsn(),
-                    "epoch": self._wal_epoch(),
-                    "digest": catalog_digest(session),
-                }
-            if request.op == "checkpoint":
-                return session.checkpoint()
-            kwargs = decode_args(session, request.args)
-            return getattr(session, request.op)(**kwargs)
-
-        policy = self.manager.retry_policy
-        with obs.trace("service.dispatch", tenant=self.tenant, op=request.op):
-            if policy is None:
-                result = attempt()
-            else:
-                result = run_with_retry(
-                    attempt,
-                    policy,
-                    on_retry=self.stats.record_retry,
-                    metric_prefix="service",
-                )
-        return encode_result(session, result, request.columns)
+        assert self.ringo is not None
+        return dispatch_engine(
+            self.ringo, self.tenant, request.op, request.args, request.columns,
+            (self._wal_lsn(), self._wal_epoch()),
+            self.manager.retry_policy, on_retry=self.stats.record_retry,
+        )
 
     # -- responses -----------------------------------------------------
 

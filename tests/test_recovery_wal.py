@@ -11,6 +11,7 @@ from repro.faults import inject_faults
 from repro.recovery.digest import catalog_digest
 from repro.recovery.wal import (
     WAL_FILENAME,
+    WalTail,
     WriteAheadLog,
     frame_record,
     read_wal,
@@ -28,7 +29,7 @@ def durable(state, **kwargs):
 
 class TestFraming:
     def test_append_read_round_trip(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / WAL_FILENAME)
+        wal = WriteAheadLog(tmp_path / WAL_FILENAME, WalTail())
         wal.append("Select", {"predicate": {"expr": "a>1"}}, ["table-1"], "table-2")
         wal.append("OrderBy", {"keys": "b"}, ["table-2"], "table-2")
         wal.close()
@@ -42,7 +43,7 @@ class TestFraming:
 
     def test_crc_damage_ends_readable_prefix(self, tmp_path):
         path = tmp_path / WAL_FILENAME
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, WalTail())
         wal.append("A", {}, [], "table-1")
         wal.append("B", {}, [], "table-2")
         wal.close()
@@ -57,7 +58,7 @@ class TestFraming:
 
     def test_unterminated_final_frame_is_torn(self, tmp_path):
         path = tmp_path / WAL_FILENAME
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, WalTail())
         wal.append("A", {}, [], "table-1")
         wal.close()
         whole = frame_record({"lsn": 2, "op": "B", "args": {}, "inputs": [], "output": "t"})
@@ -70,12 +71,12 @@ class TestFraming:
 
     def test_reopen_truncates_torn_tail_and_resumes_lsn(self, tmp_path):
         path = tmp_path / WAL_FILENAME
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, WalTail())
         wal.append("A", {}, [], "table-1")
         wal.close()
         with open(path, "ab") as handle:
             handle.write(b'{"garbage": tr')
-        reopened = WriteAheadLog(path)
+        reopened = WriteAheadLog(path, read_wal(path)[1])
         assert reopened.recovered_torn_tail
         assert reopened.last_lsn == 1
         reopened.append("B", {}, [], "table-2")

@@ -513,17 +513,17 @@ class TestShipperIncrementalTail:
         # Each ship cycle must decode only bytes appended since the
         # last one — idle cycles decode nothing, and new commits are
         # picked up from the cursor's offset, never a full rescan.
-        import repro.replication.ship as ship_mod
+        import repro.recovery.wal as wal_mod
 
         records, _ = _primary_records(tmp_path / "spool" / "alice")
         decoded = []
-        real_decode = ship_mod.decode_line
+        real_decode = wal_mod.decode_line
 
         def counting_decode(line, expected_lsn):
             decoded.append(expected_lsn)
             return real_decode(line, expected_lsn)
 
-        monkeypatch.setattr(ship_mod, "decode_line", counting_decode)
+        monkeypatch.setattr(wal_mod, "decode_line", counting_decode)
         shipper = WalShipper(tmp_path / "spool", [("127.0.0.1", 1)])
         shipper.client = _StubReplicaClient()
         shipper.ship_once()
@@ -536,9 +536,44 @@ class TestShipperIncrementalTail:
         assert len(decoded) == len(records)  # idle cycles re-read nothing
         with Ringo.recover(tmp_path / "spool" / "alice", workers=1) as session:
             session.TableFromColumns({"x": [1]})
+        del decoded[len(records):]  # the recovery's replay scan, not the shipper's
         shipper.ship_once()
         assert decoded[len(records):] == [records[-1].lsn + 1]
         assert shipper.cursors["alice"].applied_lsn == records[-1].lsn + 1
+
+
+class TestReplicaReadDispatch:
+    def test_replica_reads_run_the_primary_dispatch(self, tmp_path):
+        # A replica read goes through the primary's dispatch function:
+        # one ``service.dispatch`` span per read, and ``digest_at``
+        # answers at the follower's (applied LSN, epoch) watermark.
+        import repro.obs.spans as spans_module
+        from repro import obs
+
+        records, digest = _primary_records(tmp_path / "p" / "alice")
+        replica = ServiceHandle(
+            ServiceConfig(spool_dir=str(tmp_path / "r"), role="replica",
+                          tick_s=0.02)
+        ).start()
+        previous = spans_module._TRACER
+        spans_module._TRACER = None
+        tracer = obs.enable()
+        try:
+            replica.call(
+                "alice", "replicate", frames=[record_frame(r) for r in records]
+            )
+            at = replica.call("alice", "digest_at")
+            assert at == {"lsn": records[-1].lsn, "epoch": 0, "digest": digest}
+            assert replica.call("alice", "objects") == ["table-1", "graph-2"]
+            dispatched = [
+                r["tags"]["op"] for r in tracer.ring_records()
+                if r["name"] == "service.dispatch" and r["tags"]["tenant"] == "alice"
+            ]
+            assert dispatched == ["digest_at", "objects"]
+        finally:
+            obs.disable()
+            spans_module._TRACER = previous
+            replica.stop()
 
 
 def _service_pair(tmp_path, **primary_overrides):
