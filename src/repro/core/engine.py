@@ -22,19 +22,15 @@ the parallel operations.
 from __future__ import annotations
 
 import copy
-import functools
 import os
 import threading
-import time
 from typing import Mapping, Sequence
 
-from repro import algorithms as alg
-from repro import convert, obs, tables
+from repro import obs, tables
 from repro.algorithms.common import NodeValues
 from repro.analysis import sanitize as _sanitize
 from repro.core.registry import FunctionRegistry, build_default_registry
 from repro.exceptions import RecoveryError
-from repro.faults import fault_point
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.snapshot import snapshot_cache as _default_snapshot_cache
 from repro.graphs.undirected import UndirectedGraph
@@ -44,39 +40,9 @@ from repro.recovery import ops as _rops
 from repro.recovery.wal import SessionDurability, WalTail
 from repro.memory.budget import MemoryBudget
 from repro.parallel.executor import WorkerPool
-from repro.parallel.resilience import RetryPolicy, run_with_retry
+from repro.parallel.resilience import RetryPolicy
 from repro.tables.strings import StringPool
 from repro.tables.table import Table
-
-
-def _timed(method):
-    """Record per-call wall-clock time under the method's name.
-
-    Applied to the analytics and conversion methods so an interactive
-    session can show where its time went (``call_timings()`` /
-    ``health()["timings"]``) — in particular, that a warm repeat of an
-    algorithm skips the snapshot-conversion cost.
-
-    When tracing is armed the call also becomes an ``engine.<Method>``
-    span (the root of that operation's span tree) and its latency lands
-    in the ``engine.<Method>.seconds`` histogram.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        start = time.perf_counter()
-        with obs.trace(f"engine.{method.__name__}"):
-            try:
-                return method(self, *args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                self._record_timing(method.__name__, elapsed)
-                if obs.enabled():
-                    obs.registry().histogram(
-                        f"engine.{method.__name__}.seconds"
-                    ).observe(elapsed)
-
-    return wrapper
 
 
 class Ringo:
@@ -237,29 +203,34 @@ class Ringo:
         return self._object_names[id(obj)]
 
     def _run_op(self, name: str, inputs: tuple, args: dict):
-        """Run one durable operation through its op-table entry.
+        """Run one entry of :data:`repro.recovery.ops.SESSION_OPS` — the
+        one live path of every CamelCase method but the catalog
+        accessors — as :meth:`_execute` under
+        :func:`repro.recovery.ops.observed`'s bookkeeping."""
+        op = _rops.SESSION_OPS[name]
+        return _rops.observed(
+            self, name, op, inputs, lambda: self._execute(name, op, inputs, args)
+        )
 
-        The single live path for every entry of
-        :data:`repro.recovery.ops.OPS`, in one fixed order: an entry
-        with an ``estimate`` is admitted by the session's memory budget
-        (an over-budget call raises before anything is logged); inputs
-        not yet in the catalog are adopted (snapshotted into the WAL)
-        *before* the operator can mutate them; the arguments are
-        encoded against that same pre-state; the operator runs; the
-        record is appended (flushed + fsync'd); and only then does the
-        result become visible through :meth:`Objects` — the on-disk
-        record is the commit point, so recovery can reconstruct every
-        object a caller ever observed. An in-place mutation logs its
-        target as both input and output and publishes nothing new.
+    def _execute(self, name: str, op, inputs: tuple, args: dict):
+        """Carry out one op-table entry, in one fixed order.
 
-        Without durability armed this reduces to the legacy behaviour:
-        only ops that always published (loads, Join, ToGraph) publish,
-        everything else passes through.
+        An entry with an ``estimate`` is admitted by the memory budget
+        (an over-budget call raises before anything is logged). A
+        durable entry in a durable session then adopts inputs not yet in
+        the catalog (snapshotted into the WAL) *before* the operator can
+        mutate them; the arguments are encoded against that pre-state;
+        the operator runs; the record is appended (flushed + fsync'd);
+        and only then does the result become visible through
+        :meth:`Objects` — the on-disk record is the commit point, so
+        recovery can reconstruct every object a caller ever observed. An
+        in-place mutation logs its target as both input and output and
+        publishes nothing new. Any other call just runs, and publishes
+        only if the op always does (loads, Join, ToGraph).
         """
-        op = _rops.OPS[name]
         if self.budget is not None and op.estimate is not None:
             self.budget.admit(name, op.estimate(inputs, args))
-        if self._durability is None:
+        if self._durability is None or not op.durable:
             result = op.run(self, inputs, args)
             if op.always_publish:
                 self._publish(op.kind, result)
@@ -350,25 +321,18 @@ class Ringo:
     # Table input/output
     # ------------------------------------------------------------------
 
-    @_timed
     def LoadTableTSV(self, schema, path, **kwargs) -> Table:
         """Load a TSV file into a table (paper §4.1 listing, line 1)."""
-        start = time.perf_counter()
         if schema is None:
             # Resolved here so the record names it and replay skips
             # re-inference.
             schema = tables.infer_schema_tsv(path, **kwargs)
         args = {"schema": schema, "path": os.fspath(path), "kwargs": kwargs}
-        table = self._run_op("LoadTableTSV", (), args)
-        if obs.enabled():
-            obs.observe_rate(
-                "io.tsv.rows", table.num_rows, time.perf_counter() - start
-            )
-        return table
+        return self._run_op("LoadTableTSV", (), args)
 
     def SaveTableTSV(self, table: Table, path, **kwargs) -> int:
         """Write a table as TSV; returns the row count."""
-        return tables.save_table_tsv(table, path, **kwargs)
+        return self._run_op("SaveTableTSV", (table,), dict(kwargs, path=path))
 
     def TableFromColumns(self, data, schema=None) -> Table:
         """Build a table from per-column data (session-pooled)."""
@@ -389,7 +353,6 @@ class Ringo:
         args = {"predicate": predicate, "in_place": bool(in_place)}
         return self._run_op("Select", (table,), args)
 
-    @_timed
     def Join(self, left: Table, right: Table, left_col, right_col=None, **kwargs) -> Table:
         """Inner equi-join; always a new table, clashes suffixed -1/-2.
 
@@ -476,7 +439,6 @@ class Ringo:
     # Conversions (§2.4)
     # ------------------------------------------------------------------
 
-    @_timed
     def ToGraph(self, table: Table, src_col: str, dst_col: str, directed: bool = True):
         """Edge table → graph via the sort-first algorithm.
 
@@ -485,27 +447,17 @@ class Ringo:
         graph is built privately and published to the session catalog
         only on success.
         """
-        start = time.perf_counter()
         args = {"src_col": src_col, "dst_col": dst_col, "directed": bool(directed)}
-        graph = self._run_op("ToGraph", (table,), args)
-        if obs.enabled():
-            # The paper-styled rate metrics: rows/s in, edges/s out.
-            elapsed = time.perf_counter() - start
-            obs.observe_rate("engine.tograph.rows", table.num_rows, elapsed)
-            obs.observe_rate("engine.tograph.edges", graph.num_edges, elapsed)
-        return graph
+        return self._run_op("ToGraph", (table,), args)
 
-    @_timed
     def ToWeightedNetwork(
         self, table: Table, src_col: str, dst_col: str,
         weight_col: str | None = None,
     ):
         """Collapse duplicate edges into a weight-attributed Network."""
-        return convert.weighted_network_from_edges(
-            table, src_col, dst_col, weight_col=weight_col
-        )
+        args = {"src_col": src_col, "dst_col": dst_col, "weight_col": weight_col}
+        return self._run_op("ToWeightedNetwork", (table,), args)
 
-    @_timed
     def ApplyOps(self, graph, ops) -> dict:
         """Fold a mutation op stream into a dynamic graph.
 
@@ -527,7 +479,6 @@ class Ringo:
         """
         return self._run_op("ApplyOps", (graph,), {"ops": validate_ops(ops)})
 
-    @_timed
     def TailWal(
         self,
         directory,
@@ -560,83 +511,17 @@ class Ringo:
         stops with the resumable cursor. ``None`` keeps the strict
         stop-on-first-error semantics.
         """
-        from repro.recovery.wal import WAL_FILENAME, iter_wal
+        args = {"directory": directory, "cursor": cursor, "retry_policy": retry_policy}
+        return self._run_op("TailWal", (), args)
 
-        wal_path = os.path.join(os.fspath(directory), WAL_FILENAME)
-        own = self._durability.wal.path if self._durability is not None else None
-        if own is not None and os.path.realpath(wal_path) == os.path.realpath(own):
-            # The stream would re-read every record this loop appends.
-            raise RecoveryError("a session cannot tail its own write-ahead log")
-        applied_records = 0
-        applied_ops = 0
-        skipped = 0
-        position = int(cursor)
-        error = None
-        for record in iter_wal(wal_path, WalTail()):
-            if record.lsn <= position:
-                continue
-
-            def step(record=record):
-                fault_point("incremental.wal.tail")
-                if record.op != "ApplyOps":
-                    return None
-                with self._catalog_lock:
-                    target = self._catalog.get(record.output)
-                if not isinstance(target, (DirectedGraph, UndirectedGraph)):
-                    return None
-                summary = _rops.apply_record(self, record)
-                if self._durability is not None:
-                    self._durability.wal.append(
-                        record.op, record.args, list(record.inputs), record.output
-                    )
-                return summary
-
-            try:
-                if retry_policy is None:
-                    summary = step()
-                else:
-                    summary = run_with_retry(
-                        step, retry_policy, metric_prefix="incremental.wal.tail"
-                    )
-                if summary is None:
-                    skipped += 1
-                else:
-                    applied_records += 1
-                    applied_ops += summary["applied"]
-            except Exception as err:
-                # A fired fault or a diverged stream: report and stop
-                # with the last fully-processed LSN so the caller can
-                # retry from it. Nothing is applied twice or half-way
-                # misreported as success.
-                error = f"{type(err).__name__}: {err}"
-                break
-            position = record.lsn
-        return {
-            "applied_records": applied_records,
-            "applied_ops": applied_ops,
-            "skipped": skipped,
-            "cursor": position,
-            "error": error,
-        }
-
-    @_timed
     def GetKTruss(self, graph, k: int):
         """The k-truss subgraph (edges with >= k-2 triangle supports)."""
-        return alg.k_truss(graph, k)
+        return self._run_op("GetKTruss", (graph,), {"k": k})
 
-    @_timed
     def GetEdgeTable(self, graph) -> Table:
         """Graph → edge table (one gather of the adjacency vectors)."""
-        start = time.perf_counter()
-        table = self._run_op("GetEdgeTable", (graph,), {})
-        if obs.enabled():
-            obs.observe_rate(
-                "engine.edge_export.edges", table.num_rows,
-                time.perf_counter() - start,
-            )
-        return table
+        return self._run_op("GetEdgeTable", (graph,), {})
 
-    @_timed
     def GetNodeTable(self, graph, include_degrees: bool = False) -> Table:
         """Graph → node table, optionally with degree columns."""
         args = {"include_degrees": bool(include_degrees)}
@@ -646,85 +531,70 @@ class Ringo:
     # Graph analytics (§2.2's algorithm surface, paper-named)
     # ------------------------------------------------------------------
 
-    @_timed
     def GetPageRank(self, graph, **kwargs) -> NodeValues:
         """PageRank scores (the demo's expert-ranking step)."""
-        return alg.pagerank(graph, **kwargs)
+        return self._run_op("GetPageRank", (graph,), kwargs)
 
-    @_timed
     def GetHits(self, graph, **kwargs) -> tuple[NodeValues, NodeValues]:
         """HITS ``(hubs, authorities)``."""
-        return alg.hits(graph, **kwargs)
+        return self._run_op("GetHits", (graph,), kwargs)
 
-    @_timed
     def GetTriangles(self, graph) -> int:
         """Total distinct triangles (Table 3's second benchmark)."""
-        return alg.total_triangles(graph, pool=self.workers)
+        return self._run_op("GetTriangles", (graph,), {})
 
-    @_timed
     def GetTriangleCounts(self, graph) -> NodeValues:
         """Per-node triangle participation counts."""
-        return alg.triangle_counts(graph, pool=self.workers)
+        return self._run_op("GetTriangleCounts", (graph,), {})
 
-    @_timed
     def GetClusteringCoefficients(self, graph) -> NodeValues:
         """Local clustering coefficient per node."""
-        return alg.clustering_coefficients(graph, pool=self.workers)
+        return self._run_op("GetClusteringCoefficients", (graph,), {})
 
-    @_timed
     def GetKCore(self, graph, k: int):
         """The k-core subgraph (Table 6 benchmarks ``k=3``)."""
-        return alg.k_core(graph, k)
+        return self._run_op("GetKCore", (graph,), {"k": k})
 
-    @_timed
     def GetCoreNumbers(self, graph) -> NodeValues:
         """Core number per node."""
-        return alg.core_numbers(graph)
+        return self._run_op("GetCoreNumbers", (graph,), {})
 
-    @_timed
     def GetSssp(self, graph, source: int, weight=None) -> Mapping[int, float]:
         """Single-source shortest paths (Table 6's SSSP)."""
-        return alg.dijkstra(graph, source, weight=weight)
+        return self._run_op("GetSssp", (graph,), {"source": source, "weight": weight})
 
-    @_timed
     def GetBfsLevels(self, graph, source: int, direction: str = "out") -> NodeValues:
         """BFS hop distances from a source."""
-        return alg.bfs_levels(graph, source, direction=direction)
+        args = {"source": source, "direction": direction}
+        return self._run_op("GetBfsLevels", (graph,), args)
 
-    @_timed
     def GetScc(self, graph) -> NodeValues:
         """Strongly connected component labels (Table 6's SCC)."""
-        return alg.strongly_connected_components(graph)
+        return self._run_op("GetScc", (graph,), {})
 
-    @_timed
     def GetWcc(self, graph) -> NodeValues:
         """Weakly connected component labels."""
-        return alg.weakly_connected_components(graph, pool=self.workers)
+        return self._run_op("GetWcc", (graph,), {})
 
-    @_timed
     def GetDegreeCentrality(self, graph, mode: str = "total") -> NodeValues:
         """Degree centrality."""
-        return alg.degree_centrality(graph, mode)
+        return self._run_op("GetDegreeCentrality", (graph,), {"mode": mode})
 
-    @_timed
     def GetCommunities(self, graph, **kwargs) -> NodeValues:
         """Label-propagation communities."""
-        return alg.label_propagation(graph, **kwargs)
+        return self._run_op("GetCommunities", (graph,), kwargs)
 
-    @_timed
     def GetDiameter(self, graph, **kwargs) -> int:
         """(Sampled) diameter."""
-        return alg.diameter(graph, **kwargs)
+        return self._run_op("GetDiameter", (graph,), kwargs)
 
-    @_timed
     def GetEffectiveDiameter(self, graph, **kwargs) -> float:
         """(Sampled) 90th-percentile effective diameter."""
-        return alg.effective_diameter(graph, **kwargs)
+        return self._run_op("GetEffectiveDiameter", (graph,), kwargs)
 
-    @_timed
     def GetDegreeDistribution(self, graph, mode: str = "total") -> Table:
         """Degree histogram as a session table."""
-        return alg.degree_distribution(graph, mode)
+        return self._run_op("GetDegreeDistribution", (graph,), {"mode": mode})
 
     def GenRMat(self, scale: int, num_edges: int, seed: int = 0, directed: bool = True):
         """R-MAT synthetic graph."""
@@ -763,121 +633,108 @@ class Ringo:
         }
         return self._run_op("GenPlantedPartition", (), args)
 
-    @_timed
     def GetKatz(self, graph, **kwargs) -> NodeValues:
         """Katz centrality."""
-        return alg.katz_centrality(graph, **kwargs)
+        return self._run_op("GetKatz", (graph,), kwargs)
 
-    @_timed
     def GetTriadCensus(self, graph) -> dict[str, int]:
         """The 16-class directed triad census."""
-        return alg.triad_census(graph)
+        return self._run_op("GetTriadCensus", (graph,), {})
 
-    @_timed
     def GetArticulationPoints(self, graph) -> set[int]:
         """Cut vertices of the undirected projection."""
-        return alg.articulation_points(graph)
+        return self._run_op("GetArticulationPoints", (graph,), {})
 
-    @_timed
     def GetBridges(self, graph) -> set[tuple[int, int]]:
         """Cut edges of the undirected projection."""
-        return alg.bridges(graph)
+        return self._run_op("GetBridges", (graph,), {})
 
-    @_timed
     def GetColoring(self, graph, strategy: str = "degree") -> NodeValues:
         """Greedy proper node colouring."""
-        return alg.greedy_coloring(graph, strategy)
+        return self._run_op("GetColoring", (graph,), {"strategy": strategy})
 
-    @_timed
     def IsBipartite(self, graph) -> bool:
         """Whether the undirected projection is 2-colourable."""
-        return alg.is_bipartite(graph)
+        return self._run_op("IsBipartite", (graph,), {})
 
-    @_timed
     def GetLinkPredictions(self, graph, k: int = 10, scorer=None) -> list:
         """Top-k predicted links by a similarity index (Jaccard default)."""
-        if scorer is None:
-            scorer = alg.jaccard_coefficient
-        return alg.top_predicted_links(graph, scorer=scorer, k=k)
+        return self._run_op("GetLinkPredictions", (graph,), {"k": k, "scorer": scorer})
 
-    @_timed
     def GetWeightedPageRank(self, network, weight_attr: str, **kwargs) -> NodeValues:
         """PageRank with rank spread proportional to edge weights."""
-        return alg.pagerank_weighted(network, weight_attr, **kwargs)
+        args = dict(kwargs, weight_attr=weight_attr)
+        return self._run_op("GetWeightedPageRank", (network,), args)
 
     def GetEgonet(self, graph, center: int, radius: int = 1, direction: str = "both"):
         """The induced subgraph around one node."""
-        from repro.graphs.ops import ego_network
-
-        return ego_network(graph, center, radius=radius, direction=direction)
+        args = {"center": center, "radius": radius, "direction": direction}
+        return self._run_op("GetEgonet", (graph,), args)
 
     def Describe(self, table: Table) -> Table:
         """Per-column summary statistics."""
-        return tables.describe(table, pool=self.pool)
+        return self._run_op("Describe", (table,), {})
 
     def Crosstab(self, table: Table, row_col: str, col_col: str, agg: str = "count", value_col: str | None = None) -> Table:
         """Wide-format cross-tabulation of two key columns."""
-        return tables.crosstab(table, row_col, col_col, agg=agg, value_col=value_col)
+        args = dict(row_col=row_col, col_col=col_col, agg=agg, value_col=value_col)
+        return self._run_op("Crosstab", (table,), args)
 
     def Quantiles(self, table: Table, column: str, probabilities) -> list[float]:
         """Quantiles of a numeric column."""
-        return tables.quantiles(table, column, probabilities)
+        args = {"column": column, "probabilities": probabilities}
+        return self._run_op("Quantiles", (table,), args)
 
-    @_timed
     def GetMaxFlow(self, graph, source: int, sink: int, capacity=None) -> float:
         """Maximum s-t flow (Dinic)."""
-        return alg.max_flow(graph, source, sink, capacity=capacity)
+        args = {"source": source, "sink": sink, "capacity": capacity}
+        return self._run_op("GetMaxFlow", (graph,), args)
 
-    @_timed
     def GetMinCut(self, graph, source: int, sink: int, capacity=None) -> tuple[set[int], set[int]]:
         """Minimum s-t cut node partition."""
-        return alg.min_cut_partition(graph, source, sink, capacity=capacity)
+        args = {"source": source, "sink": sink, "capacity": capacity}
+        return self._run_op("GetMinCut", (graph,), args)
 
-    @_timed
     def GetMatching(self, graph) -> dict[int, int]:
         """Maximum bipartite matching (Hopcroft-Karp)."""
-        return alg.hopcroft_karp(graph)
+        return self._run_op("GetMatching", (graph,), {})
 
-    @_timed
     def ToCoOccurrenceGraph(
         self, table: Table, group_col: str, actor_col: str,
         max_group_size: int | None = None,
     ):
         """Link actors sharing a group value (§4.1's alternative build)."""
-        return convert.co_occurrence_graph(
-            table, group_col, actor_col, max_group_size=max_group_size
+        args = dict(
+            group_col=group_col, actor_col=actor_col, max_group_size=max_group_size
         )
+        return self._run_op("ToCoOccurrenceGraph", (table,), args)
 
     def GetSnapshots(
         self, table: Table, time_col: str, src_col: str, dst_col: str,
         window: float, cumulative: bool = False,
     ):
         """Time-windowed interaction graphs from an event table."""
-        from repro.workflows.temporal import temporal_snapshots
-
-        return temporal_snapshots(
-            table, time_col, src_col, dst_col, window, cumulative=cumulative
+        args = dict(
+            time_col=time_col, src_col=src_col, dst_col=dst_col,
+            window=window, cumulative=cumulative,
         )
+        return self._run_op("GetSnapshots", (table,), args)
 
-    @_timed
     def FindCycle(self, graph) -> "list[int] | None":
         """One directed cycle (closed node list), or None."""
-        return alg.find_cycle(graph)
+        return self._run_op("FindCycle", (graph,), {})
 
-    @_timed
     def GetGirth(self, graph) -> "int | None":
         """Shortest cycle length of the undirected projection."""
-        return alg.girth(graph)
+        return self._run_op("GetGirth", (graph,), {})
 
-    @_timed
     def GetSpectralBisection(self, graph, seed: int = 0) -> tuple[set[int], set[int]]:
         """Two-way partition by the Fiedler vector's sign."""
-        return alg.spectral_bisection(graph, seed=seed)
+        return self._run_op("GetSpectralBisection", (graph,), {"seed": seed})
 
-    @_timed
     def GetAlgebraicConnectivity(self, graph, seed: int = 0) -> float:
         """Second-smallest Laplacian eigenvalue."""
-        return alg.algebraic_connectivity(graph, seed=seed)
+        return self._run_op("GetAlgebraicConnectivity", (graph,), {"seed": seed})
 
     def GenConfigurationModel(self, degrees, seed: int = 0):
         """Random graph approximating a degree sequence."""
@@ -891,7 +748,7 @@ class Ringo:
 
     def SaveTableBinary(self, table: Table, path) -> None:
         """Snapshot a table to a binary .npz archive."""
-        tables.save_table_npz(table, path)
+        return self._run_op("SaveTableBinary", (table,), {"path": path})
 
     def LoadTableBinary(self, path) -> Table:
         """Load a binary table snapshot (session-pooled)."""
@@ -1015,8 +872,8 @@ class Ringo:
 
     def Functions(self, category: str | None = None) -> list[str]:
         """Registered function names (optionally one category)."""
-        return self.registry.names(category)
+        return self._run_op("Functions", (), {"category": category})
 
     def NumFunctions(self) -> int:
         """Size of the analytics surface — the paper's "over 200" claim."""
-        return len(self.registry)
+        return self._run_op("NumFunctions", (), {})

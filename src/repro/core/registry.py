@@ -304,8 +304,8 @@ def build_default_registry() -> FunctionRegistry:
         registry,
         CSRGraph,
         [
-            "from_edges", "from_graph", "dense_of", "dense_of_many",
-            "dense_of_array", "edge_sources", "num_self_loops",
+            "from_edges", "from_graph", "dense_of", "dense_of_array",
+            "edge_sources", "num_self_loops",
             "undirected_projection", "forward_adjacency",
             "out_neighbors", "in_neighbors", "out_degrees", "in_degrees",
             "memory_bytes", "with_edge_deleted",

@@ -137,7 +137,8 @@ KNOWN_SITES = (
 class FaultSite:
     """One armed site: a firing rate, an error factory, and counters."""
 
-    __slots__ = ("name", "rate", "error", "max_triggers", "draws", "triggers", "_rng")
+    __slots__ = ("name", "rate", "error", "max_triggers", "draws", "triggers",
+                 "_seed", "_streams")
 
     def __init__(
         self,
@@ -158,19 +159,23 @@ class FaultSite:
         # Per-site stream: the draw sequence a site sees depends only on
         # (seed, name), never on how other sites interleave with it.
         # crc32 rather than hash() so streams survive PYTHONHASHSEED.
-        self._rng = random.Random(seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8")))
+        self._seed = seed
+        site = random.Random(seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8")))
+        self._streams: "dict[str | None, random.Random]" = {None: site}
 
-    def draw(self) -> bool:
-        """Advance the stream one step; True means "fire now"."""
+    def draw(self, key: "str | None" = None) -> bool:
+        """Advance the stream one step; True means "fire now". A ``key``
+        (a tenant) draws from a stream of its own, seeded from (seed,
+        name, key), whatever other keys' draws interleave with it."""
         self.draws += 1
         if self.max_triggers is not None and self.triggers >= self.max_triggers:
             return False
-        if self.rate >= 1.0:
-            fire = True
-        elif self.rate <= 0.0:
-            fire = False
-        else:
-            fire = self._rng.random() < self.rate
+        rng = self._streams.get(key)
+        if rng is None:
+            stream = zlib.crc32(f"{self.name}/{key}".encode("utf-8"))
+            rng = self._streams[key] = random.Random(self._seed * 0x9E3779B1 + stream)
+        # random() is in [0, 1): rate 1.0 always fires, rate 0.0 never.
+        fire = rng.random() < self.rate
         if fire:
             self.triggers += 1
         return fire
@@ -216,12 +221,12 @@ class FaultPlan:
         with self._lock:
             return {name: site.draws for name, site in self._sites.items()}
 
-    def check(self, site_name: str) -> None:
+    def check(self, site_name: str, key: "str | None" = None) -> None:
         site = self._sites.get(site_name)
         if site is None:
             return
         with self._lock:
-            fire = site.draw()
+            fire = site.draw(key)
             trigger = site.triggers
         if fire:
             if site.error is not None:
@@ -245,11 +250,12 @@ def active_plan() -> FaultPlan | None:
     return _ACTIVE
 
 
-def fault_point(site: str) -> None:
-    """Raise the site's configured error if a plan is armed and fires."""
+def fault_point(site: str, key: "str | None" = None) -> None:
+    """Raise the site's configured error if a plan is armed and fires
+    (``key``: see :meth:`FaultSite.draw`)."""
     plan = _ACTIVE
     if plan is not None:
-        plan.check(site)
+        plan.check(site, key)
 
 
 @contextmanager

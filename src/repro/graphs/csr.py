@@ -221,10 +221,6 @@ class CSRGraph:
             raise NodeNotFoundError(int(original_ids[np.argmax(mismatch)]))
         return clipped
 
-    def dense_of_many(self, original_ids: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`dense_of_array` (kept for callers of the old name)."""
-        return self.dense_of_array(original_ids)
-
     def out_neighbors(self, dense: int) -> np.ndarray:
         """Out-neighbours (dense ids, sorted) of a dense node index."""
         return readonly(

@@ -86,6 +86,11 @@ class SnapshotCache:
             )
         self._lock = threading.Lock()
         self._entries: dict[int, _Entry] = {}
+        # Keys of collected graphs. GC runs a weakref callback on whatever
+        # allocation triggers it, possibly inside this cache's or the
+        # metrics registry's locked sections, so it only queues the key
+        # (``list.append`` is atomic and takes no lock).
+        self._collected_keys: list[int] = []
         self.enabled = enabled
         self.max_bytes = max_bytes
         self._cached_bytes = 0
@@ -117,6 +122,7 @@ class SnapshotCache:
         stale_entry = None
         if self.enabled:
             with self._lock:
+                self._drop_collected()
                 entry = self._entries.get(key)
                 if entry is not None:
                     if entry.version == version:
@@ -167,7 +173,7 @@ class SnapshotCache:
                     del self._entries[key]
                     self._cached_bytes -= replaced
                 return csr
-            ref = weakref.ref(graph, self._make_cleanup(key))
+            ref = weakref.ref(graph, lambda _, k=key: self._collected_keys.append(k))
             self._entries[key] = _Entry(ref, version, csr, nbytes)
             self._cached_bytes += nbytes - replaced
         engine = incremental_engine()
@@ -281,19 +287,17 @@ class SnapshotCache:
             span.set_tag("edges", csr.num_edges)
             return csr
 
-    def _make_cleanup(self, key: int):
-        def cleanup(_ref) -> None:
-            with self._lock:
-                entry = self._entries.pop(key, None)
-                if entry is not None:
-                    self._cached_bytes -= entry.nbytes
-                    self._collected += 1
-                    _count("snapshot.evictions_total")
-                    _obs_event(
-                        "snapshot.evict", reason="collected", bytes=entry.nbytes
-                    )
-
-        return cleanup
+    def _drop_collected(self) -> None:
+        """Drop collected graphs' entries (lock held): before a lookup, so
+        a dead graph's entry never answers for a new graph reusing its
+        id, and before reporting."""
+        while self._collected_keys:
+            entry = self._entries.pop(self._collected_keys.pop(), None)
+            if entry is not None:
+                self._cached_bytes -= entry.nbytes
+                self._collected += 1
+                _count("snapshot.evictions_total")
+                _obs_event("snapshot.evict", reason="collected", bytes=entry.nbytes)
 
     # ------------------------------------------------------------------
     # Management
@@ -338,6 +342,7 @@ class SnapshotCache:
 
     def __len__(self) -> int:
         with self._lock:
+            self._drop_collected()
             return len(self._entries)
 
     def stats(self) -> dict:
@@ -348,6 +353,7 @@ class SnapshotCache:
         hits, never conversions.
         """
         with self._lock:
+            self._drop_collected()
             return {
                 "enabled": self.enabled,
                 "entries": len(self._entries),

@@ -34,6 +34,7 @@ from typing import Callable, Sequence, TypeVar
 
 from repro.exceptions import PoolClosedError, RingoError, WorkerTimeoutError
 from repro.faults import fault_point
+from repro.obs.metrics import count
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.spans import current_span_id
 from repro.obs.spans import enabled as _tracing_enabled
@@ -256,8 +257,7 @@ class WorkerPool:
                     results.append(
                         run_with_retry(task, policy, on_retry=self.stats.record_retry)
                     )
-        if _tracing_enabled():
-            _metrics_registry().counter("pool.dispatches_total").inc(len(tasks))
+        count("pool.dispatches_total", len(tasks))
         return results
 
     def _run_parallel(
@@ -284,10 +284,9 @@ class WorkerPool:
                 )
 
         assert self._executor is not None
+        count("pool.dispatches_total", len(tasks))
         if _tracing_enabled():
-            reg = _metrics_registry()
-            reg.counter("pool.dispatches_total").inc(len(tasks))
-            reg.gauge("pool.queue_depth").add(len(tasks))
+            _metrics_registry().gauge("pool.queue_depth").add(len(tasks))
         try:
             futures: list[Future] = [
                 self._executor.submit(dispatch, task, index)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.exceptions import RetryExhaustedError, TransientError
-from repro.obs.metrics import registry as _metrics_registry
+from repro.obs.metrics import count
 from repro.obs.spans import enabled as _tracing_enabled
 from repro.obs.spans import event as _obs_event
 from repro.util.validation import check_positive
@@ -96,8 +96,8 @@ def run_with_retry(
             return task()
         except policy.retryable as error:
             last_error = error
+            count(f"{metric_prefix}.retries_total")
             if _tracing_enabled():
-                _metrics_registry().counter(f"{metric_prefix}.retries_total").inc()
                 _obs_event(
                     f"{metric_prefix}.retry",
                     attempt=attempt,

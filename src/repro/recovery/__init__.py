@@ -3,12 +3,12 @@
 Four cooperating pieces give an interactive session restart
 resilience (see ``docs/recovery.md`` for formats and a walkthrough):
 
-* **the op table** (:mod:`repro.recovery.ops`) — :data:`OPS` declares
-  each durable operation once (kind, input arity, the one ``run`` that
-  calls the operator, argument encode/decode hooks, mutates/publish
-  rules); :func:`apply_record` applies a committed record through it.
-  The live session, crash replay, replication followers and
-  ``Ringo.TailWal`` all execute operations through this one table.
+* **the op table** (:mod:`repro.recovery.ops`) — ``SESSION_OPS``
+  declares every session operation once (the ``run`` that calls the
+  operator, durable/mutating marks, WAL encode/decode hooks); :data:`OPS`
+  is its durable subset and :func:`apply_record` applies a committed
+  record through it. The live session, crash replay, replication
+  followers and ``Ringo.TailWal`` all execute operations through it.
 
 * **provenance WAL** (:mod:`repro.recovery.wal`) — every
   catalog-mutating operation appends a CRC32-framed, ``fsync``'d JSONL

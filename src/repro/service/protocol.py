@@ -17,10 +17,11 @@ Response::
                "retryable": false}}
 
 ``op`` is either a *service op* (lowercase: ``ping``, ``open``,
-``health``, ``objects``, ``digest``) or an *engine op* — any CamelCase
-method of :class:`~repro.core.engine.Ringo` (``LoadTableTSV``,
-``Select``, ``ToGraph``, ``GetPageRank``, ...), so the analytics API the
-paper defines is served unchanged. Arguments reference catalog objects
+``health``, ``objects``, ``digest``) or an *engine op* — an entry of
+the op table :data:`repro.recovery.ops.SESSION_OPS`, one per CamelCase
+method of :class:`~repro.core.engine.Ringo` but the catalog accessors,
+so the analytics API the paper defines is served unchanged. Arguments
+reference catalog objects
 as ``{"$ref": "<catalog-name>"}``; results that are tables or graphs
 come back as a ``$ref`` envelope carrying their catalog name and shape,
 everything else is encoded to plain JSON.
@@ -60,6 +61,7 @@ from repro.core.engine import Ringo
 from repro.exceptions import RingoError, ServiceError, TransientError
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
+from repro.recovery.ops import SESSION_OPS
 from repro.tables.table import Table
 
 REF_KEY = "$ref"
@@ -91,27 +93,10 @@ SERVICE_OPS = (
     "promote",
 )
 
-#: Engine lifecycle/introspection surface a remote tenant must not drive
-#: directly — the service owns checkpointing, recovery, and shutdown.
-_DENIED_ENGINE_OPS = frozenset({"Objects", "GetObject"})
-
-
 def allowed_engine_ops() -> frozenset:
-    """The CamelCase :class:`Ringo` methods the service dispatches.
-
-    Computed from the class so the served surface tracks the engine
-    automatically: every public CamelCase method except the catalog
-    accessors (those are service ops with JSON-shaped responses).
-    """
-    ops = set()
-    for name in dir(Ringo):
-        if name.startswith("_") or name in _DENIED_ENGINE_OPS:
-            continue
-        if not name[0].isupper():
-            continue  # lifecycle/introspection: health, checkpoint, ...
-        if callable(getattr(Ringo, name)):
-            ops.add(name)
-    return frozenset(ops)
+    """The CamelCase :class:`Ringo` methods the service dispatches: the
+    op table's entries, less its adoption pseudo-ops."""
+    return frozenset(name for name in SESSION_OPS if not name.startswith("_"))
 
 
 _ALLOWED_ENGINE_OPS = allowed_engine_ops()

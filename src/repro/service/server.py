@@ -46,6 +46,7 @@ from repro import obs
 from repro.exceptions import RequestRejected, RingoError, ServiceError
 from repro.faults import fault_point
 from repro.parallel.resilience import RetryPolicy
+from repro.recovery.ops import SESSION_OPS
 from repro.service.protocol import (
     ACCEPT_COLUMNS,
     Request,
@@ -90,7 +91,6 @@ class ServiceConfig:
     session_workers: int = 1
     executor_threads: int = 8
     retry_policy: "RetryPolicy | None" = None
-    drain_timeout_s: float = 30.0
     role: str = "primary"
     replica_address: "object | None" = None
     ship_interval_s: float = 0.05
@@ -203,8 +203,7 @@ class SessionService:
             try:
                 await self.manager.sweep(self.loop.time())
             except Exception:  # never let a sweep bug kill the scheduler
-                if obs.enabled():
-                    obs.registry().counter("service.sweep_errors_total").inc()
+                obs.count("service.sweep_errors_total")
 
     # -- request intake -------------------------------------------------
 
@@ -326,15 +325,19 @@ class SessionService:
     ) -> dict:
         """Serve a read from a follower; refuse writes until promotion.
 
-        Reads are gated by :meth:`ReplicaApplier.ensure_readable`: a
-        quarantined tenant fails with :class:`DivergenceError` and a
-        lagging one with the *retryable* :class:`ReplicaLagError` — a
-        stale answer is never served silently. A read that passes runs
+        The reads are ``objects``, ``digest``, ``digest_at`` and the
+        op-table entries that are neither durable nor mutating
+        (:attr:`~repro.recovery.ops.Op.read_only`). Each is gated by
+        :meth:`ReplicaApplier.ensure_readable`: a quarantined tenant
+        fails with :class:`DivergenceError` and a lagging one with the
+        *retryable* :class:`ReplicaLagError` — a stale answer is never
+        served silently. A read that passes runs
         through :func:`~repro.service.session.dispatch_engine`, the
         primary's own dispatch path, at the follower's watermark.
         """
         applier = self.applier
-        if not (op in ("objects", "digest", "digest_at") or op.startswith("Get")):
+        read_only = getattr(SESSION_OPS.get(op), "read_only", False)
+        if not (op in ("objects", "digest", "digest_at") or read_only):
             return error_response(
                 request_id,
                 ServiceError(
@@ -430,9 +433,7 @@ class SessionService:
             self._tick_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._tick_task
-        return await self.manager.drain(
-            per_session_timeout_s=self.config.drain_timeout_s
-        )
+        return await self.manager.drain()
 
     async def stop(self, drain: bool = True) -> dict:
         """Drain (optionally) and release the executor; returns the report."""

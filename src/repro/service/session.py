@@ -59,6 +59,10 @@ from repro.service.protocol import (
 )
 from repro.service.queueing import DeadlineQueue
 
+#: Seconds a drain waits for one session's in-flight request to finish;
+#: a session still busy after that counts as a checkpoint failure.
+DRAIN_TIMEOUT_S = 30.0
+
 
 def dispatch_engine(
     session: Ringo, tenant: str, op: str, args: dict, columns: bool,
@@ -72,11 +76,12 @@ def dispatch_engine(
     replication shipper exchanges. Engine operations publish atomically
     (no partial state escapes a failed call), so re-running a whole
     request after a transient failure is safe; ``retry_policy`` does
-    exactly that.
+    exactly that. The ``service.dispatch`` fault site draws from the
+    tenant's own stream, however tenants' executor threads interleave.
     """
 
     def attempt() -> object:
-        fault_point("service.dispatch")
+        fault_point("service.dispatch", tenant)
         if op == "objects":
             return session.Objects()
         if op == "digest":
@@ -408,10 +413,7 @@ class SessionManager:
     def submit(self, session: TenantSession, request: Request) -> None:
         """Enqueue one request, shedding oldest-deadline-first when full."""
         session.stats.record("requests")
-        if obs.enabled():
-            obs.registry().counter(
-                f"service.tenant.{session.tenant}.requests_total"
-            ).inc()
+        obs.count(f"service.tenant.{session.tenant}.requests_total")
         victim = session.queue.push(request)
         session._publish_queue_depth()
         if victim is not None:
@@ -506,8 +508,7 @@ class SessionManager:
             session.dirty = False
             self.ledger.release(session.tenant)
             session.stats.record("evictions")
-            if obs.enabled():
-                obs.registry().counter("service.evictions_total").inc()
+            obs.count("service.evictions_total")
             return True
 
     async def sweep(self, now: float) -> None:
@@ -536,7 +537,7 @@ class SessionManager:
 
     # -- drain ----------------------------------------------------------
 
-    async def drain(self, per_session_timeout_s: float = 30.0) -> dict:
+    async def drain(self) -> dict:
         """Reject queued work, finish in-flight requests, checkpoint all.
 
         Nothing committed is ever lost here even if a checkpoint fails —
@@ -558,7 +559,7 @@ class SessionManager:
                 # the finally below.
                 await asyncio.wait_for(
                     session.state_lock.acquire(),  # ringo-lint: disable=R004
-                    timeout=per_session_timeout_s,
+                    timeout=DRAIN_TIMEOUT_S,
                 )
             except (asyncio.TimeoutError, TimeoutError):
                 report["checkpoint_failures"] += 1

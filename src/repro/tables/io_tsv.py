@@ -24,8 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import CorruptInputError, SchemaError
 from repro.faults import active_plan
-from repro.obs.metrics import registry as _metrics_registry
-from repro.obs.spans import enabled as _tracing_enabled
+from repro.obs.metrics import count
 from repro.obs.spans import trace
 from repro.tables.groupby import factorize
 from repro.tables.schema import ColumnType, Schema
@@ -183,8 +182,7 @@ def load_table_tsv(
         except _Reject as reject:
             span.set_tag("path", "rows")
             span.set_tag("reason", str(reject))
-            if _tracing_enabled():
-                _metrics_registry().counter("io.tsv.row_path").inc()
+            count("io.tsv.row_path")
             table = _load_rows(schema, path, sep, has_header, comment, pool)
         span.set_tag("rows", table.num_rows)
         return table

@@ -86,12 +86,12 @@ class TestQueries:
         with pytest.raises(NodeNotFoundError):
             csr.dense_of(42)
 
-    def test_dense_of_many(self, csr):
-        assert csr.dense_of_many(np.array([2, 0])).tolist() == [2, 0]
+    def test_dense_of_array(self, csr):
+        assert csr.dense_of_array(np.array([2, 0])).tolist() == [2, 0]
 
-    def test_dense_of_many_unknown_raises(self, csr):
+    def test_dense_of_array_unknown_raises(self, csr):
         with pytest.raises(NodeNotFoundError):
-            csr.dense_of_many(np.array([0, 99]))
+            csr.dense_of_array(np.array([0, 99]))
 
     def test_arrays_readonly(self, csr):
         with pytest.raises(ValueError):

@@ -22,9 +22,12 @@ import time
 import pytest
 
 from repro.core.engine import Ringo
+from repro.exceptions import InjectedFaultError
 from repro.faults import inject_faults
+from repro.parallel.resilience import RetryPolicy
 from repro.recovery.digest import catalog_digest
 from repro.service import ServiceConfig, ServiceHandle
+from repro.service.session import dispatch_engine
 
 SCHEMA = [["src", "int"], ["dst", "int"]]
 TENANTS = [f"tenant-{n}" for n in range(8)]
@@ -171,12 +174,12 @@ def test_chaos_eight_tenants_under_seeded_faults(tmp_path, edges_tsv):
     drivers = [Driver(handle, tenant) for tenant in TENANTS]
     flood_results: list = []
     try:
-        # A call gets four dispatch attempts, so a seeded stream that fires
-        # four times within a few draws can exhaust one call whenever the
-        # threads interleave just so (seed 2015 fired six times in draws
-        # 79-86 of ~105). This seed's dispatch stream fires at most three
-        # times in any 16 consecutive draws of its first 300, at the same
-        # rate overall (12 of the first 105 draws).
+        # A call gets four dispatch attempts, so a stream that fires four
+        # times running exhausts it. ``service.dispatch`` draws from one
+        # stream per tenant, and a tenant runs one request at a time, so
+        # a call's attempts are consecutive draws of its tenant's stream:
+        # with this seed no tenant's stream (flood's included) fires more
+        # than three times running in its first 300 draws.
         with inject_faults(
             {
                 "service.accept": 0.03,
@@ -273,3 +276,36 @@ def test_chaos_eight_tenants_under_seeded_faults(tmp_path, edges_tsv):
     for tenant, digest in final_digests.items():
         with Ringo.recover(spool / tenant, workers=1) as revived:
             assert catalog_digest(revived) == digest, tenant
+
+
+def test_a_tenants_dispatch_faults_ignore_other_tenants_draws():
+    """Which attempts of a tenant's requests meet an injected
+    ``service.dispatch`` fault depends only on that tenant's own
+    requests, not on how many draws other tenants' threads made first."""
+    policy = RetryPolicy(max_attempts=4, base_delay=0.0)
+
+    def attempts_per_request(foreign_draws):
+        with Ringo(workers=1) as session:
+            with inject_faults({"service.dispatch": 0.3}, seed=2035):
+                for _ in range(foreign_draws):
+                    try:
+                        dispatch_engine(session, "other", "objects", {}, False, (0, 0))
+                    except InjectedFaultError:
+                        pass
+                attempts = []
+                for _ in range(12):
+                    retries = []
+                    try:
+                        dispatch_engine(
+                            session, "alice", "objects", {}, False, (0, 0),
+                            policy, on_retry=lambda n, e: retries.append(n),
+                        )
+                        attempts.append(len(retries) + 1)
+                    except Exception as error:
+                        attempts.append(type(error).__name__)
+                return attempts
+
+    alone = attempts_per_request(0)
+    assert max(a for a in alone if isinstance(a, int)) > 1  # faults did fire
+    for foreign_draws in (1, 2, 3, 5, 8):
+        assert attempts_per_request(foreign_draws) == alone, foreign_draws

@@ -1,6 +1,7 @@
 """The versioned CSR snapshot cache: reuse, invalidation, resilience."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -156,6 +157,27 @@ def test_collected_graph_drops_its_entry():
     assert len(cache) == 0
     stats = cache.stats()
     assert stats["collected"] == 1 and stats["bytes"] == 0
+
+
+def test_a_graph_collected_while_the_cache_lock_is_held_does_not_deadlock():
+    # Garbage collection runs weakref callbacks on whatever allocation
+    # triggers it, including one made inside the cache's own locked
+    # sections (a traced hit bumps a metrics counter there).
+    cache = SnapshotCache()
+    graph = ring_graph()
+    cache.get(graph)
+    done = threading.Event()
+
+    def drop_under_lock(holder):
+        with cache._lock:
+            holder.clear()  # the last reference: the callback runs here
+        done.set()
+
+    worker = threading.Thread(target=drop_under_lock, args=([graph],), daemon=True)
+    del graph
+    worker.start()
+    assert done.wait(5.0), "the collected graph's cleanup deadlocked"
+    assert len(cache) == 0 and cache.stats()["collected"] == 1
 
 
 def test_dropped_projection_is_freed_without_gc(fresh_cache):
