@@ -159,7 +159,9 @@ def eigenvector_centrality(
     vector = np.full(count, 1.0 / np.sqrt(count), dtype=np.float64)
     for _ in range(max_iterations):
         spread = np.bincount(edge_dst, weights=vector[edge_src], minlength=count)
-        norm = np.linalg.norm(spread)
+        # Elementwise, never BLAS (a threaded-BLAS norm on a long
+        # vector can cost milliseconds).
+        norm = np.sqrt((spread * spread).sum())
         if norm == 0:
             raise AlgorithmError(
                 "eigenvector centrality failed: iteration collapsed to zero"

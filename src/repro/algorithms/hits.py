@@ -38,11 +38,13 @@ def hits(
     auth_vec = hubs_vec.copy()
     for _ in range(max_iterations):
         new_auth = np.bincount(edge_dst, weights=hubs_vec[edge_src], minlength=count)
-        auth_norm = np.linalg.norm(new_auth)
+        # Elementwise L2 norms, never BLAS: a threaded-BLAS call on a
+        # long vector can cost milliseconds, more than the two pushes.
+        auth_norm = np.sqrt((new_auth * new_auth).sum())
         if auth_norm > 0:
             new_auth /= auth_norm
         new_hubs = np.bincount(edge_src, weights=new_auth[edge_dst], minlength=count)
-        hub_norm = np.linalg.norm(new_hubs)
+        hub_norm = np.sqrt((new_hubs * new_hubs).sum())
         if hub_norm > 0:
             new_hubs /= hub_norm
         delta = float(np.abs(new_auth - auth_vec).sum() + np.abs(new_hubs - hubs_vec).sum())

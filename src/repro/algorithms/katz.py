@@ -56,7 +56,9 @@ def katz_centrality(
     else:
         raise ConvergenceError("katz_centrality", max_iterations, delta)
     if normalized:
-        norm = np.linalg.norm(values)
+        # Elementwise, never BLAS (a threaded-BLAS norm on a long
+        # vector can cost milliseconds).
+        norm = np.sqrt((values * values).sum())
         if norm > 0:
             values = values / norm
     return NodeValues(csr.node_ids, values)

@@ -60,11 +60,11 @@ class Ringo:
     a build fully succeeds, so a mid-build failure never leaves a
     partial table or graph visible through :meth:`Objects`.
 
-    The constructor configures this session only. Process-wide layers
-    are configured through their own modules, never by a session: the
-    versioned CSR snapshot cache via
-    ``repro.graphs.snapshot.snapshot_cache().configure(...)`` and delta
-    maintenance via ``repro.incremental.incremental_engine().configure(...)``.
+    The constructor configures this session only. Delta maintenance is
+    configured process-wide through
+    ``repro.incremental.incremental_engine().configure(...)``, never by a
+    session; the versioned CSR snapshot cache
+    (``repro.graphs.snapshot.snapshot_cache()``) has nothing to set.
     Back-to-back analytics on an unchanged graph
     share one conversion, verifiable via ``health()["snapshot_cache"]``
     and the per-call timers in ``call_timings()``.
@@ -806,6 +806,9 @@ class Ringo:
         # One consistent view of the catalog, not a racing iteration.
         with self._catalog_lock:
             object_names = list(self._catalog)
+        # One cache reading feeds both its section and the derived hit
+        # ratio, so the two always agree.
+        cache = self._snapshot_cache.stats()
         report = {
             "workers": self.workers_info(),
             # benchmarks/e2e/wl_analytics.py reads exactly this shape;
@@ -815,10 +818,10 @@ class Ringo:
                 "decisions": {"threads": self.workers.stats.calls, "processes": 0}
             },
             "memory_budget": None if self.budget is None else self.budget.snapshot(),
-            "snapshot_cache": self._snapshot_cache.stats(),
+            "snapshot_cache": cache,
             "incremental": _incremental_engine().stats(),
             "analysis": {"sanitizer": _sanitize.stats()},
-            "obs": self._obs_report(),
+            "obs": self._obs_report(cache),
             "recovery": self._recovery_report_section(),
             "timings": self.call_timings(),
             "objects": {
@@ -840,10 +843,10 @@ class Ringo:
         report["last_recovery"] = self._recovery_report
         return report
 
-    def _obs_report(self) -> dict:
-        """The ``health()["obs"]`` section: spans, metrics, derived ratios."""
+    def _obs_report(self, cache: dict) -> dict:
+        """The ``health()["obs"]`` section: spans, metrics, derived ratios
+        (the hit ratio from ``cache``, the section's own cache reading)."""
         tracer = obs.current_tracer()
-        cache = self._snapshot_cache.stats()
         lookups = cache["hits"] + cache["misses"] + cache["invalidations"]
         report: dict = {
             "enabled": tracer is not None,

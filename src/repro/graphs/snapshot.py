@@ -11,14 +11,10 @@ when the graph had not changed. The cache memoises snapshots on
   every structural mutation (see :class:`repro.graphs.base.GraphBase`),
   so a stale snapshot is detected by one integer compare and rebuilt —
   no manual invalidation ever needed;
-* entries hold the graph **weakly** (keyed by ``id(graph)`` with a
-  ``weakref`` cleanup callback), so caching a graph never prevents it
-  from being garbage-collected, and a collected graph's snapshot is
-  dropped with it;
-* admission is **byte-budgeted**: a snapshot larger than the configured
-  ``max_bytes`` ceiling (counting all cached snapshots) is still
-  returned to the caller but not retained, so the cache cannot blow the
-  memory headroom an operator granted it;
+* entries live in a weak map keyed by the graph itself
+  (:class:`weakref.WeakKeyDictionary`; graphs hash by identity), so
+  caching a graph never keeps it alive, a collected graph's snapshot
+  goes with it, and a new graph at a reused address never sees it;
 * every build passes through the ``snapshot.build`` fault site, so
   :func:`repro.faults.inject_faults` can prove a failed conversion never
   leaves a partial entry behind.
@@ -26,8 +22,7 @@ when the graph had not changed. The cache memoises snapshots on
 The process-wide default cache is what
 :func:`repro.algorithms.common.as_csr` consults, which is how all ~20
 algorithm modules share snapshots without code changes at call sites.
-``snapshot_cache().configure(enabled=..., max_bytes=...)`` toggles and
-budgets it for the process, and ``Ringo.health()`` reports its counters.
+``Ringo.health()`` reports its counters.
 """
 
 from __future__ import annotations
@@ -51,24 +46,18 @@ from repro.obs.spans import trace as _obs_trace
 
 
 class _Entry:
-    """One cached snapshot: weak graph ref, version stamp, CSR, size."""
+    """One cached snapshot: version stamp, CSR, size."""
 
-    __slots__ = ("ref", "version", "csr", "nbytes")
+    __slots__ = ("version", "csr", "nbytes")
 
-    def __init__(self, ref, version: int, csr: CSRGraph, nbytes: int) -> None:
-        self.ref = ref
+    def __init__(self, version: int, csr: CSRGraph, nbytes: int) -> None:
         self.version = version
         self.csr = csr
         self.nbytes = nbytes
 
 
 class SnapshotCache:
-    """Weakref-keyed, version-checked cache of CSR snapshots.
-
-    ``max_bytes`` caps the total bytes of retained snapshots (``None``
-    means unlimited); an over-budget snapshot is built and returned but
-    not cached, recorded under ``rejected``. ``enabled=False`` turns the
-    cache into a pass-through that still counts conversions.
+    """Weak-map, version-checked cache of CSR snapshots.
 
     >>> from repro.graphs.directed import DirectedGraph
     >>> cache = SnapshotCache()
@@ -79,26 +68,12 @@ class SnapshotCache:
     (1, 1)
     """
 
-    def __init__(self, enabled: bool = True, max_bytes: "int | None" = None) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise RingoError(
-                f"snapshot cache max_bytes must be positive, got {max_bytes}"
-            )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[int, _Entry] = {}
-        # Keys of collected graphs. GC runs a weakref callback on whatever
-        # allocation triggers it, possibly inside this cache's or the
-        # metrics registry's locked sections, so it only queues the key
-        # (``list.append`` is atomic and takes no lock).
-        self._collected_keys: list[int] = []
-        self.enabled = enabled
-        self.max_bytes = max_bytes
-        self._cached_bytes = 0
+        self._entries = weakref.WeakKeyDictionary()  # graph -> _Entry
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
-        self._rejected = 0
-        self._collected = 0
         self._conversions = 0
 
     # ------------------------------------------------------------------
@@ -108,39 +83,29 @@ class SnapshotCache:
     def get(self, graph: "DirectedGraph | UndirectedGraph") -> CSRGraph:
         """The CSR snapshot for ``graph`` at its current version.
 
-        A hit costs one dict probe and one integer compare. On a miss
-        (or a stale version) the snapshot is rebuilt and retained if it
-        passes byte admission.
+        A hit costs one weak-map probe and one integer compare. On a
+        miss (or a stale version) the snapshot is rebuilt and retained.
         """
         if not isinstance(graph, (DirectedGraph, UndirectedGraph)):
             raise RingoError(
                 f"snapshot cache expects a dynamic graph, got {type(graph).__name__}"
             )
-        key = id(graph)
         version = graph.version
-        stale = False
-        stale_entry = None
-        if self.enabled:
-            with self._lock:
-                self._drop_collected()
-                entry = self._entries.get(key)
-                if entry is not None:
-                    if entry.version == version:
-                        self._hits += 1
-                        _count("snapshot.hits_total")
-                        _obs_event("snapshot.hit", version=version)
-                        return entry.csr
-                    stale = True
-                    stale_entry = entry
+        with self._lock:
+            cached = self._entries.get(graph)
+            if cached is not None and cached.version == version:
+                self._hits += 1
+                _count("snapshot.hits_total")
+                _obs_event("snapshot.hit", version=version)
+                return cached.csr
         csr = None
-        refreshed = False
-        if stale:
+        if cached is not None:
             # Delta maintenance: merge the mutation-log overlay into the
             # stale base instead of rebuilding from scratch. Any failure
             # (gap, poisoned log, injected fault, merge invariant) falls
             # through to the full build — never a wrong answer.
-            csr = self._refresh_from_delta(graph, stale_entry, version)
-            refreshed = csr is not None
+            csr = self._refresh_from_delta(graph, cached, version)
+        refreshed = csr is not None
         if csr is None:
             csr = self._build(graph)
             # Under RINGO_SANITIZE=1 every conversion is invariant-checked
@@ -148,34 +113,15 @@ class SnapshotCache:
             # also proves the graph did not mutate mid-conversion (the
             # cache-key coherence check).
             maybe_sanitize(csr, graph=graph, expected_version=version)
-        if not self.enabled:
-            return csr
-        nbytes = csr.memory_bytes()
+        entry = _Entry(version, csr, csr.memory_bytes())
         with self._lock:
-            # Re-read under the lock: a racing thread may have stored.
-            entry = self._entries.get(key)
-            replaced = entry.nbytes if entry is not None else 0
-            if stale:
+            if cached is not None:
                 self._invalidations += 1
                 _count("snapshot.invalidations_total")
             else:
                 self._misses += 1
                 _count("snapshot.misses_total")
-            if (
-                self.max_bytes is not None
-                and self._cached_bytes - replaced + nbytes > self.max_bytes
-            ):
-                self._rejected += 1
-                _count("snapshot.evictions_total")
-                _obs_event("snapshot.evict", reason="over_budget", bytes=nbytes)
-                if entry is not None:
-                    # The retained snapshot is stale; drop it too.
-                    del self._entries[key]
-                    self._cached_bytes -= replaced
-                return csr
-            ref = weakref.ref(graph, lambda _, k=key: self._collected_keys.append(k))
-            self._entries[key] = _Entry(ref, version, csr, nbytes)
-            self._cached_bytes += nbytes - replaced
+            self._entries[graph] = entry
         engine = incremental_engine()
         if engine.enabled:
             if not refreshed:
@@ -287,62 +233,27 @@ class SnapshotCache:
             span.set_tag("edges", csr.num_edges)
             return csr
 
-    def _drop_collected(self) -> None:
-        """Drop collected graphs' entries (lock held): before a lookup, so
-        a dead graph's entry never answers for a new graph reusing its
-        id, and before reporting."""
-        while self._collected_keys:
-            entry = self._entries.pop(self._collected_keys.pop(), None)
-            if entry is not None:
-                self._cached_bytes -= entry.nbytes
-                self._collected += 1
-                _count("snapshot.evictions_total")
-                _obs_event("snapshot.evict", reason="collected", bytes=entry.nbytes)
-
     # ------------------------------------------------------------------
     # Management
     # ------------------------------------------------------------------
 
-    def configure(
-        self,
-        enabled: "bool | None" = None,
-        max_bytes: "int | None | str" = "unchanged",
-    ) -> None:
-        """Adjust the toggle and/or the byte ceiling in place."""
-        if enabled is not None:
-            self.enabled = bool(enabled)
-        if max_bytes != "unchanged":
-            if max_bytes is not None and max_bytes <= 0:
-                raise RingoError(
-                    f"snapshot cache max_bytes must be positive, got {max_bytes}"
-                )
-            self.max_bytes = max_bytes
-
     def invalidate(self, graph) -> bool:
         """Manually drop one graph's cached snapshot; True if present."""
         with self._lock:
-            entry = self._entries.pop(id(graph), None)
-            if entry is None:
-                return False
-            self._cached_bytes -= entry.nbytes
-        return True
+            return self._entries.pop(graph, None) is not None
 
     def clear(self, reset_stats: bool = False) -> None:
         """Drop every cached snapshot (optionally zero the counters)."""
         with self._lock:
             self._entries.clear()
-            self._cached_bytes = 0
             if reset_stats:
                 self._hits = 0
                 self._misses = 0
                 self._invalidations = 0
-                self._rejected = 0
-                self._collected = 0
                 self._conversions = 0
 
     def __len__(self) -> int:
         with self._lock:
-            self._drop_collected()
             return len(self._entries)
 
     def stats(self) -> dict:
@@ -353,17 +264,12 @@ class SnapshotCache:
         hits, never conversions.
         """
         with self._lock:
-            self._drop_collected()
             return {
-                "enabled": self.enabled,
                 "entries": len(self._entries),
-                "bytes": self._cached_bytes,
-                "max_bytes": self.max_bytes,
+                "bytes": sum(entry.nbytes for entry in self._entries.values()),
                 "hits": self._hits,
                 "misses": self._misses,
                 "invalidations": self._invalidations,
-                "rejected": self._rejected,
-                "collected": self._collected,
                 "conversions": self._conversions,
             }
 

@@ -13,10 +13,12 @@ cache's deployment model (one interactive session per process). It owns:
   plus per-algorithm warm/seed tallies, surfaced through
   ``Ringo.health()["incremental"]`` and mirrored to the obs metrics
   registry as ``incremental.*`` when tracing is armed;
-* **warm algorithm states** — per-graph (weakref-keyed) PageRank rank
-  vectors, WCC labels, and triangle counts that the dynamic variants in
+* **warm algorithm states** — per-graph PageRank rank vectors, WCC
+  labels, and triangle counts that the dynamic variants in
   :mod:`repro.incremental.algorithms` advance by delta instead of
-  recomputing from scratch.
+  recomputing from scratch. They live in a weak map keyed by the graph
+  itself (:class:`weakref.WeakKeyDictionary`), so a collected graph's
+  states go with it and never answer for a new graph at its address.
 
 The module deliberately imports neither :mod:`repro.algorithms` nor
 :mod:`repro.graphs.snapshot` at module scope — both import *us* (the
@@ -96,8 +98,7 @@ class IncrementalEngine:
         self.enabled = True
         self.compact_fraction = float(compact_fraction)
         self.min_compact_ops = int(min_compact_ops)
-        self._states: dict[int, _GraphState] = {}
-        self._refs: dict[int, weakref.ref] = {}
+        self._states = weakref.WeakKeyDictionary()  # graph -> _GraphState
         self._delta_applied = 0
         self._compactions = 0
         self._fallback_full = 0
@@ -135,7 +136,6 @@ class IncrementalEngine:
             self.compact_fraction = _DEFAULT_COMPACT_FRACTION
             self.min_compact_ops = _DEFAULT_MIN_COMPACT_OPS
             self._states.clear()
-            self._refs.clear()
             self._delta_applied = 0
             self._compactions = 0
             self._fallback_full = 0
@@ -216,7 +216,8 @@ class IncrementalEngine:
         if log is None:
             return
         floor = base_version
-        state = self._states.get(id(graph))
+        with self._lock:
+            state = self._states.get(graph)
         if state is not None:
             for version in state.versions():
                 floor = min(floor, version)
@@ -252,22 +253,8 @@ class IncrementalEngine:
 
     def state_for(self, graph) -> _GraphState:
         """The warm-state slot for ``graph`` (created on first use)."""
-        key = id(graph)
         with self._lock:
-            state = self._states.get(key)
-            if state is None:
-                state = _GraphState()
-                self._states[key] = state
-                self._refs[key] = weakref.ref(graph, self._make_cleanup(key))
-            return state
-
-    def _make_cleanup(self, key: int):
-        def cleanup(_ref) -> None:
-            with self._lock:
-                self._states.pop(key, None)
-                self._refs.pop(key, None)
-
-        return cleanup
+            return self._states.setdefault(graph, _GraphState())
 
 
 _DEFAULT_ENGINE = IncrementalEngine()

@@ -6,7 +6,6 @@ restore whatever was armed before, so the suite behaves identically
 under ``RINGO_TRACE=1`` (where a session tracer is already installed).
 """
 
-import gc
 import threading
 import time
 
@@ -18,13 +17,7 @@ from repro.obs import spans as spans_module
 
 @pytest.fixture
 def fresh_tracer():
-    """A fresh global tracer for one test; restores the prior one.
-
-    Earlier tests' garbage is collected first: a cached graph freed by
-    the cycle collector records a ``snapshot.evict`` event, which must
-    not land in this test's ring.
-    """
-    gc.collect()
+    """A fresh global tracer for one test; restores the prior one."""
     previous = spans_module._TRACER
     spans_module._TRACER = None
     tracer = obs.enable()

@@ -1,4 +1,8 @@
-"""The versioned CSR snapshot cache: reuse, invalidation, resilience."""
+"""The versioned CSR snapshot cache: reuse, invalidation, resilience.
+
+Also the lifecycle of the incremental engine's warm states, which live
+in the same kind of weak map keyed by the graph.
+"""
 
 import gc
 import threading
@@ -11,29 +15,38 @@ from hypothesis import strategies as st
 
 from repro import algorithms as alg
 from repro.core.engine import Ringo
-from repro.exceptions import InjectedFaultError, RingoError
+from repro.exceptions import InjectedFaultError
 from repro.faults import inject_faults
 from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.snapshot import SnapshotCache, csr_snapshot, snapshot_cache
 from repro.graphs.undirected import UndirectedGraph
+from repro.incremental.algorithms import incremental_wcc
+from repro.incremental.engine import IncrementalEngine, incremental_engine
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
     """Each test sees the process-wide cache empty, counters zeroed."""
     cache = snapshot_cache()
-    cache.configure(enabled=True, max_bytes=None)
     cache.clear(reset_stats=True)
     yield cache
-    cache.configure(enabled=True, max_bytes=None)
     cache.clear(reset_stats=True)
 
 
-def ring_graph(cls=DirectedGraph, n: int = 12):
+@pytest.fixture
+def private_engine(monkeypatch):
+    """A fresh engine standing in for the process-wide one, so a test
+    that wedges its lock cannot wedge the rest of the suite."""
+    engine = IncrementalEngine()
+    monkeypatch.setattr("repro.incremental.engine._DEFAULT_ENGINE", engine)
+    return engine
+
+
+def ring_graph(cls=DirectedGraph, n: int = 12, offset: int = 0):
     graph = cls()
     for i in range(n):
-        graph.add_edge(i, (i + 1) % n)
+        graph.add_edge(offset + i, offset + (i + 1) % n)
     return graph
 
 
@@ -126,24 +139,24 @@ def test_cached_and_uncached_results_agree(fresh_cache):
     graph = DirectedGraph()
     for u, v in rng.integers(0, 40, size=(160, 2)).tolist():
         graph.add_edge(u, v)
-    cached = (
-        alg.pagerank(graph),
-        alg.triangle_counts(graph),
-        alg.bfs_levels(graph, int(graph.node_array()[0])),
-    )
-    fresh_cache.configure(enabled=False)
-    uncached = (
-        alg.pagerank(graph),
-        alg.triangle_counts(graph),
-        alg.bfs_levels(graph, int(graph.node_array()[0])),
-    )
+    source = int(graph.node_array()[0])
+
+    def run(target):
+        return (
+            alg.pagerank(target),
+            alg.triangle_counts(target),
+            alg.bfs_levels(target, source),
+        )
+
+    cached = run(graph)
+    uncached = run(CSRGraph.from_graph(graph))  # bypasses the cache
     assert cached[1] == uncached[1] and cached[2] == uncached[2]
     assert cached[0].keys() == uncached[0].keys()
     assert all(abs(cached[0][k] - uncached[0][k]) < 1e-12 for k in cached[0])
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: weakrefs, budgets, faults
+# Lifecycle: weak maps, faults
 # ----------------------------------------------------------------------
 
 
@@ -156,7 +169,7 @@ def test_collected_graph_drops_its_entry():
     gc.collect()
     assert len(cache) == 0
     stats = cache.stats()
-    assert stats["collected"] == 1 and stats["bytes"] == 0
+    assert stats["entries"] == 0 and stats["bytes"] == 0
 
 
 def test_a_graph_collected_while_the_cache_lock_is_held_does_not_deadlock():
@@ -177,7 +190,64 @@ def test_a_graph_collected_while_the_cache_lock_is_held_does_not_deadlock():
     del graph
     worker.start()
     assert done.wait(5.0), "the collected graph's cleanup deadlocked"
-    assert len(cache) == 0 and cache.stats()["collected"] == 1
+    stats = cache.stats()
+    assert stats["entries"] == 0 and stats["bytes"] == 0
+
+
+def test_a_graph_collected_while_the_engine_lock_is_held_does_not_deadlock(
+    private_engine, fresh_cache
+):
+    # The warm-state twin of the cache test above: dropping a graph's
+    # last reference while the incremental engine's lock is held must
+    # not run anything that waits for that lock.
+    graph = ring_graph()
+    assert incremental_wcc(graph) is not None
+    assert private_engine.stats()["graph_states"] == 1
+    done = threading.Event()
+
+    def drop_under_lock(holder):
+        with incremental_engine()._lock:
+            holder.clear()  # the last reference
+        done.set()
+
+    worker = threading.Thread(target=drop_under_lock, args=([graph],), daemon=True)
+    del graph
+    worker.start()
+    assert done.wait(5.0), "the collected graph's warm-state cleanup deadlocked"
+    assert private_engine.stats()["graph_states"] == 0
+
+
+def test_a_new_graph_at_a_collected_graphs_address_inherits_nothing(
+    private_engine, fresh_cache
+):
+    # Each old graph leaves a snapshot and a warm WCC state at the same
+    # version its successor will have, so anything keyed by address
+    # would answer for the successor with the old graph's labels.
+    reused = []
+    for _ in range(20):
+        old = [ring_graph() for _ in range(64)]
+        for graph in old:
+            incremental_wcc(graph)
+        version = old[0].version
+        dead = {id(graph) for graph in old}
+        del old, graph
+        gc.collect()
+        new = [ring_graph(offset=100) for _ in range(64)]
+        reused = [graph for graph in new if id(graph) in dead]
+        if reused:
+            break
+    assert reused, "no collected graph's address was reused"
+    assert len(fresh_cache) == 0
+    assert private_engine.stats()["graph_states"] == 0
+    for graph in reused:
+        assert graph.version == version
+        hits = fresh_cache.stats()["hits"]
+        snap = csr_snapshot(graph)
+        assert fresh_cache.stats()["hits"] == hits
+        assert snap.node_ids.tolist() == list(range(100, 112))
+        assert private_engine.state_for(graph).wcc is None
+        expected = alg.weakly_connected_components(CSRGraph.from_graph(graph))
+        assert dict(incremental_wcc(graph)) == dict(expected)
 
 
 def test_dropped_projection_is_freed_without_gc(fresh_cache):
@@ -206,20 +276,6 @@ def test_dropped_projection_is_freed_without_gc(fresh_cache):
         gc.enable()
 
 
-def test_byte_budget_rejects_but_still_serves():
-    graph = ring_graph()
-    reference = CSRGraph.from_graph(graph)
-    cache = SnapshotCache(max_bytes=8)
-    snap = cache.get(graph)
-    assert np.array_equal(snap.out_indices, reference.out_indices)
-    stats = cache.stats()
-    assert stats["rejected"] == 1 and stats["entries"] == 0 and stats["bytes"] == 0
-    # Every repeat stays correct, never cached, never crashes.
-    assert np.array_equal(cache.get(graph).out_indptr, reference.out_indptr)
-    with pytest.raises(RingoError):
-        SnapshotCache(max_bytes=0)
-
-
 def test_build_fault_leaves_no_partial_entry(fresh_cache):
     graph = ring_graph()
     with inject_faults({"snapshot.build": 1.0}) as plan:
@@ -231,16 +287,6 @@ def test_build_fault_leaves_no_partial_entry(fresh_cache):
     ranks = alg.pagerank(graph)
     assert len(ranks) == graph.num_nodes
     assert len(fresh_cache) == 1
-
-
-def test_disabled_cache_is_pass_through(fresh_cache):
-    fresh_cache.configure(enabled=False)
-    graph = ring_graph()
-    first = csr_snapshot(graph)
-    second = csr_snapshot(graph)
-    assert first is not second
-    stats = fresh_cache.stats()
-    assert stats["conversions"] == 2 and stats["entries"] == 0
 
 
 def test_manual_invalidate_and_clear():
@@ -277,19 +323,7 @@ def test_engine_reports_cache_stats_and_timings(fresh_cache):
         assert ringo.call_timings() == timings
 
 
-def test_engine_snapshot_cache_toggle(fresh_cache):
-    fresh_cache.configure(enabled=False)
-    with Ringo(workers=1) as ringo:
-        table = ringo.TableFromColumns({"a": [1, 2], "b": [2, 3]})
-        graph = ringo.ToGraph(table, "a", "b")
-        ringo.GetPageRank(graph)
-        ringo.GetPageRank(graph)
-        stats = ringo.health()["snapshot_cache"]
-        assert stats["enabled"] is False and stats["conversions"] == 2
-
-
 def test_engine_snapshot_cache_budget(fresh_cache):
-    fresh_cache.configure(max_bytes=8)
     with Ringo(workers=1) as ringo:
         table = ringo.TableFromColumns({"a": [1, 2], "b": [2, 3]})
         graph = ringo.ToGraph(table, "a", "b")
@@ -297,20 +331,13 @@ def test_engine_snapshot_cache_budget(fresh_cache):
         def conversions():
             return ringo.health()["snapshot_cache"]["conversions"]
 
-        # A rejected snapshot is rebuilt on every call, but exactly once
-        # per call: nothing converts ahead of the algorithm's own lookup.
+        # With the snapshot dropped before each call, the call converts
+        # exactly once: nothing converts ahead of the algorithm's own
+        # lookup.
         results = []
         for call in (ringo.GetPageRank, ringo.GetPageRank, ringo.GetColoring):
+            fresh_cache.invalidate(graph)
             before = conversions()
             results.append(call(graph))
             assert conversions() == before + 1
         assert results[0] == results[1]
-        stats = ringo.health()["snapshot_cache"]
-        assert stats["rejected"] >= 2 and stats["bytes"] == 0
-
-
-def test_session_leaves_process_cache_settings_alone(fresh_cache):
-    fresh_cache.configure(enabled=False, max_bytes=8)
-    Ringo(workers=1).close()
-    stats = fresh_cache.stats()
-    assert stats["enabled"] is False and stats["max_bytes"] == 8
