@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.exceptions import ConversionError, GraphError, NodeNotFoundError
 from repro.obs.spans import trace
+from repro.util.keys import sorted_codes
 
 EMPTY_ADJACENCY = np.empty(0, dtype=np.int64)
 
@@ -90,17 +91,20 @@ MAX_KEYED_NODES = 3_037_000_499
 
 
 def dense_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``distinct(values)`` and each value's index in it, from one argsort."""
-    order = np.argsort(values)
-    ordered = values[order]
-    new_run = np.empty(len(values), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-    ids = ordered[new_run]
-    del ordered  # freed before the two label arrays: a lower peak
-    labels = np.empty(len(values), dtype=np.int64)
-    labels[order] = np.cumsum(new_run) - 1
-    return ids, labels
+    """``distinct(values)`` and each value's index in it.
+
+    The codes come from :func:`repro.util.keys.sorted_codes`: node ids
+    whose range spans at most ``len(values)`` (a bulk build's usual
+    input) are coded by value with no sort, a few distinct ids against a
+    sampled dictionary, and any others by one argsort. A range with gaps
+    is compacted by a running count of the ids present.
+    """
+    codes, ids = sorted_codes(values)
+    present = np.zeros(len(ids), dtype=bool)
+    present[codes] = True
+    if present.all():
+        return ids, codes
+    return ids[present], (np.cumsum(present) - 1)[codes]
 
 
 def edge_keys(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:

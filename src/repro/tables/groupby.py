@@ -9,8 +9,11 @@ Two entry points mirror the two Ringo uses:
 
 Both, and every other site that numbers distinct keys (``distinct``, the
 set operations, multi-column join keys, the TSV loader's string columns),
-go through :func:`factorize`: one sort, a neighbour mask, and the first
-row of each run of equal keys.
+go through :func:`factorize`. It codes the keys by
+:func:`repro.util.keys.sorted_codes` — by value for integers whose range
+spans at most the row count, against a small sampled dictionary for keys
+with a few distinct values, and by one ``argsort`` otherwise — and then
+numbers the codes by first appearance with one counting pass.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.exceptions import SchemaError, TypeMismatchError
 from repro.obs.spans import trace
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
+from repro.util.keys import first_appearance, sorted_codes
 
 _AGGREGATES = ("count", "sum", "mean", "min", "max", "first")
 
@@ -39,29 +43,8 @@ def factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     >>> labels.tolist(), firsts.tolist()
     ([0, 1, 2, 2, 1, 3], [0, 1, 2, 5])
     """
-    keys = np.asarray(keys)
-    n = len(keys)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # Any sort will do: a run's first row is its smallest position, so
-    # the unstable default (introsort) is enough.
-    order = np.argsort(keys)
-    ordered = keys[order]
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
-        # NaNs sort last and compare unequal; make them one run.
-        new_run[int(np.searchsorted(ordered, np.nan)) + 1 :] = False
-    run_starts = np.flatnonzero(new_run)
-    firsts = np.minimum.reduceat(order, run_starts)
-    # Runs in first-appearance order are their marked first rows, ascending.
-    is_first = np.zeros(n, dtype=bool)
-    is_first[firsts] = True
-    rank = (np.cumsum(is_first) - 1)[firsts]
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = np.repeat(rank, np.diff(run_starts, append=n))
-    return labels, np.flatnonzero(is_first)
+    codes, values = sorted_codes(keys)
+    return first_appearance(codes, len(values))
 
 
 def factorize_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 "Ringo join operation always produces a new table object." The engine here
 is a vectorised sort-probe join: the right key column is argsorted once,
-each left key finds its matching span with two binary searches, and the
+each left key finds the start of its matching run with one binary search,
+the run's length comes from a run table of the sorted right side, and the
 output index pairs are materialised without Python-level loops. Name
 clashes between the two inputs are resolved by suffixing ``-1`` (left) and
 ``-2`` (right) — which is exactly why the paper's StackOverflow join ends
@@ -21,6 +22,7 @@ from repro.obs.spans import trace
 from repro.tables.groupby import factorize_rows
 from repro.tables.schema import ColumnType, Schema
 from repro.tables.table import Table
+from repro.util.keys import run_heads
 
 LEFT_SUFFIX = "-1"
 RIGHT_SUFFIX = "-2"
@@ -49,34 +51,50 @@ def join_indices(
     """Index pairs ``(left_idx, right_idx)`` where the keys are equal.
 
     Pairs are produced for every match (inner join with duplicates),
-    ordered by left index then right sort order.
+    ordered by left index then right sort order. Equality is
+    ``factorize``'s: a NaN key joins every NaN key, and ``-0.0`` joins
+    ``0.0``.
+
+    Each left key makes one binary search for the first equal key of the
+    sorted right side. When the right side repeats a key, the length of
+    each match's run comes from a run table of the sorted right side,
+    built in one pass.
     """
     if len(left_keys) == 0 or len(right_keys) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     right_order = np.argsort(right_keys, kind="stable")
     right_sorted = right_keys[right_order]
+    n_right = len(right_sorted)
     span_lo = np.searchsorted(right_sorted, left_keys, side="left")
-    span_hi = np.searchsorted(right_sorted, left_keys, side="right")
-    counts = span_hi - span_lo
+    # Past the end every right key sorts below the probe, so the last
+    # one cannot equal it.
+    found = right_sorted[np.minimum(span_lo, n_right - 1)]
+    hit = found == left_keys
+    if right_sorted.dtype.kind == "f":
+        # A NaN probe lands on the first NaN, which compares unequal.
+        hit |= np.isnan(found) & np.isnan(left_keys)
+    left_idx = np.flatnonzero(hit)
+    lo_hit = span_lo[left_idx]
+    heads = run_heads(right_sorted)
+    if len(left_idx) == 0 or heads.all():
+        # No hit, or no repeated right key: each hit is exactly one pair.
+        return left_idx, right_order[lo_hit]
+    run_starts = np.flatnonzero(heads)
+    run_end = np.empty(n_right, dtype=np.int64)  # read at run starts only
+    run_end[run_starts] = np.append(run_starts[1:], n_right)
+    counts = run_end[lo_hit] - lo_hit
     total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
     # Positions into right_sorted: for each matching left row, the run
-    # span_lo[i] .. span_hi[i). Built with the cumsum-of-steps trick: each
-    # position advances by 1 within a run, and each run's first step jumps
-    # from the previous run's last position to this run's span_lo.
-    nonzero = counts > 0
-    counts_nz = counts[nonzero]
-    lo_nz = span_lo[nonzero]
+    # lo .. lo + count. Built with the cumsum-of-steps trick: each
+    # position advances by 1 within a run, and each run's first step
+    # jumps from the previous run's last position to this run's start.
     steps = np.ones(total, dtype=np.int64)
-    run_starts = np.concatenate(([0], np.cumsum(counts_nz)[:-1]))
-    prev_last = np.concatenate(([0], lo_nz[:-1] + counts_nz[:-1] - 1))
-    steps[run_starts] = lo_nz - prev_last
+    out_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    prev_last = np.concatenate(([0], lo_hit[:-1] + counts[:-1] - 1))
+    steps[out_starts] = lo_hit - prev_last
     positions = np.cumsum(steps)
-    return left_idx, right_order[positions]
+    return np.repeat(left_idx, counts), right_order[positions]
 
 
 def composite_keys(
