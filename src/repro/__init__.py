@@ -38,7 +38,6 @@ from repro.exceptions import (
     RingoError,
     SanitizerError,
     TransientError,
-    WorkerTimeoutError,
 )
 from repro.faults import inject_faults
 from repro.graphs.directed import DirectedGraph
@@ -75,7 +74,6 @@ __all__ = [
     "Table",
     "TransientError",
     "UndirectedGraph",
-    "WorkerTimeoutError",
     "inject_faults",
     "__version__",
 ]

@@ -178,7 +178,7 @@ _BLOCKING_ACQUIRE = frozenset(
 
 #: Kernel-dispatch entry points: each runs a full parallel kernel to
 #: completion on the calling thread (WorkerPool fan-out included).
-_DISPATCH_ATTRS = frozenset({"map_range", "map_chunks", "run_tasks"})
+_DISPATCH_ATTRS = frozenset({"map_chunks"})
 
 _MAX_CHAIN_DEPTH = 12
 

@@ -317,7 +317,7 @@ class LockDisciplineRule(LintRule):
 # R006 — pool kernels must not write shared state unsynchronized
 # ----------------------------------------------------------------------
 
-_POOL_METHODS = {"map_range": 1, "map_chunks": 1, "run_tasks": 0}
+_POOL_METHOD = "map_chunks"
 _SYNC_NAME_HINT = "lock"
 
 
@@ -351,12 +351,9 @@ class SharedKernelStateRule(LintRule):
                 if isinstance(stmt, ast.FunctionDef) and stmt is not scope
             }
             for node in ast.walk(scope):
-                if not isinstance(node, ast.Call):
+                if not isinstance(node, ast.Call) or _call_attr(node) != _POOL_METHOD:
                     continue
-                method = _call_attr(node)
-                if method not in _POOL_METHODS:
-                    continue
-                kernel = self._kernel_expr(node, method)
+                kernel = self._kernel_expr(node)
                 if kernel is None:
                     continue
                 body: "ast.AST | None" = None
@@ -371,19 +368,18 @@ class SharedKernelStateRule(LintRule):
                     yield self.finding(
                         unit,
                         node,
-                        f"kernel passed to .{method}() writes captured "
+                        f"kernel passed to .{_POOL_METHOD}() writes captured "
                         f"state ({', '.join(sorted(written))}) with no "
                         f"lock/AtomicCounter; return per-partition results "
                         f"or synchronise the writes",
                     )
 
     @staticmethod
-    def _kernel_expr(call: ast.Call, method: str) -> "ast.expr | None":
-        index = _POOL_METHODS[method]
-        if len(call.args) > index:
-            return call.args[index]
+    def _kernel_expr(call: ast.Call) -> "ast.expr | None":
+        if len(call.args) > 1:
+            return call.args[1]
         for keyword in call.keywords:
-            if keyword.arg in ("kernel", "tasks"):
+            if keyword.arg == "kernel":
                 return keyword.value
         return None
 

@@ -87,8 +87,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         workers = health["workers"]
         print(
             f"health: workers={workers['workers']} calls={workers['calls']} "
-            f"retries={workers['retries']} timeouts={workers['timeouts']} "
-            f"degraded={workers['degraded']}"
+            f"retries={workers['retries']} degraded={workers['degraded']}"
         )
         if health["memory_budget"] is not None:
             mb = health["memory_budget"]

@@ -790,7 +790,7 @@ class Ringo:
     def health(self) -> dict:
         """One structured snapshot of the session's resilience state.
 
-        Reports worker downgrades/retries/timeouts, the count of kernel
+        Reports worker downgrades/retries/cancellations, the count of kernel
         dispatches to the worker pool (under ``"parallel"``), memory-budget
         admissions and denials, the published-object count, the snapshot
         cache's hit/miss/invalidation/byte counters, the per-call timing

@@ -57,7 +57,7 @@ class ExpressionError(RingoError):
 
 
 class ExecutionError(RingoError):
-    """Parallel or resilient execution failed (pool, retry, deadline)."""
+    """Parallel or resilient execution failed (pool, retry)."""
 
 
 class PoolClosedError(ExecutionError):
@@ -67,19 +67,6 @@ class PoolClosedError(ExecutionError):
         self.workers = workers
         super().__init__(
             f"worker pool ({workers} workers) was used after close()"
-        )
-
-
-class WorkerTimeoutError(ExecutionError):
-    """A pool call exceeded its deadline; outstanding work was cancelled."""
-
-    def __init__(self, timeout: float, pending: int, cancelled: int):
-        self.timeout = timeout
-        self.pending = pending
-        self.cancelled = cancelled
-        super().__init__(
-            f"parallel call exceeded {timeout:.3f}s deadline; "
-            f"{pending} partition(s) unfinished, {cancelled} cancelled"
         )
 
 

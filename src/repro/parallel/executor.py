@@ -9,37 +9,34 @@ paper's concurrent containers for the pure-Python ones.
 
 Unlike an OpenMP loop inside a short-lived process, this pool lives for
 the whole interactive session, so it carries the execution semantics a
-wedged or failing kernel needs:
+failing kernel needs. Its one mapping call, :meth:`WorkerPool.map_chunks`,
+runs a kernel once per pre-cut chunk and returns the results in chunk
+order, with:
 
-* **deadlines** — every mapping call takes ``timeout=`` seconds; on
-  expiry outstanding partition futures are cancelled and
-  :class:`WorkerTimeoutError` is raised.
-* **first-error cancellation** — when one partition fails, pending
-  sibling partitions are cancelled instead of being joined in
-  submission order.
+* **first-error cancellation** — when one chunk fails, pending sibling
+  chunks are cancelled instead of being joined in submission order.
 * **retries** — kernels raising :class:`TransientError` are re-attempted
   under the pool's :class:`RetryPolicy` (if one is configured).
-* **graceful degradation** — after ``degrade_after`` consecutive failed
-  parallel calls the pool downgrades itself to serial inline execution
-  and records the downgrade in :attr:`WorkerPool.stats`.
+* **graceful degradation** — after :data:`DEGRADE_AFTER` consecutive
+  failed parallel calls the pool downgrades itself to serial inline
+  execution and records the downgrade in :attr:`WorkerPool.stats`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
+from functools import partial
 from typing import Callable, Sequence, TypeVar
 
-from repro.exceptions import PoolClosedError, RingoError, WorkerTimeoutError
+from repro.exceptions import PoolClosedError, RingoError
 from repro.faults import fault_point
 from repro.obs.metrics import count
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.spans import current_span_id
 from repro.obs.spans import enabled as _tracing_enabled
 from repro.obs.spans import trace
-from repro.parallel.partition import split_range
 from repro.parallel.resilience import PoolStats, RetryPolicy, run_with_retry
 from repro.util.validation import check_positive
 
@@ -47,6 +44,9 @@ R = TypeVar("R")
 T = TypeVar("T")
 
 _DEFAULT_WORKERS_ENV = "REPRO_WORKERS"
+
+#: Consecutive failed parallel calls after which a pool runs serially.
+DEGRADE_AFTER = 3
 
 
 def machine_cpu_count() -> int:
@@ -94,34 +94,26 @@ def effective_worker_count(workers: int | None = None) -> int:
 
 
 class WorkerPool:
-    """Applies kernels over range partitions, serially or with threads.
+    """Applies a kernel over pre-cut chunks, serially or with threads.
 
     A pool with one worker runs everything inline on the calling thread,
     which keeps single-threaded benchmarks (paper Table 6) free of pool
     overhead and makes ``WorkerPool(1)`` the deterministic default for tests.
 
     ``retry_policy`` arms transparent re-attempts of kernels that raise
-    :class:`TransientError`; ``degrade_after`` sets how many consecutive
-    failed parallel calls flip the pool into serial-only mode (``None``
-    disables degradation).
+    :class:`TransientError`.
 
     >>> pool = WorkerPool(2)
-    >>> pool.map_range(10, lambda lo, hi: sum(range(lo, hi)))
+    >>> pool.map_chunks([(0, 5), (5, 10)], lambda span: sum(range(*span)))
     [10, 35]
     >>> pool.close()
     """
 
     def __init__(
-        self,
-        workers: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        degrade_after: int | None = 3,
+        self, workers: int | None = None, retry_policy: RetryPolicy | None = None
     ) -> None:
         self.workers = effective_worker_count(workers)
         self.retry_policy = retry_policy
-        if degrade_after is not None:
-            check_positive(degrade_after, "degrade_after")
-        self.degrade_after = degrade_after
         self.stats = PoolStats()
         self._closed = False
         self._failure_streak = 0
@@ -153,146 +145,69 @@ class WorkerPool:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    # ------------------------------------------------------------------
-    # Mapping API
-    # ------------------------------------------------------------------
+    def map_chunks(self, chunks: Sequence[T], kernel: Callable[[T], R]) -> list[R]:
+        """Run ``kernel(chunk)`` once per chunk; results come back in chunk order.
 
-    def map_range(
-        self,
-        total: int,
-        kernel: Callable[[int, int], R],
-        timeout: float | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> list[R]:
-        """Run ``kernel(lo, hi)`` over a partition of ``range(total)``.
-
-        Returns per-partition results in partition order, so a caller can
-        combine them deterministically (e.g. summing per-partition triangle
-        counts) regardless of completion order.
+        The caller cuts the chunks (:func:`~repro.parallel.partition.split_range`
+        spans, triangle wedge blocks), so it can combine per-chunk results
+        deterministically regardless of completion order.
         """
-        spans = split_range(total, self.workers)
-        return self._execute(
-            [lambda lo=lo, hi=hi: kernel(lo, hi) for lo, hi in spans],
-            timeout=timeout,
-            retry=retry,
-        )
-
-    def map_chunks(
-        self,
-        chunks: Sequence[T],
-        kernel: Callable[[T], R],
-        timeout: float | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> list[R]:
-        """Run ``kernel`` once per pre-computed chunk (e.g. balanced bins)."""
-        return self._execute(
-            [lambda chunk=chunk: kernel(chunk) for chunk in chunks],
-            timeout=timeout,
-            retry=retry,
-        )
-
-    def run_tasks(
-        self,
-        tasks: Sequence[Callable[[], R]],
-        timeout: float | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> list[R]:
-        """Run independent zero-argument tasks, returning results in order."""
-        return self._execute(list(tasks), timeout=timeout, retry=retry)
-
-    # ------------------------------------------------------------------
-    # Execution core
-    # ------------------------------------------------------------------
-
-    def _execute(
-        self,
-        tasks: list[Callable[[], R]],
-        timeout: float | None,
-        retry: RetryPolicy | None,
-    ) -> list[R]:
         if self._closed:
             raise PoolClosedError(self.workers)
         self.stats.record_call()
-        policy = retry if retry is not None else self.retry_policy
-        run_parallel = (
-            self._executor is not None
-            and len(tasks) > 1
-            and not self.stats.degraded
-        )
-        if not run_parallel:
-            if self.stats.degraded and self._executor is not None and len(tasks) > 1:
-                self.stats.record_serial_fallback()
-            return self._run_inline(tasks, timeout, policy)
+        parallel = self._executor is not None and len(chunks) > 1
+        if parallel and self.stats.degraded:
+            self.stats.record_serial_fallback()
+            parallel = False
+        if not parallel:
+            return self._run_inline(chunks, kernel)
         try:
-            results = self._run_parallel(tasks, timeout, policy)
-        except WorkerTimeoutError:
-            # A deadline expiry is the caller's kernel being slow, not
-            # evidence the parallel substrate is unhealthy.
-            raise
+            results = self._run_parallel(chunks, kernel)
         except Exception:
-            self._note_parallel_failure()
+            self._failure_streak += 1
+            if self._failure_streak >= DEGRADE_AFTER and not self.stats.degraded:
+                self.stats.mark_degraded()
             raise
         self._failure_streak = 0
         return results
 
-    def _run_inline(
-        self,
-        tasks: list[Callable[[], R]],
-        timeout: float | None,
-        policy: RetryPolicy | None,
-    ) -> list[R]:
-        # Inline execution cannot preempt a running kernel, but it still
-        # honours the deadline between tasks so a multi-part call cannot
-        # overrun it unboundedly.
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def _attempt(self, task: Callable[[], R]) -> R:
+        if self.retry_policy is None:
+            return task()
+        return run_with_retry(task, self.retry_policy, on_retry=self.stats.record_retry)
+
+    def _run_inline(self, chunks: Sequence[T], kernel: Callable[[T], R]) -> list[R]:
         results: list[R] = []
-        for index, task in enumerate(tasks):
-            if deadline is not None and time.monotonic() > deadline:
-                self.stats.record_timeout(cancelled=0)
-                raise WorkerTimeoutError(timeout, pending=len(tasks) - index, cancelled=0)
+        for index, chunk in enumerate(chunks):
             with trace("pool.kernel", partition=index, inline=True):
-                if policy is None:
-                    results.append(task())
-                else:
-                    results.append(
-                        run_with_retry(task, policy, on_retry=self.stats.record_retry)
-                    )
-        count("pool.dispatches_total", len(tasks))
+                results.append(self._attempt(partial(kernel, chunk)))
+        count("pool.dispatches_total", len(chunks))
         return results
 
-    def _run_parallel(
-        self,
-        tasks: list[Callable[[], R]],
-        timeout: float | None,
-        policy: RetryPolicy | None,
-    ) -> list[R]:
+    def _run_parallel(self, chunks: Sequence[T], kernel: Callable[[T], R]) -> list[R]:
         # Worker kernels run on pool threads, whose span stacks are empty;
         # capture the submitting thread's open span so each per-worker
         # child span nests under the operation that dispatched it.
         parent = current_span_id()
 
-        def dispatch(task: Callable[[], R], index: int) -> R:
-            def attempt() -> R:
-                fault_point("parallel.kernel")
-                return task()
+        def faulty_kernel(chunk: T) -> R:
+            fault_point("parallel.kernel")
+            return kernel(chunk)
 
+        def dispatch(index: int, chunk: T) -> R:
             with trace("pool.kernel", _parent=parent, partition=index):
-                if policy is None:
-                    return attempt()
-                return run_with_retry(
-                    attempt, policy, on_retry=self.stats.record_retry
-                )
+                return self._attempt(partial(faulty_kernel, chunk))
 
         assert self._executor is not None
-        count("pool.dispatches_total", len(tasks))
+        count("pool.dispatches_total", len(chunks))
         if _tracing_enabled():
-            _metrics_registry().gauge("pool.queue_depth").add(len(tasks))
+            _metrics_registry().gauge("pool.queue_depth").add(len(chunks))
         try:
             futures: list[Future] = [
-                self._executor.submit(dispatch, task, index)
-                for index, task in enumerate(tasks)
+                self._executor.submit(dispatch, index, chunk)
+                for index, chunk in enumerate(chunks)
             ]
-            done, not_done = wait(futures, timeout=timeout, return_when=FIRST_EXCEPTION)
+            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
             failed = next(
                 (f for f in futures if f in done and f.exception() is not None), None
             )
@@ -303,24 +218,10 @@ class WorkerPool:
                 # the caller's error handling.
                 wait(futures)
                 raise failed.exception()
-            if not_done:
-                cancelled = sum(1 for future in not_done if future.cancel())
-                self.stats.record_timeout(cancelled=cancelled)
-                assert timeout is not None
-                raise WorkerTimeoutError(
-                    timeout, pending=len(not_done), cancelled=cancelled
-                )
             return [future.result() for future in futures]
         finally:
             if _tracing_enabled():
-                _metrics_registry().gauge("pool.queue_depth").add(-len(tasks))
-
-    def _note_parallel_failure(self) -> None:
-        if self.degrade_after is None:
-            return
-        self._failure_streak += 1
-        if self._failure_streak >= self.degrade_after and not self.stats.degraded:
-            self.stats.mark_degraded()
+                _metrics_registry().gauge("pool.queue_depth").add(-len(chunks))
 
 
 _SERIAL_POOL: WorkerPool | None = None

@@ -3,18 +3,12 @@
 Ringo's graph→table conversion "partitions the graph's nodes or edges
 among worker threads, pre-allocating the output table, and assigning a
 corresponding partition in the output table to each thread" (§2.4). The
-helpers here compute those disjoint partitions.
+helper here computes those disjoint partitions.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
-
-import numpy as np
-
 from repro.util.validation import check_positive
-
-T = TypeVar("T")
 
 
 def split_range(total: int, parts: int) -> list[tuple[int, int]]:
@@ -43,49 +37,3 @@ def split_range(total: int, parts: int) -> list[tuple[int, int]]:
         spans.append((start, stop))
         start = stop
     return spans
-
-
-def split_indices(indices: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Split an index array into at most ``parts`` contiguous slices.
-
-    The slices are views, not copies, so partitioning a hundred-million-row
-    index is free.
-    """
-    return [indices[start:stop] for start, stop in split_range(len(indices), parts)]
-
-
-def balanced_chunks(weights: Sequence[float], parts: int) -> list[list[int]]:
-    """Assign item indices to ``parts`` bins, balancing total weight.
-
-    Greedy longest-processing-time assignment: items are placed heaviest
-    first into the currently lightest bin. Used to balance per-node work in
-    triangle counting, where degree skew makes equal-count partitions
-    badly unbalanced.
-
-    >>> balanced_chunks([5, 4, 3, 2, 1], 2)
-    [[0, 3, 4], [1, 2]]
-    """
-    check_positive(parts, "parts")
-    parts = min(parts, len(weights)) if weights else 0
-    if parts == 0:
-        return []
-    bins: list[list[int]] = [[] for _ in range(parts)]
-    loads = [0.0] * parts
-    order = sorted(range(len(weights)), key=lambda i: weights[i], reverse=True)
-    for item in order:
-        lightest = min(range(parts), key=loads.__getitem__)
-        bins[lightest].append(item)
-        loads[lightest] += weights[item]
-    for chunk in bins:
-        chunk.sort()
-    return bins
-
-
-def iter_batches(items: Sequence[T], batch_size: int) -> Iterator[Sequence[T]]:
-    """Yield consecutive batches of ``items`` of length ``batch_size``.
-
-    The final batch may be shorter. Empty input yields nothing.
-    """
-    check_positive(batch_size, "batch_size")
-    for start in range(0, len(items), batch_size):
-        yield items[start:start + batch_size]

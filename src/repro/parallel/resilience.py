@@ -1,4 +1,4 @@
-"""Retry, deadline, and degradation primitives for the worker pool.
+"""Retry and degradation primitives for the worker pool.
 
 The SNAP/OpenMP back-end the paper builds on gets fault containment for
 free from process isolation; a long-lived interactive Python session
@@ -9,7 +9,7 @@ does not. This module supplies the policy objects the hardened
   applied to kernels that raise :class:`TransientError`.
 * :func:`run_with_retry` — the attempt loop itself, usable standalone.
 * :class:`PoolStats` — thread-safe counters the pool publishes through
-  ``Ringo.health()``: retries, timeouts, cancellations, downgrades.
+  ``Ringo.health()``: retries, cancellations, failures, downgrades.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class PoolStats:
 
     calls: int = 0
     retries: int = 0
-    timeouts: int = 0
     cancelled_partitions: int = 0
     failures: int = 0
     serial_fallback_calls: int = 0
@@ -131,11 +130,6 @@ class PoolStats:
     def record_call(self) -> None:
         with self._lock:
             self.calls += 1
-
-    def record_timeout(self, cancelled: int) -> None:
-        with self._lock:
-            self.timeouts += 1
-            self.cancelled_partitions += cancelled
 
     def record_failure(self, cancelled: int) -> None:
         with self._lock:
@@ -156,7 +150,6 @@ class PoolStats:
             return {
                 "calls": self.calls,
                 "retries": self.retries,
-                "timeouts": self.timeouts,
                 "cancelled_partitions": self.cancelled_partitions,
                 "failures": self.failures,
                 "serial_fallback_calls": self.serial_fallback_calls,

@@ -145,12 +145,11 @@ def encode_table_payload(table: Table) -> dict:
 def decode_table_payload(payload: dict, pool) -> Table:
     """Rebuild a table from an inline snapshot, row ids included."""
     schema = decode_schema(payload["schema"])
-    table = Table.from_columns(payload["columns"], schema=schema, pool=pool)
-    table._replace_columns(
-        {name: table._raw_column(name) for name in schema.names},
-        np.asarray(payload["row_ids"], dtype=np.int64),
-    )
-    return table
+    columns = dict(payload["columns"])
+    for name, col_type in schema:
+        if col_type is ColumnType.STRING and name in columns:
+            columns[name] = pool.encode_many(columns[name])
+    return Table(schema, columns, pool=pool, row_ids=payload["row_ids"])
 
 
 def encode_graph_payload(graph) -> dict:

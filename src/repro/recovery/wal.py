@@ -44,6 +44,48 @@ from repro.recovery.epoch import EpochState, epoch_path, read_epoch
 WAL_FILENAME = "wal.jsonl"
 
 
+def validate_tenant_name(name: str, error: type[Exception]) -> None:
+    """Refuse tenant names that are not plain directory names.
+
+    A spool keeps each tenant's WAL and checkpoints under
+    ``<spool>/<tenant>/``, and both the session service and the
+    replication verbs take the tenant name off the wire; anything
+    path-like (separators, ``..``, absolute paths, NUL bytes) would let
+    a client create directories and write files outside the spool.
+    Raises ``error`` (the caller's typed rejection) naming the tenant.
+    """
+    if (
+        not name
+        or name in (".", "..")
+        or "\x00" in name
+        or "\\" in name
+        or name != Path(name).name
+    ):
+        raise error(
+            f"invalid tenant name {name!r}: tenant names must be plain "
+            f"directory names (no separators, traversal, or NUL bytes)"
+        )
+
+
+def spool_tenants(spool: "str | os.PathLike[str]") -> list[str]:
+    """The tenants a spool holds, sorted: directories with a WAL file.
+
+    State renamed aside by checkpoint quarantine or a replica re-seed
+    (``*.quarantined*``) is evidence to inspect, not a tenant to ship,
+    follow or promote.
+    """
+    spool = Path(spool)
+    if not spool.is_dir():
+        return []
+    return sorted(
+        entry.name
+        for entry in spool.iterdir()
+        if entry.is_dir()
+        and (entry / WAL_FILENAME).exists()
+        and ".quarantined" not in entry.name
+    )
+
+
 def _canonical(payload: dict) -> bytes:
     """The byte string the frame CRC is computed over."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")

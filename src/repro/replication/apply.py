@@ -67,31 +67,10 @@ from repro.recovery.wal import (
     frame_record,
     iter_wal,
     open_for_append,
+    spool_tenants,
     unframe,
+    validate_tenant_name,
 )
-
-
-def validate_tenant_name(name: str) -> str:
-    """Refuse tenant names that are not plain directory names.
-
-    Replication verbs receive the tenant name off the wire and use it
-    as a path component under the replica's spool; anything path-like
-    (separators, ``..``, absolute paths) would let a malicious or buggy
-    shipper create directories — and, via ``replicate_seed``, write
-    arbitrary file content — outside the spool.
-    """
-    if (
-        not name
-        or name in (".", "..")
-        or "\x00" in name
-        or "\\" in name
-        or name != Path(name).name
-    ):
-        raise ReplicationError(
-            f"invalid tenant name {name!r}: tenant names must be plain "
-            f"directory names (no separators, traversal, or NUL bytes)"
-        )
-    return name
 
 
 class ReplicaTenant:
@@ -243,7 +222,7 @@ class ReplicaApplier:
         self._tenants_lock = threading.Lock()
 
     def tenant(self, name: str) -> ReplicaTenant:
-        validate_tenant_name(name)
+        validate_tenant_name(name, ReplicationError)
         with self._tenants_lock:
             record = self._tenants.get(name)
             if record is None:
@@ -413,7 +392,7 @@ class ReplicaApplier:
         with obs.trace("replication.promote"):
             tenant_names = set(self._known_tenants())
             if fence_spool is not None:
-                tenant_names.update(self._spool_tenants(fence_spool))
+                tenant_names.update(spool_tenants(fence_spool))
             records = [self.tenant(name) for name in sorted(tenant_names)]
             with contextlib.ExitStack() as stack:
                 for record in records:
@@ -497,24 +476,8 @@ class ReplicaApplier:
     def _known_tenants(self) -> list[str]:
         with self._tenants_lock:
             known = set(self._tenants)
-        if self.spool_dir.is_dir():
-            known.update(self._spool_tenants(self.spool_dir))
+        known.update(spool_tenants(self.spool_dir))
         return sorted(known)
-
-    @staticmethod
-    def _spool_tenants(spool: "str | os.PathLike[str]") -> list[str]:
-        spool = Path(spool)
-        if not spool.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in spool.iterdir()
-            if entry.is_dir()
-            and (entry / WAL_FILENAME).exists()
-            # Diverged state renamed aside by a re-seed is evidence to
-            # inspect, not a tenant to follow (or promote).
-            and ".quarantined" not in entry.name
-        )
 
     def health(self) -> dict:
         """The ``health()["replication"]`` section for a replica."""

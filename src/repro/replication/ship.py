@@ -40,7 +40,7 @@ from repro.faults import fault_point
 from repro.parallel.resilience import RetryPolicy, run_with_retry
 from repro.recovery.checkpoint import CHECKPOINT_SUBDIR, find_checkpoints
 from repro.recovery.epoch import read_epoch
-from repro.recovery.wal import WAL_FILENAME, WalTail, framed, iter_wal
+from repro.recovery.wal import WAL_FILENAME, WalTail, framed, iter_wal, spool_tenants
 from repro.service.client import ServiceClient
 from repro.service.protocol import RemoteError
 
@@ -176,7 +176,7 @@ class WalShipper(threading.Thread):
     def ship_once(self) -> dict:
         """Scan every tenant WAL and ship anything past its cursor."""
         shipped = {}
-        for tenant in self._spool_tenants():
+        for tenant in spool_tenants(self.spool_dir):
             cursor = self._cursor(tenant)
             if cursor.fenced:
                 continue
@@ -411,19 +411,6 @@ class WalShipper(threading.Thread):
                 cursor = ShipCursor(tenant)
                 self.cursors[tenant] = cursor
             return cursor
-
-    def _spool_tenants(self) -> list[str]:
-        if not self.spool_dir.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in self.spool_dir.iterdir()
-            if entry.is_dir()
-            and (entry / WAL_FILENAME).exists()
-            # State renamed aside by checkpoint quarantine or a re-seed
-            # is not a tenant; never ship (or re-create) it.
-            and ".quarantined" not in entry.name
-        )
 
     def health(self) -> dict:
         """The ``health()["replication"]`` section for a primary."""

@@ -62,6 +62,7 @@ from repro.exceptions import RingoError, ServiceError, TransientError
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.recovery.ops import SESSION_OPS
+from repro.recovery.wal import validate_tenant_name
 from repro.tables.table import Table
 
 REF_KEY = "$ref"
@@ -142,6 +143,7 @@ def parse_request(raw: object) -> "tuple[object, str, str, dict, float | None]":
     args = raw.get("args", {})
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("request needs a non-empty string 'tenant'")
+    validate_tenant_name(tenant, ProtocolError)
     if not isinstance(op, str) or not op:
         raise ProtocolError("request needs a non-empty string 'op'")
     if op not in SERVICE_OPS and op not in _ALLOWED_ENGINE_OPS:

@@ -19,7 +19,7 @@ from repro.exceptions import CorruptInputError, SchemaError
 from repro.faults import fault_point
 from repro.obs.spans import trace
 from repro.tables.schema import ColumnType, Schema
-from repro.tables.strings import StringPool
+from repro.tables.strings import StringPool, default_pool
 from repro.tables.table import Table
 
 _FORMAT_VERSION = 1
@@ -88,8 +88,8 @@ def load_table_npz(
             array=current,
         )
     schema = Schema(list(zip(names, types)))
-    the_pool = pool if pool is not None else None
-    columns: dict[str, object] = {}
+    pool = pool if pool is not None else default_pool()
+    columns: dict[str, np.ndarray] = {}
     for name, col_type in schema:
         if col_type is ColumnType.STRING:
             values = [str(v) for v in raw[name]]
@@ -98,11 +98,7 @@ def load_table_npz(
                     v.ljust(int(n), "\x00")
                     for v, n in zip(values, lengths[name])
                 ]
-            columns[name] = values
+            columns[name] = pool.encode_many(values)
         else:
             columns[name] = raw[name]
-    table = Table.from_columns(columns, schema=schema, pool=the_pool)
-    table._replace_columns(
-        {name: table._raw_column(name) for name in schema.names}, row_ids
-    )
-    return table
+    return Table(schema, columns, pool=pool, row_ids=row_ids)

@@ -335,17 +335,6 @@ class Table:
         self._schema.require(name)
         return self._columns[name]
 
-    def _replace_columns(
-        self, columns: dict[str, np.ndarray], row_ids: np.ndarray
-    ) -> None:
-        """Swap in new column arrays — operator modules only."""
-        lengths = {len(array) for array in columns.values()} | {len(row_ids)}
-        if len(lengths) > 1:
-            raise SchemaError("replacement columns disagree on length")
-        self._columns = columns
-        self._row_ids = np.ascontiguousarray(row_ids, dtype=np.int64)
-        self._length = len(row_ids)
-
     # ------------------------------------------------------------------
     # Memory accounting (Table 2)
     # ------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """R006 fixture: pool kernel mutating captured state bare (flagged)."""
 
+from repro.parallel.partition import split_range
+
 
 def racy_total(pool, values):
     totals = {"sum": 0}
 
-    def kernel(lo, hi):
+    def kernel(span):
+        lo, hi = span
         for index in range(lo, hi):
             totals["sum"] += values[index]  # sibling kernels race here
 
-    pool.map_range(len(values), kernel)
+    pool.map_chunks(split_range(len(values), pool.workers), kernel)
     return totals["sum"]

@@ -7,11 +7,10 @@ silent wrong answer or a bare traceback from numpy internals.
 The second half exercises the deliberate-fault machinery from
 :mod:`repro.faults`: seeded fault sites in the IO loaders, the worker
 pool's kernel dispatch, the concurrent containers, and the conversion
-paths, plus the retry/deadline/budget semantics layered on top.
+paths, plus the retry/budget semantics layered on top.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from repro.exceptions import (
     RingoError,
     SchemaError,
     TransientError,
-    WorkerTimeoutError,
 )
 from repro.faults import FaultPlan, fault_point, inject_faults
 from repro.graphs.csr import CSRGraph
@@ -374,31 +372,6 @@ class TestRetrySemantics:
             assert ringo.GetTriangles(graph) == _serial_triangles(graph)
 
 
-class TestDeadlines:
-    def test_slow_kernel_hits_deadline_and_cancels_siblings(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(WorkerTimeoutError) as info:
-                pool.run_tasks(
-                    [lambda: time.sleep(0.5) for _ in range(6)], timeout=0.1
-                )
-            # 2 workers were running, so at least one of the remaining 4
-            # pending partitions must have been cancelled outright.
-            assert info.value.cancelled >= 1
-            assert pool.stats.snapshot()["timeouts"] == 1
-            assert pool.stats.snapshot()["cancelled_partitions"] >= 1
-
-    def test_inline_pool_honours_deadline_between_tasks(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(WorkerTimeoutError):
-                pool.run_tasks(
-                    [lambda: time.sleep(0.05) for _ in range(10)], timeout=0.01
-                )
-
-    def test_fast_call_unaffected_by_deadline(self):
-        with WorkerPool(2) as pool:
-            assert pool.map_range(10, lambda lo, hi: hi - lo, timeout=5.0) == [5, 5]
-
-
 class TestMemoryBudgets:
     def test_strict_budget_refuses_conversion(self):
         with Ringo(workers=1, memory_budget=64) as ringo:
@@ -454,21 +427,18 @@ class TestConcurrentContainerFaultStress:
         keys_per_worker = 200
 
         def kernel(worker: int):
-            def run():
-                base = worker * keys_per_worker
-                for offset in range(keys_per_worker):
-                    key = base + offset
-                    try:
-                        table.insert(key, key * 2)
-                        successes[worker] += 1
-                    except TransientError:
-                        pass
-
-            return run
+            base = worker * keys_per_worker
+            for offset in range(keys_per_worker):
+                key = base + offset
+                try:
+                    table.insert(key, key * 2)
+                    successes[worker] += 1
+                except TransientError:
+                    pass
 
         with inject_faults({"hash.insert": 0.2}, seed=11) as plan:
             with WorkerPool(4) as pool:
-                pool.run_tasks([kernel(w) for w in range(4)])
+                pool.map_chunks(range(4), kernel)
         assert plan.triggered["hash.insert"] >= 1
         # Faults fire before mutation, so the table holds exactly the
         # successful inserts and every one of them is retrievable.

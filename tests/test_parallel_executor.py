@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import PoolClosedError, RingoError, TransientError
 from repro.parallel import executor
 from repro.parallel.executor import WorkerPool, effective_worker_count, serial_pool
+from repro.parallel.partition import split_range
 from repro.parallel.resilience import RetryPolicy
 
 
@@ -60,39 +61,44 @@ class TestWorkerPool:
         main_thread = threading.current_thread()
         seen = []
         with WorkerPool(1) as pool:
-            pool.map_range(5, lambda lo, hi: seen.append(threading.current_thread()))
+            pool.map_chunks(
+                split_range(5, 2), lambda span: seen.append(threading.current_thread())
+            )
+        assert len(seen) == 2
         assert all(thread is main_thread for thread in seen)
 
-    def test_map_range_partitions_and_orders_results(self):
+    def test_split_range_chunks_keep_span_order(self):
         with WorkerPool(4) as pool:
-            results = pool.map_range(100, lambda lo, hi: (lo, hi))
+            results = pool.map_chunks(split_range(100, pool.workers), lambda span: span)
         assert results == [(0, 25), (25, 50), (50, 75), (75, 100)]
 
-    def test_map_range_combines_to_full_sum(self):
+    def test_split_range_chunks_combine_to_full_sum(self):
         with WorkerPool(3) as pool:
-            partials = pool.map_range(1000, lambda lo, hi: sum(range(lo, hi)))
+            partials = pool.map_chunks(
+                split_range(1000, pool.workers), lambda span: sum(range(*span))
+            )
         assert sum(partials) == sum(range(1000))
 
-    def test_map_range_empty(self):
+    def test_map_chunks_empty(self):
         with WorkerPool(2) as pool:
-            assert pool.map_range(0, lambda lo, hi: 1) == []
+            assert pool.map_chunks([], lambda chunk: 1) == []
 
     def test_map_chunks(self):
         with WorkerPool(2) as pool:
             assert pool.map_chunks([[1, 2], [3]], sum) == [3, 3]
 
-    def test_run_tasks_preserves_order(self):
+    def test_map_chunks_preserves_order(self):
         with WorkerPool(4) as pool:
-            results = pool.run_tasks([lambda i=i: i * i for i in range(8)])
+            results = pool.map_chunks(range(8), lambda i: i * i)
         assert results == [i * i for i in range(8)]
 
     def test_exception_in_kernel_propagates(self):
-        def boom(lo, hi):
+        def boom(chunk):
             raise ValueError("kernel failure")
 
         with WorkerPool(2) as pool:
             with pytest.raises(ValueError, match="kernel failure"):
-                pool.map_range(10, boom)
+                pool.map_chunks([1, 2], boom)
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(2)
@@ -125,13 +131,13 @@ class TestClosedPool:
         pool = WorkerPool(2)
         pool.close()
         with pytest.raises(PoolClosedError):
-            pool.map_range(10, lambda lo, hi: lo)
+            pool.map_chunks([1, 2], lambda chunk: chunk)
 
     def test_closed_serial_pool_raises(self):
         pool = WorkerPool(1)
         pool.close()
         with pytest.raises(PoolClosedError):
-            pool.run_tasks([lambda: 1])
+            pool.map_chunks([1], lambda chunk: chunk)
 
     def test_closed_pool_error_carries_worker_count(self):
         pool = WorkerPool(3)
@@ -143,77 +149,72 @@ class TestClosedPool:
 
 class TestFirstErrorCancellation:
     def test_fast_failure_cancels_pending_siblings(self):
-        def make_task(index):
+        def kernel(index):
             if index == 0:
-                def fail():
-                    raise ValueError("fast failure")
-                return fail
-            return lambda: time.sleep(0.3)
+                raise ValueError("fast failure")
+            time.sleep(0.3)
 
         with WorkerPool(2) as pool:
             start = time.monotonic()
             with pytest.raises(ValueError, match="fast failure"):
-                pool.run_tasks([make_task(i) for i in range(8)])
+                pool.map_chunks(range(8), kernel)
             elapsed = time.monotonic() - start
         # Joining all 8 sleeps in submission order would take >1s; the
-        # failing partition must short-circuit well before that.
+        # failing chunk must short-circuit well before that.
         assert elapsed < 1.0
         assert pool.stats.snapshot()["cancelled_partitions"] >= 1
         assert pool.stats.snapshot()["failures"] == 1
 
 
 class TestRetryAndDegradation:
-    def test_per_call_retry_policy_recovers_transients(self):
+    def test_pool_retry_policy_recovers_transients(self):
         failures = {"left": 0}
 
-        def flaky_once(lo, hi):
+        def flaky_once(span):
+            lo, hi = span
             if lo == 0 and failures["left"] == 0:
                 failures["left"] += 1
                 raise TransientError("transient hiccup")
             return hi - lo
 
         policy = RetryPolicy(max_attempts=3, base_delay=0.0)
-        with WorkerPool(2) as pool:
-            results = pool.map_range(10, flaky_once, retry=policy)
+        with WorkerPool(2, retry_policy=policy) as pool:
+            results = pool.map_chunks(split_range(10, pool.workers), flaky_once)
         assert results == [5, 5]
         assert pool.stats.snapshot()["retries"] == 1
 
     def test_repeated_parallel_failure_degrades_to_serial(self):
-        def always_transient(lo, hi):
+        def always_transient(chunk):
             raise TransientError("broken kernel")
 
         main_thread = threading.current_thread()
-        with WorkerPool(2, degrade_after=2) as pool:
+        with WorkerPool(2) as pool:
+            # Three failed parallel calls in a row degrade the pool.
             for _ in range(2):
                 with pytest.raises(TransientError):
-                    pool.map_range(10, always_transient)
+                    pool.map_chunks([1, 2], always_transient)
+            assert not pool.degraded
+            with pytest.raises(TransientError):
+                pool.map_chunks([1, 2], always_transient)
             assert pool.degraded
             # Degraded pools run inline on the caller's thread.
             seen = []
-            pool.map_range(10, lambda lo, hi: seen.append(threading.current_thread()))
-            assert all(thread is main_thread for thread in seen)
+            pool.map_chunks([1, 2], lambda chunk: seen.append(threading.current_thread()))
+            assert seen and all(thread is main_thread for thread in seen)
             stats = pool.stats.snapshot()
             assert stats["degraded"] is True
             assert stats["serial_fallback_calls"] >= 1
 
     def test_success_resets_failure_streak(self):
-        def boom(lo, hi):
+        def boom(chunk):
             raise TransientError("broken")
 
-        with WorkerPool(2, degrade_after=2) as pool:
-            with pytest.raises(TransientError):
-                pool.map_range(10, boom)
-            pool.map_range(10, lambda lo, hi: None)  # success resets streak
-            with pytest.raises(TransientError):
-                pool.map_range(10, boom)
-            assert not pool.degraded
-
-    def test_degradation_disabled_with_none(self):
-        def boom(lo, hi):
-            raise TransientError("broken")
-
-        with WorkerPool(2, degrade_after=None) as pool:
-            for _ in range(5):
+        with WorkerPool(2) as pool:
+            for _ in range(2):
                 with pytest.raises(TransientError):
-                    pool.map_range(10, boom)
+                    pool.map_chunks([1, 2], boom)
+            pool.map_chunks([1, 2], lambda chunk: None)  # success resets streak
+            for _ in range(2):
+                with pytest.raises(TransientError):
+                    pool.map_chunks([1, 2], boom)
             assert not pool.degraded

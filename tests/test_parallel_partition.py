@@ -1,17 +1,11 @@
 """Tests for repro.parallel.partition."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import RingoError
-from repro.parallel.partition import (
-    balanced_chunks,
-    iter_batches,
-    split_indices,
-    split_range,
-)
+from repro.parallel.partition import split_range
 
 
 class TestSplitRange:
@@ -46,54 +40,3 @@ class TestSplitRange:
         spans = split_range(total, parts)
         lengths = [hi - lo for lo, hi in spans]
         assert max(lengths) - min(lengths) <= 1
-
-
-class TestSplitIndices:
-    def test_returns_views_of_input(self):
-        indices = np.arange(10)
-        chunks = split_indices(indices, 2)
-        assert all(chunk.base is indices for chunk in chunks)
-
-    def test_concatenation_restores_input(self):
-        indices = np.arange(17)
-        chunks = split_indices(indices, 4)
-        assert np.array_equal(np.concatenate(chunks), indices)
-
-
-class TestBalancedChunks:
-    def test_greedy_balance(self):
-        assert balanced_chunks([5, 4, 3, 2, 1], 2) == [[0, 3, 4], [1, 2]]
-
-    def test_empty_weights(self):
-        assert balanced_chunks([], 3) == []
-
-    def test_single_part_gets_everything(self):
-        assert balanced_chunks([1.0, 2.0, 3.0], 1) == [[0, 1, 2]]
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_chunks_partition_items(self, weights, parts):
-        chunks = balanced_chunks(weights, parts)
-        flat = sorted(i for chunk in chunks for i in chunk)
-        assert flat == list(range(len(weights)))
-
-    def test_skewed_weights_better_than_naive_split(self):
-        # One hub plus many leaves: greedy keeps the hub alone.
-        weights = [1000.0] + [1.0] * 10
-        chunks = balanced_chunks(weights, 2)
-        hub_chunk = next(chunk for chunk in chunks if 0 in chunk)
-        assert hub_chunk == [0]
-
-
-class TestIterBatches:
-    def test_batches_of_three(self):
-        assert list(iter_batches([1, 2, 3, 4, 5], 3)) == [[1, 2, 3], [4, 5]]
-
-    def test_empty_sequence(self):
-        assert list(iter_batches([], 4)) == []
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(RingoError):
-            list(iter_batches([1], 0))

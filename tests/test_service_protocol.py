@@ -22,6 +22,7 @@ from repro.service.protocol import (
     parse_request,
     raise_remote_error,
 )
+from repro.service.server import ServiceConfig, ServiceHandle
 
 
 def test_parse_request_happy_path():
@@ -56,6 +57,36 @@ def test_parse_request_deadline_optional():
 def test_parse_request_rejects_malformed(raw):
     with pytest.raises(ProtocolError):
         parse_request(raw)
+
+
+PATH_LIKE_TENANTS = ["..", "a/b", "../x", "/abs", "a\\b", "a\x00b"]
+
+
+@pytest.mark.parametrize("tenant", PATH_LIKE_TENANTS)
+def test_parse_request_refuses_path_like_tenants(tenant):
+    with pytest.raises(ProtocolError, match="invalid tenant name") as info:
+        parse_request({"tenant": tenant, "op": "ping"})
+    assert not isinstance(info.value, TransientError)
+
+
+def test_service_refuses_path_like_tenants_before_touching_disk(tmp_path):
+    # A tenant name becomes <spool>/<tenant>/; a path-like one would put
+    # the WAL and checkpoints outside the spool. The absolute case points
+    # inside tmp_path so a regression cannot write to the real root.
+    root = tmp_path / "root"
+    spool = root / "spool"
+    names = [str(root / "abs") if n == "/abs" else n for n in PATH_LIKE_TENANTS]
+    with ServiceHandle(ServiceConfig(spool_dir=str(spool))) as handle:
+        before = sorted(tmp_path.rglob("*"))
+        for tenant in names:
+            with pytest.raises(RemoteError, match="ProtocolError") as info:
+                handle.call(tenant, "TableFromColumns", data={"a": [1, 2]})
+            assert not isinstance(info.value, TransientRemoteError)
+        assert sorted(tmp_path.rglob("*")) == before
+        # A plain name still works and stays inside the spool.
+        handle.call("alice", "TableFromColumns", data={"a": [1, 2]})
+    assert (spool / "alice").is_dir()
+    assert sorted(root.iterdir()) == [spool]
 
 
 def test_allowed_engine_ops_track_the_engine():
