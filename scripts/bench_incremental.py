@@ -17,8 +17,11 @@ equality checks, so they are correctness evidence here, not the
 headline speedup. Measured on the ``--quick`` graph (2 vCPU, median of
 6 rounds): a warm WCC advance costs about one batch run (12 ms against
 12 ms for ``wcc_label_array``, since a deletion in the giant component
-re-joins all of its edges), and a warm triangle advance about 0.4× the
-batch count (14 ms against 32 ms for ``triangle_count_array``).
+re-joins all of its edges), and a warm triangle advance about 0.15–0.2×
+the batch count (3–4 ms against 18–20 ms for ``triangle_count_array``
+on a prebuilt projection; the kernel's dense core of the top 2048
+degree ranks holds the middle node of only 9 % of this uniform graph's
+wedges, so most still close by binary search).
 
 Writes the JSON report to ``--out PATH`` when given (CI passes
 ``--out BENCH_incremental.json``). Gates (CI fails on any):

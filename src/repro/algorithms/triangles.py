@@ -23,9 +23,21 @@ from repro.parallel.executor import WorkerPool, serial_pool
 #: Most wedges one triangle block may hold, unless a single node alone
 #: has more. Small blocks dealt round-robin keep the few hub nodes of a
 #: skewed graph from piling onto one worker — the analogue of OpenMP's
-#: ``schedule(dynamic)``. The value was chosen on the ``analytics``
-#: benchmark graph (EXPERIMENTS.md, A7).
+#: ``schedule(dynamic)``. Each block costs some fifty numpy calls, and
+#: on a thread pool every call hands the GIL over, so larger blocks read
+#: faster on the ``analytics`` graph (2^16: 65 ms on two workers against
+#: 104 ms at 2^14). 2^14 is kept as the largest power of two at which
+#: the R-MAT of ``tests/test_failure_injection.py`` (24 771 wedges)
+#: still splits into two pool partitions (EXPERIMENTS.md, A7).
 MAX_BLOCK_WEDGES = 1 << 14
+
+#: The top degree ranks whose forward edges the kernel keeps as a dense
+#: bool table (4 MB at 2048), so a wedge whose middle node ranks among
+#: them closes by one lookup instead of a binary search. On the
+#: ``analytics`` graph the top 2048 of 21 690 ranks take the middle
+#: node of 96 % of the wedges (88 % on tw-scaled); 4096 would take 99 %
+#: at four times the table.
+CORE_RANKS = 2048
 
 
 def _wedge_blocks(findptr: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -48,43 +60,85 @@ def _wedge_blocks(findptr: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return blocks
 
 
+def _core_table(findptr: np.ndarray, findices: np.ndarray, size: int) -> np.ndarray:
+    """Forward edges among the top ``size`` ranks as a read-only bool matrix.
+
+    Entry ``[v - first, w - first]`` is true iff ``(v, w)`` is a forward
+    edge, where ``first = n - size``; a forward edge leaving the core
+    always lands in it, since forward edges point up in rank.
+    """
+    first = len(findptr) - 1 - size
+    core = np.zeros((size, size), dtype=bool)
+    rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(findptr[first:]))
+    core[rows, findices[int(findptr[first]):] - first] = True
+    core.flags.writeable = False
+    return core
+
+
 def _triangle_partition(
     findptr: np.ndarray,
     findices: np.ndarray,
-    edge_keys: np.ndarray,
+    low_keys: np.ndarray,
+    core: np.ndarray,
     lo: int,
     hi: int,
     partial: np.ndarray,
 ) -> None:
     """Add the triangle credits of wedges rooted in ranks ``[lo, hi)`` to ``partial``.
 
-    A wedge at ``u`` closes a triangle whose credit lands on ``u``,
-    ``v`` *and* ``w``, which may lie outside the span (always at rank
-    ``lo`` or above), so ``partial`` is full-length and owned by one
-    worker; the caller sums the workers' partials, so no two threads
-    ever write the same array.
+    Wedges at ``u``: for each forward edge ``(u, v)``, every ``w`` after
+    ``v`` in row ``u``. Rows are rank-sorted, so ``u < v < w``, and the
+    triangle closes iff ``(v, w)`` is itself a forward edge. If ``v``
+    ranks in the dense ``core`` (so ``w``, above it, does too), that is
+    one table lookup; otherwise one binary search in ``low_keys``, the
+    keys of the forward edges leaving the ranks below the core, which
+    holds ``(v, w)`` if it exists.
+
+    A closed wedge credits ``u``, ``v`` *and* ``w``, which may lie
+    outside the span (always at rank ``lo`` or above), so ``partial`` is
+    full-length and owned by one worker; the caller sums the workers'
+    partials, so no two threads ever write the same array.
     """
     count = len(findptr) - 1
+    size = len(core)
+    first = count - size
     base, stop = int(findptr[lo]), int(findptr[hi])
-    # Wedges at u: for each forward edge (u, v), every w after v in
-    # forward[u]. Rows are rank-sorted, so u < v < w, and triangle
-    # (u, v, w) closes iff (v, w) is itself a forward edge.
-    fdeg = np.diff(findptr[lo:hi + 1])
-    e_src = np.repeat(np.arange(lo, hi, dtype=np.int64), fdeg)
-    after = np.arange(base + 1, stop + 1, dtype=np.int64)
-    cand_counts = findptr[e_src + 1] - after
-    total = int(cand_counts.sum())
+    # The block's forward edges, those into the core first.
+    in_core = findices[base:stop] >= first
+    into_core = np.flatnonzero(in_core)
+    order = np.concatenate([into_core, np.flatnonzero(~in_core)])
+    rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(findptr[lo:hi + 1]))[order]
+    edges = base + order
+    v = findices[edges]
+    after = edges + 1
+    counts = findptr[rows + 1] - after
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return
-    group_offsets = np.repeat(np.cumsum(cand_counts) - cand_counts, cand_counts)
-    w = findices[np.repeat(after, cand_counts) + (np.arange(total) - group_offsets)]
-    v = np.repeat(findices[base:stop], cand_counts)
-    query = v * count + w
-    position = np.searchsorted(edge_keys, query)
-    position = np.minimum(position, len(edge_keys) - 1)
-    closed = edge_keys[position] == query
-    u = np.repeat(e_src, cand_counts)
-    credits = np.bincount(np.concatenate([u[closed], v[closed], w[closed]]) - lo)
+    starts = ends - counts
+    w = findices[np.repeat(after - starts, counts) + np.arange(total)]
+    # Each wedge as the key of its closing edge (v, w): an index into the
+    # flat core table while v is in the core, v*n + w below it.
+    k = len(into_core)
+    edge_key = v * count
+    edge_key[:k] = (v[:k] - first) * size - first
+    key = np.repeat(edge_key, counts) + w
+    split = int(counts[:k].sum())
+    closed = np.empty(total, dtype=bool)
+    closed[:split] = core.reshape(-1)[key[:split]]
+    # low_keys is not empty here: it holds each of these wedges' (u, v).
+    low = key[split:]
+    position = np.minimum(np.searchsorted(low_keys, low), len(low_keys) - 1)
+    closed[split:] = low_keys[position] == low
+    # u and v are fixed along an edge's run of wedges, so they are
+    # credited per edge; w per closed wedge.
+    hits = np.flatnonzero(closed)
+    closed_upto = np.searchsorted(hits, ends)
+    per_edge = closed_upto - np.concatenate(([0], closed_upto[:-1]))
+    np.add.at(partial, rows, per_edge)
+    np.add.at(partial, v, per_edge)
+    credits = np.bincount(w[hits] - lo)
     partial[lo:lo + len(credits)] += credits
 
 
@@ -125,11 +179,15 @@ def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.nd
     its higher-ranked neighbours, so each triangle is closed exactly once
     (at its lowest-ranked vertex) and hub work collapses from O(d^2) to
     the O(m^1.5) bound — the "straightforward approach, similar to
-    PATRIC" the paper cites. The nodes are cut, in rank order, into
-    wedge-capped blocks (:data:`MAX_BLOCK_WEDGES`) dealt round-robin to
-    the workers of ``pool`` (inline without one); each worker accumulates
-    one partial over the snapshot's cached forward adjacency, and the
-    integer partials sum to the same counts for any pool width. The
+    PATRIC" the paper cites. The forward edges among the top
+    :data:`CORE_RANKS` ranks are laid out once per call as a read-only
+    dense table that every worker shares, so most wedges close by one
+    lookup; the rest binary-search the snapshot's cached edge keys. The
+    nodes are cut, in rank order, into wedge-capped blocks
+    (:data:`MAX_BLOCK_WEDGES`) dealt round-robin to the workers of
+    ``pool`` (inline without one); each worker accumulates one partial
+    over the snapshot's cached forward adjacency, and the integer
+    partials sum to the same counts for any pool width or core size. The
     rank-space totals are permuted back to dense order.
 
     This is the uncached kernel; :meth:`CSRGraph.triangle_counts` keeps
@@ -139,7 +197,8 @@ def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.nd
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     findptr, findices = sym.forward_adjacency()
-    edge_keys = sym.forward_edge_keys()
+    core = _core_table(findptr, findices, min(CORE_RANKS, count))
+    low_keys = sym.forward_edge_keys()[:int(findptr[count - len(core)])]
     blocks = _wedge_blocks(findptr, MAX_BLOCK_WEDGES)
     pool = pool if pool is not None else serial_pool()
     width = min(pool.workers, len(blocks))
@@ -147,7 +206,7 @@ def triangle_count_array(sym: CSRGraph, pool: WorkerPool | None = None) -> np.nd
     def worker(spans) -> np.ndarray:
         partial = np.zeros(count, dtype=np.int64)
         for lo, hi in spans:
-            _triangle_partition(findptr, findices, edge_keys, lo, hi, partial)
+            _triangle_partition(findptr, findices, low_keys, core, lo, hi, partial)
         return partial
 
     partials = pool.map_chunks([blocks[i::width] for i in range(width)], worker)

@@ -11,7 +11,9 @@ the row-wise ``np.unique`` build it replaced), the k-core family
 (``core_numbers``, ``k_core``, ``degeneracy``) against repeated removal
 of a minimum-degree node, the triangle family (``triangle_counts``,
 ``total_triangles`` and the three clustering functions) against a
-triple loop over every node triple, and the reachability family:
+triple loop over every node triple (and ``triangle_count_array`` on one
+graph wider than its dense core against a per-edge intersection of
+neighbour sets), and the reachability family:
 ``strongly_connected_components`` against mutual reachability,
 ``bfs_levels`` against a queue BFS per direction, and unit-weight
 ``dijkstra`` against the same heap run with an explicit unit weight.
@@ -415,10 +417,18 @@ class TestDeepPeelShapes:
 
 # The default block cap and a cap of one wedge, which puts every node
 # with a wedge in a block of its own; inline and on a three-worker pool.
+# Each with the default dense core, with none (every wedge closes by
+# binary search) and with a core of the top eight ranks (both tests).
 SCHEDULES = [
-    pytest.param(cap, width, id=f"cap{cap}-w{width}")
+    pytest.param(
+        cap,
+        width,
+        core,
+        id=f"cap{cap}-w{width}" + ("" if core == triangles.CORE_RANKS else f"-core{core}"),
+    )
     for cap in (triangles.MAX_BLOCK_WEDGES, 1)
     for width in (1, 3)
+    for core in (triangles.CORE_RANKS, 0, 8)
 ]
 
 
@@ -463,14 +473,63 @@ def _closing_edge(graph) -> "tuple[int, int] | None":
     return None
 
 
+def edge_triangles(adjacency: dict[int, set[int]]) -> dict[int, int]:
+    """Triangles through each node, by intersecting the neighbour sets
+    at the two ends of every edge (for graphs too large for a triple loop)."""
+    counts = dict.fromkeys(adjacency, 0)
+    for a, neighbours in adjacency.items():
+        for b in neighbours:
+            if a < b:
+                for c in neighbours & adjacency[b]:
+                    if c > b:
+                        for node in (a, b, c):
+                            counts[node] += 1
+    return counts
+
+
+@pytest.fixture(scope="module")
+def wider_than_the_core():
+    """An R-MAT graph of scale 12 plus 400 disjoint K4s on fresh ids.
+
+    It has more nodes than the default core, and the K4s' degree-3 nodes
+    rank below it, so the default schedule closes triangles by both
+    tests (the R-MAT alone closes every one of its triangles in the core).
+    """
+    src, dst = gen.rmat_edges(12, 30_000, seed=12)
+    cliques = (1 << 12) + np.arange(4 * 400).reshape(-1, 4)
+    pairs = np.array(list(itertools.combinations(range(4), 2)))
+    src = np.concatenate([src, cliques[:, pairs[:, 0]].ravel()])
+    dst = np.concatenate([dst, cliques[:, pairs[:, 1]].ravel()])
+    graph = UndirectedGraph()
+    for u, v in zip(src.tolist(), dst.tolist()):
+        graph.add_edge(u, v)
+    return graph, edge_triangles(_simple_adjacency(graph))
+
+
 class TestTriangleOracle:
-    @pytest.mark.parametrize("cap, width", SCHEDULES)
+    @pytest.mark.parametrize("cap, width, core", SCHEDULES)
     @pytest.mark.parametrize("model, directed, decorated", CATALOG)
-    def test_catalog(self, monkeypatch, model, directed, decorated, cap, width):
+    def test_catalog(self, monkeypatch, model, directed, decorated, cap, width, core):
         monkeypatch.setattr(triangles, "MAX_BLOCK_WEDGES", cap)
+        monkeypatch.setattr(triangles, "CORE_RANKS", core)
         graph = _catalog_graph(model, directed, decorated)
         with WorkerPool(width) as pool:
             _check_triangle_family(graph, pool)
+
+    def test_edge_reference_matches_the_triple_loop(self):
+        graph = _catalog_graph("rmat", directed=False, decorated=True)
+        assert edge_triangles(_simple_adjacency(graph)) == brute_triangles(graph)
+
+    @pytest.mark.parametrize("cap, width, core", SCHEDULES)
+    def test_wider_than_the_core(self, monkeypatch, wider_than_the_core, cap, width, core):
+        graph, expected = wider_than_the_core
+        sym = CSRGraph.from_graph(graph).undirected_projection()
+        assert sym.num_nodes > triangles.CORE_RANKS
+        monkeypatch.setattr(triangles, "MAX_BLOCK_WEDGES", cap)
+        monkeypatch.setattr(triangles, "CORE_RANKS", core)
+        with WorkerPool(width) as pool:
+            kernel = triangle_count_array(sym, pool=pool)
+        assert dict(zip(sym.node_ids.tolist(), kernel.tolist())) == expected
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_empty(self, directed):

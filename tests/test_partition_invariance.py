@@ -25,8 +25,14 @@ from repro.parallel.resilience import RetryPolicy
 PATH_NODES = 100_000
 # The default cap, and one small enough that R-MAT hubs each get a
 # block of their own. (The path and the star root no wedges, since every
-# forward degree there is at most one, so they stay one block.)
-CAPS = [triangles.MAX_BLOCK_WEDGES, 1 << 8]
+# forward degree there is at most one, so they stay one block.) Each
+# with the default dense core, with none (every wedge closes by binary
+# search) and with a core of the top eight ranks (both tests).
+CAPS = [
+    pytest.param(cap, core, id=str(cap) + ("" if core == triangles.CORE_RANKS else f"-core{core}"))
+    for cap in (triangles.MAX_BLOCK_WEDGES, 1 << 8)
+    for core in (triangles.CORE_RANKS, 0, 8)
+]
 WIDTHS = [1, 2, 3]
 
 
@@ -80,13 +86,14 @@ def _assert_bitwise_equal(got: dict, want: dict) -> None:
         assert got[kernel].tobytes() == array.tobytes(), kernel
 
 
-@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("cap, core", CAPS)
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
 def test_answers_are_partition_invariant(
-    graph, width, cap, csrs, references, pools, monkeypatch
+    graph, width, cap, core, csrs, references, pools, monkeypatch
 ):
     monkeypatch.setattr(triangles, "MAX_BLOCK_WEDGES", cap)
+    monkeypatch.setattr(triangles, "CORE_RANKS", core)
     _assert_bitwise_equal(_answers(csrs[graph], pools[width]), references[graph])
 
 
