@@ -15,7 +15,7 @@ Subpackages: :mod:`repro.tables` (column-store relational engine),
 :mod:`repro.graphs` (dynamic graph objects + CSR snapshots),
 :mod:`repro.convert` (sort-first table↔graph conversions),
 :mod:`repro.algorithms` (the analytics suite), :mod:`repro.parallel`
-(worker pool and concurrent containers), :mod:`repro.workflows`
+(worker pool and range partitioning), :mod:`repro.workflows`
 (benchmark datasets and demo scenarios), :mod:`repro.memory`
 (object-size and footprint accounting).
 """

@@ -8,7 +8,7 @@ R001  adjacency-mutating graph method missing ``_bump_version()``
 R002  direct ``CSRGraph.from_graph`` call outside the snapshot cache
 R003  ``fault_point`` site string not registered in ``faults.KNOWN_SITES``
 R004  manual ``Lock.acquire()`` without a ``with`` / ``try…finally`` release
-R006  pool kernel closure writing shared state without a lock/AtomicCounter
+R006  pool kernel closure writing shared state without a lock
 ====  ==================================================================
 """
 
@@ -326,19 +326,19 @@ class SharedKernelStateRule(LintRule):
     """R006: a pool kernel closure writing captured state needs a lock.
 
     ``WorkerPool`` runs kernels on real threads; a closure that mutates
-    a captured dict/list/counter without an :class:`AtomicCounter` or a
-    lock races its siblings. The safe patterns are per-partition return
-    values (combined by the caller), **disjoint-span writes** — a
-    subscript store whose index derives from the kernel's own partition
-    parameters (``arr[lo:hi] = ...``, the paper's §2.5 pattern, which
-    this rule recognises and accepts) — or explicit synchronisation.
+    a captured dict/list/counter without a lock races its siblings. The
+    safe patterns are per-partition return values (combined by the
+    caller), **disjoint-span writes** — a subscript store whose index
+    derives from the kernel's own partition parameters
+    (``arr[lo:hi] = ...``, the paper's §2.5 pattern, which this rule
+    recognises and accepts) — or explicit synchronisation.
     """
 
     code = "R006"
     name = "kernel-shared-state"
     description = (
         "worker-pool kernel closure writes shared mutable state "
-        "without an AtomicCounter/lock"
+        "without a lock"
     )
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
@@ -370,7 +370,7 @@ class SharedKernelStateRule(LintRule):
                         node,
                         f"kernel passed to .{_POOL_METHOD}() writes captured "
                         f"state ({', '.join(sorted(written))}) with no "
-                        f"lock/AtomicCounter; return per-partition results "
+                        f"lock; return per-partition results "
                         f"or synchronise the writes",
                     )
 

@@ -1,12 +1,12 @@
 """Deterministic, seeded fault injection for resilience testing.
 
 An interactive engine has to keep behaving when a loader hits a bad
-row, a worker thread dies mid-kernel, or a container insert fails. This
-module provides the controlled way to *make* those things happen: named
-fault sites are compiled into the hot paths (IO loaders, the worker
-pool's kernel dispatch, the concurrent containers, the conversion
-algorithms), and stay inert — a single module-global ``None`` check —
-unless a test arms them::
+row, a worker thread dies mid-kernel, or a conversion fails halfway.
+This module provides the controlled way to *make* those things happen:
+named fault sites are compiled into the hot paths (IO loaders, the
+worker pool's kernel dispatch, the conversion algorithms), and stay
+inert — a single module-global ``None`` check — unless a test arms
+them::
 
     with inject_faults({"parallel.kernel": 0.3}, seed=7) as plan:
         ...  # ~30% of threaded kernel dispatches raise InjectedFaultError
@@ -24,8 +24,6 @@ Known sites (wired at the call points):
                       which an armed plan selects
 ``io.npz.load``       before reading a binary table snapshot
 ``parallel.kernel``   per threaded kernel dispatch in :class:`WorkerPool`
-``hash.insert``       per mutation of :class:`LinearProbingHashTable`
-``vector.append``     per :class:`ConcurrentVector` append
 ``convert.sort_first`` entry of the sort-first graph build
 ``join.materialize``  entry of the equi-join materialisation
 ``snapshot.build``    per CSR conversion in the snapshot cache
@@ -113,8 +111,6 @@ KNOWN_SITES = (
     "io.tsv.parse_row",
     "io.npz.load",
     "parallel.kernel",
-    "hash.insert",
-    "vector.append",
     "convert.sort_first",
     "join.materialize",
     "snapshot.build",

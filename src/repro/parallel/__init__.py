@@ -1,9 +1,7 @@
 """Parallel-execution substrate mirroring Ringo's OpenMP layer (paper §2.5).
 
 Ringo parallelises critical loops with OpenMP threads inside one
-big-memory process and relies on two concurrent containers: an
-open-addressing hash table with linear probing and a vector supporting
-atomic-claim insertion. This package rebuilds those pieces for Python:
+big-memory process. This package rebuilds that layer for Python:
 
 * :class:`WorkerPool` — the session's thread pool. Its one call,
   ``map_chunks``, runs a kernel once per pre-cut chunk, inline with one
@@ -14,15 +12,11 @@ atomic-claim insertion. This package rebuilds those pieces for Python:
 * :func:`split_range` — contention-free range partitioning, the way
   Ringo assigns graph partitions to worker threads.
 
-The §2.5 concurrent containers live in their own submodules, which the
-package does not import (no kernel uses them):
-
-* :mod:`repro.parallel.concurrent_hash` — ``LinearProbingHashTable``,
-  open addressing + linear probing (paper's choice, after Lang et al.).
-* :mod:`repro.parallel.concurrent_vector` — ``ConcurrentVector``, append
-  via an atomically claimed cell index.
-* :mod:`repro.parallel.atomics` — ``AtomicCounter``, the atomic
-  fetch-and-add primitive both rely on.
+The paper's two §2.5 concurrent containers have no counterpart here.
+Its open-addressing node hash table is the graph's CPython dict
+(:mod:`repro.graphs.base`), itself an open-addressing table; writes
+into disjoint pre-allocated spans and the sort-first converter's whole
+blocks take the place of claiming vector slots by atomic increment.
 """
 
 from repro.parallel.executor import (

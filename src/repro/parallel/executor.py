@@ -3,9 +3,8 @@
 Ringo parallelises "critical loops in the code for full utilization of our
 target multi-core platforms" (§2.5). In this reproduction those loops are
 expressed as a kernel applied to disjoint range partitions, run either
-serially or on a thread pool. Threads speed the numpy-bound kernels (which
-release the GIL) and faithfully exercise the concurrency of the
-paper's concurrent containers for the pure-Python ones.
+serially or on a thread pool. Threads speed the numpy-bound kernels, which
+release the GIL.
 
 Unlike an OpenMP loop inside a short-lived process, this pool lives for
 the whole interactive session, so it carries the execution semantics a

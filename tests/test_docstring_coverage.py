@@ -17,13 +17,6 @@ PUBLIC_PACKAGES = [
     "repro.core",
 ]
 
-# Public classes whose modules their package deliberately does not import.
-PUBLIC_MODULE_ITEMS = {
-    "repro.parallel.atomics": ["AtomicCounter"],
-    "repro.parallel.concurrent_hash": ["LinearProbingHashTable"],
-    "repro.parallel.concurrent_vector": ["ConcurrentVector"],
-}
-
 
 def _public_items():
     for package_name in PUBLIC_PACKAGES:
@@ -32,10 +25,6 @@ def _public_items():
             item = getattr(package, name)
             if callable(item) or inspect.isclass(item):
                 yield f"{package_name}.{name}", item
-    for module_name, names in PUBLIC_MODULE_ITEMS.items():
-        module = importlib.import_module(module_name)
-        for name in names:
-            yield f"{module_name}.{name}", getattr(module, name)
 
 
 @pytest.mark.parametrize("qualified,item", list(_public_items()), ids=lambda p: p if isinstance(p, str) else "")

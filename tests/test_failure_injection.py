@@ -6,8 +6,8 @@ silent wrong answer or a bare traceback from numpy internals.
 
 The second half exercises the deliberate-fault machinery from
 :mod:`repro.faults`: seeded fault sites in the IO loaders, the worker
-pool's kernel dispatch, the concurrent containers, and the conversion
-paths, plus the retry/budget semantics layered on top.
+pool's kernel dispatch and the conversion paths, plus the retry/budget
+semantics layered on top.
 """
 
 import threading
@@ -29,12 +29,10 @@ from repro.exceptions import (
 from repro.faults import FaultPlan, fault_point, inject_faults
 from repro.graphs.csr import CSRGraph
 from repro.graphs.serialize import load_edge_list, load_graph, save_graph
-from repro.parallel.concurrent_hash import LinearProbingHashTable
-from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy, run_with_retry
 from repro.recovery.digest import catalog_digest
 from repro.recovery.wal import WAL_FILENAME, read_wal
-from repro.tables.io_npz import save_table_npz
+from repro.tables.io_npz import load_table_npz, save_table_npz
 from repro.tables.io_tsv import load_table_tsv
 from repro.tables.table import Table
 
@@ -289,6 +287,17 @@ class TestInjectedIoFaults:
                     ringo.LoadTableBinary(path)
             assert ringo.Objects() == []
 
+    def test_npz_load_faults_recover_under_retry(self, tmp_path):
+        table = Table.from_columns({"x": [1, 2, 3]})
+        path = tmp_path / "snap.npz"
+        save_table_npz(table, path)
+        policy = RetryPolicy(max_attempts=10, base_delay=0.0)
+        with inject_faults({"io.npz.load": 0.3}, seed=3) as plan:
+            for _ in range(20):
+                loaded = run_with_retry(lambda: load_table_npz(path), policy)
+                assert loaded.column("x").tolist() == [1, 2, 3]
+        assert plan.triggered["io.npz.load"] >= 1
+
 
 class TestMidConversionFailure:
     def test_toGraph_fault_leaves_no_partial_graph(self):
@@ -418,45 +427,3 @@ class TestMemoryBudgets:
             reference = catalog_digest(ringo)
         with Ringo.recover(state, workers=1) as recovered:
             assert catalog_digest(recovered) == reference
-
-
-class TestConcurrentContainerFaultStress:
-    def test_hash_inserts_with_faults_stay_consistent(self):
-        table = LinearProbingHashTable(expected=256)
-        successes = [0] * 4
-        keys_per_worker = 200
-
-        def kernel(worker: int):
-            base = worker * keys_per_worker
-            for offset in range(keys_per_worker):
-                key = base + offset
-                try:
-                    table.insert(key, key * 2)
-                    successes[worker] += 1
-                except TransientError:
-                    pass
-
-        with inject_faults({"hash.insert": 0.2}, seed=11) as plan:
-            with WorkerPool(4) as pool:
-                pool.map_chunks(range(4), kernel)
-        assert plan.triggered["hash.insert"] >= 1
-        # Faults fire before mutation, so the table holds exactly the
-        # successful inserts and every one of them is retrievable.
-        assert len(table) == sum(successes)
-        found = sum(
-            1
-            for worker in range(4)
-            for offset in range(keys_per_worker)
-            if table.lookup(worker * keys_per_worker + offset) is not None
-        )
-        assert found == sum(successes)
-        for key, value in table.items():
-            assert value == key * 2
-
-    def test_faulty_inserts_recover_under_retry(self):
-        table = LinearProbingHashTable()
-        policy = RetryPolicy(max_attempts=10, base_delay=0.0)
-        with inject_faults({"hash.insert": 0.3}, seed=3):
-            for key in range(100):
-                run_with_retry(lambda k=key: table.insert(k, k), policy)
-        assert len(table) == 100
