@@ -74,7 +74,9 @@ _GRAPH_BASES = {
 # The structural state whose mutation invalidates CSR snapshots.
 # Attribute stores (``_node_attrs`` etc.) are deliberately absent:
 # attribute-only updates must NOT bump the version.
-_STRUCTURAL_ATTRS = {"_nodes", "_edge_src", "_edge_dst", "_deleted", "_num_edges"}
+_STRUCTURAL_ATTRS = {
+    "_nodes", "_csr", "_edge_src", "_edge_dst", "_deleted", "_num_edges",
+}
 _MUTATOR_METHODS = {
     "append", "add", "remove", "pop", "clear", "extend",
     "update", "discard", "insert", "setdefault", "popitem",
@@ -88,7 +90,9 @@ class BumpVersionRule(LintRule):
     The versioned snapshot cache (:mod:`repro.graphs.snapshot`) detects
     staleness by one integer compare of ``graph.version``; a mutation
     path that skips the bump silently serves stale CSR arrays to every
-    algorithm afterwards.
+    algorithm afterwards. ``GraphBase`` itself is checked too: its
+    methods install and merge the frozen CSR (``_csr``), which is
+    structure like the node table.
     """
 
     code = "R001"
@@ -99,7 +103,9 @@ class BumpVersionRule(LintRule):
         for cls in ast.walk(unit.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            if not any(_base_name(b) in _GRAPH_BASES for b in cls.bases):
+            if cls.name not in _GRAPH_BASES and not any(
+                _base_name(b) in _GRAPH_BASES for b in cls.bases
+            ):
                 continue
             for method in cls.body:
                 if not isinstance(method, ast.FunctionDef):

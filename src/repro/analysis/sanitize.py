@@ -30,6 +30,7 @@ import threading
 import numpy as np
 
 from repro.exceptions import SanitizerError
+from repro.graphs.base import lookup
 
 _ENV_VAR = "RINGO_SANITIZE"
 
@@ -220,15 +221,6 @@ def maybe_sanitize(csr, graph=None, expected_version: "int | None" = None) -> No
         sanitize_csr(csr, graph=graph, expected_version=expected_version)
 
 
-def _dense_lookup(node_ids: np.ndarray, values: np.ndarray):
-    """``(positions, found_mask)`` of original ids in sorted ``node_ids``."""
-    positions = np.searchsorted(node_ids, values)
-    if len(node_ids) == 0:
-        return positions, np.zeros(len(values), dtype=bool)
-    clipped = np.minimum(positions, len(node_ids) - 1)
-    return clipped, node_ids[clipped] == values
-
-
 def _merged_membership(merged, src, dst) -> tuple[np.ndarray, np.ndarray]:
     """Per delta edge: ``(present_in_merged, both_endpoints_exist)``.
 
@@ -238,13 +230,13 @@ def _merged_membership(merged, src, dst) -> tuple[np.ndarray, np.ndarray]:
     """
     node_ids = merged.node_ids
     count = merged.num_nodes
-    src_pos, src_ok = _dense_lookup(node_ids, src)
-    dst_pos, dst_ok = _dense_lookup(node_ids, dst)
+    src_pos, src_ok = lookup(node_ids, src)
+    dst_pos, dst_ok = lookup(node_ids, dst)
     both = src_ok & dst_ok
     present = np.zeros(len(src), dtype=bool)
     if np.any(both) and count:
         query = src_pos[both] * count + dst_pos[both]
-        present[both] = _dense_lookup(merged.out_edge_keys(), query)[1]
+        present[both] = lookup(merged.out_edge_keys(), query)[1]
     return present, both
 
 

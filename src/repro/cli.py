@@ -200,12 +200,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_s=args.deadline_s,
         tick_s=args.tick_s,
         idle_evict_s=args.idle_evict_s,
-        session_workers=args.session_workers,
-        executor_threads=args.threads,
         role=args.role,
         replica_address=args.replica,
         ship_interval_s=args.ship_interval_s,
-        ship_batch_records=args.ship_batch,
         digest_every_batches=args.digest_every,
         lag_degrade_records=args.lag_degrade,
     )
@@ -365,14 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle time before a resident session is evicted to checkpoint",
     )
     serve.add_argument(
-        "--session-workers", type=int, default=1,
-        help="worker threads inside each tenant's Ringo session",
-    )
-    serve.add_argument(
-        "--threads", type=int, default=8,
-        help="shared executor threads running engine calls",
-    )
-    serve.add_argument(
         "--role", choices=("primary", "replica"), default="primary",
         help="primary serves writes; replica follows a ship stream "
              "and serves (lag-gated) reads until promoted",
@@ -385,10 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--ship-interval-s", type=float, default=0.05,
         help="WAL shipper polling interval on the primary",
-    )
-    serve.add_argument(
-        "--ship-batch", type=int, default=64,
-        help="max WAL records per shipped batch",
     )
     serve.add_argument(
         "--digest-every", type=int, default=4,

@@ -117,7 +117,7 @@ def _network_from(sources: np.ndarray, targets: np.ndarray, nodes=None) -> Netwo
     """A :class:`Network` adopting a sort-first build's CSR, as ``copy()`` does."""
     built = graph_from_edge_arrays(sources, targets, nodes=nodes)
     network = Network()
-    if built._csr is not None:  # an empty build has no backing
+    if built._csr is not None:  # an empty build has no CSR
         network._install_csr(built._csr, built.num_edges)
     return network
 

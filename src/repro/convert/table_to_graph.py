@@ -20,7 +20,7 @@ The three phases map here as:
 3. **copy** — the paper copies each node's neighbour vector into the
    graph hash table. Here the split keys already are the dense neighbour
    columns, and the graph adopts ``node_ids``, the row pointers and
-   those columns as a frozen CSR (:class:`~repro.graphs.base.CSRBacking`).
+   those columns as a frozen :class:`~repro.graphs.csr.CSRGraph`.
    No per-node record is made: reads answer from the CSR, the snapshot
    cache wraps it without a copy, and the hash table is built only if
    the graph is mutated (EXPERIMENTS.md, A3).
@@ -37,7 +37,6 @@ import numpy as np
 from repro.exceptions import ConversionError
 from repro.faults import fault_point
 from repro.graphs.base import (
-    CSRBacking,
     dense_labels,
     distinct,
     edge_keys,
@@ -45,6 +44,7 @@ from repro.graphs.base import (
     readonly,
     row_pointer,
 )
+from repro.graphs.csr import CSRGraph
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.undirected import UndirectedGraph
 from repro.obs.spans import trace
@@ -130,10 +130,10 @@ def _sort_first(graph_class, sources, targets, nodes):
         with trace("convert.copy", nodes=m):
             out = readonly(indptr), readonly(cols)
             into = (readonly(in_indptr), readonly(in_cols)) if directed else out
-            backing = CSRBacking(readonly(node_ids), *out, *into)
+            csr = CSRGraph(readonly(node_ids), *out, *into)
         # Each non-loop undirected edge is keyed twice, each loop once.
         loops = 0 if directed else int(np.count_nonzero(rows == cols))
-        graph._install_csr(backing, len(keys) if directed else (len(keys) + loops) // 2)
+        graph._install_csr(csr, len(keys) if directed else (len(keys) + loops) // 2)
         span.set_tag("nodes", m)
         span.set_tag("edges", graph.num_edges)
     return graph

@@ -9,26 +9,30 @@ paper describes (and the A2 ablation measures).
 
 The paper chose the hash table *for dynamism*, and only a mutation needs
 it. A graph built in bulk (the sort-first converter, restores) is born
-holding a frozen CSR instead: a :class:`CSRBacking` of read-only arrays
-that every read answers from and that the snapshot cache wraps without
-copying. An ``ApplyOps`` batch that keeps the node set is merged into
-the backing's rows (:func:`merge_rows`, one delete and one insert per
-orientation) and installed as the next frozen backing, so such a graph
-stays CSR-backed under batch churn and its next snapshot is again a
-wrap. Any other structural mutation — a batch that adds, removes or
+holding a frozen CSR instead: a :class:`~repro.graphs.csr.CSRGraph` over
+read-only arrays that every read answers from and that the snapshot
+cache wraps without copying. An ``ApplyOps`` batch that keeps the node
+set is merged into its rows (:meth:`CSRGraph.merged
+<repro.graphs.csr.CSRGraph.merged>`, one delete and one insert per
+orientation) and the result installed as the next frozen CSR, so such a
+graph stays CSR-backed under batch churn and its next snapshot is again
+a wrap. Any other structural mutation — a batch that adds, removes or
 re-creates a node, or a single-op mutator — materialises the hash table
-from the backing once and drops it.
+from the CSR once and drops it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.exceptions import ConversionError, GraphError, NodeNotFoundError
 from repro.obs.spans import trace
 from repro.util.keys import sorted_codes
+
+if TYPE_CHECKING:
+    from repro.graphs.csr import CSRGraph
 
 EMPTY_ADJACENCY = np.empty(0, dtype=np.int64)
 
@@ -127,6 +131,25 @@ def keyed_rows(keys: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
 def row_pointer(rows: np.ndarray, m: int) -> np.ndarray:
     """CSR row pointer over ``m`` rows of sorted row labels."""
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+
+
+def lookup(haystack: np.ndarray, needles: np.ndarray):
+    """``(positions, found)`` of ``needles`` in the sorted ``haystack``.
+
+    ``positions`` is only meaningful where ``found`` is true, and is
+    always a valid index into a non-empty ``haystack``.
+
+    >>> positions, found = lookup(np.array([2, 5, 9]), np.array([5, 7, 9]))
+    >>> positions[found].tolist(), found.tolist()
+    ([1, 2], [True, False, True])
+    """
+    if len(haystack) == 0:
+        return (
+            np.zeros(len(needles), dtype=np.int64),
+            np.zeros(len(needles), dtype=bool),
+        )
+    positions = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
+    return positions, haystack[positions] == needles
 
 
 def segment_lower_bound(
@@ -253,7 +276,7 @@ class Remap(NamedTuple):
 
     alive: np.ndarray       # old dense id survives the change
     old_to_new: np.ndarray  # its new dense id (meaningful where alive)
-    count: int              # new node count
+    node_ids: np.ndarray    # the new node ids, ascending
 
 
 _NO_ENTRIES = np.empty(0, dtype=np.int64)
@@ -268,10 +291,9 @@ def merge_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One CSR orientation after deleting, remapping and inserting entries.
 
-    The one row-merge kernel: a graph merging a batch into its backing
-    and the snapshot cache merging a delta into a stale snapshot both
-    call it. ``deletes`` are ``(rows, cols)`` in old dense ids, ``adds``
-    in new ones; ``remap`` is ``None`` when the node set is unchanged.
+    The one row-merge kernel, under :meth:`CSRGraph.merged
+    <repro.graphs.csr.CSRGraph.merged>`. ``deletes`` are ``(rows, cols)``
+    in old dense ids, ``adds`` in new ones; ``remap`` is ``None`` when the node set is unchanged.
     Each step is a :meth:`Rows.merged` over the touched rows only: one
     ``np.delete``, one ``np.insert``, and — only with a remap — one
     gather over the kept entries. Every row stays sorted because the
@@ -295,10 +317,11 @@ def merge_rows(
         degrees = np.diff(rows.indptr)
         if degrees[~remap.alive].any():
             raise GraphError("a deleted node still has retained edges")
-        new_degrees = np.zeros(remap.count, dtype=np.int64)
+        count = len(remap.node_ids)
+        new_degrees = np.zeros(count, dtype=np.int64)
         new_degrees[remap.old_to_new[remap.alive]] = degrees[remap.alive]
         rows = Rows(
-            np.arange(remap.count),
+            np.arange(count),
             np.concatenate(([0], np.cumsum(new_degrees))),
             remap.old_to_new[rows.values],
         )
@@ -358,101 +381,13 @@ def readonly(array: np.ndarray) -> np.ndarray:
     return view
 
 
-class CSRBacking(NamedTuple):
-    """The frozen CSR a bulk-built graph answers its reads from.
-
-    ``node_ids`` is sorted ascending and doubles as the graph's node
-    order; the indices are dense positions into it and every row is
-    sorted. All five arrays are read-only, so graphs, copies and CSR
-    snapshots can share them. An undirected backing stores its one
-    symmetric orientation as both ``out`` and ``in``.
-    """
-
-    node_ids: np.ndarray
-    out_indptr: np.ndarray
-    out_indices: np.ndarray
-    in_indptr: np.ndarray
-    in_indices: np.ndarray
-
-    def index(self, node_id) -> int:
-        """Dense index of ``node_id``, or -1 when it is not a node."""
-        ids = self.node_ids
-        try:
-            position = int(np.searchsorted(ids, node_id))
-        except (TypeError, ValueError, OverflowError):
-            return -1  # not an id at all, as a dict lookup would say
-        if position < len(ids) and ids[position] == node_id:
-            return position
-        return -1
-
-    def indices_of(self, node_ids: np.ndarray) -> np.ndarray:
-        """Dense index of each id in an int64 array, -1 where it is not a node."""
-        ids = self.node_ids
-        if not len(ids):
-            return np.full(len(node_ids), -1, dtype=np.int64)
-        positions = np.minimum(np.searchsorted(ids, node_ids), len(ids) - 1)
-        return np.where(ids[positions] == node_ids, positions, -1)
-
-    def out_row(self, index: int) -> np.ndarray:
-        """Dense out-neighbours of the node at ``index`` (a view)."""
-        return self.out_indices[self.out_indptr[index]:self.out_indptr[index + 1]]
-
-    def in_row(self, index: int) -> np.ndarray:
-        """Dense in-neighbours of the node at ``index`` (a view)."""
-        return self.in_indices[self.in_indptr[index]:self.in_indptr[index + 1]]
-
-    def has_arc(self, src: int, dst: int) -> bool:
-        """Whether the out-row of ``src`` holds ``dst`` (original ids)."""
-        row = self.index(src)
-        col = self.index(dst)
-        return row >= 0 and col >= 0 and sorted_contains(self.out_row(row), col)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every out-arc as fresh ``(src, dst)`` arrays of original ids."""
-        ids = self.node_ids
-        return np.repeat(ids, np.diff(self.out_indptr)), ids[self.out_indices]
-
-    def merged(self, change: NetChange, directed: bool) -> "CSRBacking":
-        """A new backing: this one with a net change that keeps the node set.
-
-        Every endpoint of the change is a node already, so its edges are
-        dense ids by one ``searchsorted`` each; :func:`merge_rows` then
-        merges them into both orientations (undirected: into the one
-        symmetric orientation, both ways). This backing is untouched, so
-        snapshots and copies that share its arrays stay valid.
-        """
-        ids = self.node_ids
-        deletes = np.searchsorted(ids, change.del_src), np.searchsorted(ids, change.del_dst)
-        adds = np.searchsorted(ids, change.add_src), np.searchsorted(ids, change.add_dst)
-        if not directed:
-            indptr, indices = map(readonly, merge_rows(
-                self.out_indptr, self.out_indices, both_ways(*deletes), both_ways(*adds)
-            ))
-            return CSRBacking(ids, indptr, indices, indptr, indices)
-        out_indptr, out_indices = merge_rows(
-            self.out_indptr, self.out_indices, deletes, adds
-        )
-        in_indptr, in_indices = merge_rows(
-            self.in_indptr, self.in_indices, deletes[::-1], adds[::-1]
-        )
-        return CSRBacking(
-            ids, readonly(out_indptr), readonly(out_indices),
-            readonly(in_indptr), readonly(in_indices),
-        )
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the distinct arrays (undirected ones share two)."""
-        distinct = {id(array): array.nbytes for array in self}
-        return sum(distinct.values())
-
-
 class GraphBase:
     """Behaviour shared by the directed and undirected graph classes.
 
     Subclasses supply ``_nodes`` (the node hash table) and the edge
     bookkeeping; this base provides the derived queries algorithms use.
-    While ``_csr`` holds a :class:`CSRBacking`, ``_nodes`` is ``None``
-    and every read goes to the backing instead.
+    While ``_csr`` holds a frozen :class:`~repro.graphs.csr.CSRGraph`,
+    ``_nodes`` is ``None`` and every read goes to the CSR instead.
 
     Every structural mutation bumps :attr:`version`, a cheap monotonic
     counter. Snapshot consumers (the CSR cache in
@@ -462,7 +397,7 @@ class GraphBase:
     """
 
     _nodes: "dict | None"
-    _csr: "CSRBacking | None" = None
+    _csr: "CSRGraph | None" = None
     _version: int = 0
     # Attached by the snapshot cache when incremental maintenance is on
     # (repro.incremental.delta.MutationLog, one int64 row per mutation);
@@ -519,56 +454,64 @@ class GraphBase:
             log.poison(reason)
 
     # ------------------------------------------------------------------
-    # The CSR backing
+    # The frozen CSR
     # ------------------------------------------------------------------
 
-    def _install_csr(self, backing: CSRBacking, num_edges: int) -> None:
+    def _install_csr(self, csr: "CSRGraph", num_edges: int) -> None:
         """Adopt a frozen CSR as the whole graph — bulk construction only.
 
-        The caller guarantees sorted unique ``node_ids``, sorted rows
-        and read-only arrays. One version bump, like any other bulk
-        install, and a log attached to the old state cannot replay it.
+        The caller guarantees read-only arrays (``node_ids`` sorted and
+        unique, rows sorted), which graphs, copies and snapshots share.
+        One version bump, like any other bulk install, and a log
+        attached to the old state cannot replay it.
         """
-        self._csr = backing
+        self._csr = csr
         self._nodes = None
         self._num_edges = num_edges
         self._bump_version()
         self._poison_delta("bulk CSR install")
 
     def _merge_into_backing(self, change: NetChange) -> bool:
-        """Apply a structural batch change to the backing; False if it cannot.
+        """Apply a structural batch change to the CSR; False if it cannot.
 
         A CSR-backed graph whose batch keeps its node set (nothing
         removed, nothing placed at the end of the node order) stays
-        backed: the change is merged into the backing's rows and the
-        result installed as the new frozen backing, with one version
-        bump and one log append, like the record path. Any other batch,
-        or a graph already on its hash table, returns False untouched.
+        backed: every endpoint is a node already, so the change is in
+        dense ids by one ``searchsorted`` each, and its merge into the
+        CSR's rows is installed as the new frozen CSR, with one version
+        bump and one log append, like the record path. The old CSR is
+        untouched, so snapshots and copies sharing its arrays stay
+        valid. Any other batch, or a graph already on its hash table,
+        returns False untouched.
         """
-        backing = self._csr
-        if backing is None or len(change.placed_nodes) or len(change.removed_nodes):
+        csr = self._csr
+        if csr is None or len(change.placed_nodes) or len(change.removed_nodes):
             return False
-        self._csr = backing.merged(change, self.is_directed)
+        ids = csr.node_ids
+        deletes = np.searchsorted(ids, change.del_src), np.searchsorted(ids, change.del_dst)
+        adds = np.searchsorted(ids, change.add_src), np.searchsorted(ids, change.add_dst)
+        self._csr = csr.merged(deletes, adds, self.is_directed)
         self._num_edges += len(change.add_src) - len(change.del_src)
         self._bump_version()
         self._record_net(change)
         return True
 
-    def _materialise(self, op: str) -> None:
-        """Build the node hash table from the backing, then drop it.
+    # The representation changes here, not the structure.
+    def _materialise(self, op: str) -> None:  # ringo-lint: disable=R001
+        """Build the node hash table from the CSR, then drop it.
 
         Called by the first mutator that will change structure (``op``
         names it). The graph's structure does not change here, so the
         version does not move: the cached snapshot and a mutation log
         anchored at this version both stay valid.
         """
-        backing = self._csr
-        with trace("graph.materialise", nodes=len(backing.node_ids), op=op):
-            self._nodes = self._records_from(backing)
+        csr = self._csr
+        with trace("graph.materialise", nodes=csr.num_nodes, op=op):
+            self._nodes = self._records_from(csr)
             self._csr = None
 
-    def _records_from(self, backing: CSRBacking) -> dict:
-        """The node hash table equivalent to ``backing`` (subclass hook)."""
+    def _records_from(self, csr: "CSRGraph") -> dict:
+        """The node hash table equivalent to ``csr`` (subclass hook)."""
         raise NotImplementedError
 
     def _out_vectors(self, node_ids: "list[int]") -> "list[np.ndarray]":
@@ -577,9 +520,9 @@ class GraphBase:
 
     def _has_nodes(self, node_ids: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_node` over an int64 array (bool array)."""
-        backing = self._csr
-        if backing is not None:
-            return backing.indices_of(node_ids) >= 0
+        csr = self._csr
+        if csr is not None:
+            return lookup(csr.node_ids, node_ids)[1]
         nodes = self._nodes
         return np.fromiter(
             (node in nodes for node in node_ids.tolist()), dtype=bool, count=len(node_ids)
@@ -588,27 +531,29 @@ class GraphBase:
     def _out_rows(self, node_ids: np.ndarray) -> Rows:
         """The out-rows (undirected: rows) of ascending ``node_ids``, gathered.
 
-        A CSR-backed graph slices them out of its backing in one
-        vectorised gather; a materialised one concatenates its vectors.
+        A CSR-backed graph slices them out of its CSR in one vectorised
+        gather; a materialised one concatenates its vectors.
         """
-        backing = self._csr
-        if backing is None:
+        csr = self._csr
+        if csr is None:
             return Rows.gather(node_ids, self._out_vectors(node_ids.tolist()))
-        dense = backing.indices_of(node_ids)
-        known = dense >= 0
-        dense = np.where(known, dense, 0)
-        starts = backing.out_indptr[dense]
-        lengths = np.where(known, backing.out_indptr[dense + 1] - starts, 0)
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        flat = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return Rows(node_ids, indptr, backing.node_ids[backing.out_indices[flat]])
+        ids, indptr = csr.node_ids, csr.out_indptr
+        dense, known = lookup(ids, node_ids)
+        starts = indptr[dense]
+        lengths = np.where(known, indptr[dense + 1] - starts, 0)
+        gathered = np.concatenate(([0], np.cumsum(lengths)))
+        flat = np.repeat(starts - gathered[:-1], lengths) + np.arange(gathered[-1])
+        return Rows(node_ids, gathered, ids[csr.out_indices[flat]])
 
-    def _dense_index(self, backing: CSRBacking, node_id) -> int:
-        """Dense index of ``node_id`` in ``backing``; raises if absent."""
-        index = backing.index(node_id)
-        if index < 0:
-            raise NodeNotFoundError(node_id)
-        return index
+    @staticmethod
+    def _csr_edge_arrays(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
+        """Every out-arc of ``csr`` as fresh ``(src, dst)`` arrays of original ids.
+
+        Built here rather than from the CSR's cached ``edge_sources``, so
+        the graph's CSR never holds a derived array.
+        """
+        ids = csr.node_ids
+        return np.repeat(ids, np.diff(csr.out_indptr)), ids[csr.out_indices]
 
     # ------------------------------------------------------------------
     # Node queries
@@ -623,30 +568,30 @@ class GraphBase:
     @property
     def num_nodes(self) -> int:
         """Number of nodes."""
-        backing = self._csr
-        if backing is not None:
-            return len(backing.node_ids)
+        csr = self._csr
+        if csr is not None:
+            return csr.num_nodes
         return len(self._nodes)
 
     def has_node(self, node_id: int) -> bool:
         """Whether ``node_id`` is present."""
-        backing = self._csr
-        if backing is not None:
-            return backing.index(node_id) >= 0
+        csr = self._csr
+        if csr is not None:
+            return csr.find(node_id) >= 0
         return node_id in self._nodes
 
     def nodes(self) -> Iterator[int]:
         """Iterate node ids: insertion order, or ascending when CSR-backed."""
-        backing = self._csr
-        if backing is not None:
-            return iter(backing.node_ids.tolist())
+        csr = self._csr
+        if csr is not None:
+            return iter(csr.node_ids.tolist())
         return iter(self._nodes)
 
     def node_array(self) -> np.ndarray:
         """All node ids as a fresh int64 array, in :meth:`nodes` order."""
-        backing = self._csr
-        if backing is not None:
-            return backing.node_ids.copy()
+        csr = self._csr
+        if csr is not None:
+            return csr.node_ids.copy()
         return np.fromiter(self._nodes.keys(), dtype=np.int64, count=len(self._nodes))
 
     def _require_node(self, node_id: int) -> None:
@@ -655,7 +600,7 @@ class GraphBase:
 
     def max_node_id(self) -> int:
         """Largest node id, or -1 for an empty graph."""
-        backing = self._csr
-        if backing is not None:
-            return int(backing.node_ids[-1]) if len(backing.node_ids) else -1
+        csr = self._csr
+        if csr is not None:
+            return int(csr.node_ids[-1]) if csr.num_nodes else -1
         return max(self._nodes, default=-1)

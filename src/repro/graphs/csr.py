@@ -8,10 +8,11 @@ reasons:
   CSR snapshot, mirroring how Ringo's C++ loops stream over contiguous
   adjacency data; and
 * it is also the bulk representation: a graph the sort-first converter
-  builds is born holding these five arrays
-  (:class:`~repro.graphs.base.CSRBacking`), and its snapshot wraps them
-  without a copy. The node hash table is built only when something
-  first mutates the graph.
+  builds is born holding a :class:`CSRGraph` over read-only arrays, and
+  its snapshot wraps those five arrays without a copy. An ``ApplyOps``
+  batch that keeps the node set is merged into a new one
+  (:meth:`CSRGraph.merged`); the node hash table is built only when
+  some other mutation first changes the graph.
 
 A :class:`CSRGraph` is immutable. Node ids are densified to ``0..n-1``;
 ``node_ids[dense]`` recovers the original id and :meth:`dense_of` maps
@@ -20,20 +21,29 @@ the other way.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graphs.base import (
+    Remap,
+    both_ways,
     dense_labels,
     distinct,
     edge_keys,
     gather_adjacency,
     keyed_rows,
+    lookup,
+    merge_rows,
     readonly,
     row_pointer,
+    sorted_contains,
 )
-from repro.graphs.directed import DirectedGraph
-from repro.graphs.undirected import UndirectedGraph
+
+if TYPE_CHECKING:
+    from repro.graphs.directed import DirectedGraph
+    from repro.graphs.undirected import UndirectedGraph
 
 
 class CSRGraph:
@@ -118,9 +128,9 @@ class CSRGraph:
     def from_graph(cls, graph: "DirectedGraph | UndirectedGraph") -> "CSRGraph":
         """Snapshot a dynamic graph (undirected edges become symmetric).
 
-        A CSR-backed graph is wrapped: a new snapshot over the backing's
-        five read-only arrays, O(1), with its derived arrays still to be
-        computed. Otherwise one build path for all inputs — isolated
+        A CSR-backed graph is wrapped: a new snapshot over the five
+        read-only arrays of the graph's own CSR, O(1), with its derived
+        arrays still to be computed (the graph's CSR never caches any). Otherwise one build path for all inputs — isolated
         nodes are included from the start, so no
         mismatch-detect-and-rebuild ever happens. The
         dynamic adjacency vectors are already sorted, so the build skips
@@ -129,9 +139,12 @@ class CSRGraph:
         with one ``searchsorted`` per direction. Each row stays sorted
         because both the vectors and ``node_ids`` are.
         """
-        backing = graph._csr
-        if backing is not None:
-            return cls(*backing)
+        csr = graph._csr
+        if csr is not None:
+            return cls(
+                csr._node_ids, csr._out_indptr, csr._out_indices,
+                csr._in_indptr, csr._in_indices,
+            )
         node_ids = np.sort(graph.node_array())
         rows = [graph._nodes[node] for node in node_ids.tolist()]
         if graph.is_directed:
@@ -189,10 +202,25 @@ class CSRGraph:
         """CSR column indices for in-adjacency (dense ids)."""
         return readonly(self._in_indices)
 
+    def find(self, original_id) -> int:
+        """Dense index of an original node id, or -1 when it is not a node.
+
+        Binary search, no dict; anything that is not an id at all is not
+        a node, as a dict lookup would say.
+        """
+        ids = self._node_ids
+        try:
+            position = int(np.searchsorted(ids, original_id))
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        if position < len(ids) and ids[position] == original_id:
+            return position
+        return -1
+
     def dense_of(self, original_id: int) -> int:
-        """Dense index of an original node id (binary search, no dict)."""
-        position = int(np.searchsorted(self._node_ids, original_id))
-        if position >= len(self._node_ids) or self._node_ids[position] != original_id:
+        """Dense index of an original node id; raises when it is not a node."""
+        position = self.find(original_id)
+        if position < 0:
             raise NodeNotFoundError(original_id)
         return position
 
@@ -210,16 +238,18 @@ class CSRGraph:
         [2, 0]
         """
         original_ids = np.ascontiguousarray(original_ids, dtype=np.int64)
-        positions = np.searchsorted(self._node_ids, original_ids)
-        if len(self._node_ids) == 0:
-            if len(original_ids):
-                raise NodeNotFoundError(int(original_ids[0]))
-            return positions
-        clipped = np.clip(positions, 0, len(self._node_ids) - 1)
-        mismatch = self._node_ids[clipped] != original_ids
-        if np.any(mismatch):
-            raise NodeNotFoundError(int(original_ids[np.argmax(mismatch)]))
-        return clipped
+        positions, found = lookup(self._node_ids, original_ids)
+        if not found.all():
+            raise NodeNotFoundError(int(original_ids[np.argmin(found)]))
+        return positions
+
+    def has_arc(self, src, dst) -> bool:
+        """Whether the out-row of ``src`` holds ``dst`` (original ids)."""
+        row = self.find(src)
+        col = self.find(dst)
+        return row >= 0 and col >= 0 and sorted_contains(
+            self._out_indices[self._out_indptr[row]:self._out_indptr[row + 1]], col
+        )
 
     def out_neighbors(self, dense: int) -> np.ndarray:
         """Out-neighbours (dense ids, sorted) of a dense node index."""
@@ -413,14 +443,54 @@ class CSRGraph:
         return self._out_edge_keys
 
     def memory_bytes(self) -> int:
-        """Bytes held by the five CSR arrays (Table 2 / A2 accounting)."""
-        return (
-            self._node_ids.nbytes
-            + self._out_indptr.nbytes
-            + self._out_indices.nbytes
-            + self._in_indptr.nbytes
-            + self._in_indices.nbytes
+        """Bytes held by the CSR arrays (Table 2 / A2 accounting).
+
+        Each distinct array counts once: an undirected CSR stores its one
+        symmetric orientation as both ``out`` and ``in``.
+        """
+        arrays = (
+            self._node_ids, self._out_indptr, self._out_indices,
+            self._in_indptr, self._in_indices,
         )
+        return sum({id(array): array.nbytes for array in arrays}.values())
+
+    def merged(
+        self,
+        deletes: "tuple[np.ndarray, np.ndarray]",
+        adds: "tuple[np.ndarray, np.ndarray]",
+        directed: bool,
+        remap: "Remap | None" = None,
+    ) -> "CSRGraph":
+        """A new CSR: this one after deleting, remapping and inserting arcs.
+
+        ``deletes`` are ``(src, dst)`` dense ids of this CSR, ``adds``
+        dense ids after the ``remap`` (``None`` when the node set is
+        unchanged). Each orientation goes through
+        :func:`~repro.graphs.base.merge_rows` and touches only the rows
+        the change names. Undirected, each pair is merged both ways into
+        the one symmetric orientation, which the result stores as both
+        ``out`` and ``in``. The arrays are fresh and read-only, and this
+        CSR is untouched, so a graph's CSR merges into its next one
+        while snapshots and copies keep sharing the old arrays. Raises
+        :class:`GraphError` as ``merge_rows`` does.
+
+        >>> csr = CSRGraph.from_edges([1, 2], [2, 3])
+        >>> csr.merged((np.array([0]), np.array([1])), (np.array([2]), np.array([0])),
+        ...            directed=True).out_indices.tolist()
+        [2, 0]
+        """
+        node_ids = self._node_ids if remap is None else readonly(remap.node_ids)
+        if not directed:
+            indptr, indices = map(readonly, merge_rows(
+                self._out_indptr, self._out_indices,
+                both_ways(*deletes), both_ways(*adds), remap,
+            ))
+            return CSRGraph(node_ids, indptr, indices, indptr, indices)
+        out = merge_rows(self._out_indptr, self._out_indices, deletes, adds, remap)
+        into = merge_rows(
+            self._in_indptr, self._in_indices, deletes[::-1], adds[::-1], remap
+        )
+        return CSRGraph(node_ids, *map(readonly, out + into))
 
     def __repr__(self) -> str:
         return f"CSRGraph({self.num_nodes} nodes, {self.num_edges} edges)"

@@ -5,8 +5,8 @@ each node contains two sorted adjacency vectors providing its
 in-neighbors and out-neighbors." Simple directed graph semantics (SNAP's
 ``TNGraph``): at most one edge per ordered pair, self-loops allowed.
 
-A bulk-built graph holds both orientations as a frozen CSR instead
-(:class:`~repro.graphs.base.CSRBacking`). An ``ApplyOps`` batch that
+A bulk-built graph holds both orientations as a frozen
+:class:`~repro.graphs.csr.CSRGraph` instead. An ``ApplyOps`` batch that
 keeps the node set is merged into it; any other structural mutation
 builds the hash table first. See :mod:`repro.graphs.base`.
 """
@@ -20,7 +20,6 @@ import numpy as np
 from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graphs.base import (
     EMPTY_ADJACENCY,
-    CSRBacking,
     GraphBase,
     NetChange,
     Rows,
@@ -31,6 +30,7 @@ from repro.graphs.base import (
     sorted_insert,
     sorted_remove,
 )
+from repro.graphs.csr import CSRGraph
 
 
 class _NodeRecord:
@@ -79,43 +79,41 @@ class DirectedGraph(GraphBase):
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether the directed edge ``src -> dst`` exists."""
-        backing = self._csr
-        if backing is not None:
-            return backing.has_arc(src, dst)
+        csr = self._csr
+        if csr is not None:
+            return csr.has_arc(src, dst)
         record = self._nodes.get(src)
         return record is not None and sorted_contains(record.out_nbrs, dst)
 
     def out_neighbors(self, node_id: int) -> np.ndarray:
         """Sorted out-neighbour ids of ``node_id`` (read-only)."""
-        backing = self._csr
-        if backing is not None:
-            row = backing.out_row(self._dense_index(backing, node_id))
-            return readonly(backing.node_ids[row])
+        csr = self._csr
+        if csr is not None:
+            return readonly(csr.node_ids[csr.out_neighbors(csr.dense_of(node_id))])
         self._require_node(node_id)
         return readonly(self._nodes[node_id].out_nbrs)
 
     def in_neighbors(self, node_id: int) -> np.ndarray:
         """Sorted in-neighbour ids of ``node_id`` (read-only)."""
-        backing = self._csr
-        if backing is not None:
-            row = backing.in_row(self._dense_index(backing, node_id))
-            return readonly(backing.node_ids[row])
+        csr = self._csr
+        if csr is not None:
+            return readonly(csr.node_ids[csr.in_neighbors(csr.dense_of(node_id))])
         self._require_node(node_id)
         return readonly(self._nodes[node_id].in_nbrs)
 
     def out_degree(self, node_id: int) -> int:
         """Out-degree of ``node_id``."""
-        backing = self._csr
-        if backing is not None:
-            return len(backing.out_row(self._dense_index(backing, node_id)))
+        csr = self._csr
+        if csr is not None:
+            return len(csr.out_neighbors(csr.dense_of(node_id)))
         self._require_node(node_id)
         return len(self._nodes[node_id].out_nbrs)
 
     def in_degree(self, node_id: int) -> int:
         """In-degree of ``node_id``."""
-        backing = self._csr
-        if backing is not None:
-            return len(backing.in_row(self._dense_index(backing, node_id)))
+        csr = self._csr
+        if csr is not None:
+            return len(csr.in_neighbors(csr.dense_of(node_id)))
         self._require_node(node_id)
         return len(self._nodes[node_id].in_nbrs)
 
@@ -139,9 +137,9 @@ class DirectedGraph(GraphBase):
         Bulk export used by graph→table conversion, serialization and
         checkpoints; edges come out grouped by source node.
         """
-        backing = self._csr
-        if backing is not None:
-            return backing.edge_arrays()
+        csr = self._csr
+        if csr is not None:
+            return self._csr_edge_arrays(csr)
         # One read of the node table, so a node added by a concurrent
         # writer cannot give the ids and the rows different lengths.
         items = list(self._nodes.items())
@@ -159,7 +157,7 @@ class DirectedGraph(GraphBase):
         if node_id < 0:
             raise GraphError(f"node ids must be non-negative, got {node_id}")
         if self._csr is not None:
-            if self._csr.index(node_id) >= 0:
+            if self._csr.find(node_id) >= 0:
                 return False
             self._materialise("add_node")
         elif node_id in self._nodes:
@@ -251,7 +249,7 @@ class DirectedGraph(GraphBase):
         guard leaves the graph as it was. One version bump and one log
         append, and neither when the batch nets out to no structural
         change. A CSR-backed graph whose node set the batch keeps merges
-        it into its backing instead and stays backed
+        it into its CSR instead and stays backed
         (``_merge_into_backing``).
         """
         if not change.structural() and not len(change.placed_nodes):
@@ -326,13 +324,13 @@ class DirectedGraph(GraphBase):
         self._bump_version()
         self._poison_delta("bulk edge-count install")
 
-    def _records_from(self, backing: CSRBacking) -> dict:
+    def _records_from(self, csr: CSRGraph) -> dict:
         """One record per node, its vectors views of two gathered arrays."""
-        ids = backing.node_ids
-        in_src = ids[backing.in_indices]
-        out_dst = ids[backing.out_indices]
-        in_ptr = backing.in_indptr.tolist()
-        out_ptr = backing.out_indptr.tolist()
+        ids = csr.node_ids
+        in_src = ids[csr.in_indices]
+        out_dst = ids[csr.out_indices]
+        in_ptr = csr.in_indptr.tolist()
+        out_ptr = csr.out_indptr.tolist()
         return {
             node: _NodeRecord(
                 in_src[in_ptr[index]:in_ptr[index + 1]],
@@ -348,12 +346,12 @@ class DirectedGraph(GraphBase):
     def reverse(self) -> "DirectedGraph":
         """New graph with every edge direction flipped (vectors swap)."""
         result = DirectedGraph()
-        backing = self._csr
-        if backing is not None:
-            ids, out_ptr, out_idx, in_ptr, in_idx = backing
-            result._install_csr(
-                CSRBacking(ids, in_ptr, in_idx, out_ptr, out_idx), self._num_edges
+        csr = self._csr
+        if csr is not None:
+            flipped = CSRGraph(
+                csr.node_ids, csr.in_indptr, csr.in_indices, csr.out_indptr, csr.out_indices
             )
+            result._install_csr(flipped, self._num_edges)
             return result
         for node_id, record in self._nodes.items():
             result._set_adjacency(node_id, record.out_nbrs.copy(), record.in_nbrs.copy())
@@ -372,9 +370,9 @@ class DirectedGraph(GraphBase):
     def copy(self) -> "DirectedGraph":
         """Deep copy (a CSR-backed graph shares its read-only arrays)."""
         result = DirectedGraph()
-        backing = self._csr
-        if backing is not None:
-            result._install_csr(backing, self._num_edges)
+        csr = self._csr
+        if csr is not None:
+            result._install_csr(csr, self._num_edges)
             return result
         for node_id, record in self._nodes.items():
             result._set_adjacency(node_id, record.in_nbrs.copy(), record.out_nbrs.copy())
@@ -391,9 +389,9 @@ class DirectedGraph(GraphBase):
         plus ~100 bytes per node for the dict slot and record object. A
         CSR-backed graph holds only its five arrays.
         """
-        backing = self._csr
-        if backing is not None:
-            return backing.memory_bytes()
+        csr = self._csr
+        if csr is not None:
+            return csr.memory_bytes()
         total = 0
         for record in self._nodes.values():
             total += record.in_nbrs.nbytes + record.out_nbrs.nbytes

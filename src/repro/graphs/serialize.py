@@ -13,7 +13,6 @@ version-1 archives (no digests) still load.
 from __future__ import annotations
 
 import os
-import warnings
 import zipfile
 import zlib
 
@@ -47,17 +46,13 @@ def save_graph(graph: "DirectedGraph | UndirectedGraph", path: "str | os.PathLik
     )
 
 
-def load_graph(
-    path: "str | os.PathLike[str]", verify: "str | bool" = "raise"
-) -> "DirectedGraph | UndirectedGraph":
+def load_graph(path: "str | os.PathLike[str]") -> "DirectedGraph | UndirectedGraph":
     """Load a graph saved by :func:`save_graph`.
 
-    ``verify`` controls what happens when a stored CRC32 digest does not
-    match the loaded array: ``"raise"`` (default) raises
-    :class:`~repro.exceptions.CorruptInputError` naming the array,
-    ``"warn"`` emits a warning and loads anyway, and ``False`` skips
-    verification. Version-1 archives carry no digests and load as-is.
-    A garbled or truncated archive raises ``CorruptInputError`` too.
+    A stored CRC32 digest that does not match its loaded array raises
+    :class:`~repro.exceptions.CorruptInputError` naming the array.
+    Version-1 archives carry no digests and load as-is. A garbled or
+    truncated archive raises ``CorruptInputError`` too.
     """
     try:
         with np.load(path) as archive:
@@ -68,19 +63,11 @@ def load_graph(
             nodes = archive["nodes"]
             sources = archive["sources"]
             targets = archive["targets"]
-            if version >= 2 and verify:
+            if version >= 2:
                 for name, array in (
                     ("nodes", nodes), ("sources", sources), ("targets", targets),
                 ):
-                    expected = int(archive[f"crc_{name}"])
-                    if _array_crc(array) != expected:
-                        if verify == "warn":
-                            warnings.warn(
-                                f"{os.fspath(path)}: CRC mismatch in array "
-                                f"{name!r}; loading anyway",
-                                stacklevel=2,
-                            )
-                            continue
+                    if _array_crc(array) != int(archive[f"crc_{name}"]):
                         raise CorruptInputError(
                             os.fspath(path), "array CRC mismatch", array=name
                         )

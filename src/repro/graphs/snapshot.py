@@ -172,19 +172,18 @@ class SnapshotCache:
                 # the existing arrays under the new version.
                 merged = entry.csr
             else:
-                backing = graph._csr
-                if backing is None:
+                if graph._csr is None:
                     merged = apply_delta(entry.csr, delta, graph.is_directed)
                 else:
-                    # ApplyOps already merged the window into the backing:
-                    # wrap it as from_graph does (O(1)) and carry only the
-                    # projection. A writer that moved the graph since
-                    # ``version`` was read makes the wrap newer than the
-                    # window, so that falls back to a full build.
+                    # ApplyOps already merged the window into the graph's
+                    # CSR: wrap it (O(1)) and carry only the projection.
+                    # A writer that moved the graph since ``version`` was
+                    # read makes the wrap newer than the window, so that
+                    # falls back to a full build.
                     if graph.version != version:
                         raise DeltaError("the graph moved during the refresh")
                     merged = carry_projection(
-                        entry.csr, CSRGraph(*backing), delta, graph.is_directed
+                        entry.csr, CSRGraph.from_graph(graph), delta, graph.is_directed
                     )
                 self._verify_refresh(merged, graph)
             merged._delta_base_version = entry.version

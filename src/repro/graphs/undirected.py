@@ -5,9 +5,9 @@ sorted adjacency vector per node. Used by the triangle-counting and
 clustering-coefficient algorithms, which the paper runs on the
 undirected projections of its datasets.
 
-A bulk-built graph holds its symmetric adjacency as a frozen CSR instead
-(:class:`~repro.graphs.base.CSRBacking`, both orientations the same two
-arrays). An ``ApplyOps`` batch that keeps the node set is merged into
+A bulk-built graph holds its symmetric adjacency as a frozen
+:class:`~repro.graphs.csr.CSRGraph` instead (both orientations the same
+two arrays). An ``ApplyOps`` batch that keeps the node set is merged into
 it; any other structural mutation builds the hash table first.
 """
 
@@ -20,7 +20,6 @@ import numpy as np
 from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graphs.base import (
     EMPTY_ADJACENCY,
-    CSRBacking,
     GraphBase,
     NetChange,
     both_ways,
@@ -30,6 +29,7 @@ from repro.graphs.base import (
     sorted_insert,
     sorted_remove,
 )
+from repro.graphs.csr import CSRGraph
 
 
 class UndirectedGraph(GraphBase):
@@ -61,26 +61,25 @@ class UndirectedGraph(GraphBase):
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
-        backing = self._csr
-        if backing is not None:
-            return backing.has_arc(u, v)
+        csr = self._csr
+        if csr is not None:
+            return csr.has_arc(u, v)
         nbrs = self._nodes.get(u)
         return nbrs is not None and sorted_contains(nbrs, v)
 
     def neighbors(self, node_id: int) -> np.ndarray:
         """Sorted neighbour ids (read-only)."""
-        backing = self._csr
-        if backing is not None:
-            row = backing.out_row(self._dense_index(backing, node_id))
-            return readonly(backing.node_ids[row])
+        csr = self._csr
+        if csr is not None:
+            return readonly(csr.node_ids[csr.out_neighbors(csr.dense_of(node_id))])
         self._require_node(node_id)
         return readonly(self._nodes[node_id])
 
     def degree(self, node_id: int) -> int:
         """Degree of ``node_id`` (a self-loop contributes one)."""
-        backing = self._csr
-        if backing is not None:
-            return len(backing.out_row(self._dense_index(backing, node_id)))
+        csr = self._csr
+        if csr is not None:
+            return len(csr.out_neighbors(csr.dense_of(node_id)))
         self._require_node(node_id)
         return len(self._nodes[node_id])
 
@@ -97,9 +96,9 @@ class UndirectedGraph(GraphBase):
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges once each as parallel ``(u, v)`` arrays with u <= v."""
-        backing = self._csr
-        if backing is not None:
-            sources, targets = backing.edge_arrays()
+        csr = self._csr
+        if csr is not None:
+            sources, targets = self._csr_edge_arrays(csr)
         else:
             # One read of the node table, as in DirectedGraph.edge_arrays.
             items = list(self._nodes.items())
@@ -115,7 +114,7 @@ class UndirectedGraph(GraphBase):
         if node_id < 0:
             raise GraphError(f"node ids must be non-negative, got {node_id}")
         if self._csr is not None:
-            if self._csr.index(node_id) >= 0:
+            if self._csr.find(node_id) >= 0:
                 return False
             self._materialise("add_node")
         elif node_id in self._nodes:
@@ -232,11 +231,11 @@ class UndirectedGraph(GraphBase):
         self._bump_version()
         self._poison_delta("bulk edge-count install")
 
-    def _records_from(self, backing: CSRBacking) -> dict:
+    def _records_from(self, csr: CSRGraph) -> dict:
         """One vector per node, each a view of one gathered array."""
-        ids = backing.node_ids
-        nbrs = ids[backing.out_indices]
-        ptr = backing.out_indptr.tolist()
+        ids = csr.node_ids
+        nbrs = ids[csr.out_indices]
+        ptr = csr.out_indptr.tolist()
         return {
             node: nbrs[ptr[index]:ptr[index + 1]]
             for index, node in enumerate(ids.tolist())
@@ -245,9 +244,9 @@ class UndirectedGraph(GraphBase):
     def copy(self) -> "UndirectedGraph":
         """Deep copy (a CSR-backed graph shares its read-only arrays)."""
         result = UndirectedGraph()
-        backing = self._csr
-        if backing is not None:
-            result._install_csr(backing, self._num_edges)
+        csr = self._csr
+        if csr is not None:
+            result._install_csr(csr, self._num_edges)
             return result
         for node_id, nbrs in self._nodes.items():
             result._set_adjacency(node_id, nbrs.copy())
@@ -259,8 +258,8 @@ class UndirectedGraph(GraphBase):
 
     def memory_bytes(self) -> int:
         """Bytes held by adjacency vectors plus hash-table overhead."""
-        backing = self._csr
-        if backing is not None:
-            return backing.memory_bytes()
+        csr = self._csr
+        if csr is not None:
+            return csr.memory_bytes()
         total = sum(nbrs.nbytes for nbrs in self._nodes.values())
         return total + 100 * len(self._nodes)

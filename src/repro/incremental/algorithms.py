@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.base import distinct
-from repro.incremental.delta import lookup
+from repro.graphs.base import distinct, lookup
 from repro.incremental.engine import incremental_engine
 
 _EMPTY = np.empty(0, dtype=np.int64)

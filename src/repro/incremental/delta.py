@@ -6,19 +6,19 @@ the int64 columns of an attached :class:`MutationLog` (see
 entry it slices the log between the cached version and the live
 version, folds the window into its net :class:`DeltaColumns` with one
 sort (:func:`fold_window`), and calls :func:`apply_delta` to merge it
-into the cached CSR. The merge touches only the rows the delta names: each
-orientation goes through :func:`~repro.graphs.base.merge_rows`, one
-:meth:`~repro.graphs.base.Rows.merged` for the deletes (old dense ids)
-and one for the adds (new dense ids), with the old → new remap in
-between only when the node set changed. No full-length edge keys are
-formed and nothing is re-sorted. A base that already caches its
-undirected projection hands it on the same way: the changed pairs that
-flip in the projection are merged into its rows.
+into the cached CSR. The merge is :meth:`CSRGraph.merged
+<repro.graphs.csr.CSRGraph.merged>` and touches only the rows the delta
+names: one :meth:`~repro.graphs.base.Rows.merged` per orientation for
+the deletes (old dense ids) and one for the adds (new dense ids), with
+the old → new remap in between only when the node set changed. No
+full-length edge keys are formed and nothing is re-sorted. A base that
+already caches its undirected projection hands it on the same way: the
+changed pairs that flip in the projection are merged into its rows.
 
 That structural merge is for graphs on their node hash table. A
-CSR-backed graph merged each batch into its backing when ``ApplyOps``
-applied it (the same kernel), so its refreshed snapshot is a wrap of the
-backing and :func:`carry_projection` only hands the projection on.
+CSR-backed graph merged each batch into its own CSR when ``ApplyOps``
+applied it (the same merge), so its refreshed snapshot is a wrap of that
+CSR and :func:`carry_projection` only hands the projection on.
 
 Correctness hinges on the *net* form of the delta:
 
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.exceptions import GraphError, RingoError
-from repro.graphs.base import Remap, Rows, both_ways, merge_rows
+from repro.graphs.base import Remap, Rows, lookup
 from repro.graphs.csr import CSRGraph
 
 #: A log that outgrows this many retained rows poisons itself — the
@@ -312,45 +312,10 @@ def _exact_positions(
     haystack: np.ndarray, needles: np.ndarray, what: str
 ) -> np.ndarray:
     """Positions of ``needles`` in sorted ``haystack``; all must match."""
-    positions = np.searchsorted(haystack, needles)
-    if len(needles):
-        if positions.max(initial=0) >= len(haystack) or np.any(
-            haystack[np.minimum(positions, len(haystack) - 1)] != needles
-        ):
-            raise DeltaError(f"dangling {what}: key not present in base")
+    positions, found = lookup(haystack, needles)
+    if not found.all():
+        raise DeltaError(f"dangling {what}: key not present in base")
     return positions
-
-
-def lookup(haystack: np.ndarray, needles: np.ndarray):
-    """``(positions, found)`` of ``needles`` in the sorted ``haystack``.
-
-    ``positions`` is only meaningful where ``found`` is true.
-
-    >>> positions, found = lookup(np.array([2, 5, 9]), np.array([5, 7, 9]))
-    >>> positions[found].tolist(), found.tolist()
-    ([1, 2], [True, False, True])
-    """
-    if len(haystack) == 0:
-        return (
-            np.zeros(len(needles), dtype=np.int64),
-            np.zeros(len(needles), dtype=bool),
-        )
-    positions = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
-    return positions, haystack[positions] == needles
-
-
-def _merge_rows(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    deletes: "tuple[np.ndarray, np.ndarray]",
-    adds: "tuple[np.ndarray, np.ndarray]",
-    remap: "Remap | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~repro.graphs.base.merge_rows`, its failures as :class:`DeltaError`."""
-    try:
-        return merge_rows(indptr, indices, deletes, adds, remap)
-    except GraphError as err:
-        raise DeltaError(str(err)) from None
 
 
 def _holds_arcs(csr: CSRGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -401,16 +366,10 @@ def _carry_projection(
         now[lone] |= reverse
     lo, hi = lo[pair_start], hi[pair_start]
     gone, born = was & ~now, now & ~was
-    old_ids = old.node_ids
-    deletes = both_ways(
-        np.searchsorted(old_ids, lo[gone]), np.searchsorted(old_ids, hi[gone])
-    )
-    new_ids = merged.node_ids
-    adds = both_ways(
-        np.searchsorted(new_ids, lo[born]), np.searchsorted(new_ids, hi[born])
-    )
-    indptr, indices = _merge_rows(old.out_indptr, old.out_indices, deletes, adds, remap)
-    projection = CSRGraph(new_ids, indptr, indices, indptr, indices)
+    old_ids, new_ids = old.node_ids, merged.node_ids
+    deletes = np.searchsorted(old_ids, lo[gone]), np.searchsorted(old_ids, hi[gone])
+    adds = np.searchsorted(new_ids, lo[born]), np.searchsorted(new_ids, hi[born])
+    projection = old.merged(deletes, adds, False, remap)
     projection._is_projection = True
     return projection
 
@@ -420,9 +379,9 @@ def carry_projection(
 ) -> CSRGraph:
     """``merged`` — ``base`` advanced by ``delta`` elsewhere — given the base's projection.
 
-    A CSR-backed graph merged each batch into its backing as the batch
-    was applied, so the refreshed snapshot is a wrap of that backing
-    and the base's cached undirected projection is all that is left to
+    A CSR-backed graph merged each batch into its own CSR as the batch
+    was applied, so the refreshed snapshot is a wrap of that CSR and
+    the base's cached undirected projection is all that is left to
     advance. Such batches keep the node set; a window that changes it
     raises :class:`DeltaError`.
 
@@ -436,11 +395,14 @@ def carry_projection(
     6
     """
     if len(delta.nodes_added) or len(delta.nodes_deleted):
-        raise DeltaError("a node-set change cannot have been merged into a backing")
+        raise DeltaError("a node-set change cannot have been merged into a graph's CSR")
     if base._undirected is not None:
-        merged._undirected = _carry_projection(
-            base._undirected, merged, delta, directed, None
-        )
+        try:
+            merged._undirected = _carry_projection(
+                base._undirected, merged, delta, directed, None
+            )
+        except GraphError as err:
+            raise DeltaError(str(err)) from None
     return merged
 
 
@@ -448,14 +410,14 @@ def apply_delta(base: CSRGraph, columns: DeltaColumns, directed: bool) -> CSRGra
     """Merge a net delta into a base CSR; raises :class:`DeltaError`.
 
     The result matches ``CSRGraph.from_graph`` on the mutated graph
-    array-for-array. Undirected bases expand each delta edge into both
-    orientations and keep the from_graph property that out- and
-    in-adjacency share one physical array pair. When the base already
-    caches its undirected projection, the result carries that
-    projection forward too (equal to a fresh symmetrisation), so the
-    triangle and k-core family need not re-sort it. The snapshot cache
+    array-for-array: :meth:`CSRGraph.merged
+    <repro.graphs.csr.CSRGraph.merged>` expands each undirected delta
+    edge into both orientations of the one shared array pair. When the
+    base already caches its undirected projection, the result carries
+    that projection forward too (equal to a fresh symmetrisation), so
+    the triangle and k-core family need not re-sort it. The snapshot cache
     calls it for graphs on their hash table only: a CSR-backed graph's
-    window is already merged into its backing (:func:`carry_projection`).
+    window is already merged into its own CSR (:func:`carry_projection`).
 
     >>> base = CSRGraph.from_edges([1, 2], [2, 3])
     >>> log = MutationLog(0); log.record(1, "add_edge", 3, 1)
@@ -472,7 +434,7 @@ def apply_delta(base: CSRGraph, columns: DeltaColumns, directed: bool) -> CSRGra
         alive = np.ones(len(base_ids), dtype=bool)
         alive[del_dense] = False
         new_ids = np.union1d(base_ids[alive], add_nodes)
-        remap = Remap(alive, np.searchsorted(new_ids, base_ids), len(new_ids))
+        remap = Remap(alive, np.searchsorted(new_ids, base_ids), new_ids)
 
     deletes = (
         _exact_positions(base_ids, columns.del_src, "edge-delete endpoint"),
@@ -482,24 +444,12 @@ def apply_delta(base: CSRGraph, columns: DeltaColumns, directed: bool) -> CSRGra
         _exact_positions(new_ids, columns.add_src, "edge-add endpoint"),
         _exact_positions(new_ids, columns.add_dst, "edge-add endpoint"),
     )
-    if directed:
-        out_indptr, out_indices = _merge_rows(
-            base.out_indptr, base.out_indices, deletes, adds, remap
-        )
-        in_indptr, in_indices = _merge_rows(
-            base.in_indptr, base.in_indices, deletes[::-1], adds[::-1], remap
-        )
-        merged = CSRGraph(new_ids, out_indptr, out_indices, in_indptr, in_indices)
-    else:
-        # The symmetric representation stores {u, v} as (u, v) and
-        # (v, u) — a self-loop once — in one shared orientation.
-        indptr, indices = _merge_rows(
-            base.out_indptr, base.out_indices,
-            both_ways(*deletes), both_ways(*adds), remap,
-        )
-        merged = CSRGraph(new_ids, indptr, indices, indptr, indices)
-    if base._undirected is not None:
-        merged._undirected = _carry_projection(
-            base._undirected, merged, columns, directed, remap
-        )
+    try:
+        merged = base.merged(deletes, adds, directed, remap)
+        if base._undirected is not None:
+            merged._undirected = _carry_projection(
+                base._undirected, merged, columns, directed, remap
+            )
+    except GraphError as err:
+        raise DeltaError(str(err)) from None
     return merged

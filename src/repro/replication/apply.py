@@ -71,6 +71,7 @@ from repro.recovery.wal import (
     unframe,
     validate_tenant_name,
 )
+from repro.service.session import SESSION_WORKERS
 
 
 class ReplicaTenant:
@@ -105,7 +106,7 @@ class ReplicaTenant:
         """Recover (or freshly create) the unarmed follower session."""
         self.directory.mkdir(parents=True, exist_ok=True)
         self.session, self.tail = recover_session(
-            Ringo, self.directory, arm=False, workers=self.applier.session_workers
+            Ringo, self.directory, arm=False, workers=SESSION_WORKERS
         )
         self.tip_lsn = max(self.tip_lsn, self.applied_lsn)
         self.epoch = max(read_epoch(self.directory).epoch, self.tail.epoch)
@@ -212,11 +213,9 @@ class ReplicaApplier:
         self,
         spool_dir,
         lag_degrade_records: int = 1024,
-        session_workers: int = 1,
     ) -> None:
         self.spool_dir = Path(spool_dir)
         self.lag_degrade_records = lag_degrade_records
-        self.session_workers = session_workers
         self.promoted_epoch: "int | None" = None
         self._tenants: dict[str, ReplicaTenant] = {}
         self._tenants_lock = threading.Lock()

@@ -44,6 +44,9 @@ from repro.recovery.wal import WAL_FILENAME, WalTail, framed, iter_wal, spool_te
 from repro.service.client import ServiceClient
 from repro.service.protocol import RemoteError
 
+#: Most WAL records one shipped batch carries.
+BATCH_RECORDS = 64
+
 
 def record_frame(record) -> dict:
     """Re-frame one decoded WAL record as its shippable payload + CRC.
@@ -122,7 +125,6 @@ class WalShipper(threading.Thread):
         *,
         service=None,
         interval_s: float = 0.05,
-        batch_records: int = 64,
         digest_every_batches: int = 4,
         retry_policy: "RetryPolicy | None" = None,
         client_timeout: float = 30.0,
@@ -130,7 +132,6 @@ class WalShipper(threading.Thread):
         super().__init__(name="repro-wal-shipper", daemon=True)
         self.spool_dir = Path(spool_dir)
         self.interval_s = interval_s
-        self.batch_records = batch_records
         self.digest_every_batches = digest_every_batches
         self.service = service
         self.retry_policy = retry_policy or RetryPolicy(
@@ -241,7 +242,7 @@ class WalShipper(threading.Thread):
         )
         while pending or digest_due:
             digest = None
-            batch = pending[: self.batch_records]
+            batch = pending[:BATCH_RECORDS]
             if digest_due:
                 digest = self._consistent_digest(cursor.tenant)
                 if digest is not None and digest["lsn"] > cursor.shipped_lsn:
@@ -249,7 +250,7 @@ class WalShipper(threading.Thread):
                     # replica can compare at a matched LSN.
                     batch = [
                         r for r in pending if r.lsn <= digest["lsn"]
-                    ][: self.batch_records]
+                    ][:BATCH_RECORDS]
                     if batch and batch[-1].lsn < digest["lsn"]:
                         digest = None  # watermark beyond this batch; next round
                 elif digest is not None and digest["lsn"] == cursor.shipped_lsn:

@@ -61,6 +61,9 @@ from repro.service.protocol import (
 )
 from repro.service.session import SessionManager, dispatch_engine
 
+#: Threads of the shared executor that runs engine calls.
+EXECUTOR_THREADS = 8
+
 
 @dataclass
 class ServiceConfig:
@@ -88,13 +91,10 @@ class ServiceConfig:
     default_deadline_s: float = 30.0
     tick_s: float = 0.02
     idle_evict_s: float = 60.0
-    session_workers: int = 1
-    executor_threads: int = 8
     retry_policy: "RetryPolicy | None" = None
     role: str = "primary"
     replica_address: "object | None" = None
     ship_interval_s: float = 0.05
-    ship_batch_records: int = 64
     digest_every_batches: int = 4
     lag_degrade_records: int = 1024
 
@@ -151,7 +151,7 @@ class SessionService:
         """Bind the TCP listener and start the scheduler tick."""
         self.loop = asyncio.get_running_loop()
         self.executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_threads,
+            max_workers=EXECUTOR_THREADS,
             thread_name_prefix="repro-service",
         )
         self.manager = SessionManager(
@@ -162,7 +162,6 @@ class SessionService:
             default_tenant_budget_bytes=self.config.default_tenant_budget_bytes,
             max_queue_depth=self.config.max_queue_depth,
             idle_evict_s=self.config.idle_evict_s,
-            session_workers=self.config.session_workers,
             retry_policy=self.config.retry_policy,
         )
         self._server = await asyncio.start_server(
@@ -179,7 +178,6 @@ class SessionService:
             self.applier = ReplicaApplier(
                 self.config.spool_dir,
                 lag_degrade_records=self.config.lag_degrade_records,
-                session_workers=self.config.session_workers,
             )
         addresses = self.config.replica_addresses()
         if self.role == "primary" and addresses:
@@ -190,7 +188,6 @@ class SessionService:
                 addresses,
                 service=self,
                 interval_s=self.config.ship_interval_s,
-                batch_records=self.config.ship_batch_records,
                 digest_every_batches=self.config.digest_every_batches,
             )
             self.shipper.start()

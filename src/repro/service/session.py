@@ -59,6 +59,10 @@ from repro.service.protocol import (
 )
 from repro.service.queueing import DeadlineQueue
 
+#: Worker threads inside each tenant's Ringo session (and each replica
+#: follower's): tenants share the machine, so one apiece.
+SESSION_WORKERS = 1
+
 #: Seconds a drain waits for one session's in-flight request to finish;
 #: a session still busy after that counts as a checkpoint failure.
 DRAIN_TIMEOUT_S = 30.0
@@ -173,13 +177,13 @@ class TenantSession:
         if state["wal_exists"] or state["checkpoints"]:
             session = Ringo.recover(
                 self.directory,
-                workers=self.manager.session_workers,
+                workers=SESSION_WORKERS,
                 memory_budget=self.budget_bytes,
             )
             self.stats.record("revivals")
         else:
             session = Ringo(
-                workers=self.manager.session_workers,
+                workers=SESSION_WORKERS,
                 memory_budget=self.budget_bytes,
                 durability=self.directory,
             )
@@ -367,7 +371,6 @@ class SessionManager:
         default_tenant_budget_bytes: int,
         max_queue_depth: int,
         idle_evict_s: float,
-        session_workers: int = 1,
         retry_policy=None,
     ) -> None:
         self.loop = loop
@@ -376,7 +379,6 @@ class SessionManager:
         self.default_tenant_budget_bytes = default_tenant_budget_bytes
         self.max_queue_depth = max_queue_depth
         self.idle_evict_s = idle_evict_s
-        self.session_workers = session_workers
         self.retry_policy = retry_policy
         self.ledger = MemoryLedger(global_budget_bytes)
         self.tenants: dict[str, TenantSession] = {}

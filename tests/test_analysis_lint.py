@@ -49,7 +49,8 @@ def _fault_site_files():
 # a one-line mutation of the current source that the rule must catch,
 # linted over the smallest set of files in which it still fires (flow
 # rules need the modules their call chain runs through). This table is
-# the record of how every rule can fire.
+# the record of how every rule can fire; a rule with a second case keys
+# it as ``<rule>-<case>``.
 RULE_MUTATIONS = {
     "R001": (
         ["repro/graphs/directed.py"],
@@ -59,6 +60,16 @@ RULE_MUTATIONS = {
         '        self._record_delta("add_edge", src, dst)\n',
         "        self._num_edges += 1\n"
         '        self._record_delta("add_edge", src, dst)\n',
+    ),
+    # The path every ApplyOps batch on a CSR-backed graph takes.
+    "R001-merge": (
+        ["repro/graphs/base.py"],
+        "repro/graphs/base.py",
+        "        self._csr = csr.merged(deletes, adds, self.is_directed)\n"
+        "        self._num_edges += len(change.add_src) - len(change.del_src)\n"
+        "        self._bump_version()\n",
+        "        self._csr = csr.merged(deletes, adds, self.is_directed)\n"
+        "        self._num_edges += len(change.add_src) - len(change.del_src)\n",
     ),
     "R002": (
         ["repro/algorithms/common.py"],
@@ -148,11 +159,13 @@ class TestRulesFire:
     """Every rule catches a one-line mutation of the real source."""
 
     def test_every_rule_has_a_mutation(self):
-        assert sorted(RULE_MUTATIONS) == [rule.code for rule in lint.active_rules()]
+        rules = sorted({case.partition("-")[0] for case in RULE_MUTATIONS})
+        assert rules == [rule.code for rule in lint.active_rules()]
 
     @pytest.mark.parametrize("code", sorted(RULE_MUTATIONS))
     def test_one_line_mutation_fires(self, code, tmp_path):
         files, target, old, new = RULE_MUTATIONS[code]
+        code = code.partition("-")[0]
         # Keep the src/ layout: flow rules name modules by their path.
         root = tmp_path / "src"
         for rel in files:

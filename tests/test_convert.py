@@ -211,8 +211,9 @@ class TestKeyKernel:
         if not node_set:
             assert graph.num_nodes == 0
             return
-        backing = graph._csr
-        assert backing.node_ids.tolist() == sorted(node_set)
+        csr = graph._csr
+        backing = csr.node_ids, csr.out_indptr, csr.out_indices, csr.in_indptr, csr.in_indices
+        assert backing[0].tolist() == sorted(node_set)
         assert _decoded_rows(*backing[:3]) == {n: sorted(out[n]) for n in node_set}
         assert _decoded_rows(backing[0], *backing[3:]) == {
             n: sorted(into[n]) for n in node_set

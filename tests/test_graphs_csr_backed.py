@@ -28,6 +28,13 @@ from repro.recovery.digest import graph_digest
 from repro.recovery.ops import decode_graph_payload, encode_graph_payload
 
 
+def _stored(csr):
+    """The five arrays a CSR holds (its properties hand out read-only views)."""
+    return [
+        csr._node_ids, csr._out_indptr, csr._out_indices, csr._in_indptr, csr._in_indices
+    ]
+
+
 def _bulk(directed=True):
     return graph_from_edge_arrays(
         [1, 2, 3, 3], [2, 3, 1, 3], directed=directed, nodes=[9]
@@ -74,12 +81,13 @@ class TestBackedReads:
         first = CSRGraph.from_graph(graph)
         second = CSRGraph.from_graph(graph)
         assert first is not second  # derived arrays start empty each time
-        assert np.shares_memory(first.out_indices, graph._csr.out_indices)
-        assert np.shares_memory(second.in_indptr, graph._csr.in_indptr)
+        for held, a, b in zip(_stored(graph._csr), _stored(first), _stored(second)):
+            assert a is held and b is held
 
     def test_no_caller_can_write_through(self, directed):
         graph = _bulk(directed)
-        assert all(not array.flags.writeable for array in graph._csr)
+        assert isinstance(graph._csr, CSRGraph)
+        assert all(not array.flags.writeable for array in _stored(graph._csr))
         node_array = graph.node_array()
         node_array[0] = 42  # a copy: the graph does not see it
         assert 42 not in graph
@@ -106,6 +114,7 @@ class TestBackedReads:
     def test_memory_is_the_arrays_alone(self, directed):
         graph = _bulk(directed)
         backed = graph.memory_bytes()
+        assert CSRGraph.from_graph(graph).memory_bytes() == backed
         graph.add_node(10)
         graph.del_node(10)
         assert graph._csr is None

@@ -1,7 +1,6 @@
 """Checksummed checkpoints: atomic commit, verification, quarantine."""
 
 import json
-import warnings
 import zlib
 
 import numpy as np
@@ -175,19 +174,6 @@ class TestGraphSerializeDigests:
         self._tamper_crc(path)
         with pytest.raises(CorruptInputError, match="sources"):
             load_graph(path)
-
-    def test_verify_warn_loads_with_warning(self, tmp_path):
-        with Ringo(workers=1) as session:
-            graph = session.GenRMat(4, 12, seed=1)
-        path = tmp_path / "g.npz"
-        save_graph(graph, path)
-        self._tamper_crc(path)
-        with pytest.warns(UserWarning, match="CRC mismatch"):
-            loaded = load_graph(path, verify="warn")
-        assert loaded.num_edges == graph.num_edges
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            load_graph(path, verify=False)
 
     def test_version_1_archive_still_loads(self, tmp_path):
         with Ringo(workers=1) as session:
