@@ -17,9 +17,10 @@ equality checks, so they are correctness evidence here, not the
 headline speedup. Measured on the ``--quick`` graph (2 vCPU, median of
 6 rounds): a warm WCC advance costs about one batch run (12 ms against
 12 ms for ``wcc_label_array``, since a deletion in the giant component
-re-joins all of its edges), and a warm triangle advance about 0.15–0.2×
-the batch count (3–4 ms against 18–20 ms for ``triangle_count_array``
-on a prebuilt projection; the kernel's dense core of the top 2048
+re-joins all of its edges), and a warm triangle advance about 0.15×
+the inline batch count (2.7–3.9 ms against 18 ms for
+``triangle_count_array`` on a prebuilt projection, 12–13 ms on a
+two-worker pool; the kernel's dense core of the top 2048
 degree ranks holds the middle node of only 9 % of this uniform graph's
 wedges, so most still close by binary search).
 

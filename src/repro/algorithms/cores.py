@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.algorithms.common import NodeValues
 from repro.algorithms.triangles import _undirected_csr
+from repro.exceptions import AlgorithmError
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.ops import subgraph
 from repro.graphs.undirected import UndirectedGraph
@@ -100,8 +101,15 @@ def k_core(graph, k: int) -> "DirectedGraph | UndirectedGraph":
     """The maximal induced subgraph whose nodes all have core number >= k.
 
     The paper's Table 6 benchmarks ``3-core``; that is ``k_core(g, 3)``.
+    The subgraph keeps ``graph``'s directedness, which a bare
+    :class:`CSRGraph` does not record, so one raises
+    :class:`~repro.exceptions.AlgorithmError`.
     """
     check_positive(k, "k")
+    if not isinstance(graph, (DirectedGraph, UndirectedGraph)):
+        raise AlgorithmError(
+            f"k_core takes a DirectedGraph or UndirectedGraph, not {type(graph).__name__}"
+        )
     sym = _undirected_csr(graph)
     keep = sym.node_ids[_core_number_array(sym) >= k]
     return subgraph(graph, keep.tolist())

@@ -21,15 +21,19 @@ from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import WorkerPool, serial_pool
 
 #: Most wedges one triangle block may hold, unless a single node alone
-#: has more. Small blocks dealt round-robin keep the few hub nodes of a
-#: skewed graph from piling onto one worker — the analogue of OpenMP's
+#: has more. Blocks dealt round-robin keep the few hub nodes of a skewed
+#: graph from piling onto one worker — the analogue of OpenMP's
 #: ``schedule(dynamic)``. Each block costs some fifty numpy calls, and
-#: on a thread pool every call hands the GIL over, so larger blocks read
-#: faster on the ``analytics`` graph (2^16: 65 ms on two workers against
-#: 104 ms at 2^14). 2^14 is kept as the largest power of two at which
-#: the R-MAT of ``tests/test_failure_injection.py`` (24 771 wedges)
-#: still splits into two pool partitions (EXPERIMENTS.md, A7).
-MAX_BLOCK_WEDGES = 1 << 14
+#: on a thread pool every call hands the GIL over, so the cap trades
+#: per-block overhead against balance. An in-process sweep on the
+#: ``analytics`` graph (5.06 M wedges; two workers, 15 alternating
+#: rounds, medians) read 126 ms at 2^14 (334 blocks), 86 at 2^15, 68 at
+#: 2^16, 64 at 3·2^15 (52 blocks), 62 at 2^17, 63 at 3·2^16 and 65 at
+#: 2^18 (20 blocks, too few to balance two workers); the seed-7 graph
+#: read the same plateau. 3·2^15 is the plateau's smallest cap: a
+#: block's temporaries peak at 6.8 MB per worker there, against 8.2 MB
+#: at 2^17 (EXPERIMENTS.md, A7).
+MAX_BLOCK_WEDGES = 3 << 15
 
 #: The top degree ranks whose forward edges the kernel keeps as a dense
 #: bool table (4 MB at 2048), so a wedge whose middle node ranks among

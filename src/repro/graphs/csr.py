@@ -376,14 +376,20 @@ class CSRGraph:
         sort of the ``r*n + s`` keys builds it (see
         :meth:`forward_edge_keys`). Like the other derived arrays this is
         computed once per snapshot.
+
+        Defined on a symmetric CSR such as the undirected projection,
+        which stores each edge ``{u, v}`` as both arcs: the arcs with
+        ``v > u`` (the tail of each sorted row) name every edge once,
+        and each is keyed by its lower rank, then its higher.
         """
         if self._forward is None:
             count = self.num_nodes
             rank = self.degree_rank()
-            src = rank[self.edge_sources()]
-            dst = rank[self._out_indices]
-            keep = dst > src
-            keys = np.sort(src[keep] * count + dst[keep])
+            src = self.edge_sources()
+            dst = self._out_indices
+            upper = dst > src
+            a, b = rank[src[upper]], rank[dst[upper]]
+            keys = np.sort(np.minimum(a, b) * count + np.maximum(a, b))
             rows, findices = np.divmod(keys, count)
             findptr = row_pointer(rows, count)
             for array in (keys, findptr, findices):

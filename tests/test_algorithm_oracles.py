@@ -346,6 +346,12 @@ class TestCoreOracle:
             with pytest.raises(AlgorithmError):
                 call(graph)
 
+    def test_k_core_of_a_csr_graph_is_a_typed_error(self):
+        csr = CSRGraph.from_edges([1, 2, 3], [2, 3, 1])
+        assert degeneracy(csr) == 2
+        with pytest.raises(AlgorithmError, match="DirectedGraph or UndirectedGraph"):
+            k_core(csr, 1)
+
 
 def _chain_of_cliques(cliques: int, size: int) -> CSRGraph:
     """``cliques`` copies of K_size, consecutive copies joined by one edge."""
@@ -415,8 +421,10 @@ class TestDeepPeelShapes:
 # The triangle family
 # ----------------------------------------------------------------------
 
-# The default block cap and a cap of one wedge, which puts every node
-# with a wedge in a block of its own; inline and on a three-worker pool.
+# The default block cap; 2^14, which cuts the graph wider than the core
+# (226 092 wedges) into fourteen blocks; and a cap of one wedge, which
+# puts every node with a wedge in a block of its own; inline and on a
+# three-worker pool.
 # Each with the default dense core, with none (every wedge closes by
 # binary search) and with a core of the top eight ranks (both tests).
 SCHEDULES = [
@@ -426,7 +434,7 @@ SCHEDULES = [
         core,
         id=f"cap{cap}-w{width}" + ("" if core == triangles.CORE_RANKS else f"-core{core}"),
     )
-    for cap in (triangles.MAX_BLOCK_WEDGES, 1)
+    for cap in (triangles.MAX_BLOCK_WEDGES, 1 << 14, 1)
     for width in (1, 3)
     for core in (triangles.CORE_RANKS, 0, 8)
 ]

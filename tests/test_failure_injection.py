@@ -171,9 +171,10 @@ EDGE_COLUMNS = {"a": [1, 2, 3, 1, 4, 5], "b": [2, 3, 1, 3, 5, 4]}
 
 
 def _two_block_triangle_graph(ringo):
-    """An R-MAT graph whose triangle count spans two wedge blocks, so a
-    two-worker session dispatches it as two pool partitions."""
-    graph = ringo.GenRMat(9, 6000, seed=3, directed=False)
+    """An R-MAT graph whose triangle count spans at least two wedge
+    blocks (257 112 wedges: three at the default cap), so a two-worker
+    session dispatches it as two pool partitions."""
+    graph = ringo.GenRMat(11, 30000, seed=3, directed=False)
     sym = CSRGraph.from_graph(graph).undirected_projection()
     assert len(_wedge_blocks(sym.forward_adjacency()[0], MAX_BLOCK_WEDGES)) >= 2
     return graph

@@ -23,14 +23,16 @@ from repro.parallel.executor import WorkerPool
 from repro.parallel.resilience import RetryPolicy
 
 PATH_NODES = 100_000
-# The default cap, and one small enough that R-MAT hubs each get a
-# block of their own. (The path and the star root no wedges, since every
-# forward degree there is at most one, so they stay one block.) Each
-# with the default dense core, with none (every wedge closes by binary
-# search) and with a core of the top eight ranks (both tests).
+# The default cap; 2^14, which cuts the R-MAT (36 492 wedges, one block
+# at the default cap) into three; and one small enough that R-MAT hubs
+# each get a block of their own. (The path and the star root no wedges,
+# since every forward degree there is at most one, so they stay one
+# block.) Each with the default dense core, with none (every wedge
+# closes by binary search) and with a core of the top eight ranks (both
+# tests).
 CAPS = [
     pytest.param(cap, core, id=str(cap) + ("" if core == triangles.CORE_RANKS else f"-core{core}"))
-    for cap in (triangles.MAX_BLOCK_WEDGES, 1 << 8)
+    for cap in (triangles.MAX_BLOCK_WEDGES, 1 << 14, 1 << 8)
     for core in (triangles.CORE_RANKS, 0, 8)
 ]
 WIDTHS = [1, 2, 3]
